@@ -159,16 +159,8 @@ class Lattice:
         """All lattice elements of sup-norm at most ``radius``, sorted."""
         if radius < 0:
             return []
-        if not self.basis:
-            return [(0,) * self.ambient]
-        r = self.rank
-        B = [[Fraction(self.basis[j][i]) for j in range(r)] for i in range(self.ambient)]
-        Bt = [list(col) for col in zip(*B)]
-        gram_inv = linalg.fraction_inverse(linalg.mat_mul(Bt, B))
-        pinv = linalg.mat_mul(gram_inv, Bt)
-        bounds = [
-            int(math.floor(sum(abs(x) for x in row) * radius)) for row in pinv
-        ]
+        columns = [[v[i] for v in self.basis] for i in range(self.ambient)]
+        bounds = linalg.box_bounds(columns, radius)
         out = []
         for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
             v = tuple(

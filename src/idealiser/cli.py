@@ -15,22 +15,20 @@ import sys
 import time
 from fractions import Fraction
 
-from .action import Lattice, TranslationAction, complement, stabiliser
+from .action import Lattice, TranslationAction
 from .diophantine import pell_enumerate
-from .groebner import Ideal, ResourceLimitError, ideal_quotient, is_maximal_effective
+from .groebner import PAIR_LIMIT_ENV, Ideal, ResourceLimitError
 from .noether import (
     GrowthProbe,
     LatticeSubsetReport,
-    Verdict,
+    analysis,
     decide,
     growth_probe,
-    integer_zeros_in_box,
     left_witness_ideal,
     s_set_box,
     t_set_box,
     tor1,
 )
-from .parser import ParseError
 from .poly import MonomialOrder, PolyRing
 from .skew import idealiser_membership, parse_skew, quotient_table
 
@@ -44,9 +42,12 @@ class InputError(ValueError):
     pass
 
 
-def _load_config(path: str) -> dict:
+def _load(args, ideal: bool = True):
+    """Ring, action, ideal (None unless ``ideal``) and options of the
+    command's JSON config.  A ``pair_limit`` option goes into the
+    environment; ``main`` restores the environment when the command ends."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}")
@@ -54,51 +55,42 @@ def _load_config(path: str) -> dict:
         raise InputError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
-    return cfg
 
-
-def _build_ring(cfg: dict) -> PolyRing:
     ring_cfg = cfg.get("ring", {})
     variables = tuple(ring_cfg.get("vars", ("x", "y")))
     if not variables:
         raise InputError("ring.vars must be nonempty")
     order = ring_cfg.get("order", "grevlex")
-    if order == "grevlex":
-        return PolyRing(variables)
-    if order == "lex":
-        return PolyRing(variables, MonomialOrder.lex(len(variables)))
-    raise InputError(f"unknown order {order!r} (use 'lex' or 'grevlex')")
+    if order not in ("grevlex", "lex"):
+        raise InputError(f"unknown order {order!r} (use 'lex' or 'grevlex')")
+    ring = PolyRing(variables, MonomialOrder.lex(len(variables)) if order == "lex" else None)
 
-
-def _build_action(cfg: dict, ring: PolyRing) -> TranslationAction:
     act_cfg = cfg.get("action")
-    if not act_cfg or "matrix" not in act_cfg:
-        return TranslationAction.standard(ring)
-    try:
-        rows = [[Fraction(str(x)) for x in row] for row in act_cfg["matrix"]]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad action matrix entry: {exc}")
-    return TranslationAction(ring, rows)
+    if act_cfg and "matrix" in act_cfg:
+        try:
+            rows = [[Fraction(str(x)) for x in row] for row in act_cfg["matrix"]]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad action matrix entry: {exc}")
+        act = TranslationAction(ring, rows)
+    else:
+        act = TranslationAction.standard(ring)
 
+    I = None
+    if ideal:
+        ideal_cfg = cfg.get("ideal")
+        if not ideal_cfg or not ideal_cfg.get("generators"):
+            raise InputError("config needs ideal.generators")
+        I = Ideal(
+            ring,
+            [ring.parse(s) for s in ideal_cfg["generators"]],
+            claimed_prime=bool(ideal_cfg.get("claimed_prime", False)),
+            claimed_maximal=bool(ideal_cfg.get("claimed_maximal", False)),
+        )
 
-def _build_ideal(cfg: dict, ring: PolyRing) -> Ideal:
-    ideal_cfg = cfg.get("ideal")
-    if not ideal_cfg or not ideal_cfg.get("generators"):
-        raise InputError("config needs ideal.generators")
-    gens = [ring.parse(s) for s in ideal_cfg["generators"]]
-    return Ideal(
-        ring,
-        gens,
-        claimed_prime=bool(ideal_cfg.get("claimed_prime", False)),
-        claimed_maximal=bool(ideal_cfg.get("claimed_maximal", False)),
-    )
-
-
-def _options(cfg: dict) -> dict:
     opts = dict(cfg.get("options", {}))
     if "pair_limit" in opts:
-        os.environ["IDEALISER_PAIR_LIMIT"] = str(int(opts["pair_limit"]))
-    return opts
+        os.environ[PAIR_LIMIT_ENV] = str(int(opts["pair_limit"]))
+    return ring, act, I, opts
 
 
 def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
@@ -192,35 +184,41 @@ def _print_report_lines(rep: LatticeSubsetReport):
 # --------------------------------------------------------- subcommands
 
 
+def _box(args, opts: dict, default: int) -> int:
+    return args.box if args.box is not None else int(opts.get("box", default))
+
+
+def _radii(text: str | None, opts: dict) -> list[int]:
+    if text:
+        return [int(r) for r in text.split(",")]
+    return [int(r) for r in opts.get("probe_radii", [2, 4, 8])]
+
+
+def _probe_line(p: GrowthProbe) -> str:
+    return (
+        f"probe {p.side} vs {p.target}: radii "
+        + ",".join(str(r) for r in p.radii)
+        + " counts "
+        + ",".join(str(c) for c in p.counts)
+        + f" [{p.flag}]"
+    )
+
+
 def _cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    opts = _options(cfg)
-    box = args.box if args.box is not None else int(opts.get("box", 8))
-    if args.probe_radii:
-        radii = [int(r) for r in args.probe_radii.split(",")]
-    else:
-        radii = [int(r) for r in opts.get("probe_radii", [2, 4, 8])]
+    ring, act, I, opts = _load(args)
+    box = _box(args, opts, 8)
+    radii = _radii(args.probe_radii, opts)
 
     t0 = time.perf_counter()
     verdict, sets = decide(I, act, box=box)
-    K = stabiliser(I, act)
-    H = complement(K)
-
-    probes = []
-    zeros = integer_zeros_in_box(I.gens, ring.n, box)
-    right_target = _point_ideal(ring, zeros[0]) if zeros else I
-    probes.append(growth_probe(I, right_target, act, "right", radii))
+    a = analysis(I, act)
+    zeros = a.zeros(box)
+    target = _point_ideal(ring, zeros[0]) if zeros else I
     witness = left_witness_ideal(verdict, ring)
-    if witness is not None:
-        left_target = witness
-    elif zeros:
-        left_target = _point_ideal(ring, zeros[0])
-    else:
-        left_target = I
-    probes.append(growth_probe(I, left_target, act, "left", radii))
+    probes = [
+        growth_probe(I, target, act, "right", radii),
+        growth_probe(I, target if witness is None else witness, act, "left", radii),
+    ]
     elapsed = time.perf_counter() - t0
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 
@@ -232,15 +230,15 @@ def _cmd_analyze(args) -> int:
                 {"rule": c.rule, "payload": c.payload} for c in verdict.certificates
             ],
         },
-        "stabiliser": _lattice_json(K),
-        "complement": _lattice_json(H),
+        "stabiliser": _lattice_json(a.K),
+        "complement": _lattice_json(a.H),
         "sets": [_report_json(r) for r in sets],
         "probes": [_probe_json(p) for p in probes],
     }
     lines = [
         "ideal: " + _ideal_str(I),
-        "stabiliser: " + _lattice_str(K),
-        "complement: " + _lattice_str(H),
+        "stabiliser: " + _lattice_str(a.K),
+        "complement: " + _lattice_str(a.H),
         f"right noetherian: {verdict.right}",
         f"left noetherian: {verdict.left}",
     ]
@@ -249,60 +247,40 @@ def _cmd_analyze(args) -> int:
         lines.append(f"certificate {c.rule}: {detail}")
     for rep in sets:
         lines.extend(_print_report_lines(rep))
-    for p in probes:
-        lines.append(
-            f"probe {p.side} vs {p.target}: radii "
-            + ",".join(str(r) for r in p.radii)
-            + " counts "
-            + ",".join(str(c) for c in p.counts)
-            + f" [{p.flag}]"
-        )
+    lines.extend(_probe_line(p) for p in probes)
     _emit(payload, args.json, lines)
     return 0 if verdict.right != "unknown" and verdict.left != "unknown" else 2
 
 
 def _cmd_stab(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    _options(cfg)
-    K = stabiliser(I, act)
+    _, act, I, _ = _load(args)
+    K = analysis(I, act).K
     payload = {"stabiliser": _lattice_json(K), "rank": K.rank}
     _emit(payload, args.json, [f"lattice basis: {_lattice_str(K)}"])
     return 0
 
 
 def _cmd_complement(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    _options(cfg)
-    K = stabiliser(I, act)
-    H = complement(K)
+    _, act, I, _ = _load(args)
+    a = analysis(I, act)
     payload = {
-        "stabiliser": _lattice_json(K),
-        "complement": _lattice_json(H),
+        "stabiliser": _lattice_json(a.K),
+        "complement": _lattice_json(a.H),
     }
     _emit(
         payload,
         args.json,
         [
-            f"stabiliser: {_lattice_str(K)}",
-            f"complement: {_lattice_str(H)}",
+            f"stabiliser: {_lattice_str(a.K)}",
+            f"complement: {_lattice_str(a.H)}",
         ],
     )
     return 0
 
 
 def _cmd_quotient_table(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    opts = _options(cfg)
-    box = args.box if args.box is not None else int(opts.get("box", 2))
+    _, act, I, opts = _load(args)
+    box = _box(args, opts, 2)
     t0 = time.perf_counter()
     table = quotient_table(I, I, act, box)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -321,11 +299,7 @@ def _cmd_quotient_table(args) -> int:
 
 
 def _cmd_tor(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    _options(cfg)
+    ring, _, I, _ = _load(args)
     J = Ideal(ring, [ring.parse(s) for s in args.target])
     mod = tor1(I, J)
     payload = {
@@ -350,16 +324,12 @@ def _cmd_tor(args) -> int:
 def _sub_for(args, act: TranslationAction, I: Ideal) -> Lattice:
     if args.full:
         return Lattice.standard(act.d)
-    return complement(stabiliser(I, act))
+    return analysis(I, act).H
 
 
 def _cmd_sset(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    opts = _options(cfg)
-    box = args.box if args.box is not None else int(opts.get("box", 8))
+    ring, act, I, opts = _load(args)
+    box = _box(args, opts, 8)
     sub = _sub_for(args, act, I)
     if args.point is not None:
         target = _parse_point(args.point, ring.n)
@@ -373,12 +343,8 @@ def _cmd_sset(args) -> int:
 
 
 def _cmd_tset(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    opts = _options(cfg)
-    box = args.box if args.box is not None else int(opts.get("box", 6))
+    ring, act, I, opts = _load(args)
+    box = _box(args, opts, 6)
     sub = _sub_for(args, act, I)
     J = Ideal(ring, [ring.parse(s) for s in args.target], claimed_prime=args.prime)
     rep = t_set_box(I, J, sub, box, act)
@@ -389,10 +355,7 @@ def _cmd_tset(args) -> int:
 def _cmd_pell(args) -> int:
     if args.n < 2:
         raise InputError("n must be at least 2")
-    try:
-        sols = pell_enumerate(args.n, args.count)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    sols = pell_enumerate(args.n, args.count)
     payload = {
         "n": args.n,
         "fundamental": [sols[0].x, sols[0].y],
@@ -406,19 +369,11 @@ def _cmd_pell(args) -> int:
     return 0
 
 
-def _default_cfg_ring_action(args):
-    if args.config:
-        cfg = _load_config(args.config)
-        ring = _build_ring(cfg)
-        act = _build_action(cfg, ring)
-        _options(cfg)
-        return cfg, ring, act
-    ring = PolyRing(("x", "y"))
-    return {}, ring, TranslationAction.standard(ring)
-
-
 def _cmd_skewmul(args) -> int:
-    _, ring, act = _default_cfg_ring_action(args)
+    if args.config:
+        _, act, _, _ = _load(args, ideal=False)
+    else:
+        act = TranslationAction.standard(PolyRing(("x", "y")))
     a = parse_skew(args.left, act)
     b = parse_skew(args.right, act)
     prod = a * b
@@ -428,11 +383,7 @@ def _cmd_skewmul(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    _options(cfg)
+    _, act, I, _ = _load(args)
     elt = parse_skew(args.element, act)
     ok = idealiser_membership(elt, I, act)
     payload = {"element": str(elt), "member": ok}
@@ -441,35 +392,19 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config(args.config)
-    ring = _build_ring(cfg)
-    act = _build_action(cfg, ring)
-    I = _build_ideal(cfg, ring)
-    opts = _options(cfg)
-    if args.radii:
-        radii = [int(r) for r in args.radii.split(",")]
-    else:
-        radii = [int(r) for r in opts.get("probe_radii", [2, 4, 8])]
+    ring, act, I, opts = _load(args)
+    radii = _radii(args.radii, opts)
     if args.target:
         J = Ideal(ring, [ring.parse(s) for s in args.target], claimed_prime=args.prime)
     elif args.point is not None:
         J = _point_ideal(ring, _parse_point(args.point, ring.n))
     else:
-        zeros = integer_zeros_in_box(I.gens, ring.n, max(radii))
+        zeros = analysis(I, act).zeros(max(radii))
         J = _point_ideal(ring, zeros[0]) if zeros else I
     sides = ["right", "left"] if args.side == "both" else [args.side]
     probes = [growth_probe(I, J, act, side, radii) for side in sides]
     payload = {"probes": [_probe_json(p) for p in probes]}
-    lines = []
-    for p in probes:
-        lines.append(
-            f"probe {p.side} vs {p.target}: radii "
-            + ",".join(str(r) for r in p.radii)
-            + " counts "
-            + ",".join(str(c) for c in p.counts)
-            + f" [{p.flag}]"
-        )
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, [_probe_line(p) for p in probes])
     return 0
 
 
@@ -543,17 +478,18 @@ def _build_argparser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_argparser()
     args = ap.parse_args(argv)
+    saved_limit = os.environ.get(PAIR_LIMIT_ENV)
     try:
         return args.fn(args)
-    except (InputError, ParseError) as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        # a config's pair_limit holds for its own command only
+        if saved_limit is None:
+            os.environ.pop(PAIR_LIMIT_ENV, None)
+        else:
+            os.environ[PAIR_LIMIT_ENV] = saved_limit
 
 
 if __name__ == "__main__":

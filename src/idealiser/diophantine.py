@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import Ideal, reduced_groebner_basis
+from .groebner import reduced_groebner_basis
 from .poly import Poly, PolyRing, mono_degree
 
 
@@ -68,43 +68,75 @@ def pell_enumerate(n: int, count: int) -> list[PellSolution]:
     return out
 
 
+def zero_test(
+    gens: Sequence[Poly],
+    base: Sequence[Fraction] | None = None,
+    matrix: Sequence[Sequence[Fraction]] | None = None,
+    box: int | None = None,
+):
+    """The test c -> do all ``gens`` vanish at the point base + matrix * c,
+    which with ``box`` must also lie in the sup-norm box of that radius.
+    Without base and matrix, c is the point itself.
+
+    Coefficients are scaled to integers once.  Integer points, base and
+    matrix keep the loop in int arithmetic; rational ones go through Fraction.
+    """
+    scaled = []
+    for f in gens:
+        denom = math.lcm(*(c.denominator for c in f.terms.values()))
+        scaled.append([(m, int(c * denom)) for m, c in f.terms.items()])
+    if matrix is not None:
+        base = [Fraction(b) for b in base]
+        matrix = [[Fraction(x) for x in row] for row in matrix]
+        if all(x.denominator == 1 for row in [base] + matrix for x in row):
+            base = [int(b) for b in base]
+            matrix = [[int(x) for x in row] for row in matrix]
+
+    def test(c: Sequence[int]) -> bool:
+        point = c
+        if matrix is not None:
+            point = [b + sum(a * x for a, x in zip(row, c)) for b, row in zip(base, matrix)]
+        if box is not None and any(abs(x) > box for x in point):
+            return False
+        for terms in scaled:
+            total = 0
+            for mono, v in terms:
+                for p, e in zip(point, mono):
+                    if e:
+                        v *= p**e
+                total += v
+            if total:
+                return False
+        return True
+
+    return test
+
+
+def box_zeros(
+    gens: Sequence[Poly],
+    bounds: Sequence[int],
+    base: Sequence[Fraction] | None = None,
+    matrix: Sequence[Sequence[Fraction]] | None = None,
+    box: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Integer vectors c with |c_j| <= bounds[j] that pass ``zero_test``,
+    in increasing order."""
+    test = zero_test(gens, base, matrix, box)
+    return [c for c in itertools.product(*(range(-b, b + 1) for b in bounds)) if test(c)]
+
+
 def lattice_points_box(
     f: Poly, offset: Sequence[Fraction], radius: int
 ) -> list[tuple[int, ...]]:
     """Integer vectors m with sup-norm <= radius and f(offset + m) = 0.
 
-    Exact by construction: every candidate is evaluated.  Integer offsets and
-    coefficients take a pure-int fast path; anything rational falls back to
-    Fraction arithmetic.
+    Exact by construction: every candidate is evaluated.
     """
-    ring = f.ring
-    if len(offset) != ring.n:
+    n = f.ring.n
+    if len(offset) != n:
         raise ValueError("offset dimension mismatch")
-    offset = [Fraction(o) for o in offset]
-    denom = math.lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
-    integral = all(o.denominator == 1 for o in offset)
-    hits = []
-    if integral:
-        scaled = {m: int(c * denom) for m, c in f.terms.items()}
-        base = [int(o) for o in offset]
-        for shift in itertools.product(*(range(-radius, radius + 1) for _ in range(ring.n))):
-            point = [b + s for b, s in zip(base, shift)]
-            total = 0
-            for mono, c in scaled.items():
-                v = c
-                for p, e in zip(point, mono):
-                    if e:
-                        v *= p**e
-                total += v
-            if total == 0:
-                hits.append(tuple(shift))
-    else:
-        for shift in itertools.product(*(range(-radius, radius + 1) for _ in range(ring.n))):
-            point = [o + s for o, s in zip(offset, shift)]
-            if f.eval_at(point) == 0:
-                hits.append(tuple(shift))
-    hits.sort()
-    return hits
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return box_zeros([f], [radius] * n, offset, identity)
 
 
 @dataclass(frozen=True)

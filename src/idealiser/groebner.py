@@ -32,6 +32,7 @@ from .poly import (
 )
 
 DEFAULT_PAIR_LIMIT = 100_000
+PAIR_LIMIT_ENV = "IDEALISER_PAIR_LIMIT"
 
 
 class ResourceLimitError(RuntimeError):
@@ -41,7 +42,7 @@ class ResourceLimitError(RuntimeError):
 def effective_pair_limit(value: int | None = None) -> int:
     if value is not None:
         return value
-    env = os.environ.get("IDEALISER_PAIR_LIMIT")
+    env = os.environ.get(PAIR_LIMIT_ENV)
     if env:
         return int(env)
     return DEFAULT_PAIR_LIMIT
@@ -214,10 +215,11 @@ class Ideal:
 
     ``claimed_prime``/``claimed_maximal`` are caller assertions; cheap checks
     accept a maximality claim automatically when the quotient has dimension 1
-    over Q.  Reduced bases are cached per monomial order.
+    over Q.  Reduced bases are cached per monomial order, analyses
+    (``noether.analysis``) per action.
     """
 
-    __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb")
+    __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb", "_analyses")
 
     def __init__(
         self,
@@ -237,6 +239,7 @@ class Ideal:
         self.claimed_prime = bool(claimed_prime)
         self.claimed_maximal = bool(claimed_maximal)
         self._gb: dict = {}
+        self._analyses: dict = {}
 
     def __repr__(self) -> str:
         return "Ideal<" + ", ".join(str(g) for g in self.gens) + ">"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -30,43 +31,6 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
     return m, pivots
 
 
-def nullspace(matrix: list[list[Fraction]], cols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel. ``cols`` covers the empty-matrix case."""
-    if not matrix:
-        n = cols or 0
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(matrix)
-    n = len(matrix[0])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of Ax = b, or None when inconsistent."""
-    if not matrix:
-        return None
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug)
-    n = len(matrix[0])
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][n]
-    return x
-
-
-def mat_vec(matrix, vec):
-    return [sum((Fraction(a) * Fraction(v) for a, v in zip(row, vec)), Fraction(0)) for row in matrix]
-
-
 def mat_mul(a, b):
     return [
         [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
@@ -81,3 +45,13 @@ def fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced[:n]]
+
+
+def box_bounds(matrix, radius) -> list[int]:
+    """Bounds b_j with |c_j| <= b_j for every c whose image matrix * c has
+    sup-norm at most ``radius``.  The matrix needs full column rank: c is
+    recovered by the pseudo-inverse (M^T M)^-1 M^T, whose row sums of
+    absolute values bound each coordinate."""
+    t = [list(col) for col in zip(*matrix)]
+    pinv = mat_mul(fraction_inverse(mat_mul(t, matrix)), t)
+    return [math.floor(sum(abs(x) for x in row) * radius) for row in pinv]

@@ -13,13 +13,12 @@ primes); everything else returns unknown together with exact box evidence.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from . import linalg
 from .action import (
     GroupElement,
     Lattice,
@@ -29,9 +28,8 @@ from .action import (
     effective_directions,
     stabiliser,
 )
-from .diophantine import classify_plane_curve, pell_enumerate
+from .diophantine import CurveClass, box_zeros, classify_plane_curve, pell_enumerate, zero_test
 from .groebner import (
-    DimensionProbe,
     Ideal,
     dimension_probe,
     ideal_contains,
@@ -42,7 +40,72 @@ from .groebner import (
     is_maximal_effective,
     rational_point_of,
 )
+from .linalg import box_bounds
 from .poly import Poly
+
+
+# ------------------------------------------------------------- analysis
+
+
+class Analysis:
+    """The facts about one (ideal, action) pair that both criteria read.
+
+    Stabiliser K, complement H, effective rank, maximality, rational point,
+    plane-curve class, integer zeros per box and the right ladder per box
+    and complement.  Each is computed on first use, so errors surface where
+    the fact is first needed; ``analysis`` keeps one per action on the ideal.
+    """
+
+    def __init__(self, I: Ideal, act: TranslationAction):
+        self.I = I
+        self.act = act
+        self._zeros: dict[int, list[tuple[int, ...]]] = {}
+        self._right: dict = {}
+
+    @cached_property
+    def K(self) -> Lattice:
+        return stabiliser(self.I, self.act)
+
+    @cached_property
+    def H(self) -> Lattice:
+        return complement(self.K)
+
+    @cached_property
+    def effective_rank(self) -> int:
+        return len(effective_directions(self.act))
+
+    @cached_property
+    def maximal(self) -> bool:
+        return is_maximal_effective(self.I)
+
+    @cached_property
+    def point(self) -> tuple[Fraction, ...] | None:
+        return rational_point_of(self.I)
+
+    @cached_property
+    def curve(self) -> CurveClass:
+        return classify_plane_curve(self.I.groebner_basis()[0])
+
+    def zeros(self, box: int) -> list[tuple[int, ...]]:
+        if box not in self._zeros:
+            self._zeros[box] = integer_zeros_in_box(self.I.gens, self.I.ring.n, box)
+        return self._zeros[box]
+
+    def right(self, H: Lattice | None, box: int):
+        """The right ladder with complement H (None: the analysis's own)."""
+        key = (box, None if H is None else H.basis)
+        if key not in self._right:
+            self._right[key] = _right_ladder(self, H, box)
+        answer, certs, sets = self._right[key]
+        return answer, list(certs), list(sets)
+
+
+def analysis(I: Ideal, act: TranslationAction) -> Analysis:
+    """The analysis of (I, act), kept on the ideal so every caller shares it."""
+    found = I._analyses.get(act)
+    if found is None:
+        found = I._analyses[act] = Analysis(I, act)
+    return found
 
 
 # ---------------------------------------------------------------- Tor_1
@@ -106,57 +169,17 @@ def _group_by_coset(
     return tuple((rep, tuple(bucket)) for rep, bucket in groups)
 
 
-def _int_evaluator(gens: Sequence[Poly]):
-    """Integer-arithmetic vanishing test for integer points, or None."""
-    scaled = []
-    for f in gens:
-        denom = math.lcm(*(c.denominator for c in f.terms.values()))
-        scaled.append({m: int(c * denom) for m, c in f.terms.items()})
-
-    def vanishes(point: Sequence[int]) -> bool:
-        for terms in scaled:
-            total = 0
-            for mono, c in terms.items():
-                v = c
-                for p, e in zip(point, mono):
-                    if e:
-                        v *= p**e
-                total += v
-            if total:
-                return False
-        return True
-
-    return vanishes
-
-
-def _vanishes_at(gens: Sequence[Poly], point: Sequence[Fraction]) -> bool:
-    return all(f.eval_at(point) == 0 for f in gens)
-
-
-def _sub_image_data(sub: Lattice, act: TranslationAction):
-    """The rational matrix A*B mapping sublattice coordinates to translations,
-    with its pseudo-inverse row bounds; errors when the image collapses."""
-    r = sub.rank
-    AB = [
-        [
-            sum(
-                (act.matrix[i][k] * sub.basis[j][k] for k in range(act.d)),
-                Fraction(0),
-            )
-            for j in range(r)
-        ]
-        for i in range(act.ring.n)
-    ]
-    ABt = [list(col) for col in zip(*AB)]
-    gram = linalg.mat_mul(ABt, AB)
-    try:
-        gram_inv = linalg.fraction_inverse(gram)
-    except ValueError:
-        raise ValueError(
-            "translation action is not injective on the sublattice; the point window is unbounded"
-        )
-    pinv = linalg.mat_mul(gram_inv, ABt)
-    return AB, pinv
+def _report(kind, description, box, sub, K, members) -> LatticeSubsetReport:
+    members = sorted(members)
+    return LatticeSubsetReport(
+        kind=kind,
+        description=description,
+        box=box,
+        sublattice=sub,
+        stabiliser=K,
+        members=tuple(members),
+        cosets=_group_by_coset(members, K),
+    )
 
 
 def s_set_box(
@@ -173,30 +196,18 @@ def s_set_box(
     the variety points reachable from p inside the window.  Ideal target J:
     g is a member when I^g is contained in J; the box then windows g.
     """
-    K = stabiliser(I, act)
+    K = analysis(I, act).K
+    gens = ", ".join(str(f) for f in I.gens)
     if isinstance(target, Ideal):
-        members = []
-        for g in sub.points_in_box(box):
-            if ideal_contains(target, act_on_ideal(I, g, act)):
-                members.append(g)
-        desc = f"S-set of <{', '.join(str(f) for f in I.gens)}> against an ideal target"
+        members = [
+            g for g in sub.points_in_box(box) if ideal_contains(target, act_on_ideal(I, g, act))
+        ]
+        desc = f"S-set of <{gens}> against an ideal target"
     else:
         point = tuple(Fraction(c) for c in target)
         members = _point_window_members(I, point, sub, box, act)
-        desc = (
-            f"S-set of <{', '.join(str(f) for f in I.gens)}> at point "
-            f"({', '.join(str(c) for c in point)})"
-        )
-    members = sorted(members)
-    return LatticeSubsetReport(
-        kind="S",
-        description=desc,
-        box=box,
-        sublattice=sub,
-        stabiliser=K,
-        members=tuple(members),
-        cosets=_group_by_coset(members, K),
-    )
+        desc = f"S-set of <{gens}> at point ({', '.join(str(c) for c in point)})"
+    return _report("S", desc, box, sub, K, members)
 
 
 def _point_window_members(
@@ -208,50 +219,19 @@ def _point_window_members(
 ) -> list[GroupElement]:
     if not I.gens:
         raise ValueError("s_set_box needs a nonzero ideal")
-    d = act.d
-    if sub.rank == 0:
-        origin = (0,) * d
-        if all(abs(c) <= box for c in point) and _vanishes_at(I.gens, point):
-            return [origin]
-        return []
-    AB, pinv = _sub_image_data(sub, act)
-    reach = box + max(abs(c) for c in point)
-    bounds = [int(math.floor(sum(abs(x) for x in row) * reach)) for row in pinv]
-    integral = (
-        all(c.denominator == 1 for c in point)
-        and all(x.denominator == 1 for row in AB for x in row)
-    )
-    members = []
-    if integral:
-        vanishes = _int_evaluator(I.gens)
-        base = [int(c) for c in point]
-        ABi = [[int(x) for x in row] for row in AB]
-        for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            moved = [
-                b + sum(row[j] * coeffs[j] for j in range(len(coeffs)))
-                for b, row in zip(base, ABi)
-            ]
-            if all(abs(x) <= box for x in moved) and vanishes(moved):
-                members.append(
-                    tuple(
-                        sum(sub.basis[j][i] * coeffs[j] for j in range(len(coeffs)))
-                        for i in range(d)
-                    )
-                )
-    else:
-        for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            moved = [
-                c + sum((row[j] * coeffs[j] for j in range(len(coeffs))), Fraction(0))
-                for c, row in zip(point, AB)
-            ]
-            if all(abs(x) <= box for x in moved) and _vanishes_at(I.gens, moved):
-                members.append(
-                    tuple(
-                        sum(sub.basis[j][i] * coeffs[j] for j in range(len(coeffs)))
-                        for i in range(d)
-                    )
-                )
-    return members
+    # columns: the translations A*b of the sublattice basis vectors b
+    columns = [act.translation(b) for b in sub.basis]
+    AB = [[col[i] for col in columns] for i in range(act.ring.n)]
+    try:
+        bounds = box_bounds(AB, box + max(abs(c) for c in point))
+    except ValueError:
+        raise ValueError(
+            "translation action is not injective on the sublattice; the point window is unbounded"
+        ) from None
+    return [
+        tuple(sum(b[i] * c for b, c in zip(sub.basis, coeffs)) for i in range(act.d))
+        for coeffs in box_zeros(I.gens, bounds, point, AB, box)
+    ]
 
 
 def t_set_box(
@@ -262,24 +242,13 @@ def t_set_box(
     act: TranslationAction,
 ) -> LatticeSubsetReport:
     """Members h of ``sub`` in the box with Tor_1(C/I, C/J^h) nonzero."""
-    K = stabiliser(I, act)
-    members = []
-    for h in sub.points_in_box(box):
-        if not tor1_is_zero(I, act_on_ideal(J, h, act)):
-            members.append(h)
-    members = sorted(members)
-    return LatticeSubsetReport(
-        kind="T",
-        description=(
-            f"T-set of <{', '.join(str(f) for f in I.gens)}> against "
-            f"<{', '.join(str(g) for g in J.gens)}>"
-        ),
-        box=box,
-        sublattice=sub,
-        stabiliser=K,
-        members=tuple(members),
-        cosets=_group_by_coset(members, K),
+    K = analysis(I, act).K
+    members = [h for h in sub.points_in_box(box) if not tor1_is_zero(I, act_on_ideal(J, h, act))]
+    desc = (
+        f"T-set of <{', '.join(str(f) for f in I.gens)}> against "
+        f"<{', '.join(str(g) for g in J.gens)}>"
     )
+    return _report("T", desc, box, sub, K, members)
 
 
 # ------------------------------------------------- orbit critical density
@@ -349,14 +318,9 @@ def growth_probe(
     radii = tuple(sorted(set(int(r) for r in radii)))
     if not radii:
         raise ValueError("need at least one radius")
-    K = stabiliser(I, act)
-    max_r = radii[-1]
-    J_point = rational_point_of(J)
-    nonzero = _component_test(I, J, act, side, J_point)
-    members = []
-    for g in Lattice.standard(act.d).points_in_box(max_r):
-        if nonzero(g):
-            members.append(g)
+    K = analysis(I, act).K
+    nonzero = _component_test(I, J, act, side)
+    members = [g for g in Lattice.standard(act.d).points_in_box(radii[-1]) if nonzero(g)]
     counts = []
     for r in radii:
         inside = [g for g in members if all(abs(x) <= r for x in g)]
@@ -371,56 +335,25 @@ def growth_probe(
     )
 
 
-def _component_test(I, J, act, side, J_point):
+def _component_test(I, J, act, side):
     """Per-element nonzero test, specialised to cheap evaluation when the
     target is a rational point ideal."""
+    J_point = analysis(J, act).point
     if side == "right":
         if J_point is not None:
-            vanishes = _int_or_frac_evaluator(I.gens, J_point, act)
-            return lambda g: vanishes(g)
+            return zero_test(I.gens, J_point, act.matrix)
         if J.claimed_prime:
             return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
         return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
     # left side
     if J_point is not None and I.is_principal():
-        f = I.groebner_basis()[0]
         # Tor_1 != 0 iff f lies in the moved point ideal iff f(p - A g) = 0
-        evaluate = _int_or_frac_evaluator([f], J_point, act, negate=True)
-        return lambda g: evaluate(g)
-    if rational_point_of(I) is not None and J.is_principal():
-        q = rational_point_of(I)
-        u = J.groebner_basis()[0]
-        evaluate = _int_or_frac_evaluator([u], q, act)
-        return lambda g: evaluate(g)
+        minus_A = [[-x for x in row] for row in act.matrix]
+        return zero_test(I.groebner_basis()[:1], J_point, minus_A)
+    q = analysis(I, act).point
+    if q is not None and J.is_principal():
+        return zero_test(J.groebner_basis()[:1], q, act.matrix)
     return lambda g: not tor1_is_zero(I, act_on_ideal(J, g, act))
-
-
-def _int_or_frac_evaluator(gens, point, act, negate: bool = False):
-    """g -> do all gens vanish at point +/- A g."""
-    sign = -1 if negate else 1
-    integral = (
-        act.is_integral() and all(Fraction(c).denominator == 1 for c in point)
-    )
-    if integral:
-        vanishes = _int_evaluator(gens)
-        base = [int(c) for c in point]
-        A = [[int(x) for x in row] for row in act.matrix]
-
-        def test(g: GroupElement) -> bool:
-            moved = [
-                b + sign * sum(row[j] * g[j] for j in range(len(g)))
-                for b, row in zip(base, A)
-            ]
-            return vanishes(moved)
-
-        return test
-
-    def test_frac(g: GroupElement) -> bool:
-        t = act.translation(g)
-        moved = [Fraction(c) + sign * ti for c, ti in zip(point, t)]
-        return _vanishes_at(gens, moved)
-
-    return test_frac
 
 
 # ------------------------------------------------------ decision ladders
@@ -439,10 +372,10 @@ class Verdict:
     certificates: tuple[Certificate, ...]
 
 
-def _require_decidable(I: Ideal) -> None:
-    if I.is_zero_ideal() or I.is_unit_ideal():
+def _require_decidable(a: Analysis) -> None:
+    if a.I.is_zero_ideal() or a.I.is_unit_ideal():
         raise ValueError("decision needs a proper nonzero ideal")
-    if not (I.claimed_prime or is_maximal_effective(I)):
+    if not (a.I.claimed_prime or a.maximal):
         raise ValueError("decision requires an ideal flagged prime")
 
 
@@ -451,45 +384,33 @@ def _lattice_payload(L: Lattice) -> list[list[int]]:
 
 
 def integer_zeros_in_box(gens: Sequence[Poly], n: int, box: int) -> list[tuple[int, ...]]:
-    vanishes = _int_evaluator(gens)
-    hits = []
-    for q in itertools.product(*(range(-box, box + 1) for _ in range(n))):
-        if vanishes(q):
-            hits.append(q)
-    hits.sort()
-    return hits
+    return box_zeros(gens, [box] * n)
 
 
-def _box_evidence_right(I, act, H, box) -> tuple[Certificate, LatticeSubsetReport]:
-    points = integer_zeros_in_box(I.gens, act.ring.n, box)
-    if points:
-        report = s_set_box(I, points[0], H, box, act)
-    else:
-        report = s_set_box(I, I, H, box, act)
+def _box_evidence(side: str, report: LatticeSubsetReport):
     cert = Certificate(
         "BoxEvidenceOnly",
         {
-            "side": "right",
-            "box": box,
+            "side": side,
+            "box": report.box,
             "members": [list(m) for m in report.members],
             "coset_classes": len(report.cosets),
         },
     )
-    return cert, report
+    return "unknown", [cert], [report]
 
 
-def _box_evidence_left(I, act, H, box) -> tuple[Certificate, LatticeSubsetReport]:
-    report = t_set_box(I, I, H, box, act)
+def _box_evidence_left(a: Analysis, H: Lattice | None, box: int):
+    report = t_set_box(a.I, a.I, a.H if H is None else H, box, a.act)
+    return _box_evidence("left", report)
+
+
+def _trivial_complement(a: Analysis):
     cert = Certificate(
-        "BoxEvidenceOnly",
-        {
-            "side": "left",
-            "box": box,
-            "members": [list(m) for m in report.members],
-            "coset_classes": len(report.cosets),
-        },
+        "TrivialComplement",
+        {"stabiliser": _lattice_payload(a.K), "ambient_rank": a.act.d},
     )
-    return cert, report
+    return "yes", [cert], []
 
 
 def decide_right(
@@ -504,30 +425,27 @@ def decide_right(
     plane-curve classification for principal primes in two variables; the
     no-verdicts of the classification additionally need a rank-2 translation
     image, otherwise the integer-point argument does not apply and the
-    answer stays unknown with box evidence.
+    answer stays unknown with box evidence.  The analysis runs it once per
+    box and complement.
     """
-    _require_decidable(I)
-    K = stabiliser(I, act)
-    H = complement_lattice if complement_lattice is not None else complement(K)
-    if K.rank == act.d:
-        cert = Certificate(
-            "TrivialComplement",
-            {"stabiliser": _lattice_payload(K), "ambient_rank": act.d},
-        )
-        return "yes", [cert], []
-    if is_maximal_effective(I):
-        point = rational_point_of(I)
+    return analysis(I, act).right(complement_lattice, box)
+
+
+def _right_ladder(a: Analysis, H: Lattice | None, box: int):
+    _require_decidable(a)
+    I, K = a.I, a.K
+    if K.rank == a.act.d:
+        return _trivial_complement(a)
+    if a.maximal:
         payload: dict = {"stabiliser": _lattice_payload(K)}
-        if point is not None:
-            payload["point"] = [str(c) for c in point]
+        if a.point is not None:
+            payload["point"] = [str(c) for c in a.point]
         else:
-            probe = dimension_probe(I, bound=1)
-            payload["residue_dimension"] = probe.total_dimension
+            payload["residue_dimension"] = dimension_probe(I, bound=1).total_dimension
         return "yes", [Certificate("MaximalRight", payload)], []
     if I.ring.n == 2 and I.is_principal():
         f = I.groebner_basis()[0]
-        cls = classify_plane_curve(f)
-        eff_rank = len(effective_directions(act))
+        cls = a.curve
         if cls.tag == "rational_line":
             cert = Certificate(
                 "RationalLine",
@@ -545,7 +463,7 @@ def decide_right(
                 },
             )
             return "yes", [cert], []
-        if cls.tag == "pell_conic" and eff_rank == 2:
+        if cls.tag == "pell_conic" and a.effective_rank == 2:
             sols = pell_enumerate(cls.pell_n, 3)
             cert = Certificate(
                 "PellConic",
@@ -558,7 +476,7 @@ def decide_right(
                 },
             )
             return "no", [cert], []
-        if cls.tag == "graph_curve" and eff_rank == 2:
+        if cls.tag == "graph_curve" and a.effective_rank == 2:
             q = cls.graph_poly
             step = math.lcm(
                 *(
@@ -590,8 +508,9 @@ def decide_right(
                 },
             )
             return "no", [cert], []
-    cert, report = _box_evidence_right(I, act, H, box)
-    return "unknown", [cert], [report]
+    zeros = a.zeros(box)
+    report = s_set_box(I, zeros[0] if zeros else I, a.H if H is None else H, box, a.act)
+    return _box_evidence("right", report)
 
 
 def decide_left(
@@ -601,22 +520,19 @@ def decide_left(
     box: int = 8,
 ) -> tuple[str, list[Certificate], list[LatticeSubsetReport]]:
     """Left noetherianity: saturated stabiliser, then orbit critical density
-    for maximal ideals, then conjugation symmetry for principal primes."""
-    _require_decidable(I)
-    K = stabiliser(I, act)
-    H = complement_lattice if complement_lattice is not None else complement(K)
-    if K.rank == act.d:
-        cert = Certificate(
-            "TrivialComplement",
-            {"stabiliser": _lattice_payload(K), "ambient_rank": act.d},
-        )
-        return "yes", [cert], []
-    if is_maximal_effective(I):
-        point = rational_point_of(I)
+    for maximal ideals, then conjugation symmetry for principal primes, which
+    takes the right ladder's answer, certificates and sets."""
+    a = analysis(I, act)
+    _require_decidable(a)
+    if a.K.rank == act.d:
+        return _trivial_complement(a)
+    if a.maximal:
+        point = a.point
         if point is None:
-            cert, report = _box_evidence_left(I, act, H, box)
-            cert.payload["note"] = "maximal ideal without a rational point; orbit density undecided"
-            return "unknown", [cert], [report]
+            answer, certs, sets = _box_evidence_left(a, complement_lattice, box)
+            note = "maximal ideal without a rational point; orbit density undecided"
+            certs[0].payload["note"] = note
+            return answer, certs, sets
         density = critical_density_decide(point, act)
         payload = {
             "point": [str(c) for c in point],
@@ -629,7 +545,7 @@ def decide_left(
         payload["witness_line"] = [str(g) for g in density.witness.gens]
         return "no", [Certificate("MaximalLeftCriticalDensity", payload)], []
     if I.is_principal():
-        answer, certs, sets = decide_right(I, act, complement_lattice=H, box=box)
+        answer, certs, sets = a.right(complement_lattice, box)
         conj = Certificate(
             "PrincipalConjugation",
             {
@@ -638,8 +554,7 @@ def decide_left(
             },
         )
         return answer, [conj] + certs, sets
-    cert, report = _box_evidence_left(I, act, H, box)
-    return "unknown", [cert], [report]
+    return _box_evidence_left(a, complement_lattice, box)
 
 
 def decide(
@@ -650,15 +565,9 @@ def decide(
 ) -> tuple[Verdict, list[LatticeSubsetReport]]:
     right, right_certs, right_sets = decide_right(I, act, complement_lattice, box)
     left, left_certs, left_sets = decide_left(I, act, complement_lattice, box)
-    seen = []
-    merged: list[Certificate] = []
-    for cert in right_certs + left_certs:
-        key = (cert.rule, repr(sorted(cert.payload.items(), key=lambda kv: kv[0])))
-        if key not in seen:
-            seen.append(key)
-            merged.append(cert)
-    sets = right_sets + [s for s in left_sets if not any(s is t for t in right_sets)]
-    return Verdict(right, left, tuple(merged)), sets
+    # conjugation and the trivial complement repeat the right's certificates
+    certs = right_certs + [c for c in left_certs if c not in right_certs]
+    return Verdict(right, left, tuple(certs)), right_sets + left_sets
 
 
 def left_witness_ideal(verdict: Verdict, ring) -> Ideal | None:

@@ -30,32 +30,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def det_int(m: list[list[int]]) -> int:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class ColumnHermite:
     h: list[list[int]]
@@ -216,13 +190,3 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
         t += 1
     return SmithForm(D, U, V, Uinv)
 
-
-@dataclass(frozen=True)
-class HermiteSmith:
-    hermite: ColumnHermite
-    smith: SmithForm
-
-
-def hermite_smith(matrix: list[list[int]]) -> HermiteSmith:
-    """Both normal forms of the same integer matrix, with transforms."""
-    return HermiteSmith(column_hermite(matrix), smith_normal_form(matrix))

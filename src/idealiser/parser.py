@@ -3,7 +3,9 @@
 Grammar: + - * ^ with ^ tightest, then *, then additive; parentheses; unary
 minus; integer and a/b rational literals; identifiers must be declared ring
 variables.  Exponents are non-negative integer literals.  Whitespace is
-insignificant.  Errors carry the offending position.
+insignificant.  Errors carry the offending position.  Parentheses and unary
+minus nest at most MAX_DEPTH levels deep, so deep input is a ParseError
+rather than an exhausted interpreter stack.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import re
 from fractions import Fraction
 
 from .poly import Poly, PolyRing
+
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -51,6 +56,7 @@ class _Parser:
     def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.ring = ring
         self.var_index = {name: i for i, name in enumerate(ring.variables)}
 
@@ -67,6 +73,14 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
+
+    def nested(self, parse, pos: int) -> Poly:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        result = parse()
+        self.depth -= 1
+        return result
 
     def parse(self) -> Poly:
         result = self.expr()
@@ -100,7 +114,7 @@ class _Parser:
         kind, value, pos, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.factor()
+            return -self.nested(self.factor, pos)
         base = self.atom()
         kind, value, pos, _ = self.peek()
         if kind == "op" and value == "^":
@@ -122,7 +136,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return self.ring.var(idx)
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -371,9 +371,3 @@ def directional_derivative(f: Poly, v: Sequence[Fraction]) -> Poly:
             out = out + f.partial(i) * vi
     return out
 
-
-def poly_from_pairs(ring: PolyRing, pairs: Iterable[tuple[Monomial, Fraction]]) -> Poly:
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in pairs:
-        acc[tuple(m)] = acc.get(tuple(m), Fraction(0)) + Fraction(c)
-    return Poly(ring, acc)

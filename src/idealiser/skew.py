@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .action import (
     GroupElement,
@@ -180,28 +180,6 @@ def parse_skew(text: str, action: TranslationAction) -> SkewElement:
     return SkewElement(action, components)
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
-    """Component view of IB (right) or BJ (left) as a G-graded left C-module."""
-
-    side: str
-    base: Ideal
-    action: TranslationAction
-
-    def __post_init__(self):
-        if self.side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
-
-    def component(self, g: GroupElement) -> Ideal:
-        if self.side == "right":
-            return self.base
-        return act_on_ideal(self.base, g, self.action)
-
-
-def graded_component(graded: GradedIdeal, g: GroupElement) -> Ideal:
-    return graded.component(g)
-
-
 def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
     """(I : I^g): for prime I this is everything when I^g lies inside I,
     otherwise I itself; the general case is a colon quotient."""
@@ -259,10 +237,6 @@ class IdealiserPresentation:
 
     def quotient_component_is_zero(self, g: GroupElement) -> bool:
         return not self.stabiliser.contains(g)
-
-    def induced_translations(self) -> list[tuple]:
-        """Residue automorphism data: translation vector per stabiliser basis vector."""
-        return [self.action.translation(v) for v in self.stabiliser.basis]
 
 
 def presentation_R_mod_IB(I: Ideal, act: TranslationAction) -> IdealiserPresentation:

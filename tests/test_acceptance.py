@@ -36,8 +36,8 @@ from idealiser import (
     tor1,
 )
 from idealiser.linalg import rref
-from idealiser.normalforms import det_int
 from idealiser.skew import SkewElement
+from matrix_helpers import det_int
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)

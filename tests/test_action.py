@@ -15,13 +15,13 @@ from idealiser import (
     column_hermite,
     complement,
     effective_directions,
-    hermite_smith,
     ideal_equal,
     kernel_basis,
     smith_normal_form,
     stabiliser,
 )
-from idealiser.normalforms import det_int, identity_matrix, mat_mul_int
+from idealiser.normalforms import identity_matrix
+from matrix_helpers import det_int, mat_mul_int
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -291,8 +291,3 @@ def test_kernel_basis():
                 sum(M[i][j] * v[j] for j in range(cols)) == 0 for i in range(rows)
             )
 
-
-def test_hermite_smith_convenience():
-    hs = hermite_smith([[2, 4], [6, 8]])
-    assert hs.hermite.h is not None
-    assert hs.smith.diagonal[0] >= 1

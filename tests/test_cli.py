@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -264,3 +265,57 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(8,3) (127,48)\n"
+
+
+def _write(tmp_path, name, cfg):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_pair_limit_applies_to_its_command_only(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("IDEALISER_PAIR_LIMIT", raising=False)
+    curve = {"ring": {"vars": ["x", "y"]}, "ideal": {"generators": ["x^2 - y", "x*y - 1"]}}
+    limited = _write(tmp_path, "limited.json", {**curve, "options": {"pair_limit": 1}})
+    code, _, err = run(capsys, "stab", "-c", limited)
+    assert code == 1
+    assert "error" in err
+    assert "IDEALISER_PAIR_LIMIT" not in os.environ
+    # the same ideal without the option is not held to the earlier limit
+    code, out, _ = run(capsys, "stab", "-c", _write(tmp_path, "free.json", curve))
+    assert code == 0
+    assert out == "lattice basis: trivial\n"
+    # a limit set by the caller is restored, not cleared
+    monkeypatch.setenv("IDEALISER_PAIR_LIMIT", "777")
+    line = _write(tmp_path, "line.json", {**LINE_CFG, "options": {"pair_limit": 50}})
+    assert run(capsys, "stab", "-c", line)[0] == 0
+    assert os.environ["IDEALISER_PAIR_LIMIT"] == "777"
+
+
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    cfg = _write(tmp_path, "deep.json", {"ideal": {"generators": [deep]}})
+    code, out, err = run(capsys, "stab", "-c", cfg)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expression nested deeper than")
+    code, out, err = run(capsys, "skewmul", f"({deep})*e", "(x)*e")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expression nested deeper than")
+
+
+@pytest.mark.parametrize("generator", ["x^2 - 7*y^2 - 1", "y^2 - x^3"])
+def test_analyze_computes_each_fact_once(capsys, tmp_path, monkeypatch, generator):
+    import idealiser.noether as noether
+
+    calls = {}
+    for name in ("stabiliser", "complement", "classify_plane_curve", "_right_ladder"):
+        def counted(*args, _fn=getattr(noether, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(noether, name, counted)
+    cfg = {**PELL_CFG, "ideal": {"generators": [generator], "claimed_prime": True}}
+    run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
+    assert calls == dict.fromkeys(
+        ("stabiliser", "complement", "classify_plane_curve", "_right_ladder"), 1
+    )

@@ -1,0 +1,80 @@
+"""Golden transcripts: ``cli.main`` stdout, byte for byte, on a fixed gallery.
+
+Each case is a config plus an argument list; its expected stdout lives in
+``tests/golden/<case>.out``.  Regenerate the transcripts only when a change
+to stdout is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from idealiser.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+PRIME = {"claimed_prime": True}
+
+# name -> (ideal generators, ideal flags, action matrix or None, options)
+GALLERY = {
+    "pell": (["x^2 - 7*y^2 - 1"], PRIME, None, {"box": 8, "probe_radii": [2, 4, 8]}),
+    "cusp": (["y^2 - x^3"], PRIME, None, {"box": 6, "probe_radii": [2, 4, 6]}),
+    "line": (["2*x - 3*y - 1"], PRIME, None, {"box": 6, "probe_radii": [2, 4, 6]}),
+    "graph": (["x - y^3"], PRIME, None, {"box": 6, "probe_radii": [2, 4, 6]}),
+    "cubic": (["y^2 - x^3 - 2"], PRIME, None, {"box": 6, "probe_radii": [2, 4, 6]}),
+    "point": (["x - 1", "y - 2"], PRIME, None, {"box": 4, "probe_radii": [1, 2, 4]}),
+    "rank_one": (
+        ["x^2 - 2*y^2 - 1"], PRIME, [["1", "1"], ["0", "0"]], {"box": 4, "probe_radii": [1, 2, 4]}
+    ),
+    "rational": (
+        ["y^2 - x^3"], PRIME, [["1/2", "0"], ["0", "1"]], {"box": 4, "probe_radii": [1, 2, 4]}
+    ),
+    "circle": (["x^2 + y^2 - 3"], PRIME, None, {"box": 3, "probe_radii": [1, 2, 3]}),
+}
+
+CASES = {}
+for _name in GALLERY:
+    CASES[f"analyze-{_name}"] = (_name, ["analyze"])
+    CASES[f"analyze-{_name}-json"] = (_name, ["analyze", "--json"])
+GALLERY["two_lines"] = (["x*y"], {}, None, {"box": 1})
+CASES["quotient-table-two_lines"] = ("two_lines", ["quotient-table"])
+CASES["quotient-table-two_lines-json"] = ("two_lines", ["quotient-table", "--json"])
+
+
+def _config(name: str) -> dict:
+    gens, flags, matrix, options = GALLERY[name]
+    cfg = {"ring": {"vars": ["x", "y"]}, "ideal": {"generators": gens, **flags}, "options": options}
+    if matrix is not None:
+        cfg["action"] = {"matrix": matrix}
+    return cfg
+
+
+def transcript(case: str, tmp_dir: Path) -> str:
+    """The stdout of ``cli.main`` on one case; stderr (timings) is dropped."""
+    name, argv = CASES[case]
+    path = tmp_dir / f"{name}.json"
+    path.write_text(json.dumps(_config(name)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(argv + ["-c", str(path)])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_transcript(case, tmp_path):
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert transcript(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.out").write_text(transcript(case, Path(tmp)), encoding="utf-8")
+            print(f"wrote {case}.out", file=sys.stderr)

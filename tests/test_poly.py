@@ -160,3 +160,11 @@ def test_cross_ring_mixing_rejected():
     other = PolyRing(("a", "b"))
     with pytest.raises(ValueError):
         X + other.var(0)
+
+
+def test_nesting_depth_is_bounded():
+    ring = PolyRing(("x",))
+    assert ring.parse("(" * 100 + "x" + ")" * 100) == ring.var(0)
+    assert ring.parse("-" * 100 + "x") == ring.var(0)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        ring.parse("(" * 101 + "x" + ")" * 101)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from idealiser import (
-    GradedIdeal,
     Ideal,
     ParseError,
     PolyRing,
@@ -101,15 +100,6 @@ def test_parse_signs_and_errors():
         parse_skew("x*e", ACT)  # coefficients need parentheses
     with pytest.raises(ParseError):
         parse_skew("(x*e", ACT)
-
-
-def test_graded_ideal_components():
-    I = Ideal(RING, [X], claimed_prime=True)
-    right = GradedIdeal("right", I, ACT)
-    assert right.component((4, -2)) is I or right.component((4, -2)).gens == I.gens
-    left = GradedIdeal("left", I, ACT)
-    moved = left.component((1, 0))
-    assert moved.contains_poly(X + 1)
 
 
 def test_idealiser_component_dichotomy_for_lines():
