@@ -55,6 +55,9 @@ def _load(args, ideal: bool = True):
         raise InputError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
+    for section in ("ring", "action", "ideal", "options"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise InputError(f"config section {section!r} must be a JSON object")
 
     ring_cfg = cfg.get("ring", {})
     variables = tuple(ring_cfg.get("vars", ("x", "y")))
@@ -353,8 +356,8 @@ def _cmd_tset(args) -> int:
 
 
 def _cmd_pell(args) -> int:
-    if args.n < 2:
-        raise InputError("n must be at least 2")
+    if args.count < 1:  # pell_enumerate checks n
+        raise InputError("count must be at least 1")
     sols = pell_enumerate(args.n, args.count)
     payload = {
         "n": args.n,

@@ -396,17 +396,16 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
 
 
 def is_maximal_effective(I: Ideal) -> bool:
-    """Caller flag, or the cheap certificate: residue dimension 1 over Q."""
-    if I.claimed_maximal:
-        return True
+    """Caller flag, refused unless I is zero-dimensional, or residue dimension 1."""
     probe = dimension_probe(I, bound=1)
-    return probe.zero_dimensional and probe.total_dimension == 1
+    if I.claimed_maximal and not probe.zero_dimensional:
+        raise ValueError("ideal flagged maximal is not zero-dimensional")
+    return I.claimed_maximal or probe.total_dimension == 1
 
 
 def rational_point_of(I: Ideal) -> tuple[Fraction, ...] | None:
     """The unique rational point of a residue-dimension-1 ideal, else None."""
-    probe = dimension_probe(I, bound=1)
-    if not (probe.zero_dimensional and probe.total_dimension == 1):
+    if dimension_probe(I, bound=1).total_dimension != 1:
         return None
     coords = []
     for i in range(I.ring.n):

@@ -199,39 +199,29 @@ def s_set_box(
     K = analysis(I, act).K
     gens = ", ".join(str(f) for f in I.gens)
     if isinstance(target, Ideal):
-        members = [
-            g for g in sub.points_in_box(box) if ideal_contains(target, act_on_ideal(I, g, act))
-        ]
+        # containment is the right test against a target flagged prime
+        if not target.claimed_prime:
+            target = Ideal(target.ring, target.gens, claimed_prime=True)
+        nonzero = component_test(I, target, act, "right")
+        members = [g for g in sub.points_in_box(box) if nonzero(g)]
         desc = f"S-set of <{gens}> against an ideal target"
     else:
         point = tuple(Fraction(c) for c in target)
-        members = _point_window_members(I, point, sub, box, act)
+        # columns: the translations A*b of the sublattice basis vectors b
+        columns = [act.translation(b) for b in sub.basis]
+        AB = [[col[i] for col in columns] for i in range(act.ring.n)]
+        try:
+            bounds = box_bounds(AB, box + max(abs(c) for c in point))
+        except ValueError:
+            raise ValueError(
+                "translation action is not injective on the sublattice; the point window is unbounded"
+            ) from None
+        members = [
+            tuple(sum(b[i] * c for b, c in zip(sub.basis, coeffs)) for i in range(act.d))
+            for coeffs in box_zeros(I.gens, bounds, point, AB, box)
+        ]
         desc = f"S-set of <{gens}> at point ({', '.join(str(c) for c in point)})"
     return _report("S", desc, box, sub, K, members)
-
-
-def _point_window_members(
-    I: Ideal,
-    point: tuple[Fraction, ...],
-    sub: Lattice,
-    box: int,
-    act: TranslationAction,
-) -> list[GroupElement]:
-    if not I.gens:
-        raise ValueError("s_set_box needs a nonzero ideal")
-    # columns: the translations A*b of the sublattice basis vectors b
-    columns = [act.translation(b) for b in sub.basis]
-    AB = [[col[i] for col in columns] for i in range(act.ring.n)]
-    try:
-        bounds = box_bounds(AB, box + max(abs(c) for c in point))
-    except ValueError:
-        raise ValueError(
-            "translation action is not injective on the sublattice; the point window is unbounded"
-        ) from None
-    return [
-        tuple(sum(b[i] * c for b, c in zip(sub.basis, coeffs)) for i in range(act.d))
-        for coeffs in box_zeros(I.gens, bounds, point, AB, box)
-    ]
 
 
 def t_set_box(
@@ -243,7 +233,8 @@ def t_set_box(
 ) -> LatticeSubsetReport:
     """Members h of ``sub`` in the box with Tor_1(C/I, C/J^h) nonzero."""
     K = analysis(I, act).K
-    members = [h for h in sub.points_in_box(box) if not tor1_is_zero(I, act_on_ideal(J, h, act))]
+    nonzero = component_test(I, J, act, "left")
+    members = [h for h in sub.points_in_box(box) if nonzero(h)]
     desc = (
         f"T-set of <{', '.join(str(f) for f in I.gens)}> against "
         f"<{', '.join(str(g) for g in J.gens)}>"
@@ -313,13 +304,11 @@ def growth_probe(
 ) -> GrowthProbe:
     """Count nonzero graded components of the comparison module in growing
     boxes: (J : I^g)/J on the right, Tor_1(C/I, C/J^g) on the left."""
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+    nonzero = component_test(I, J, act, side)
     radii = tuple(sorted(set(int(r) for r in radii)))
     if not radii:
         raise ValueError("need at least one radius")
     K = analysis(I, act).K
-    nonzero = _component_test(I, J, act, side)
     members = [g for g in Lattice.standard(act.d).points_in_box(radii[-1]) if nonzero(g)]
     counts = []
     for r in radii:
@@ -335,25 +324,36 @@ def growth_probe(
     )
 
 
-def _component_test(I, J, act, side):
-    """Per-element nonzero test, specialised to cheap evaluation when the
-    target is a rational point ideal."""
-    J_point = analysis(J, act).point
-    if side == "right":
-        if J_point is not None:
-            return zero_test(I.gens, J_point, act.matrix)
-        if J.claimed_prime:
-            return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
-        return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
-    # left side
-    if J_point is not None and I.is_principal():
-        # Tor_1 != 0 iff f lies in the moved point ideal iff f(p - A g) = 0
-        minus_A = [[-x for x in row] for row in act.matrix]
-        return zero_test(I.groebner_basis()[:1], J_point, minus_A)
-    q = analysis(I, act).point
-    if q is not None and J.is_principal():
-        return zero_test(J.groebner_basis()[:1], q, act.matrix)
-    return lambda g: not tor1_is_zero(I, act_on_ideal(J, g, act))
+def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
+    """The test g -> "the g-component is nonzero": of (J : I^g)/J on the
+    right, which for J flagged prime says I^g lies in J, and of
+    Tor_1(C/I, C/J^g) on the left.  Rules, in order:
+    - J = 0: (0 : I^g) = 0 unless I = 0, and Tor_1(C/I, C) = 0.
+    - J = m_p: I^g lies in m_p iff I vanishes at p + A g; m_p^g = m_{p - A g},
+      and for I nonzero Tor_1(C/I, C/m) != 0 iff I lies in m (Nakayama).
+    - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
+      on the left for I = (f) too, as f lies in the prime I^g iff g in K.
+    - Left, I = m_q: J^g lies in m_q iff J vanishes at q + A g.
+    - Otherwise Groebner bases: containment (J prime) or the colon on the
+      right, ``tor1_is_zero`` on the left."""
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    if J.is_zero_ideal():
+        return lambda g: side == "right" and I.is_zero_ideal()
+    p = analysis(J, act).point
+    if p is not None:
+        sign = 1 if side == "right" else -1
+        return zero_test(I.gens, p, [[sign * x for x in row] for row in act.matrix])
+    if J.claimed_prime and (side == "right" or I.is_principal()) and ideal_equal(I, J):
+        return analysis(I, act).K.contains
+    if side == "left":
+        q = analysis(I, act).point
+        if q is not None:
+            return zero_test(J.gens, q, act.matrix)
+        return lambda g: not tor1_is_zero(I, act_on_ideal(J, g, act))
+    if J.claimed_prime:
+        return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
+    return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
 
 
 # ------------------------------------------------------ decision ladders
@@ -375,7 +375,7 @@ class Verdict:
 def _require_decidable(a: Analysis) -> None:
     if a.I.is_zero_ideal() or a.I.is_unit_ideal():
         raise ValueError("decision needs a proper nonzero ideal")
-    if not (a.I.claimed_prime or a.maximal):
+    if not (a.maximal or a.I.claimed_prime):  # a.maximal refuses a false flag
         raise ValueError("decision requires an ideal flagged prime")
 
 
@@ -565,9 +565,10 @@ def decide(
 ) -> tuple[Verdict, list[LatticeSubsetReport]]:
     right, right_certs, right_sets = decide_right(I, act, complement_lattice, box)
     left, left_certs, left_sets = decide_left(I, act, complement_lattice, box)
-    # conjugation and the trivial complement repeat the right's certificates
+    # conjugation and the trivial complement repeat the right's certificates and sets
     certs = right_certs + [c for c in left_certs if c not in right_certs]
-    return Verdict(right, left, tuple(certs)), right_sets + left_sets
+    sets = right_sets + [s for s in left_sets if s not in right_sets]
+    return Verdict(right, left, tuple(certs)), sets
 
 
 def left_witness_ideal(verdict: Verdict, ring) -> Ideal | None:

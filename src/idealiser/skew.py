@@ -22,16 +22,15 @@ from .action import (
     TranslationAction,
     act_on_ideal,
     apply_action,
-    stabiliser,
 )
 from .groebner import (
     DimensionProbe,
     Ideal,
     dimension_probe,
-    ideal_contains,
     ideal_quotient,
     unit_ideal,
 )
+from .noether import analysis, component_test
 from .parser import ParseError, parse_poly
 from .poly import Poly
 
@@ -181,12 +180,11 @@ def parse_skew(text: str, action: TranslationAction) -> SkewElement:
 
 
 def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
-    """(I : I^g): for prime I this is everything when I^g lies inside I,
-    otherwise I itself; the general case is a colon quotient."""
-    moved = act_on_ideal(I, g, act)
+    """(I : I^g): for prime I this is everything when g stabilises I, so
+    that I^g lies inside I, otherwise I itself; else a colon quotient."""
     if I.claimed_prime:
-        return unit_ideal(I.ring) if ideal_contains(I, moved) else I
-    return ideal_quotient(I, moved)
+        return unit_ideal(I.ring) if component_test(I, I, act, "right")(g) else I
+    return ideal_quotient(I, act_on_ideal(I, g, act))
 
 
 def quotient_table(
@@ -242,5 +240,4 @@ class IdealiserPresentation:
 def presentation_R_mod_IB(I: Ideal, act: TranslationAction) -> IdealiserPresentation:
     if not I.claimed_prime:
         raise ValueError("presentation requires an ideal flagged prime")
-    K = stabiliser(I, act)
-    return IdealiserPresentation(I, K, act, dimension_probe(I))
+    return IdealiserPresentation(I, analysis(I, act).K, act, dimension_probe(I))

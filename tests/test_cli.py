@@ -62,6 +62,12 @@ def test_pell_rejects_squares(capsys):
     assert "error" in err
 
 
+def test_pell_count_zero_is_an_error(capsys):
+    code, out, err = run(capsys, "pell", "7", "--count", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: count must be at least 1")
+
+
 def test_skewmul_output_is_frozen(capsys):
     code, out, _ = run(capsys, "skewmul", "(1)*g[1,0]", "(x)*e")
     assert code == 0
@@ -303,19 +309,66 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error: expression nested deeper than")
 
 
+def _count_calls(monkeypatch, modules, names) -> dict:
+    """Calls per name, counted wherever one of ``modules`` binds the name."""
+    calls = dict.fromkeys(names, 0)
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("generator", ["x^2 - 7*y^2 - 1", "y^2 - x^3"])
 def test_analyze_computes_each_fact_once(capsys, tmp_path, monkeypatch, generator):
     import idealiser.noether as noether
 
-    calls = {}
-    for name in ("stabiliser", "complement", "classify_plane_curve", "_right_ladder"):
-        def counted(*args, _fn=getattr(noether, name), _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args)
-
-        monkeypatch.setattr(noether, name, counted)
+    names = ("stabiliser", "complement", "classify_plane_curve", "_right_ladder")
+    calls = _count_calls(monkeypatch, [noether], names)
     cfg = {**PELL_CFG, "ideal": {"generators": [generator], "claimed_prime": True}}
     run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
-    assert calls == dict.fromkeys(
-        ("stabiliser", "complement", "classify_plane_curve", "_right_ladder"), 1
-    )
+    assert calls == dict.fromkeys(names, 1)
+
+
+def test_config_sections_must_be_objects(capsys, tmp_path):
+    for section in ("ring", "action", "ideal", "options"):
+        cfg = _write(tmp_path, "cfg.json", {**LINE_CFG, section: ["x", "y"]})
+        code, out, err = run(capsys, "stab", "-c", cfg)
+        assert (code, out) == (1, "")
+        assert err == f"error: config section '{section}' must be a JSON object\n"
+
+
+def test_false_maximality_flag_is_refused(capsys, tmp_path):
+    flags = {"claimed_prime": True, "claimed_maximal": True}
+    cfg = {**PELL_CFG, "ideal": {"generators": ["x^2 - 7*y^2 - 1"], **flags}}
+    code, out, err = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg), "--box", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: ideal flagged maximal is not zero-dimensional\n"
+
+
+@pytest.mark.parametrize(
+    "variables, generators, options",
+    [
+        (["x", "y", "z"], ["x - 1", "y - 2", "z + 1"], {}),
+        (["x", "y"], ["x^2 + y^2 - 3"], {"box": 16, "probe_radii": [4, 8, 16]}),
+    ],
+)
+def test_analyze_needs_no_groebner_component_tests(
+    capsys, tmp_path, monkeypatch, variables, generators, options
+):
+    # a point target, a rational point of I or I itself settles every component
+    import idealiser.action as action
+    import idealiser.groebner as groebner
+    import idealiser.noether as noether
+    import idealiser.skew as skew
+
+    names = ("ideal_intersect", "act_on_ideal", "tor1_is_zero")
+    calls = _count_calls(monkeypatch, [action, groebner, noether, skew], names)
+    ideal = {"generators": generators, "claimed_prime": True}
+    cfg = {"ring": {"vars": variables}, "ideal": ideal, "options": options}
+    run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
+    assert calls == dict.fromkeys(calls, 0)

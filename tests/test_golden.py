@@ -37,7 +37,12 @@ GALLERY = {
         ["y^2 - x^3"], PRIME, [["1/2", "0"], ["0", "1"]], {"box": 4, "probe_radii": [1, 2, 4]}
     ),
     "circle": (["x^2 + y^2 - 3"], PRIME, None, {"box": 3, "probe_radii": [1, 2, 3]}),
+    "point3": (["x - 1", "y - 2", "z + 1"], PRIME, None, {}),
+    "conic3": (
+        ["z - 1", "(x - 1)^2 - 7*(y + 1)^2 - 1"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}
+    ),
 }
+VARS = {"point3": ["x", "y", "z"], "conic3": ["x", "y", "z"]}
 
 CASES = {}
 for _name in GALLERY:
@@ -50,7 +55,8 @@ CASES["quotient-table-two_lines-json"] = ("two_lines", ["quotient-table", "--jso
 
 def _config(name: str) -> dict:
     gens, flags, matrix, options = GALLERY[name]
-    cfg = {"ring": {"vars": ["x", "y"]}, "ideal": {"generators": gens, **flags}, "options": options}
+    ring = {"vars": VARS.get(name, ["x", "y"])}
+    cfg = {"ring": ring, "ideal": {"generators": gens, **flags}, "options": options}
     if matrix is not None:
         cfg["action"] = {"matrix": matrix}
     return cfg

@@ -16,16 +16,19 @@ from idealiser import (
     decide_left,
     decide_right,
     growth_probe,
+    ideal_contains,
     ideal_equal,
     ideal_intersect,
     ideal_product,
+    ideal_quotient,
     s_set_box,
     stabiliser,
     t_set_box,
     tor1,
     tor1_is_zero,
+    unit_ideal,
 )
-from idealiser.noether import integer_zeros_in_box, left_witness_ideal
+from idealiser.noether import component_test, integer_zeros_in_box, left_witness_ideal
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -352,3 +355,68 @@ def test_growth_probe_general_route_against_fast_route():
 def test_integer_zeros_in_box():
     zeros = integer_zeros_in_box(PELL.gens, 2, 8)
     assert zeros == [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
+
+
+# ------------------------------------------------------ component test
+
+
+R3 = PolyRing(("x", "y", "z"))
+X3, Y3, Z3 = R3.var(0), R3.var(1), R3.var(2)
+
+
+def _component_cases():
+    """(label, I, J, act) over ideals, targets and actions in 2 and 3 variables."""
+    ideals = {  # each with a rational point on its zero set
+        "cusp": (Ideal(RING, [Y**2 - X**3], claimed_prime=True), (1, 1)),
+        "line": (LINE, (2, 1)),
+        "point": (POINT, (1, 2)),
+        "parabola": (Ideal(R3, [Z3 - 1, Y3 - X3**2], claimed_prime=True), (1, 1, 1)),
+    }
+    actions = {
+        RING: [
+            ACT,
+            TranslationAction(RING, [[1, 1], [0, 0]]),
+            TranslationAction(RING, [["1/2", 0], [0, 1]]),
+        ],
+        R3: [TranslationAction.standard(R3)],
+    }
+    other = {
+        RING: Ideal(RING, [X - Y], claimed_prime=True),
+        R3: Ideal(R3, [X3 - Y3, Z3 - 1], claimed_prime=True),
+    }
+    for name, (I, p) in ideals.items():
+        ring = I.ring
+        point = Ideal(
+            ring,
+            [ring.var(i) - ring.const(c) for i, c in enumerate(p)],
+            claimed_prime=True,
+            claimed_maximal=True,
+        )
+        targets = {
+            "point": point,
+            "itself": I,
+            "other": other[ring],
+            "zero": Ideal(ring, []),
+            "unit": unit_ideal(ring),
+        }
+        for a, act in enumerate(actions[ring]):
+            for t, J in targets.items():
+                yield f"{name}-{t}-act{a}", I, J, act
+
+
+def _component_by_definition(I, J, act, side, g):
+    if side == "left":
+        return not tor1(I, act_on_ideal(J, g, act)).is_zero
+    moved = act_on_ideal(I, g, act)
+    if J.claimed_prime:
+        return ideal_contains(J, moved)
+    return not ideal_equal(ideal_quotient(J, moved), J)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_component_test_agrees_with_the_definitions(side):
+    for label, I, J, act in _component_cases():
+        nonzero = component_test(I, J, act, side)
+        for g in Lattice.standard(act.d).points_in_box(1):
+            expected = _component_by_definition(I, J, act, side, g)
+            assert nonzero(g) == expected, (label, side, g)
