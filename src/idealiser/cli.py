@@ -188,13 +188,17 @@ def _print_report_lines(rep: LatticeSubsetReport):
 
 
 def _box(args, opts: dict, default: int) -> int:
-    return args.box if args.box is not None else int(opts.get("box", default))
+    box = args.box if args.box is not None else int(opts.get("box", default))
+    if box < 0:
+        raise InputError(f"box radius must be non-negative, got {box}")
+    return box
 
 
 def _radii(text: str | None, opts: dict) -> list[int]:
-    if text:
-        return [int(r) for r in text.split(",")]
-    return [int(r) for r in opts.get("probe_radii", [2, 4, 8])]
+    radii = [int(r) for r in (text.split(",") if text else opts.get("probe_radii", [2, 4, 8]))]
+    if any(r < 0 for r in radii):
+        raise InputError(f"probe radii must be non-negative, got {','.join(map(str, radii))}")
+    return radii
 
 
 def _probe_line(p: GrowthProbe) -> str:

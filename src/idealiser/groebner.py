@@ -1,9 +1,10 @@
 """Buchberger-based Groebner calculus over Q.
 
-The engine is deliberately small: sugar-ordered pair queue, product and chain
-criteria, full normal forms, canonical reduced bases (monic, inter-reduced,
-sorted by leading monomial).  Every run is capped by a processed-pair budget
-so runaway eliminations fail loudly instead of hanging.
+The engine is deliberately small: sugar-ordered pair queue, the
+Gebauer-Moeller pair update (JSC 6, 1988), full normal forms, canonical
+reduced bases (monic, inter-reduced, sorted by leading monomial).  Every run
+is capped by a budget of processed pairs, those that survive the update, so
+runaway eliminations fail loudly instead of hanging.
 
 Ideal-level operations (sum, product, intersection via an elimination block
 order, colon quotient, equality, containment, dimension probes) all reduce to
@@ -20,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly import (
+    ZERO,
     MonomialOrder,
     Poly,
     PolyRing,
@@ -73,7 +75,7 @@ def _nf_terms(terms: dict, prepared, order) -> dict:
                     if gm == lm:
                         continue
                     tm = mono_mul(q, gm)
-                    s = work.get(tm, Fraction(0)) - factor * gc
+                    s = work.get(tm, ZERO) - factor * gc
                     if s:
                         work[tm] = s
                     else:
@@ -100,73 +102,85 @@ def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
     lmf, lcf = f.leading(order)
     lmg, lcg = g.leading(order)
     lcm = mono_lcm(lmf, lmg)
-    mf = Poly(f.ring, {mono_div(lcm, lmf): 1 / lcf})
-    mg = Poly(g.ring, {mono_div(lcm, lmg): 1 / lcg})
-    return mf * f - mg * g
+    qf = mono_div(lcm, lmf)
+    qg = mono_div(lcm, lmg)
+    # the leading terms cancel; shift and scale the rest of each term dict
+    out = {mono_mul(qf, m): c / lcf for m, c in f.terms.items() if m != lmf}
+    for m, c in g.terms.items():
+        if m == lmg:
+            continue
+        tm = mono_mul(qg, m)
+        s = out.get(tm, ZERO) - c / lcg
+        if s:
+            out[tm] = s
+        else:
+            del out[tm]
+    return Poly(f.ring, out)
 
 
 def buchberger(gens: Sequence[Poly], order, pair_limit: int | None = None) -> list[Poly]:
+    """A Groebner basis of ``gens``: the active elements, those whose leading
+    monomial no later element divides.  Pairs are taken in sugar order and
+    filtered by the Gebauer-Moeller update; ``pair_limit`` counts the pairs
+    that survive it.  S-polynomials are reduced against every element found
+    so far: the inactive ones are often the smaller reducers, and under lex
+    orders reducing against the active ones alone swells the coefficients."""
     limit = effective_pair_limit(pair_limit)
-    G: list[Poly] = []
+    key = order.key
+    polys: list[Poly] = []
     sugars: list[int] = []
     lms: list[tuple[int, ...]] = []
+    active: list[int] = []
+    pairs: list = []  # heap of (sugar, key(lcm), i, j, lcm), i < j
+
+    def add(h: Poly, sugar: int) -> None:
+        j = len(polys)
+        lmh = h.leading(order)[0]
+        polys.append(h)
+        sugars.append(sugar)
+        lms.append(lmh)
+        # new pairs (i, j): drop each whose lcm another new lcm divides,
+        # keeping one per lcm, then those with coprime leading monomials
+        new = [(i, mono_lcm(lms[i], lmh)) for i in active]
+        kept = []
+        for n, (i, lcm) in enumerate(new):
+            coprime = lcm == mono_mul(lms[i], lmh)
+            if coprime or not (
+                any(mono_divides(other, lcm) for _, other in new[n + 1 :])
+                or any(mono_divides(other, lcm) for _, other, _ in kept)
+            ):
+                kept.append((i, lcm, coprime))
+        # old pairs (a, b): drop those whose lcm lm(h) divides and that is a
+        # proper multiple of both lcm(a, h) and lcm(b, h)
+        pairs[:] = [
+            p
+            for p in pairs
+            if not mono_divides(lmh, p[4])
+            or mono_lcm(lms[p[2]], lmh) == p[4]
+            or mono_lcm(lms[p[3]], lmh) == p[4]
+        ]
+        for i, lcm, coprime in kept:
+            if not coprime:
+                excess = max(sugars[i] - mono_degree(lms[i]), sugar - mono_degree(lmh))
+                pairs.append((mono_degree(lcm) + excess, key(lcm), i, j, lcm))
+        heapq.heapify(pairs)
+        active[:] = [i for i in active if not mono_divides(lmh, lms[i])]
+        active.append(j)
+
     for g in gens:
-        if g.is_zero:
-            continue
-        g = g.monic(order)
-        G.append(g)
-        sugars.append(int(g.degree()))
-        lms.append(g.leading(order)[0])
+        if not g.is_zero:
+            add(g.monic(order), int(g.degree()))
 
-    queue: list = []
-
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            lcm = mono_lcm(lms[i], lms[j])
-            sugar = mono_degree(lcm) + max(
-                sugars[i] - mono_degree(lms[i]), sugars[j] - mono_degree(lms[j])
-            )
-            heapq.heappush(queue, (sugar, order.key(lcm), i, j))
-
-    for j in range(1, len(G)):
-        push_pairs(j)
-
-    resolved: set[tuple[int, int]] = set()
     processed = 0
-    while queue:
+    while pairs:
         processed += 1
         if processed > limit:
             raise ResourceLimitError(f"pair budget exceeded ({limit} processed pairs)")
-        sugar, _, i, j = heapq.heappop(queue)
-        resolved.add((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
-        # product criterion: coprime leading monomials never yield new elements
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue
-        # chain criterion, justified only by pairs resolved strictly earlier
-        skipped = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if (
-                mono_divides(lms[k], lcm)
-                and (min(i, k), max(i, k)) in resolved
-                and (min(j, k), max(j, k)) in resolved
-            ):
-                skipped = True
-                break
-        if skipped:
-            continue
-        s = s_polynomial(G[i], G[j], order)
-        r = normal_form(s, G, order)
-        if r.is_zero:
-            continue
-        r = r.monic(order)
-        G.append(r)
-        sugars.append(max(sugar, int(r.degree())))
-        lms.append(r.leading(order)[0])
-        push_pairs(len(G) - 1)
-    return G
+        sugar, _, i, j, _ = heapq.heappop(pairs)
+        r = normal_form(s_polynomial(polys[i], polys[j], order), polys, order)
+        if not r.is_zero:
+            add(r.monic(order), max(sugar, int(r.degree())))
+    return [polys[k] for k in active]
 
 
 def reduced_groebner_basis(

@@ -133,11 +133,13 @@ def tor1(I: Ideal, J: Ideal, bound: int = 6) -> Tor1Module:
 
 def tor1_is_zero(I: Ideal, J: Ideal) -> bool:
     """Vanishing test with the principal shortcut: for I = (f) and J prime,
-    Tor_1 is nonzero exactly when f lies in J."""
+    Tor_1 is nonzero exactly when f lies in J.  A prime is proper, so the
+    shortcut first answers zero for a unit ideal flagged prime, as
+    Tor_1(C/I, C/C) = 0; the general route sees that by itself."""
     if J.claimed_prime and I.is_principal():
-        return not J.contains_poly(I.groebner_basis()[0])
+        return J.is_unit_ideal() or not J.contains_poly(I.groebner_basis()[0])
     if I.claimed_prime and J.is_principal():
-        return not I.contains_poly(J.groebner_basis()[0])
+        return I.is_unit_ideal() or not I.contains_poly(J.groebner_basis()[0])
     return ideal_equal(ideal_intersect(I, J), ideal_product(I, J))
 
 
@@ -329,6 +331,7 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     right, which for J flagged prime says I^g lies in J, and of
     Tor_1(C/I, C/J^g) on the left.  Rules, in order:
     - J = 0: (0 : I^g) = 0 unless I = 0, and Tor_1(C/I, C) = 0.
+    - J flagged prime must be proper: the unit ideal so flagged is refused.
     - J = m_p: I^g lies in m_p iff I vanishes at p + A g; m_p^g = m_{p - A g},
       and for I nonzero Tor_1(C/I, C/m) != 0 iff I lies in m (Nakayama).
     - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
@@ -340,6 +343,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         raise ValueError("side must be 'right' or 'left'")
     if J.is_zero_ideal():
         return lambda g: side == "right" and I.is_zero_ideal()
+    if J.claimed_prime and J.is_unit_ideal():
+        raise ValueError("an ideal flagged prime must be proper, not the unit ideal")
     p = analysis(J, act).point
     if p is not None:
         sign = 1 if side == "right" else -1

@@ -11,34 +11,66 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from operator import add, le, sub
+from typing import Callable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
 NEG_INFINITY = float("-inf")
+ZERO = Fraction(0)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. b - a is componentwise non-negative."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def _lex_key(perm: tuple[int, ...], exps: Monomial):
+    return tuple(exps[i] for i in perm)
+
+
+def _grevlex_key(perm: tuple[int, ...], exps: Monomial):
+    # compare by total degree, ties broken by the smallest exponent on the
+    # least significant variable (negated, reversed)
+    return (sum(exps), tuple(-exps[i] for i in reversed(perm)))
+
+
+def _elim_key(block: int, inner_key, exps: Monomial):
+    head = exps[:block]
+    return (sum(head), head, inner_key(exps[block:]))
+
+
+class _KeyMemo(dict):
+    """Order keys by monomial, each computed on its first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, exps: Monomial):
+        k = self[exps] = self.compute(exps)
+        return k
 
 
 @dataclass(frozen=True)
@@ -47,17 +79,22 @@ class MonomialOrder:
 
     ``perm`` lists variable indices from most to least significant.  ``key``
     maps an exponent tuple to a tuple that compares the same way the order
-    does, so max() and sorted() can be used directly.
+    does, so max() and sorted() can be used directly.  It is the lookup of a
+    memo that lives as long as the order (and so its ring) and takes no part
+    in equality or hashing; monomials must be tuples.
     """
 
     kind: str
     perm: tuple[int, ...]
+    key: Callable[[Monomial], tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm must be a permutation of the variable indices")
+        compute = _lex_key if self.kind == "lex" else _grevlex_key
+        object.__setattr__(self, "key", _KeyMemo(partial(compute, self.perm)).__getitem__)
 
     @classmethod
     def lex(cls, n: int, perm: Sequence[int] | None = None) -> "MonomialOrder":
@@ -67,29 +104,19 @@ class MonomialOrder:
     def grevlex(cls, n: int, perm: Sequence[int] | None = None) -> "MonomialOrder":
         return cls("grevlex", tuple(perm) if perm is not None else tuple(range(n)))
 
-    def key(self, exps: Monomial):
-        permuted = tuple(exps[i] for i in self.perm)
-        if self.kind == "lex":
-            return permuted
-        # grevlex: compare by total degree, ties broken by the smallest
-        # exponent on the least significant variable (negated, reversed).
-        return (sum(exps), tuple(-e for e in reversed(permuted)))
-
 
 class _ElimOrder:
     """Block order eliminating the first ``block`` variables.
 
     Used internally for intersections: the auxiliary variables dominate, the
     remaining block is compared by an inner order on the original ring.
+    ``key`` is memoised as in ``MonomialOrder``.
     """
 
     def __init__(self, block: int, inner: MonomialOrder):
         self.block = block
         self.inner = inner
-
-    def key(self, exps: Monomial):
-        head = exps[: self.block]
-        return (sum(head), head, self.inner.key(exps[self.block :]))
+        self.key = _KeyMemo(partial(_elim_key, block, inner.key)).__getitem__
 
 
 @dataclass(frozen=True)
@@ -145,12 +172,12 @@ class Poly:
     def __init__(self, ring: PolyRing, terms: Mapping[Monomial, Fraction]):
         cleaned = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
-                cleaned[tuple(mono)] = coeff
-        key = ring.order.key
+                cleaned[mono if type(mono) is tuple else tuple(mono)] = coeff
         self.ring = ring
-        self.terms = {m: cleaned[m] for m in sorted(cleaned, key=key, reverse=True)}
+        self.terms = {m: cleaned[m] for m in sorted(cleaned, key=ring.order.key, reverse=True)}
 
     # -- basic structure -------------------------------------------------
 
@@ -189,7 +216,7 @@ class Poly:
         return mono, self.terms[mono]
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), ZERO)
 
     def monic(self, order: MonomialOrder | None = None) -> "Poly":
         if self.is_zero:
@@ -215,7 +242,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, ZERO) + c
             if s:
                 out[m] = s
             else:
@@ -240,7 +267,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, ZERO) + c1 * c2
                 if s:
                     out[m] = s
                 else:
@@ -322,7 +349,7 @@ class Poly:
                 coeff = c
                 for _, factor in combo:
                     coeff *= factor
-                s = out.get(mono, Fraction(0)) + coeff
+                s = out.get(mono, ZERO) + coeff
                 if s:
                     out[mono] = s
                 else:

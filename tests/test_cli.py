@@ -247,6 +247,34 @@ def test_probe_command(capsys, pell_config):
     assert "counts 2,2,4,10 [growing]" in out
 
 
+def test_probe_refuses_a_unit_target_flagged_prime(capsys, pell_config):
+    for side in ("right", "left"):
+        argv = ("probe", "-c", pell_config, "--target", "1", "--prime", "--radii", "1,2", "--side", side)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: an ideal flagged prime must be proper")
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (("quotient-table", "--box", "-1"), {}),
+        (("quotient-table",), {"box": -1}),
+        (("analyze", "--probe-radii", "-2"), {}),
+        (("analyze",), {"probe_radii": [4, -2]}),
+        (("analyze", "--box", "-3"), {}),
+    ],
+    ids=["table-flag", "table-option", "radii-flag", "radii-option", "analyze-box-flag"],
+)
+def test_negative_box_or_radius_is_an_error(capsys, tmp_path, argv, options):
+    cfg = dict(PELL_CFG, options=dict(PELL_CFG["options"], **options))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be non-negative" in err
+
+
 def test_rational_action_matrix_config(capsys, tmp_path):
     cfg = tmp_path / "frac.json"
     cfg.write_text(

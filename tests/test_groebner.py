@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from idealiser import groebner
 from idealiser import (
     Ideal,
     MonomialOrder,
@@ -24,6 +27,8 @@ from idealiser import (
     s_polynomial,
     unit_ideal,
 )
+from idealiser.poly import _ElimOrder
+from reference_groebner import chain_reduced_basis
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -208,3 +213,103 @@ def test_three_variables():
     assert I.contains_poly(x - z)
     Q = ideal_quotient(Ideal(R3, [x * z, y * z]), Ideal(R3, [z]))
     assert ideal_equal(Q, Ideal(R3, [x, y]))
+
+
+# ------------------------------------------- engine against the reference
+
+
+def katsura(n):
+    """Katsura-n: u_m = x_|m| for |m| <= n, else 0; sum_l u_l u_(m-l) = u_m
+    for 0 <= m < n, and sum_l u_l = 1."""
+    ring = PolyRing([f"x{i}" for i in range(n + 1)])
+    x = [ring.var(i) for i in range(n + 1)]
+
+    def u(m):
+        return x[abs(m)] if abs(m) <= n else ring.zero()
+
+    eqs = [sum((u(l) * u(m - l) for l in range(-n, n + 1)), ring.zero()) - u(m) for m in range(n)]
+    eqs.append(sum((u(l) for l in range(-n, n + 1)), ring.zero()) - 1)
+    return ring, eqs
+
+
+def cyclic(n):
+    """Cyclic-n: the elementary cyclic sums of degree 1..n-1, and x_0...x_(n-1) = 1."""
+    ring = PolyRing([f"x{i}" for i in range(n)])
+    x = [ring.var(i) for i in range(n)]
+    eqs = [
+        sum((prod((x[(i + j) % n] for j in range(k)), start=ring.one()) for i in range(n)), ring.zero())
+        for k in range(1, n)
+    ]
+    eqs.append(prod(x, start=ring.one()) - 1)
+    return ring, eqs
+
+
+def counted_basis(monkeypatch, gens, order):
+    """The engine's reduced basis and the number of S-polynomials it formed,
+    counted through the module-level ``s_polynomial`` that ``buchberger`` calls."""
+    calls = []
+    original = groebner.s_polynomial
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "s_polynomial", counting)
+        basis = reduced_groebner_basis(gens, order)
+    return basis, len(calls)
+
+
+@pytest.mark.parametrize(
+    "family, n", [(katsura, 3), (katsura, 4), (cyclic, 4)], ids=["katsura-3", "katsura-4", "cyclic-4"]
+)
+def test_engine_matches_the_chain_criterion_reference(monkeypatch, family, n):
+    ring, eqs = family(n)
+    for order in (ring.order, MonomialOrder.lex(ring.n)):
+        counter = {}
+        reference = chain_reduced_basis(eqs, order, counter)
+        basis, spolys = counted_basis(monkeypatch, eqs, order)
+        assert basis == reference
+        assert 0 < spolys <= counter["spolys"]
+
+
+def test_engine_matches_the_reference_on_random_ideals():
+    rng = random.Random(2024)
+    for n, perm in ((2, (1, 0)), (3, (2, 0, 1))):
+        ring = PolyRing(("x", "y", "z")[:n])
+        monos = [m for m in itertools.product(range(3), repeat=n) if sum(m) <= 3]
+        orders = [ring.order, MonomialOrder.lex(n), MonomialOrder.grevlex(n, perm), MonomialOrder.lex(n, perm)]
+        for _ in range(10):
+            gens = [
+                ring.from_terms({m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(monos, 3)})
+                for _ in range(rng.randint(2, 3))
+            ]
+            for order in orders:
+                assert reduced_groebner_basis(gens, order) == chain_reduced_basis(gens, order), (gens, order)
+
+
+def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(i) for i in range(3))
+    cases = [
+        (Ideal(RING, [(X - 2 * Y - 1) * (X + Y - 3)]), Ideal(RING, [(X - 1) * (Y + 2)])),
+        (Ideal(RING, [(X - 1) ** 2, (X - 1) * (Y + 2), (Y + 2) ** 2]), Ideal(RING, [X**2 - 7 * Y**2 - 1])),
+        (Ideal(RING, [(2 * X - 3 * Y - 1) ** 2]), Ideal(RING, [(2 * X - 3 * Y + 4) ** 2])),
+        (Ideal(R3, [x - y, z**2 - 1]), Ideal(R3, [x * z - 1, y - 2])),
+    ]
+    seen = []
+    original = groebner.reduced_groebner_basis
+
+    def recording(gens, order, pair_limit=None):
+        basis = original(gens, order, pair_limit)
+        if isinstance(order, _ElimOrder):
+            seen.append((gens, order, basis))
+        return basis
+
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+    for I, J in cases:
+        ideal_quotient(J, I)
+        ideal_intersect(I, J)
+    assert len(seen) >= 2 * len(cases)
+    for gens, order, basis in seen:
+        assert basis == chain_reduced_basis(gens, order)

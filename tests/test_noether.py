@@ -89,6 +89,21 @@ def test_tor_fast_path_agrees_with_general_route():
         assert fast == (f.eval_at(p) != 0)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_component_test_refuses_a_unit_ideal_flagged_prime(side):
+    unit = Ideal(RING, [RING.one()], claimed_prime=True)
+    with pytest.raises(ValueError, match="flagged prime must be proper"):
+        component_test(PELL, unit, ACT, side)
+
+
+def test_tor_with_a_unit_ideal_is_zero():
+    unit = Ideal(RING, [RING.one()], claimed_prime=True)
+    for I in (PELL, LINE, Ideal(RING, [X - 1, Y + 2], claimed_prime=True)):
+        assert tor1(I, unit).is_zero
+        assert tor1_is_zero(I, unit) and tor1_is_zero(unit, I)
+        assert tor1_is_zero(I, unit_ideal(RING)) and tor1_is_zero(unit_ideal(RING), I)
+
+
 # --------------------------------------------------------------- S sets
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from idealiser import MonomialOrder, Poly, PolyRing, ParseError, directional_derivative
+from idealiser import Ideal, MonomialOrder, Poly, PolyRing, ParseError, directional_derivative
+from idealiser.poly import _ElimOrder
 
 
 RING = PolyRing(("x", "y"))
@@ -34,11 +35,26 @@ def test_ring_arithmetic_identities():
         assert f * RING.zero() == RING.zero()
 
 
+class _Pairs:
+    """A term map whose monomials are lists."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 def test_int_and_fraction_coercion():
     assert 2 * X == X + X
     assert X * Fraction(1, 2) + X * Fraction(1, 2) == X
     assert 1 + X - 1 == X
     assert (3 - X) + (X - 3) == RING.zero()
+    f = Poly(RING, _Pairs([([0, 1], 3), ([2, 0], Fraction(1, 2)), ([1, 1], 0), ((0, 0), Fraction(0))]))
+    assert f.terms == {(2, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+    assert all(type(m) is tuple for m in f.terms)
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert f == Fraction(1, 2) * X**2 + 3 * Y
 
 
 def test_pow():
@@ -147,6 +163,36 @@ def test_order_keys_sort_monomials():
     assert grevlex.key((0, 3)) > grevlex.key((2, 0))
     lex = MonomialOrder.lex(2)
     assert lex.key((1, 0)) > lex.key((0, 5))
+
+    # keys are memoised per order: a key looked up again, or on an order
+    # built afresh, equals the first one computed
+    rng = random.Random(29)
+    orders = [
+        MonomialOrder.lex(3),
+        MonomialOrder.grevlex(3),
+        MonomialOrder.grevlex(3, (2, 0, 1)),
+        MonomialOrder.lex(3, (1, 2, 0)),
+    ]
+    orders += [_ElimOrder(1, o) for o in orders[1:3]]
+    for order in orders:
+        if isinstance(order, _ElimOrder):
+            fresh, n = _ElimOrder(1, MonomialOrder(order.inner.kind, order.inner.perm)), 4
+        else:
+            fresh, n = MonomialOrder(order.kind, order.perm), 3
+        monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)]
+        first = [order.key(m) for m in monos]
+        assert [order.key(m) for m in monos] == first
+        assert [fresh.key(m) for m in reversed(monos)][::-1] == first
+    # the memo plays no part in equality, hashing or the basis cache key
+    a, b = PolyRing(("x", "y")), PolyRing(("x", "y"))
+    a.order.key((3, 1))
+    assert a == b and hash(a) == hash(b) and a.order == b.order
+    assert repr(a.order) == "MonomialOrder(kind='grevlex', perm=(0, 1))"
+    I = Ideal(a, [a.parse("x^2 - y")])
+    J = Ideal(b, [b.parse("y^2 - x")])
+    I.groebner_basis()
+    J.groebner_basis()
+    assert list(I._gb) == list(J._gb)
 
 
 def test_ring_validation():
