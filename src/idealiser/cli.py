@@ -9,15 +9,15 @@ undecided, 1 bad input or resource limit.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from .action import Lattice, TranslationAction
 from .diophantine import pell_enumerate
-from .groebner import PAIR_LIMIT_ENV, Ideal, ResourceLimitError
+from .groebner import PAIR_LIMIT, Ideal, ResourceLimitError
 from .noether import (
     GrowthProbe,
     LatticeSubsetReport,
@@ -42,10 +42,21 @@ class InputError(ValueError):
     pass
 
 
+def _natural(value, what: str, least: int = 0) -> int:
+    """A JSON integer of at least ``least``; ``bool`` is an ``int`` subclass
+    and is refused, as is a float."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {json.dumps(value)}")
+    if value < least:
+        raise InputError(f"{what} must be {'positive' if least else 'non-negative'}, got {value}")
+    return value
+
+
 def _load(args, ideal: bool = True):
     """Ring, action, ideal (None unless ``ideal``) and options of the
-    command's JSON config.  A ``pair_limit`` option goes into the
-    environment; ``main`` restores the environment when the command ends."""
+    command's JSON config.  A ``pair_limit`` option sets ``PAIR_LIMIT`` in
+    the context ``main`` runs the command in, so it holds for that command
+    only; the environment is never written."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -60,13 +71,15 @@ def _load(args, ideal: bool = True):
             raise InputError(f"config section {section!r} must be a JSON object")
 
     ring_cfg = cfg.get("ring", {})
-    variables = tuple(ring_cfg.get("vars", ("x", "y")))
+    variables = ring_cfg.get("vars", ["x", "y"])
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise InputError(f"ring.vars must be a list of strings, got {json.dumps(variables)}")
     if not variables:
         raise InputError("ring.vars must be nonempty")
     order = ring_cfg.get("order", "grevlex")
     if order not in ("grevlex", "lex"):
         raise InputError(f"unknown order {order!r} (use 'lex' or 'grevlex')")
-    ring = PolyRing(variables, MonomialOrder.lex(len(variables)) if order == "lex" else None)
+    ring = PolyRing(tuple(variables), MonomialOrder.lex(len(variables)) if order == "lex" else None)
 
     act_cfg = cfg.get("action")
     if act_cfg and "matrix" in act_cfg:
@@ -92,7 +105,7 @@ def _load(args, ideal: bool = True):
 
     opts = dict(cfg.get("options", {}))
     if "pair_limit" in opts:
-        os.environ[PAIR_LIMIT_ENV] = str(int(opts["pair_limit"]))
+        PAIR_LIMIT.set(_natural(opts["pair_limit"], "options.pair_limit", least=1))
     return ring, act, I, opts
 
 
@@ -188,17 +201,17 @@ def _print_report_lines(rep: LatticeSubsetReport):
 
 
 def _box(args, opts: dict, default: int) -> int:
-    box = args.box if args.box is not None else int(opts.get("box", default))
-    if box < 0:
-        raise InputError(f"box radius must be non-negative, got {box}")
-    return box
+    return _natural(args.box if args.box is not None else opts.get("box", default), "box radius")
 
 
 def _radii(text: str | None, opts: dict) -> list[int]:
-    radii = [int(r) for r in (text.split(",") if text else opts.get("probe_radii", [2, 4, 8]))]
-    if any(r < 0 for r in radii):
-        raise InputError(f"probe radii must be non-negative, got {','.join(map(str, radii))}")
-    return radii
+    if text:
+        radii = [int(r) for r in text.split(",")]
+    else:
+        radii = opts.get("probe_radii", [2, 4, 8])
+        if not isinstance(radii, list):
+            raise InputError(f"options.probe_radii must be a list, got {json.dumps(radii)}")
+    return [_natural(r, "probe radius") for r in radii]
 
 
 def _probe_line(p: GrowthProbe) -> str:
@@ -485,18 +498,12 @@ def _build_argparser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_argparser()
     args = ap.parse_args(argv)
-    saved_limit = os.environ.get(PAIR_LIMIT_ENV)
     try:
-        return args.fn(args)
+        # a fresh context per command: a config's pair_limit ends with it
+        return contextvars.copy_context().run(args.fn, args)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # a config's pair_limit holds for its own command only
-        if saved_limit is None:
-            os.environ.pop(PAIR_LIMIT_ENV, None)
-        else:
-            os.environ[PAIR_LIMIT_ENV] = saved_limit
 
 
 if __name__ == "__main__":

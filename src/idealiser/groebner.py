@@ -4,7 +4,9 @@ The engine is deliberately small: sugar-ordered pair queue, the
 Gebauer-Moeller pair update (JSC 6, 1988), full normal forms, canonical
 reduced bases (monic, inter-reduced, sorted by leading monomial).  Every run
 is capped by a budget of processed pairs, those that survive the update, so
-runaway eliminations fail loudly instead of hanging.
+runaway eliminations fail loudly instead of hanging.  The budget is the
+context variable ``PAIR_LIMIT`` when set, else ``IDEALISER_PAIR_LIMIT`` read
+at call time, else ``DEFAULT_PAIR_LIMIT``; the environment is never written.
 
 Ideal-level operations (sum, product, intersection via an elimination block
 order, colon quotient, equality, containment, dimension probes) all reduce to
@@ -13,6 +15,7 @@ the same basis machinery.
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import itertools
 import os
@@ -35,19 +38,11 @@ from .poly import (
 
 DEFAULT_PAIR_LIMIT = 100_000
 PAIR_LIMIT_ENV = "IDEALISER_PAIR_LIMIT"
+PAIR_LIMIT: contextvars.ContextVar[int | None] = contextvars.ContextVar("pair_limit", default=None)
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a basis computation exceeds its pair budget."""
-
-
-def effective_pair_limit(value: int | None = None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(PAIR_LIMIT_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_PAIR_LIMIT
 
 
 def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], Fraction, dict]]:
@@ -60,7 +55,9 @@ def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], Fracti
     return prepared
 
 
-def _nf_terms(terms: dict, prepared, order) -> dict:
+def _nf_terms(terms: dict, prepared, order, quotient: dict | None = None) -> dict:
+    """Remainder terms of ``terms`` on division by ``prepared``; with a single
+    divisor, ``quotient`` (when given) collects the quotient's terms."""
     work = dict(terms)
     out: dict = {}
     key = order.key
@@ -71,6 +68,8 @@ def _nf_terms(terms: dict, prepared, order) -> dict:
             if mono_divides(lm, m):
                 factor = c / lc
                 q = mono_div(m, lm)
+                if quotient is not None:
+                    quotient[q] = factor
                 for gm, gc in gterms.items():
                     if gm == lm:
                         continue
@@ -118,14 +117,16 @@ def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
     return Poly(f.ring, out)
 
 
-def buchberger(gens: Sequence[Poly], order, pair_limit: int | None = None) -> list[Poly]:
+def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     """A Groebner basis of ``gens``: the active elements, those whose leading
     monomial no later element divides.  Pairs are taken in sugar order and
-    filtered by the Gebauer-Moeller update; ``pair_limit`` counts the pairs
+    filtered by the Gebauer-Moeller update; the pair budget counts the pairs
     that survive it.  S-polynomials are reduced against every element found
     so far: the inactive ones are often the smaller reducers, and under lex
     orders reducing against the active ones alone swells the coefficients."""
-    limit = effective_pair_limit(pair_limit)
+    limit = PAIR_LIMIT.get()
+    if limit is None:
+        limit = int(os.environ.get(PAIR_LIMIT_ENV) or DEFAULT_PAIR_LIMIT)
     key = order.key
     polys: list[Poly] = []
     sugars: list[int] = []
@@ -183,11 +184,9 @@ def buchberger(gens: Sequence[Poly], order, pair_limit: int | None = None) -> li
     return [polys[k] for k in active]
 
 
-def reduced_groebner_basis(
-    gens: Sequence[Poly], order, pair_limit: int | None = None
-) -> tuple[Poly, ...]:
+def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
     """Canonical reduced basis: minimal, monic, fully inter-reduced, sorted."""
-    G = buchberger(gens, order, pair_limit)
+    G = buchberger(gens, order)
     if not G:
         return ()
     # minimalise: ascending sweep keeps only elements with undominated lm
@@ -211,17 +210,10 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     order = g.ring.order
-    lmf, lcf = f.leading(order)
-    quotient = g.ring.zero()
-    work = g
-    while not work.is_zero:
-        m, c = work.leading(order)
-        if not mono_divides(lmf, m):
-            raise ValueError("polynomial is not divisible")
-        t = Poly(g.ring, {mono_div(m, lmf): c / lcf})
-        quotient = quotient + t
-        work = work - t * f
-    return quotient
+    quotient: dict = {}
+    if _nf_terms(g.terms, _prepare([f], order), order, quotient):
+        raise ValueError("polynomial is not divisible")
+    return Poly(g.ring, quotient)
 
 
 class Ideal:
@@ -258,14 +250,12 @@ class Ideal:
     def __repr__(self) -> str:
         return "Ideal<" + ", ".join(str(g) for g in self.gens) + ">"
 
-    def groebner_basis(
-        self, order: MonomialOrder | None = None, pair_limit: int | None = None
-    ) -> tuple[Poly, ...]:
+    def groebner_basis(self, order: MonomialOrder | None = None) -> tuple[Poly, ...]:
         if order is None:
             order = self.ring.order
         cache_key = (order.kind, order.perm)
         if cache_key not in self._gb:
-            self._gb[cache_key] = reduced_groebner_basis(self.gens, order, pair_limit)
+            self._gb[cache_key] = reduced_groebner_basis(self.gens, order)
         return self._gb[cache_key]
 
     def normal_form(self, f: Poly, order: MonomialOrder | None = None) -> Poly:
@@ -309,7 +299,7 @@ def _fresh_aux_name(ring: PolyRing) -> str:
     return name
 
 
-def ideal_intersect(I: Ideal, J: Ideal, pair_limit: int | None = None) -> Ideal:
+def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the auxiliary variable t: eliminate t from t*I + (1-t)*J."""
     ring = I.ring
     if not I.gens or not J.gens:
@@ -323,7 +313,7 @@ def ideal_intersect(I: Ideal, J: Ideal, pair_limit: int | None = None) -> Ideal:
 
     raw = [t * lift(f) for f in I.gens] + [(ext.one() - t) * lift(g) for g in J.gens]
     elim = _ElimOrder(1, ring.order)
-    basis = reduced_groebner_basis(raw, elim, pair_limit)
+    basis = reduced_groebner_basis(raw, elim)
     down = []
     for p in basis:
         if all(m[0] == 0 for m in p.terms):
@@ -336,16 +326,16 @@ def ideal_intersect(I: Ideal, J: Ideal, pair_limit: int | None = None) -> Ideal:
     return result
 
 
-def ideal_quotient(J: Ideal, I: Ideal, pair_limit: int | None = None) -> Ideal:
+def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
     """Colon quotient (J : I) = {c | c*I subset of J}."""
     ring = J.ring
     if not I.gens:
         return unit_ideal(ring)
     result: Ideal | None = None
     for f in I.gens:
-        meet = ideal_intersect(Ideal(ring, [f]), J, pair_limit)
+        meet = ideal_intersect(Ideal(ring, [f]), J)
         colon_f = Ideal(ring, [exact_divide(g, f) for g in meet.gens])
-        result = colon_f if result is None else ideal_intersect(result, colon_f, pair_limit)
+        result = colon_f if result is None else ideal_intersect(result, colon_f)
     return result
 
 
@@ -356,18 +346,6 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """True when J is a subset of I: every generator of J reduces to 0 mod I."""
     return all(I.contains_poly(g) for g in J.gens)
-
-
-def _monomials_up_to(n: int, bound: int):
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            exps = []
-            prev = -1
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(total + n - 2 - prev)
-            yield tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -390,9 +368,10 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
         return not any(mono_divides(lm, m) for lm in lms)
 
     counts = [0] * (bound + 1)
-    for m in _monomials_up_to(ring.n, bound):
-        if standard(m):
-            counts[mono_degree(m)] += 1
+    for m in itertools.product(range(bound + 1), repeat=ring.n):
+        degree = mono_degree(m)
+        if degree <= bound and standard(m):
+            counts[degree] += 1
     cumulative = tuple(itertools.accumulate(counts))
 
     pure_powers: dict[int, int] = {}
@@ -404,8 +383,8 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
     zero_dim = len(pure_powers) == ring.n
     total = None
     if zero_dim:
-        reach = sum(p - 1 for p in pure_powers.values())
-        total = sum(1 for m in _monomials_up_to(ring.n, reach) if standard(m))
+        ranges = (range(pure_powers[i]) for i in range(ring.n))
+        total = sum(1 for m in itertools.product(*ranges) if standard(m))
     return DimensionProbe(cumulative, zero_dim, total)
 
 

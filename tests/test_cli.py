@@ -326,6 +326,67 @@ def test_pair_limit_applies_to_its_command_only(capsys, tmp_path, monkeypatch):
     assert os.environ["IDEALISER_PAIR_LIMIT"] == "777"
 
 
+def _record_limits(monkeypatch) -> list:
+    """(environment variable present, context pair limit) at each basis run."""
+    import idealiser.groebner as groebner
+
+    seen = []
+    original = groebner.reduced_groebner_basis
+
+    def recording(gens, order):
+        seen.append(("IDEALISER_PAIR_LIMIT" in os.environ, groebner.PAIR_LIMIT.get()))
+        return original(gens, order)
+
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+    return seen
+
+
+CURVE_CFG = {"ring": {"vars": ["x", "y"]}, "ideal": {"generators": ["x^2 - y", "x*y - 1"]}}
+
+
+def test_each_command_gets_its_own_pair_limit(capsys, tmp_path, monkeypatch):
+    # Buchberger sees each config's limit, and never through the environment
+    monkeypatch.delenv("IDEALISER_PAIR_LIMIT", raising=False)
+    seen = _record_limits(monkeypatch)
+    for limit, code in ((1, 1), (1234, 0), (None, 0), (1, 1)):
+        options = {} if limit is None else {"pair_limit": limit}
+        cfg = _write(tmp_path, "cfg.json", {**CURVE_CFG, "options": options})
+        assert run(capsys, "stab", "-c", cfg)[0] == code
+        assert seen and set(seen) == {(False, limit)}
+        seen.clear()
+
+
+def test_pair_limit_reaches_the_colon_quotients(capsys, tmp_path):
+    # one generator: its own basis needs no pair, its intersections do
+    cfg = {**PELL_CFG, "options": {"pair_limit": 1}}
+    code, out, err = run(capsys, "quotient-table", "-c", _write(tmp_path, "cfg.json", cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: pair budget exceeded")
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("ring", {"vars": "xy"}, 'ring.vars must be a list of strings, got "xy"'),
+        ("options", {"probe_radii": "16"}, 'options.probe_radii must be a list, got "16"'),
+        ("options", {"box": 2.7}, "box radius must be an integer, got 2.7"),
+        ("options", {"box": True}, "box radius must be an integer, got true"),
+        ("options", {"probe_radii": [1, False]}, "probe radius must be an integer, got false"),
+        ("options", {"pair_limit": True}, "options.pair_limit must be an integer, got true"),
+        ("options", {"pair_limit": 0}, "options.pair_limit must be positive, got 0"),
+    ],
+    ids=[
+        "vars-string", "radii-string", "box-float", "box-bool", "radius-bool", "limit-bool",
+        "limit-zero",
+    ],
+)
+def test_config_values_are_type_checked(capsys, tmp_path, section, value, message):
+    cfg = {**LINE_CFG, section: value}
+    code, out, err = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     deep = "(" * 3000 + "x" + ")" * 3000
     cfg = _write(tmp_path, "deep.json", {"ideal": {"generators": [deep]}})

@@ -103,6 +103,26 @@ def test_exact_divide():
         exact_divide(X**2 + 1, X)
 
 
+def test_exact_divide_recovers_random_quotients():
+    rng = random.Random(11)
+    remainders = 0
+    for n, perm in ((2, (1, 0)), (3, (2, 0, 1))):
+        orders = [MonomialOrder.grevlex(n), MonomialOrder.lex(n), MonomialOrder.grevlex(n, perm)]
+        for order in orders:
+            ring = PolyRing(("x", "y", "z")[:n], order)
+            for _ in range(8):
+                f, q = random_poly(rng, ring), random_poly(rng, ring)
+                assert exact_divide(f * q, f) == q
+                r = normal_form(random_poly(rng, ring), [f])
+                if not r.is_zero:
+                    remainders += 1
+                    with pytest.raises(ValueError, match="not divisible"):
+                        exact_divide(f * q + r, f)
+            with pytest.raises(ZeroDivisionError):
+                exact_divide(ring.one(), ring.zero())
+    assert remainders >= 20
+
+
 def test_colon_quotient_oracle():
     I = Ideal(RING, [X**2, X * Y])
     Q = ideal_quotient(I, Ideal(RING, [X]))
@@ -187,8 +207,12 @@ def test_is_maximal_effective():
 
 def test_pair_limit_raises():
     gens = [X**3 * Y - X, X * Y**3 - Y, X**2 + Y**2 - 1]
-    with pytest.raises(ResourceLimitError):
-        buchberger(gens, RING.order, pair_limit=1)
+    token = groebner.PAIR_LIMIT.set(1)
+    try:
+        with pytest.raises(ResourceLimitError):
+            buchberger(gens, RING.order)
+    finally:
+        groebner.PAIR_LIMIT.reset(token)
 
 
 def test_pair_limit_env_override(monkeypatch):
@@ -300,8 +324,8 @@ def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
     seen = []
     original = groebner.reduced_groebner_basis
 
-    def recording(gens, order, pair_limit=None):
-        basis = original(gens, order, pair_limit)
+    def recording(gens, order):
+        basis = original(gens, order)
         if isinstance(order, _ElimOrder):
             seen.append((gens, order, basis))
         return basis
