@@ -61,9 +61,6 @@ class TranslationAction:
             sum((a * gi for a, gi in zip(row, g)), Fraction(0)) for row in self.matrix
         )
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for row in self.matrix for a in row)
-
 
 def apply_action(f: Poly, g: GroupElement, act: TranslationAction) -> Poly:
     """f^g with f^g(x) = f(x + A g)."""
@@ -77,13 +74,6 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
         claimed_prime=I.claimed_prime,
         claimed_maximal=I.claimed_maximal,
     )
-
-
-def act_on_point(
-    p: Sequence[Fraction], g: GroupElement, act: TranslationAction
-) -> tuple[Fraction, ...]:
-    t = act.translation(g)
-    return tuple(Fraction(pi) + ti for pi, ti in zip(p, t))
 
 
 class Lattice:
@@ -112,10 +102,6 @@ class Lattice:
     @classmethod
     def standard(cls, d: int) -> "Lattice":
         return cls(d, [[int(i == j) for j in range(d)] for i in range(d)])
-
-    @classmethod
-    def zero(cls, d: int) -> "Lattice":
-        return cls(d, [])
 
     @property
     def rank(self) -> int:

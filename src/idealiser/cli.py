@@ -13,6 +13,7 @@ import contextvars
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .action import Lattice, TranslationAction
@@ -24,6 +25,7 @@ from .noether import (
     analysis,
     decide,
     growth_probe,
+    lattice_payload,
     left_witness_ideal,
     s_set_box,
     t_set_box,
@@ -52,6 +54,23 @@ def _natural(value, what: str, least: int = 0) -> int:
     return value
 
 
+def _strings(value, what: str) -> list[str]:
+    """A nonempty JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"{what} must be a list of strings, got {json.dumps(value)}")
+    if not value:
+        raise InputError(f"{what} must be nonempty")
+    return value
+
+
+def _flag(section: dict, key: str) -> bool:
+    """A JSON boolean, false when absent; ``bool("no")`` would be true."""
+    value = section.get(key, False)
+    if type(value) is not bool:
+        raise InputError(f"ideal.{key} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _load(args, ideal: bool = True):
     """Ring, action, ideal (None unless ``ideal``) and options of the
     command's JSON config.  A ``pair_limit`` option sets ``PAIR_LIMIT`` in
@@ -71,11 +90,7 @@ def _load(args, ideal: bool = True):
             raise InputError(f"config section {section!r} must be a JSON object")
 
     ring_cfg = cfg.get("ring", {})
-    variables = ring_cfg.get("vars", ["x", "y"])
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputError(f"ring.vars must be a list of strings, got {json.dumps(variables)}")
-    if not variables:
-        raise InputError("ring.vars must be nonempty")
+    variables = _strings(ring_cfg.get("vars", ["x", "y"]), "ring.vars")
     order = ring_cfg.get("order", "grevlex")
     if order not in ("grevlex", "lex"):
         raise InputError(f"unknown order {order!r} (use 'lex' or 'grevlex')")
@@ -93,14 +108,14 @@ def _load(args, ideal: bool = True):
 
     I = None
     if ideal:
-        ideal_cfg = cfg.get("ideal")
-        if not ideal_cfg or not ideal_cfg.get("generators"):
+        ideal_cfg = cfg.get("ideal", {})
+        if "generators" not in ideal_cfg:
             raise InputError("config needs ideal.generators")
         I = Ideal(
             ring,
-            [ring.parse(s) for s in ideal_cfg["generators"]],
-            claimed_prime=bool(ideal_cfg.get("claimed_prime", False)),
-            claimed_maximal=bool(ideal_cfg.get("claimed_maximal", False)),
+            [ring.parse(s) for s in _strings(ideal_cfg["generators"], "ideal.generators")],
+            claimed_prime=_flag(ideal_cfg, "claimed_prime"),
+            claimed_maximal=_flag(ideal_cfg, "claimed_maximal"),
         )
 
     opts = dict(cfg.get("options", {}))
@@ -137,10 +152,6 @@ def _lattice_str(L: Lattice) -> str:
     return " ".join(_vec(b) for b in L.basis)
 
 
-def _lattice_json(L: Lattice) -> list:
-    return [list(v) for v in L.basis]
-
-
 def _ideal_str(I: Ideal) -> str:
     if I.is_unit_ideal():
         return "<1>"
@@ -159,18 +170,8 @@ def _report_json(rep: LatticeSubsetReport) -> dict:
             {"rep": list(rep_), "members": [list(m) for m in ms]}
             for rep_, ms in rep.cosets
         ],
-        "stabiliser": _lattice_json(rep.stabiliser),
-        "sublattice": _lattice_json(rep.sublattice),
-    }
-
-
-def _probe_json(p: GrowthProbe) -> dict:
-    return {
-        "side": p.side,
-        "radii": list(p.radii),
-        "counts": list(p.counts),
-        "flag": p.flag,
-        "target": p.target,
+        "stabiliser": lattice_payload(rep.stabiliser),
+        "sublattice": lattice_payload(rep.sublattice),
     }
 
 
@@ -211,6 +212,8 @@ def _radii(text: str | None, opts: dict) -> list[int]:
         radii = opts.get("probe_radii", [2, 4, 8])
         if not isinstance(radii, list):
             raise InputError(f"options.probe_radii must be a list, got {json.dumps(radii)}")
+        if not radii:
+            raise InputError("options.probe_radii must be nonempty")
     return [_natural(r, "probe radius") for r in radii]
 
 
@@ -250,10 +253,10 @@ def _cmd_analyze(args) -> int:
                 {"rule": c.rule, "payload": c.payload} for c in verdict.certificates
             ],
         },
-        "stabiliser": _lattice_json(a.K),
-        "complement": _lattice_json(a.H),
+        "stabiliser": lattice_payload(a.K),
+        "complement": lattice_payload(a.H),
         "sets": [_report_json(r) for r in sets],
-        "probes": [_probe_json(p) for p in probes],
+        "probes": [asdict(p) for p in probes],
     }
     lines = [
         "ideal: " + _ideal_str(I),
@@ -275,7 +278,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_stab(args) -> int:
     _, act, I, _ = _load(args)
     K = analysis(I, act).K
-    payload = {"stabiliser": _lattice_json(K), "rank": K.rank}
+    payload = {"stabiliser": lattice_payload(K), "rank": K.rank}
     _emit(payload, args.json, [f"lattice basis: {_lattice_str(K)}"])
     return 0
 
@@ -284,8 +287,8 @@ def _cmd_complement(args) -> int:
     _, act, I, _ = _load(args)
     a = analysis(I, act)
     payload = {
-        "stabiliser": _lattice_json(a.K),
-        "complement": _lattice_json(a.H),
+        "stabiliser": lattice_payload(a.K),
+        "complement": lattice_payload(a.H),
     }
     _emit(
         payload,
@@ -423,7 +426,7 @@ def _cmd_probe(args) -> int:
         J = _point_ideal(ring, zeros[0]) if zeros else I
     sides = ["right", "left"] if args.side == "both" else [args.side]
     probes = [growth_probe(I, J, act, side, radii) for side in sides]
-    payload = {"probes": [_probe_json(p) for p in probes]}
+    payload = {"probes": [asdict(p) for p in probes]}
     _emit(payload, args.json, [_probe_line(p) for p in probes])
     return 0
 
@@ -442,10 +445,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     def add(name, fn, help_, needs_config=True):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        if needs_config:
-            p.add_argument("-c", "--config", required=True, help="JSON config file")
-        else:
-            p.add_argument("-c", "--config", help="JSON config file")
+        p.add_argument("-c", "--config", required=needs_config, help="JSON config file")
         p.add_argument("--json", action="store_true", help="machine readable output")
         return p
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import reduced_groebner_basis
+from .groebner import _fresh_aux_name, reduced_groebner_basis
 from .poly import Poly, PolyRing, mono_degree
 
 
@@ -125,20 +125,6 @@ def box_zeros(
     return [c for c in itertools.product(*(range(-b, b + 1) for b in bounds)) if test(c)]
 
 
-def lattice_points_box(
-    f: Poly, offset: Sequence[Fraction], radius: int
-) -> list[tuple[int, ...]]:
-    """Integer vectors m with sup-norm <= radius and f(offset + m) = 0.
-
-    Exact by construction: every candidate is evaluated.
-    """
-    n = f.ring.n
-    if len(offset) != n:
-        raise ValueError("offset dimension mismatch")
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return box_zeros([f], [radius] * n, offset, identity)
-
-
 @dataclass(frozen=True)
 class CurveClass:
     """Outcome of the syntactic plane-curve classifier."""
@@ -237,10 +223,7 @@ def _projective_smoothness(f: Poly) -> tuple[int, ...] | None:
     """
     ring = f.ring
     d = int(f.degree())
-    hname = "_h"
-    while hname in ring.variables:
-        hname = "_" + hname
-    pring = PolyRing(ring.variables + (hname,))
+    pring = PolyRing(ring.variables + (_fresh_aux_name(ring),))
     F = Poly(
         pring,
         {m + (d - mono_degree(m),): c for m, c in f.terms.items()},
@@ -294,10 +277,3 @@ def classify_plane_curve(f: Poly) -> CurveClass:
                     jacobian_pure_powers=powers,
                 )
     return CurveClass(tag="unknown", degree=degree)
-
-
-def line_data(f: Poly) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a, b, c) of a line a*x + b*y + c."""
-    if f.ring.n != 2 or f.degree() != 1:
-        raise ValueError("not a line")
-    return (f.coefficient((1, 0)), f.coefficient((0, 1)), f.coefficient((0, 0)))

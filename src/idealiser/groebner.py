@@ -276,9 +276,6 @@ class Ideal:
     def is_principal(self) -> bool:
         return len(self.groebner_basis()) == 1
 
-    def seed_basis_cache(self, basis: tuple[Poly, ...]) -> None:
-        self._gb[(self.ring.order.kind, self.ring.order.perm)] = basis
-
 
 def unit_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, [ring.one()])
@@ -320,8 +317,8 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
             down.append(Poly(ring, {m[1:]: c for m, c in p.terms.items()}))
     result = Ideal(ring, down)
     # the t-free block of an elimination basis is already a reduced basis
-    result.seed_basis_cache(
-        tuple(sorted(down, key=lambda g: ring.order.key(g.leading()[0]), reverse=True))
+    result._gb[(ring.order.kind, ring.order.perm)] = tuple(
+        sorted(down, key=lambda g: ring.order.key(g.leading()[0]), reverse=True)
     )
     return result
 

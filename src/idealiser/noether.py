@@ -24,6 +24,7 @@ from .action import (
     Lattice,
     TranslationAction,
     act_on_ideal,
+    apply_action,
     complement,
     effective_directions,
     stabiliser,
@@ -132,14 +133,7 @@ def tor1(I: Ideal, J: Ideal, bound: int = 6) -> Tor1Module:
 
 
 def tor1_is_zero(I: Ideal, J: Ideal) -> bool:
-    """Vanishing test with the principal shortcut: for I = (f) and J prime,
-    Tor_1 is nonzero exactly when f lies in J.  A prime is proper, so the
-    shortcut first answers zero for a unit ideal flagged prime, as
-    Tor_1(C/I, C/C) = 0; the general route sees that by itself."""
-    if J.claimed_prime and I.is_principal():
-        return J.is_unit_ideal() or not J.contains_poly(I.groebner_basis()[0])
-    if I.claimed_prime and J.is_principal():
-        return I.is_unit_ideal() or not I.contains_poly(J.groebner_basis()[0])
+    """Tor_1(C/I, C/J) = 0, i.e. I cap J = I*J, by Groebner bases."""
     return ideal_equal(ideal_intersect(I, J), ideal_product(I, J))
 
 
@@ -337,6 +331,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
       on the left for I = (f) too, as f lies in the prime I^g iff g in K.
     - Left, I = m_q: J^g lies in m_q iff J vanishes at q + A g.
+    - Left, I = (f) and J flagged prime: Tor_1(C/(f), C/P) != 0 iff f lies
+      in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
+      J^g iff f^{-g} lies in J.
+    - Left, J = (h) and I flagged prime and proper: likewise iff h^g lies
+      in I.
     - Otherwise Groebner bases: containment (J prime) or the colon on the
       right, ``tor1_is_zero`` on the left."""
     if side not in ("right", "left"):
@@ -355,6 +354,12 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         q = analysis(I, act).point
         if q is not None:
             return zero_test(J.gens, q, act.matrix)
+        if J.claimed_prime and I.is_principal():
+            f = I.groebner_basis()[0]
+            return lambda g: J.contains_poly(apply_action(f, tuple(-x for x in g), act))
+        if I.claimed_prime and J.is_principal() and not I.is_unit_ideal():
+            h = J.groebner_basis()[0]
+            return lambda g: I.contains_poly(apply_action(h, g, act))
         return lambda g: not tor1_is_zero(I, act_on_ideal(J, g, act))
     if J.claimed_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
@@ -384,7 +389,7 @@ def _require_decidable(a: Analysis) -> None:
         raise ValueError("decision requires an ideal flagged prime")
 
 
-def _lattice_payload(L: Lattice) -> list[list[int]]:
+def lattice_payload(L: Lattice) -> list[list[int]]:
     return [list(v) for v in L.basis]
 
 
@@ -413,7 +418,7 @@ def _box_evidence_left(a: Analysis, H: Lattice | None, box: int):
 def _trivial_complement(a: Analysis):
     cert = Certificate(
         "TrivialComplement",
-        {"stabiliser": _lattice_payload(a.K), "ambient_rank": a.act.d},
+        {"stabiliser": lattice_payload(a.K), "ambient_rank": a.act.d},
     )
     return "yes", [cert], []
 
@@ -442,7 +447,7 @@ def _right_ladder(a: Analysis, H: Lattice | None, box: int):
     if K.rank == a.act.d:
         return _trivial_complement(a)
     if a.maximal:
-        payload: dict = {"stabiliser": _lattice_payload(K)}
+        payload: dict = {"stabiliser": lattice_payload(K)}
         if a.point is not None:
             payload["point"] = [str(c) for c in a.point]
         else:
@@ -454,7 +459,7 @@ def _right_ladder(a: Analysis, H: Lattice | None, box: int):
         if cls.tag == "rational_line":
             cert = Certificate(
                 "RationalLine",
-                {"line": str(f), "stabiliser": _lattice_payload(K)},
+                {"line": str(f), "stabiliser": lattice_payload(K)},
             )
             return "yes", [cert], []
         if cls.tag == "smooth_high_degree":

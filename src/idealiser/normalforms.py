@@ -101,11 +101,6 @@ class SmithForm:
     v: list[list[int]]
     u_inv: list[list[int]]
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        k = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return tuple(self.d[i][i] for i in range(k))
-
 
 def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
     m = len(matrix)

@@ -155,9 +155,6 @@ class PolyRing:
         exps[i] = 1
         return Poly(self, {tuple(exps): Fraction(1)})
 
-    def from_terms(self, terms: Mapping[Monomial, Fraction]) -> "Poly":
-        return Poly(self, terms)
-
     def parse(self, text: str) -> "Poly":
         from .parser import parse_poly
 
@@ -385,16 +382,3 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def directional_derivative(f: Poly, v: Sequence[Fraction]) -> Poly:
-    """Derivative of f along the rational vector v."""
-    if len(v) != f.ring.n:
-        raise ValueError("direction dimension mismatch")
-    out = f.ring.zero()
-    for i, vi in enumerate(v):
-        vi = Fraction(vi)
-        if vi:
-            out = out + f.partial(i) * vi
-    return out
-

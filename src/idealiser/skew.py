@@ -53,20 +53,9 @@ class SkewElement:
         self.action = action
         self.components = {g: cleaned[g] for g in sorted(cleaned)}
 
-    @classmethod
-    def zero(cls, action: TranslationAction) -> "SkewElement":
-        return cls(action, {})
-
-    @classmethod
-    def monomial(cls, action: TranslationAction, p: Poly, g: GroupElement) -> "SkewElement":
-        return cls(action, {tuple(g): p})
-
     @property
     def is_zero(self) -> bool:
         return not self.components
-
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(self.components)
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,17 +195,6 @@ def idealiser_membership(b: SkewElement, I: Ideal, act: TranslationAction) -> bo
     return True
 
 
-def right_ideal_truncation(
-    I: Ideal, act: TranslationAction, radius: int
-) -> list[SkewElement]:
-    """Generators i*g of IB with support in the box, for brute-force checks."""
-    out = []
-    for g in Lattice.standard(act.d).points_in_box(radius):
-        for f in I.gens:
-            out.append(SkewElement.monomial(act, f, g))
-    return out
-
-
 @dataclass(frozen=True)
 class IdealiserPresentation:
     """R/IB as the skew group algebra of the stabiliser over the residue ring.
@@ -229,12 +207,6 @@ class IdealiserPresentation:
     stabiliser: Lattice
     action: TranslationAction
     residue_probe: DimensionProbe
-
-    def component(self, g: GroupElement) -> Ideal:
-        return idealiser_component(self.ideal, g, self.action)
-
-    def quotient_component_is_zero(self, g: GroupElement) -> bool:
-        return not self.stabiliser.contains(g)
 
 
 def presentation_R_mod_IB(I: Ideal, act: TranslationAction) -> IdealiserPresentation:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from idealiser import (
     Ideal,
     Lattice,
+    Poly,
     PolyRing,
     TranslationAction,
     act_on_ideal,
@@ -28,7 +29,6 @@ from idealiser import (
     pell_fundamental,
     quotient_table,
     reduced_groebner_basis,
-    right_ideal_truncation,
     s_polynomial,
     s_set_box,
     stabiliser,
@@ -38,6 +38,7 @@ from idealiser import (
 from idealiser.linalg import rref
 from idealiser.skew import SkewElement
 from matrix_helpers import det_int
+from skew_oracle import right_ideal_truncation
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -54,7 +55,7 @@ def random_poly(rng, ring, max_deg=2, max_terms=3):
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in range(ring.n))
         terms[mono] = Fraction(rng.randint(-4, 4))
-    f = ring.from_terms(terms)
+    f = Poly(ring, terms)
     return f if not f.is_zero else ring.one()
 
 
@@ -213,13 +214,13 @@ def test_criterion_07_idealiser_membership_vs_truncation():
 
     agreements = members = 0
     for _ in range(100):
-        b = SkewElement.zero(ACT)
+        b = SkewElement(ACT, {})
         for _ in range(rng.randint(1, 3)):
             g = (rng.randint(-2, 2), rng.randint(-2, 2))
             coeff = random_poly(rng, RING, max_deg=1, max_terms=2)
             if rng.random() < 0.45 and not K.contains(g):
                 coeff = coeff * I.gens[0]  # plant a member coefficient
-            b = b + SkewElement.monomial(ACT, coeff, g)
+            b = b + SkewElement(ACT, {g: coeff})
         if b.is_zero:
             continue
         fast = idealiser_membership(b, I, ACT)
@@ -302,7 +303,7 @@ def test_criterion_09_groebner_vs_dense_linear_algebra():
             for m in monos:
                 if sum(m) + gd > max_deg:
                     continue
-                prod = RING.from_terms({m: Fraction(1)}) * g
+                prod = Poly(RING, {m: Fraction(1)}) * g
                 vec = [Fraction(0)] * len(monos)
                 for mono, c in prod.terms.items():
                     vec[mono_index[mono]] = c

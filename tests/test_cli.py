@@ -374,10 +374,29 @@ def test_pair_limit_reaches_the_colon_quotients(capsys, tmp_path):
         ("options", {"probe_radii": [1, False]}, "probe radius must be an integer, got false"),
         ("options", {"pair_limit": True}, "options.pair_limit must be an integer, got true"),
         ("options", {"pair_limit": 0}, "options.pair_limit must be positive, got 0"),
+        ("options", {"probe_radii": []}, "options.probe_radii must be nonempty"),
+        (
+            "ideal",
+            {"generators": "xy", "claimed_prime": "no"},
+            'ideal.generators must be a list of strings, got "xy"',
+        ),
+        ("ideal", {"generators": [3, "x"]}, 'ideal.generators must be a list of strings, got [3, "x"]'),
+        ("ideal", {"generators": []}, "ideal.generators must be nonempty"),
+        (
+            "ideal",
+            {"generators": ["2*x - 3*y - 1"], "claimed_prime": "no"},
+            'ideal.claimed_prime must be true or false, got "no"',
+        ),
+        (
+            "ideal",
+            {"generators": ["2*x - 3*y - 1"], "claimed_maximal": 1},
+            "ideal.claimed_maximal must be true or false, got 1",
+        ),
     ],
     ids=[
         "vars-string", "radii-string", "box-float", "box-bool", "radius-bool", "limit-bool",
-        "limit-zero",
+        "limit-zero", "radii-empty", "generators-string", "generators-int", "generators-empty",
+        "prime-string", "maximal-int",
     ],
 )
 def test_config_values_are_type_checked(capsys, tmp_path, section, value, message):

@@ -7,11 +7,10 @@ import pytest
 from idealiser import (
     PolyRing,
     classify_plane_curve,
-    lattice_points_box,
     pell_enumerate,
     pell_fundamental,
 )
-from idealiser.diophantine import line_data
+from idealiser.diophantine import box_zeros
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -62,25 +61,27 @@ def test_pell_rejects_bad_n():
 
 # ------------------------------------------------------- box enumeration
 
+IDENTITY = [[1, 0], [0, 1]]
+
 
 def test_lattice_points_on_graph_curve():
     f = X - 7 * Y**2 - 1
-    shifts = lattice_points_box(f, (1, 0), 10)
+    shifts = box_zeros([f], [10, 10], (1, 0), IDENTITY)
     assert shifts == sorted([(0, 0), (7, -1), (7, 1)])
 
 
 def test_lattice_points_on_pell_curve():
     f = X**2 - 7 * Y**2 - 1
-    shifts = lattice_points_box(f, (1, 0), 8)
+    shifts = box_zeros([f], [8, 8], (1, 0), IDENTITY)
     assert shifts == sorted([(-2, 0), (0, 0), (7, -3), (7, 3)])
 
 
 def test_lattice_points_fraction_offset():
     f = 2 * X - 1
-    assert lattice_points_box(f, (Fraction(1, 2), 0), 3) == [
+    assert box_zeros([f], [3, 3], (Fraction(1, 2), 0), IDENTITY) == [
         (0, -3), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (0, 3),
     ]
-    assert lattice_points_box(f, (0, 0), 3) == []
+    assert box_zeros([f], [3, 3], (0, 0), IDENTITY) == []
 
 
 # -------------------------------------------------------- classification
@@ -161,10 +162,3 @@ def test_classify_rejects_degenerate_input():
     R3 = PolyRing(("x", "y", "z"))
     with pytest.raises(ValueError):
         classify_plane_curve(R3.var(0))
-
-
-def test_line_data():
-    a, b, c = line_data(2 * X - 3 * Y - 1)
-    assert (a, b, c) == (2, -3, -1)
-    with pytest.raises(ValueError):
-        line_data(X**2 - Y)

@@ -9,6 +9,7 @@ from idealiser import groebner
 from idealiser import (
     Ideal,
     MonomialOrder,
+    Poly,
     PolyRing,
     ResourceLimitError,
     buchberger,
@@ -39,7 +40,7 @@ def random_poly(rng, ring, max_deg=2, max_terms=3):
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in range(ring.n))
         terms[mono] = Fraction(rng.randint(-4, 4))
-    f = ring.from_terms(terms)
+    f = Poly(ring, terms)
     return f if not f.is_zero else ring.one()
 
 
@@ -305,7 +306,7 @@ def test_engine_matches_the_reference_on_random_ideals():
         orders = [ring.order, MonomialOrder.lex(n), MonomialOrder.grevlex(n, perm), MonomialOrder.lex(n, perm)]
         for _ in range(10):
             gens = [
-                ring.from_terms({m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(monos, 3)})
+                Poly(ring, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(monos, 3)})
                 for _ in range(rng.randint(2, 3))
             ]
             for order in orders:

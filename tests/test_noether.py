@@ -72,7 +72,7 @@ def test_tor_is_symmetric():
         assert tor1(I, J).is_zero == tor1(J, I).is_zero
 
 
-def test_tor_fast_path_agrees_with_general_route():
+def test_tor_of_a_principal_prime_and_a_point():
     rng = random.Random(67)
     for _ in range(10):
         f = (
@@ -384,6 +384,8 @@ def _component_cases():
     ideals = {  # each with a rational point on its zero set
         "cusp": (Ideal(RING, [Y**2 - X**3], claimed_prime=True), (1, 1)),
         "line": (LINE, (2, 1)),
+        # principal, not flagged prime, a translate of the "other" target
+        "unflagged": (Ideal(RING, [X - Y + 1]), (0, 1)),
         "point": (POINT, (1, 2)),
         "parabola": (Ideal(R3, [Z3 - 1, Y3 - X3**2], claimed_prime=True), (1, 1, 1)),
     }
@@ -395,9 +397,13 @@ def _component_cases():
         ],
         R3: [TranslationAction.standard(R3)],
     }
-    other = {
-        RING: Ideal(RING, [X - Y], claimed_prime=True),
-        R3: Ideal(R3, [X3 - Y3, Z3 - 1], claimed_prime=True),
+    others = {  # principal and non-principal primes
+        RING: [Ideal(RING, [X - Y], claimed_prime=True)],
+        R3: [
+            Ideal(R3, [X3 - Y3, Z3 - 1], claimed_prime=True),
+            Ideal(R3, [X3 - Y3], claimed_prime=True),
+            Ideal(R3, [Z3 - 2], claimed_prime=True),  # holds a translate of the parabola
+        ],
     }
     for name, (I, p) in ideals.items():
         ring = I.ring
@@ -410,7 +416,7 @@ def _component_cases():
         targets = {
             "point": point,
             "itself": I,
-            "other": other[ring],
+            **{f"other{k}": J for k, J in enumerate(others[ring])},
             "zero": Ideal(ring, []),
             "unit": unit_ideal(ring),
         }

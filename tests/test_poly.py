@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealiser import Ideal, MonomialOrder, Poly, PolyRing, ParseError, directional_derivative
+from idealiser import Ideal, MonomialOrder, Poly, PolyRing, ParseError
 from idealiser.poly import _ElimOrder
 
 
@@ -16,7 +16,7 @@ def random_poly(rng, ring, max_deg=3, max_terms=4):
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in range(ring.n))
         terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return ring.from_terms(terms)
+    return Poly(ring, terms)
 
 
 def test_ring_arithmetic_identities():
@@ -141,12 +141,10 @@ def test_translate_is_additive():
     assert f.translate((0, 0)) == f
 
 
-def test_partial_and_directional_derivative():
+def test_partial_derivatives():
     f = X**2 * Y + 3 * Y
     assert f.partial(0) == 2 * X * Y
     assert f.partial(1) == X**2 + 3
-    assert directional_derivative(f, (1, 1)) == f.partial(0) + f.partial(1)
-    assert directional_derivative(f, (0, 0)) == RING.zero()
 
 
 def test_monic():
