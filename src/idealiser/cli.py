@@ -98,8 +98,11 @@ def _load(args, ideal: bool = True):
 
     act_cfg = cfg.get("action")
     if act_cfg and "matrix" in act_cfg:
+        matrix = act_cfg["matrix"]
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise InputError(f"action.matrix must be a list of rows, got {json.dumps(matrix)}")
         try:
-            rows = [[Fraction(str(x)) for x in row] for row in act_cfg["matrix"]]
+            rows = [[Fraction(str(x)) for x in row] for row in matrix]
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad action matrix entry: {exc}")
         act = TranslationAction(ring, rows)
@@ -207,7 +210,12 @@ def _box(args, opts: dict, default: int) -> int:
 
 def _radii(text: str | None, opts: dict) -> list[int]:
     if text:
-        radii = [int(r) for r in text.split(",")]
+        radii = []
+        for r in text.split(","):
+            try:
+                radii.append(int(r))
+            except ValueError:
+                radii.append(r)  # refused below, quoted as typed
     else:
         radii = opts.get("probe_radii", [2, 4, 8])
         if not isinstance(radii, list):
@@ -235,8 +243,8 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     verdict, sets = decide(I, act, box=box)
     a = analysis(I, act)
-    zeros = a.zeros(box)
-    target = _point_ideal(ring, zeros[0]) if zeros else I
+    anchor = a.anchor(box)
+    target = I if anchor is None else _point_ideal(ring, anchor)
     witness = left_witness_ideal(verdict, ring)
     probes = [
         growth_probe(I, target, act, "right", radii),
@@ -422,8 +430,8 @@ def _cmd_probe(args) -> int:
     elif args.point is not None:
         J = _point_ideal(ring, _parse_point(args.point, ring.n))
     else:
-        zeros = analysis(I, act).zeros(max(radii))
-        J = _point_ideal(ring, zeros[0]) if zeros else I
+        anchor = analysis(I, act).anchor(max(radii))
+        J = I if anchor is None else _point_ideal(ring, anchor)
     sides = ["right", "left"] if args.side == "both" else [args.side]
     probes = [growth_probe(I, J, act, side, radii) for side in sides]
     payload = {"probes": [asdict(p) for p in probes]}
@@ -496,8 +504,12 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
+    try:
+        args = _build_argparser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error: exit 1, as for any bad input; 2 means undecided
+            return 1
+        raise
     try:
         # a fresh context per command: a config's pair_limit ends with it
         return contextvars.copy_context().run(args.fn, args)

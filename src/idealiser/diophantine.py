@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .groebner import _fresh_aux_name, reduced_groebner_basis
 from .poly import Poly, PolyRing, mono_degree
@@ -118,11 +118,11 @@ def box_zeros(
     base: Sequence[Fraction] | None = None,
     matrix: Sequence[Sequence[Fraction]] | None = None,
     box: int | None = None,
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Integer vectors c with |c_j| <= bounds[j] that pass ``zero_test``,
-    in increasing order."""
-    test = zero_test(gens, base, matrix, box)
-    return [c for c in itertools.product(*(range(-b, b + 1) for b in bounds)) if test(c)]
+    lazily and in increasing order."""
+    candidates = itertools.product(*(range(-b, b + 1) for b in bounds))
+    return filter(zero_test(gens, base, matrix, box), candidates)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ Gebauer-Moeller pair update (JSC 6, 1988), full normal forms, canonical
 reduced bases (monic, inter-reduced, sorted by leading monomial).  Every run
 is capped by a budget of processed pairs, those that survive the update, so
 runaway eliminations fail loudly instead of hanging.  The budget is the
-context variable ``PAIR_LIMIT`` when set, else ``IDEALISER_PAIR_LIMIT`` read
-at call time, else ``DEFAULT_PAIR_LIMIT``; the environment is never written.
+context variable ``PAIR_LIMIT``, ``DEFAULT_PAIR_LIMIT`` unless set.
 
 Ideal-level operations (sum, product, intersection via an elimination block
 order, colon quotient, equality, containment, dimension probes) all reduce to
@@ -18,14 +17,12 @@ from __future__ import annotations
 import contextvars
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly import (
     ZERO,
-    MonomialOrder,
     Poly,
     PolyRing,
     _ElimOrder,
@@ -37,8 +34,7 @@ from .poly import (
 )
 
 DEFAULT_PAIR_LIMIT = 100_000
-PAIR_LIMIT_ENV = "IDEALISER_PAIR_LIMIT"
-PAIR_LIMIT: contextvars.ContextVar[int | None] = contextvars.ContextVar("pair_limit", default=None)
+PAIR_LIMIT = contextvars.ContextVar("pair_limit", default=DEFAULT_PAIR_LIMIT)
 
 
 class ResourceLimitError(RuntimeError):
@@ -125,8 +121,6 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     so far: the inactive ones are often the smaller reducers, and under lex
     orders reducing against the active ones alone swells the coefficients."""
     limit = PAIR_LIMIT.get()
-    if limit is None:
-        limit = int(os.environ.get(PAIR_LIMIT_ENV) or DEFAULT_PAIR_LIMIT)
     key = order.key
     polys: list[Poly] = []
     sugars: list[int] = []
@@ -221,7 +215,7 @@ class Ideal:
 
     ``claimed_prime``/``claimed_maximal`` are caller assertions; cheap checks
     accept a maximality claim automatically when the quotient has dimension 1
-    over Q.  Reduced bases are cached per monomial order, analyses
+    over Q.  The reduced basis in the ring's order is cached, analyses
     (``noether.analysis``) per action.
     """
 
@@ -244,24 +238,19 @@ class Ideal:
         self.gens = tuple(kept)
         self.claimed_prime = bool(claimed_prime)
         self.claimed_maximal = bool(claimed_maximal)
-        self._gb: dict = {}
+        self._gb: tuple[Poly, ...] | None = None
         self._analyses: dict = {}
 
     def __repr__(self) -> str:
         return "Ideal<" + ", ".join(str(g) for g in self.gens) + ">"
 
-    def groebner_basis(self, order: MonomialOrder | None = None) -> tuple[Poly, ...]:
-        if order is None:
-            order = self.ring.order
-        cache_key = (order.kind, order.perm)
-        if cache_key not in self._gb:
-            self._gb[cache_key] = reduced_groebner_basis(self.gens, order)
-        return self._gb[cache_key]
+    def groebner_basis(self) -> tuple[Poly, ...]:
+        if self._gb is None:
+            self._gb = reduced_groebner_basis(self.gens, self.ring.order)
+        return self._gb
 
-    def normal_form(self, f: Poly, order: MonomialOrder | None = None) -> Poly:
-        if order is None:
-            order = self.ring.order
-        return normal_form(f, self.groebner_basis(order), order)
+    def normal_form(self, f: Poly) -> Poly:
+        return normal_form(f, self.groebner_basis(), self.ring.order)
 
     def contains_poly(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
@@ -317,9 +306,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
             down.append(Poly(ring, {m[1:]: c for m, c in p.terms.items()}))
     result = Ideal(ring, down)
     # the t-free block of an elimination basis is already a reduced basis
-    result._gb[(ring.order.kind, ring.order.perm)] = tuple(
-        sorted(down, key=lambda g: ring.order.key(g.leading()[0]), reverse=True)
-    )
+    result._gb = tuple(sorted(down, key=lambda g: ring.order.key(g.leading()[0]), reverse=True))
     return result
 
 

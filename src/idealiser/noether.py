@@ -42,7 +42,6 @@ from .groebner import (
     rational_point_of,
 )
 from .linalg import box_bounds
-from .poly import Poly
 
 
 # ------------------------------------------------------------- analysis
@@ -52,7 +51,7 @@ class Analysis:
     """The facts about one (ideal, action) pair that both criteria read.
 
     Stabiliser K, complement H, effective rank, maximality, rational point,
-    plane-curve class, integer zeros per box and the right ladder per box
+    plane-curve class, least integer zero per box and the right ladder per box
     and complement.  Each is computed on first use, so errors surface where
     the fact is first needed; ``analysis`` keeps one per action on the ideal.
     """
@@ -60,7 +59,7 @@ class Analysis:
     def __init__(self, I: Ideal, act: TranslationAction):
         self.I = I
         self.act = act
-        self._zeros: dict[int, list[tuple[int, ...]]] = {}
+        self._anchors: dict[int, tuple[int, ...] | None] = {}
         self._right: dict = {}
 
     @cached_property
@@ -87,10 +86,11 @@ class Analysis:
     def curve(self) -> CurveClass:
         return classify_plane_curve(self.I.groebner_basis()[0])
 
-    def zeros(self, box: int) -> list[tuple[int, ...]]:
-        if box not in self._zeros:
-            self._zeros[box] = integer_zeros_in_box(self.I.gens, self.I.ring.n, box)
-        return self._zeros[box]
+    def anchor(self, box: int) -> tuple[int, ...] | None:
+        """The least integer zero of I in the sup-norm box, or None."""
+        if box not in self._anchors:
+            self._anchors[box] = next(box_zeros(self.I.gens, [box] * self.I.ring.n), None)
+        return self._anchors[box]
 
     def right(self, H: Lattice | None, box: int):
         """The right ladder with complement H (None: the analysis's own)."""
@@ -393,10 +393,6 @@ def lattice_payload(L: Lattice) -> list[list[int]]:
     return [list(v) for v in L.basis]
 
 
-def integer_zeros_in_box(gens: Sequence[Poly], n: int, box: int) -> list[tuple[int, ...]]:
-    return box_zeros(gens, [box] * n)
-
-
 def _box_evidence(side: str, report: LatticeSubsetReport):
     cert = Certificate(
         "BoxEvidenceOnly",
@@ -518,8 +514,7 @@ def _right_ladder(a: Analysis, H: Lattice | None, box: int):
                 },
             )
             return "no", [cert], []
-    zeros = a.zeros(box)
-    report = s_set_box(I, zeros[0] if zeros else I, a.H if H is None else H, box, a.act)
+    report = s_set_box(I, a.anchor(box) or I, a.H if H is None else H, box, a.act)
     return _box_evidence("right", report)
 
 

@@ -5,7 +5,8 @@ minus; integer and a/b rational literals; identifiers must be declared ring
 variables.  Exponents are non-negative integer literals.  Whitespace is
 insignificant.  Errors carry the offending position.  Parentheses and unary
 minus nest at most MAX_DEPTH levels deep, so deep input is a ParseError
-rather than an exhausted interpreter stack.
+rather than an exhausted interpreter stack.  ``[``, ``]`` and ``,`` are
+tokens of the skew-element syntax, which ``skew.parse_skew`` reads with it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()\[\],]))"
 )
 
 
@@ -73,6 +74,17 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
+
+    def integer(self) -> int:
+        """An integer literal with an optional minus sign."""
+        sign = 1
+        if self.peek()[:2] == ("op", "-"):
+            self.advance()
+            sign = -1
+        kind, value, pos, is_int = self.advance()
+        if kind != "num" or not is_int:
+            raise ParseError("expected an integer", pos)
+        return sign * int(value)
 
     def nested(self, parse, pos: int) -> Poly:
         self.depth += 1

@@ -7,12 +7,12 @@ idealiser of the right ideal IB collects, degree by degree, the colon ideals
 is what makes the subring computable.
 
 Text syntax for elements: a sum of terms "(<poly>)*g[a1,...,ad]", with "e"
-for the identity group element, e.g. "(x)*g[1,0] + (3)*e".
+for the identity group element, e.g. "(x)*g[1,0] + (3)*e"; whitespace is
+insignificant, as in polynomials.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,7 +31,7 @@ from .groebner import (
     unit_ideal,
 )
 from .noether import analysis, component_test
-from .parser import ParseError, parse_poly
+from .parser import ParseError, _Parser
 from .poly import Poly
 
 
@@ -106,66 +106,40 @@ class SkewElement:
         return f"SkewElement({self})"
 
 
-_GROUP_TOKEN = re.compile(r"\s*\*\s*(?:e|g\[\s*(-?\d+)(?:\s*,\s*(-?\d+))*\s*\])")
-
-
 def parse_skew(text: str, action: TranslationAction) -> SkewElement:
-    """Parse "(poly)*g[a,...] + (poly)*e - ..." into a skew element."""
-    pos = 0
-    n = len(text)
+    """Parse "(poly)*g[a,...] + (poly)*e - ..." into a skew element.  The
+    outer parentheses are syntax: they do not count toward ``MAX_DEPTH``."""
+    p = _Parser(text, action.ring)
     components: dict[GroupElement, Poly] = {}
     sign = 1
-    first = True
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if first:
-                raise ParseError("empty skew element", pos)
-            break
-        if not first:
-            if text[pos] == "+":
-                sign = 1
-            elif text[pos] == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-' between terms", pos)
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        first = False
-        if pos >= n or text[pos] != "(":
-            raise ParseError("expected '(' starting a coefficient", pos)
-        depth = 0
-        start = pos
-        while pos < n:
-            if text[pos] == "(":
-                depth += 1
-            elif text[pos] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            pos += 1
-        if depth != 0:
-            raise ParseError("unbalanced parentheses", start)
-        coeff = parse_poly(text[start + 1 : pos], action.ring)
-        pos += 1
-        m = _GROUP_TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError("expected '*e' or '*g[a1,...,ad]'", pos)
-        token = m.group(0)
-        if token.strip().endswith("e"):
+        p.expect_op("(")
+        term = p.expr() * sign
+        p.expect_op(")")
+        p.expect_op("*")
+        kind, value, pos, _ = p.advance()
+        if (kind, value) == ("name", "e"):
             g = (0,) * action.d
-        else:
-            inner = token[token.index("[") + 1 : token.rindex("]")]
-            g = tuple(int(x) for x in inner.split(","))
+        elif (kind, value) == ("name", "g"):
+            p.expect_op("[")
+            coords = [p.integer()]
+            while p.peek()[:2] == ("op", ","):
+                p.advance()
+                coords.append(p.integer())
+            p.expect_op("]")
+            g = tuple(coords)
             if len(g) != action.d:
                 raise ParseError(f"group element needs {action.d} coordinates", pos)
-        pos = m.end()
+        else:
+            raise ParseError("expected 'e' or 'g[a1,...,ad]'", pos)
         prev = components.get(g)
-        term = coeff * sign
         components[g] = term if prev is None else prev + term
-    return SkewElement(action, components)
+        kind, value, pos, _ = p.advance()
+        if kind == "end":
+            return SkewElement(action, components)
+        if kind != "op" or value not in "+-":
+            raise ParseError("expected '+' or '-' between terms", pos)
+        sign = 1 if value == "+" else -1
 
 
 def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from idealiser.cli import main
+from idealiser.groebner import DEFAULT_PAIR_LIMIT
 
 
 PELL_CFG = {
@@ -352,7 +353,8 @@ def test_each_command_gets_its_own_pair_limit(capsys, tmp_path, monkeypatch):
         options = {} if limit is None else {"pair_limit": limit}
         cfg = _write(tmp_path, "cfg.json", {**CURVE_CFG, "options": options})
         assert run(capsys, "stab", "-c", cfg)[0] == code
-        assert seen and set(seen) == {(False, limit)}
+        expected = DEFAULT_PAIR_LIMIT if limit is None else limit
+        assert seen and set(seen) == {(False, expected)}
         seen.clear()
 
 
@@ -392,11 +394,14 @@ def test_pair_limit_reaches_the_colon_quotients(capsys, tmp_path):
             {"generators": ["2*x - 3*y - 1"], "claimed_maximal": 1},
             "ideal.claimed_maximal must be true or false, got 1",
         ),
+        ("action", {"matrix": 5}, "action.matrix must be a list of rows, got 5"),
+        ("action", {"matrix": [5, 6]}, "action.matrix must be a list of rows, got [5, 6]"),
+        ("action", {"matrix": None}, "action.matrix must be a list of rows, got null"),
     ],
     ids=[
         "vars-string", "radii-string", "box-float", "box-bool", "radius-bool", "limit-bool",
         "limit-zero", "radii-empty", "generators-string", "generators-int", "generators-empty",
-        "prime-string", "maximal-int",
+        "prime-string", "maximal-int", "matrix-int", "matrix-flat", "matrix-null",
     ],
 )
 def test_config_values_are_type_checked(capsys, tmp_path, section, value, message):
@@ -404,6 +409,37 @@ def test_config_values_are_type_checked(capsys, tmp_path, section, value, messag
     code, out, err = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [(["probe", "--radii", "1,a"], "a"), (["analyze", "--probe-radii", "2.5"], "2.5"),
+     (["probe", "--radii", "1,,2"], "")],
+    ids=["probe-letter", "analyze-fraction", "probe-empty-item"],
+)
+def test_radii_text_must_be_integers(capsys, pell_config, argv, value):
+    code, out, err = run(capsys, *argv, "-c", pell_config)
+    assert (code, out) == (1, "")
+    assert err == f'error: probe radius must be an integer, got "{value}"\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--box", "a", "-c", "cfg.json"], ["analyze"], ["pell", "x"]],
+    ids=["box-letter", "no-config", "pell-letter"],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    # argparse would exit 2, which analyze reserves for an undecided verdict
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: idealiser analyze")
 
 
 def test_deep_nesting_is_a_parse_error(capsys, tmp_path):

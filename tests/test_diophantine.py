@@ -66,22 +66,22 @@ IDENTITY = [[1, 0], [0, 1]]
 
 def test_lattice_points_on_graph_curve():
     f = X - 7 * Y**2 - 1
-    shifts = box_zeros([f], [10, 10], (1, 0), IDENTITY)
+    shifts = list(box_zeros([f], [10, 10], (1, 0), IDENTITY))
     assert shifts == sorted([(0, 0), (7, -1), (7, 1)])
 
 
 def test_lattice_points_on_pell_curve():
     f = X**2 - 7 * Y**2 - 1
-    shifts = box_zeros([f], [8, 8], (1, 0), IDENTITY)
+    shifts = list(box_zeros([f], [8, 8], (1, 0), IDENTITY))
     assert shifts == sorted([(-2, 0), (0, 0), (7, -3), (7, 3)])
 
 
 def test_lattice_points_fraction_offset():
     f = 2 * X - 1
-    assert box_zeros([f], [3, 3], (Fraction(1, 2), 0), IDENTITY) == [
+    assert list(box_zeros([f], [3, 3], (Fraction(1, 2), 0), IDENTITY)) == [
         (0, -3), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (0, 3),
     ]
-    assert box_zeros([f], [3, 3], (0, 0), IDENTITY) == []
+    assert list(box_zeros([f], [3, 3], (0, 0), IDENTITY)) == []
 
 
 # -------------------------------------------------------- classification

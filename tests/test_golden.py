@@ -51,6 +51,16 @@ for _name in GALLERY:
 GALLERY["two_lines"] = (["x*y"], {}, None, {"box": 1})
 CASES["quotient-table-two_lines"] = ("two_lines", ["quotient-table"])
 CASES["quotient-table-two_lines-json"] = ("two_lines", ["quotient-table", "--json"])
+# probe's default target is the least integer zero in its largest box, or I itself
+CASES["probe-pell"] = ("pell", ["probe"])
+CASES["probe-circle"] = ("circle", ["probe"])
+CASES["sset-pell-point"] = ("pell", ["sset", "--point", "1,0"])
+CASES["sset-pell-point-json"] = ("pell", ["sset", "--point", "1,0", "--json"])
+SKEW_PAIR = ["(x)*g[1,0] + (3)*e", "(y - 1)*g[0,-1] - (x^2 - 1/2)*e"]
+CASES["skewmul-pell"] = ("pell", ["skewmul", *SKEW_PAIR])
+CASES["skewmul-pell-json"] = ("pell", ["skewmul", *SKEW_PAIR, "--json"])
+CASES["member-pell-yes"] = ("pell", ["member", "(x^2 - 7*y^2 - 1)*g[1,0] + (x)*e"])
+CASES["member-pell-no"] = ("pell", ["member", "(x)*g[1,0] - (y)*e", "--json"])
 
 
 def _config(name: str) -> dict:

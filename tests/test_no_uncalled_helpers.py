@@ -1,4 +1,5 @@
-"""Every function, class and method under ``src/idealiser`` has a caller.
+"""Every function, class and method under ``src/idealiser`` has a caller,
+and every module-level import there is used by its own module.
 
 A definition counts as called when its name occurs, as a name or an
 attribute, in ``src/`` or ``demos/`` outside its own body.  ``__init__.py``
@@ -6,7 +7,9 @@ is not read: a re-export is not a caller.  Names are matched without
 resolving them, so the guard can miss an uncalled helper that shares its
 name with a called one; a helper reached only through ``getattr`` with a
 string would need an entry in ``KEPT``.  Dunder methods are called by the
-interpreter and are skipped.
+interpreter and are skipped.  An import counts as used when the name it
+binds occurs as a name in its module; ``__init__.py`` (re-exports) and
+``from __future__`` are exempt.
 """
 
 import ast
@@ -73,3 +76,19 @@ def test_every_definition_has_a_caller():
 def test_every_kept_name_is_still_uncalled():
     # an exception that gained a caller, or lost its definition, is stale
     assert sorted(q for q in uncalled(_sources()) if q in KEPT) == sorted(KEPT)
+
+
+def unused_imports(path: Path, tree) -> list[str]:
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}: {name}" for name in bound if name not in used]
+
+
+def test_every_import_is_used():
+    found = [u for p, tree in _sources() if p.parent == PACKAGE for u in unused_imports(p, tree)]
+    assert found == [], f"module-level imports their module never uses: {found}"

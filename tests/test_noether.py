@@ -28,7 +28,8 @@ from idealiser import (
     tor1_is_zero,
     unit_ideal,
 )
-from idealiser.noether import component_test, integer_zeros_in_box, left_witness_ideal
+from idealiser.diophantine import box_zeros
+from idealiser.noether import analysis, component_test, left_witness_ideal
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -368,8 +369,10 @@ def test_growth_probe_general_route_against_fast_route():
 
 
 def test_integer_zeros_in_box():
-    zeros = integer_zeros_in_box(PELL.gens, 2, 8)
+    zeros = list(box_zeros(PELL.gens, [8, 8]))
     assert zeros == [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
+    assert analysis(PELL, ACT).anchor(8) == (-8, -3)
+    assert analysis(Ideal(RING, [X**2 + Y**2 - 3]), ACT).anchor(8) is None
 
 
 # ------------------------------------------------------ component test

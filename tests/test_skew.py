@@ -103,6 +103,61 @@ def test_parse_signs_and_errors():
         parse_skew("(x*e", ACT)
 
 
+EGZ = PolyRing(("e", "g", "z"))
+EGZ_ACT = TranslationAction(EGZ, [[1], [0], [2]])
+NESTED = "(" * 100 + "x" + ")" * 100
+
+
+@pytest.mark.parametrize(
+    "text, action, expected",
+    [
+        ("(x)*g[ -1 , 2 ] + (3)*e", ACT, {(-1, 2): X, (0, 0): RING.const(3)}),
+        ("  (x) * e - ( y ) *g[0,1]  ", ACT, {(0, 0): X, (0, 1): -Y}),
+        ("(x)*g[01,0] + (y)*g[1,0]", ACT, {(1, 0): X + Y}),
+        # whitespace is free everywhere, as in polynomials
+        ("(x)*g [1,0]", ACT, {(1, 0): X}),
+        ("(x) *g[- 1,0]", ACT, {(-1, 0): X}),
+        ("(x)*e - (x)*e", ACT, {}),
+        (f"({NESTED})*e", ACT, {(0, 0): X}),
+        (
+            "(e*g)*g[-2] + (z)*e",
+            EGZ_ACT,
+            {(-2,): EGZ.var(0) * EGZ.var(1), (0,): EGZ.var(2)},
+        ),
+    ],
+)
+def test_parse_skew_accepts(text, action, expected):
+    assert parse_skew(text, action) == SkewElement(action, expected)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "  ",
+        "(x)*g[1,0,]",
+        "(x)*g[]",
+        "(x)*g[1/2,0]",
+        "(x)*g[+1,0]",
+        "(x)*e+-(y)*e",
+        "()*e",
+        "(x)*e +",
+        "(x)*e (y)*e",
+        "(x)*e1",
+        "(x)*e*y",
+        "(x))*e",
+        "((x)*e",
+        "(x)e",
+        "(x)*g[1,0",
+        "(x)*g(1,0)",
+        f"(({NESTED}))*e",
+    ],
+)
+def test_parse_skew_refuses(text):
+    with pytest.raises(ParseError):
+        parse_skew(text, ACT)
+
+
 def test_idealiser_component_dichotomy_for_lines():
     I = Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True)
     assert idealiser_component(I, (3, 2), ACT).is_unit_ideal()
