@@ -8,8 +8,8 @@ runaway eliminations fail loudly instead of hanging.  The budget is the
 context variable ``PAIR_LIMIT``, ``DEFAULT_PAIR_LIMIT`` unless set.
 
 Ideal-level operations (sum, product, intersection via an elimination block
-order, colon quotient, equality, containment, dimension probes) all reduce to
-the same basis machinery.
+order, colon quotient, equality, containment, dimension probes, Krull
+dimension) all reduce to the same basis machinery.
 """
 
 from __future__ import annotations
@@ -370,6 +370,19 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
         ranges = (range(pure_powers[i]) for i in range(ring.n))
         total = sum(1 for m in itertools.product(*ranges) if standard(m))
     return DimensionProbe(cumulative, zero_dim, total)
+
+
+def krull_dimension(I: Ideal) -> int:
+    """dim C/I, read off the leading monomials of the cached basis: the
+    largest set of variables that contains the support of no leading
+    monomial, which is dim C/in(I) = dim C/I; -1 for the unit ideal."""
+    n = I.ring.n
+    supports = [{i for i, e in enumerate(g.leading()[0]) if e} for g in I.groebner_basis()]
+    for k in range(n, -1, -1):
+        for free in itertools.combinations(range(n), k):
+            if not any(s.issubset(free) for s in supports):
+                return k
+    return -1
 
 
 def is_maximal_effective(I: Ideal) -> bool:

@@ -38,7 +38,9 @@ from .groebner import (
     ideal_intersect,
     ideal_product,
     ideal_quotient,
+    ideal_sum,
     is_maximal_effective,
+    krull_dimension,
     rational_point_of,
 )
 from .linalg import box_bounds
@@ -51,9 +53,10 @@ class Analysis:
     """The facts about one (ideal, action) pair that both criteria read.
 
     Stabiliser K, complement H, effective rank, maximality, rational point,
-    plane-curve class, least integer zero per box and the right ladder per box
-    and complement.  Each is computed on first use, so errors surface where
-    the fact is first needed; ``analysis`` keeps one per action on the ideal.
+    Krull dimension, repeated factor, plane-curve class, least integer zero
+    per box and the right ladder per box and complement.  Each is computed
+    on first use, so errors surface where the fact is first needed;
+    ``analysis`` keeps one per action on the ideal.
     """
 
     def __init__(self, I: Ideal, act: TranslationAction):
@@ -81,6 +84,23 @@ class Analysis:
     @cached_property
     def point(self) -> tuple[Fraction, ...] | None:
         return rational_point_of(self.I)
+
+    @cached_property
+    def dim(self) -> int:
+        """dim C/I; every translate I^g has the same dimension."""
+        return krull_dimension(self.I)
+
+    @cached_property
+    def repeated_factor(self) -> bool:
+        """I = (f) with f and all its partials sharing a nonconstant factor:
+        in characteristic 0, exactly when f has a repeated factor, and then
+        V(f, df/dx_1, ..., df/dx_n) has a component of dimension n - 1."""
+        if not self.I.is_principal():
+            return False
+        f = self.I.groebner_basis()[0]
+        n = self.I.ring.n
+        jacobian = Ideal(self.I.ring, [f] + [f.partial(i) for i in range(n)])
+        return krull_dimension(jacobian) == n - 1
 
     @cached_property
     def curve(self) -> CurveClass:
@@ -336,8 +356,20 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       J^g iff f^{-g} lies in J.
     - Left, J = (h) and I flagged prime and proper: likewise iff h^g lies
       in I.
-    - Otherwise Groebner bases: containment (J prime) or the colon on the
-      right, ``tor1_is_zero`` on the left."""
+    - Left, dim C/I + dim C/J < n: Tor_1(C/I, C/J^g) != 0 iff I + J^g != C.
+      If the sum is the unit ideal, I cap J^g = I*J^g and Tor_1 = 0.
+      Otherwise localise at a maximal ideal m over I + J^g: C_m is regular
+      of dimension n.  Were Tor_1 zero there, rigidity would make every
+      higher Tor vanish (Auslander, Illinois J. Math. 5, 1961; Lichtenbaum,
+      Illinois J. Math. 10, 1966), and Auslander's depth formula would give
+      depth C_m/I + depth C_m/J^g = n + depth(C_m/I tensor C_m/J^g) >= n,
+      which the dimensions rule out.  Translations keep dimensions, so each
+      ideal's dimension is computed once, in its analysis.
+    - Otherwise Groebner bases: containment (J prime) on the right, else a
+      comaximality test first, which settles "zero" with one sum basis:
+      I^g + J = C gives (J : I^g) = J on the right, and I + J^g = C gives
+      Tor_1 = 0 on the left.  Only a proper sum goes on to the colon on the
+      right or ``tor1_is_zero`` on the left."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     if J.is_zero_ideal():
@@ -360,10 +392,25 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         if I.claimed_prime and J.is_principal() and not I.is_unit_ideal():
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
-        return lambda g: not tor1_is_zero(I, act_on_ideal(J, g, act))
+        by_dimension = analysis(I, act).dim + analysis(J, act).dim < I.ring.n
+
+        def tor_nonzero(g):
+            Jg = act_on_ideal(J, g, act)
+            if ideal_sum(I, Jg).is_unit_ideal():
+                return False
+            return by_dimension or not tor1_is_zero(I, Jg)
+
+        return tor_nonzero
     if J.claimed_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
-    return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
+
+    def colon_nonzero(g):
+        Ig = act_on_ideal(I, g, act)
+        if ideal_sum(Ig, J).is_unit_ideal():
+            return False
+        return not ideal_equal(ideal_quotient(J, Ig), J)
+
+    return colon_nonzero
 
 
 # ------------------------------------------------------ decision ladders
@@ -387,6 +434,8 @@ def _require_decidable(a: Analysis) -> None:
         raise ValueError("decision needs a proper nonzero ideal")
     if not (a.maximal or a.I.claimed_prime):  # a.maximal refuses a false flag
         raise ValueError("decision requires an ideal flagged prime")
+    if a.repeated_factor:
+        raise ValueError("a principal ideal with a repeated factor is not prime")
 
 
 def lattice_payload(L: Lattice) -> list[list[int]]:

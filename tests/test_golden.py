@@ -41,8 +41,10 @@ GALLERY = {
     "conic3": (
         ["z - 1", "(x - 1)^2 - 7*(y + 1)^2 - 1"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}
     ),
+    "twisted_cubic": (["y - x^2", "z - x^3"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}),
 }
-VARS = {"point3": ["x", "y", "z"], "conic3": ["x", "y", "z"]}
+XYZ = ["x", "y", "z"]
+VARS = {"point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ}
 
 CASES = {}
 for _name in GALLERY:

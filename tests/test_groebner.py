@@ -22,6 +22,7 @@ from idealiser import (
     ideal_quotient,
     ideal_sum,
     is_maximal_effective,
+    krull_dimension,
     normal_form,
     rational_point_of,
     reduced_groebner_basis,
@@ -189,6 +190,24 @@ def test_dimension_probe():
 
     everything = dimension_probe(unit_ideal(RING))
     assert everything.zero_dimensional and everything.total_dimension == 0
+
+
+def test_krull_dimension():
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(i) for i in range(3))
+    cases = [
+        (unit_ideal(R3), -1),
+        (Ideal(R3, []), 3),
+        (Ideal(R3, [x - 1, y + 2, z]), 0),
+        (Ideal(R3, [x - y, z - 1]), 1),
+        (Ideal(R3, [y - x**2, z - x**3]), 1),  # twisted cubic
+        (Ideal(R3, [x + y - z]), 2),  # a plane
+        # a plane and a line through it: not equidimensional, the plane wins
+        (Ideal(R3, [x * z, y * z]), 2),
+    ]
+    for I, dim in cases:
+        assert krull_dimension(I) == dim, I
+    assert krull_dimension(Ideal(RING, [X**2, Y])) == 0
 
 
 def test_rational_point_extraction():

@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "idealiser"
 
 # qualified name -> why it stays without a caller in src/ or demos/
 KEPT = {
-    "ideal_sum": "the comaximality test of ROADMAP item 1 will call it",
     "presentation_R_mod_IB": "the paper's R/IB, as a library entry point",
     "PolyRing.zero": "the ring's additive identity, next to one(), const() and var()",
 }

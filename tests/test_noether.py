@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +447,138 @@ def test_component_test_agrees_with_the_definitions(side):
         for g in Lattice.standard(act.d).points_in_box(1):
             expected = _component_by_definition(I, J, act, side, g)
             assert nonzero(g) == expected, (label, side, g)
+
+
+R4 = PolyRing(("x", "y", "z", "w"))
+X4, Y4, Z4, W4 = R4.var(0), R4.var(1), R4.var(2), R4.var(3)
+
+
+def _left_pairs():
+    """(label, I, J, dimension rule applies) in 3 and 4 variables, none of
+    them reaching the point or principal rules of ``component_test``."""
+    twisted = Ideal(R3, [Y3 - X3**2, Z3 - X3**3], claimed_prime=True)
+    line = Ideal(R3, [X3 - Y3, Z3], claimed_prime=True)
+    two_lines = Ideal(R3, [X3 * Y3, Z3])  # the x- and y-axes: not prime
+    plane = Ideal(R3, [Z3 - X3])  # unflagged, so no principal rule
+    transversal = Ideal(R3, [X3, Y3])  # meets the plane in a point
+    parallel = Ideal(R3, [Y3, Z3 - X3 - 1])  # in a translate of the plane
+    yield "twisted-itself", twisted, twisted, True
+    yield "line-twisted", line, twisted, True
+    yield "two_lines-twisted", two_lines, twisted, True
+    yield "two_lines-line", two_lines, line, True
+    # dim C/I + dim C/J = n: only a unit sum settles a component
+    yield "plane-transversal", plane, transversal, False
+    yield "plane-parallel", plane, parallel, False
+    curve4 = Ideal(R4, [Y4 - X4**2, Z4 - X4**3, W4 - 1], claimed_prime=True)
+    line4 = Ideal(R4, [X4 - Y4, Z4, W4], claimed_prime=True)
+    plane4 = Ideal(R4, [X4, Y4], claimed_prime=True)
+    yield "curve-line-4", curve4, line4, True
+    yield "plane-curve-4", plane4, curve4, True
+    yield "plane-plane-4", plane4, Ideal(R4, [Z4, W4 - X4], claimed_prime=True), False
+
+
+@pytest.mark.parametrize("label", [case[0] for case in _left_pairs()])
+def test_left_component_rules_agree_with_tor(label, monkeypatch):
+    import idealiser.noether as noether
+
+    _, I, J, by_dimension = next(case for case in _left_pairs() if case[0] == label)
+    act = TranslationAction.standard(I.ring)
+    assert (analysis(I, act).dim + analysis(J, act).dim < I.ring.n) == by_dimension
+    tor_tests = []
+    monkeypatch.setattr(
+        noether, "tor1_is_zero", lambda A, B: tor_tests.append(B) or tor1_is_zero(A, B)
+    )
+    nonzero = component_test(I, J, act, "left")
+    box = Lattice.standard(act.d).points_in_box(1)
+    got = [nonzero(g) for g in box]
+    # the Tor module itself, restored from the module under test
+    monkeypatch.undo()
+    expected = [not tor1(I, act_on_ideal(J, g, act)).is_zero for g in box]
+    assert got == expected
+    if by_dimension:
+        assert any(got) and tor_tests == []
+    else:  # the proper sums went on to the Tor module
+        assert tor_tests
+
+
+def test_conic3_t_set_needs_no_intersection(monkeypatch):
+    import idealiser.groebner as groebner
+    import idealiser.noether as noether
+
+    calls = []
+    for module in (groebner, noether):
+        real = module.ideal_intersect
+        monkeypatch.setattr(
+            module, "ideal_intersect", lambda A, B, _real=real: calls.append(A) or _real(A, B)
+        )
+    conic = Ideal(R3, [Z3 - 1, (X3 - 1) ** 2 - 7 * (Y3 + 1) ** 2 - 1], claimed_prime=True)
+    act = TranslationAction.standard(R3)
+    report = t_set_box(conic, conic, analysis(conic, act).H, 2, act)
+    assert report.members and calls == []
+
+
+NOT_PRIME_TARGETS = [
+    Ideal(RING, [X * Y]),  # two lines
+    Ideal(RING, [X * (X - 1)]),  # two parallel lines
+    Ideal(RING, [(X - Y) ** 2]),  # a double line
+    Ideal(RING, [X**2, Y - 1]),  # a fat point
+    Ideal(RING, [X * (X - 1), X * (Y - 2)]),  # a line and a point
+]
+
+
+def test_right_comaximality_agrees_with_the_colon(monkeypatch):
+    # the targets ``probe --target`` passes unflagged to the right colon route
+    import idealiser.noether as noether
+
+    colons = []
+    monkeypatch.setattr(
+        noether, "ideal_quotient", lambda A, B: colons.append(B) or ideal_quotient(A, B)
+    )
+    box = list(Lattice.standard(2).points_in_box(2))
+    vertical = Ideal(RING, [X - 2], claimed_prime=True)
+    sources = (PELL, LINE, vertical, Ideal(RING, [Y**2 - X**3], claimed_prime=True))
+    for J in NOT_PRIME_TARGETS:
+        for I in sources:
+            nonzero = component_test(I, J, ACT, "right")
+            for g in box:
+                colon = ideal_quotient(J, act_on_ideal(I, g, ACT))
+                assert nonzero(g) == (not ideal_equal(colon, J)), (J, I, g)
+    # comaximal translates skip the colon
+    assert 0 < len(colons) < len(NOT_PRIME_TARGETS) * len(sources) * len(box)
+
+
+@pytest.mark.parametrize(
+    "generator", ["(x - y)^2", "(x^2 + y^2 - 2)^2*(x - 1)", "(x - 1)^2"]
+)
+def test_repeated_factor_is_refused(generator):
+    ring = PolyRing(("x", "y")) if "y" in generator else PolyRing(("x",))
+    I = Ideal(ring, [ring.parse(generator)], claimed_prime=True)
+    act = TranslationAction.standard(ring)
+    assert analysis(I, act).repeated_factor
+    for decide_side in (decide_right, decide_left):
+        with pytest.raises(ValueError, match="repeated factor"):
+            decide_side(I, act)
+
+
+@pytest.mark.parametrize("generator", ["y^2 - x^3", "x^2 + y^2", "x^2 - 7*y^2 - 1", "x*y - 1"])
+def test_squarefree_principal_primes_are_accepted(generator):
+    I = Ideal(RING, [RING.parse(generator)], claimed_prime=True)
+    assert not analysis(I, ACT).repeated_factor
+    decide(I, ACT, box=2)
+
+
+def _benchmark_cases():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up by name
+    spec.loader.exec_module(inputs)
+    for workload in ("plane2", "space3"):
+        yield from inputs.generate(workload, 1, 2)
+
+
+def test_benchmark_families_have_no_repeated_factor():
+    for case in _benchmark_cases():
+        ring = PolyRing(tuple(case.config["ring"]["vars"]))
+        I = Ideal(ring, [ring.parse(s) for s in case.config["ideal"]["generators"]])
+        assert not analysis(I, TranslationAction.standard(ring)).repeated_factor, case.family
