@@ -45,6 +45,7 @@ from .groebner import (
 )
 from .linalg import box_bounds
 
+REPEATED_FACTOR = "a principal ideal with a repeated factor is not prime"
 
 # ------------------------------------------------------------- analysis
 
@@ -365,17 +366,20 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       depth C_m/I + depth C_m/J^g = n + depth(C_m/I tensor C_m/J^g) >= n,
       which the dimensions rule out.  Translations keep dimensions, so each
       ideal's dimension is computed once, in its analysis.
-    - Otherwise Groebner bases: containment (J prime) on the right, else a
-      comaximality test first, which settles "zero" with one sum basis:
-      I^g + J = C gives (J : I^g) = J on the right, and I + J^g = C gives
-      Tor_1 = 0 on the left.  Only a proper sum goes on to the colon on the
-      right or ``tor1_is_zero`` on the left."""
+    - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
+      proper sum goes on to ``tor1_is_zero``.
+    - Right otherwise: containment (J prime) or the colon.
+    A primality flag is refused on the unit ideal and on a principal (f)
+    whose f has a repeated factor, since the rules above read it."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     if J.is_zero_ideal():
         return lambda g: side == "right" and I.is_zero_ideal()
     if J.claimed_prime and J.is_unit_ideal():
         raise ValueError("an ideal flagged prime must be proper, not the unit ideal")
+    for P in (I, J):
+        if P.claimed_prime and analysis(P, act).repeated_factor:
+            raise ValueError(REPEATED_FACTOR)
     p = analysis(J, act).point
     if p is not None:
         sign = 1 if side == "right" else -1
@@ -403,14 +407,7 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         return tor_nonzero
     if J.claimed_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
-
-    def colon_nonzero(g):
-        Ig = act_on_ideal(I, g, act)
-        if ideal_sum(Ig, J).is_unit_ideal():
-            return False
-        return not ideal_equal(ideal_quotient(J, Ig), J)
-
-    return colon_nonzero
+    return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
 
 
 # ------------------------------------------------------ decision ladders
@@ -435,7 +432,7 @@ def _require_decidable(a: Analysis) -> None:
     if not (a.maximal or a.I.claimed_prime):  # a.maximal refuses a false flag
         raise ValueError("decision requires an ideal flagged prime")
     if a.repeated_factor:
-        raise ValueError("a principal ideal with a repeated factor is not prime")
+        raise ValueError(REPEATED_FACTOR)
 
 
 def lattice_payload(L: Lattice) -> list[list[int]]:

@@ -249,34 +249,21 @@ def test_probe_command(capsys, pell_config):
 
 
 @pytest.mark.parametrize(
-    "generator, target",
-    [("x - 2", ["x*(x - 1)"]), ("x^2 - 7*y^2 - 1", ["x^2", "y - 1"]), ("x - y + 1", ["(x - y)^2"])],
+    "generator, target, counts",
+    [
+        ("x - 2", ["x*(x - 1)"], "1,2"),
+        ("x^2 - 7*y^2 - 1", ["x^2", "y - 1"], "2,2"),
+        ("x - y + 1", ["(x - y)^2"], "1,1"),
+    ],
     ids=["parallel-lines", "fat-point", "double-line"],
 )
-def test_probe_unflagged_target_counts_colons(capsys, tmp_path, generator, target):
-    # the right probe against a target not flagged prime, against a count of
-    # the g with (J : I^g) != J by honest colon quotients
-    from idealiser import Ideal, Lattice, PolyRing, TranslationAction, act_on_ideal
-    from idealiser import ideal_equal, ideal_quotient
-    from idealiser.noether import _group_by_coset, analysis
-
-    ring = PolyRing(("x", "y"))
-    act = TranslationAction.standard(ring)
-    I = Ideal(ring, [ring.parse(generator)], claimed_prime=True)
-    J = Ideal(ring, [ring.parse(t) for t in target])
-    members = [
-        g for g in Lattice.standard(2).points_in_box(2)
-        if not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
-    ]
-    K = analysis(I, act).K
-    inside = [[g for g in members if max(map(abs, g)) <= r] for r in (1, 2)]
-    counts = [len(_group_by_coset(m, K)) for m in inside]
-    assert counts[-1] > 0
+def test_probe_against_an_unflagged_target(capsys, tmp_path, generator, target, counts):
+    # the right colon route: counts of K-cosets with (J : I^g) != J
     cfg = {**LINE_CFG, "ideal": {"generators": [generator], "claimed_prime": True}}
     argv = ("probe", "-c", _write(tmp_path, "cfg.json", cfg), "--side", "right", "--radii", "1,2")
     code, out, _ = run(capsys, *argv, "--target", *target)
     assert code == 0
-    assert f"counts {counts[0]},{counts[1]} " in out
+    assert f"counts {counts} " in out
 
 
 def test_probe_refuses_a_unit_target_flagged_prime(capsys, pell_config):
@@ -520,9 +507,16 @@ def test_config_sections_must_be_objects(capsys, tmp_path):
 @pytest.mark.parametrize("generator", ["(x - y)^2", "(x^2 + y^2 - 2)^2*(x - 1)"])
 def test_repeated_factor_prime_flag_is_refused(capsys, tmp_path, generator):
     cfg = {**PELL_CFG, "ideal": {"generators": [generator], "claimed_prime": True}}
-    code, out, err = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg), "--box", "2")
-    assert (code, out) == (1, "")
-    assert err == "error: a principal ideal with a repeated factor is not prime\n"
+    line = _write(tmp_path, "line.json", LINE_CFG)
+    probe = ("probe", "-c", line, "--target", generator, "--prime", "--radii", "1,2", "--side")
+    for argv in (
+        ("analyze", "-c", _write(tmp_path, "cfg.json", cfg), "--box", "2"),
+        (*probe, "right"),
+        (*probe, "left"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: a principal ideal with a repeated factor is not prime\n"
 
 
 def test_false_maximality_flag_is_refused(capsys, tmp_path):

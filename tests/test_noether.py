@@ -517,36 +517,6 @@ def test_conic3_t_set_needs_no_intersection(monkeypatch):
     assert report.members and calls == []
 
 
-NOT_PRIME_TARGETS = [
-    Ideal(RING, [X * Y]),  # two lines
-    Ideal(RING, [X * (X - 1)]),  # two parallel lines
-    Ideal(RING, [(X - Y) ** 2]),  # a double line
-    Ideal(RING, [X**2, Y - 1]),  # a fat point
-    Ideal(RING, [X * (X - 1), X * (Y - 2)]),  # a line and a point
-]
-
-
-def test_right_comaximality_agrees_with_the_colon(monkeypatch):
-    # the targets ``probe --target`` passes unflagged to the right colon route
-    import idealiser.noether as noether
-
-    colons = []
-    monkeypatch.setattr(
-        noether, "ideal_quotient", lambda A, B: colons.append(B) or ideal_quotient(A, B)
-    )
-    box = list(Lattice.standard(2).points_in_box(2))
-    vertical = Ideal(RING, [X - 2], claimed_prime=True)
-    sources = (PELL, LINE, vertical, Ideal(RING, [Y**2 - X**3], claimed_prime=True))
-    for J in NOT_PRIME_TARGETS:
-        for I in sources:
-            nonzero = component_test(I, J, ACT, "right")
-            for g in box:
-                colon = ideal_quotient(J, act_on_ideal(I, g, ACT))
-                assert nonzero(g) == (not ideal_equal(colon, J)), (J, I, g)
-    # comaximal translates skip the colon
-    assert 0 < len(colons) < len(NOT_PRIME_TARGETS) * len(sources) * len(box)
-
-
 @pytest.mark.parametrize(
     "generator", ["(x - y)^2", "(x^2 + y^2 - 2)^2*(x - 1)", "(x - 1)^2"]
 )
@@ -558,6 +528,12 @@ def test_repeated_factor_is_refused(generator):
     for decide_side in (decide_right, decide_left):
         with pytest.raises(ValueError, match="repeated factor"):
             decide_side(I, act)
+    # as a source or a target of a graded-component test
+    other = Ideal(ring, [ring.var(0) - 3], claimed_prime=True)
+    for source, target in ((I, other), (other, I)):
+        for side in ("right", "left"):
+            with pytest.raises(ValueError, match="repeated factor"):
+                component_test(source, target, act, side)
 
 
 @pytest.mark.parametrize("generator", ["y^2 - x^3", "x^2 + y^2", "x^2 - 7*y^2 - 1", "x*y - 1"])
@@ -567,18 +543,19 @@ def test_squarefree_principal_primes_are_accepted(generator):
     decide(I, ACT, box=2)
 
 
-def _benchmark_cases():
+def _benchmark_cases(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # dataclasses look their module up by name
+    # dataclasses look their module up by name while it executes
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
     spec.loader.exec_module(inputs)
     for workload in ("plane2", "space3"):
         yield from inputs.generate(workload, 1, 2)
 
 
-def test_benchmark_families_have_no_repeated_factor():
-    for case in _benchmark_cases():
+def test_benchmark_families_have_no_repeated_factor(monkeypatch):
+    for case in _benchmark_cases(monkeypatch):
         ring = PolyRing(tuple(case.config["ring"]["vars"]))
         I = Ideal(ring, [ring.parse(s) for s in case.config["ideal"]["generators"]])
         assert not analysis(I, TranslationAction.standard(ring)).repeated_factor, case.family
