@@ -42,6 +42,10 @@ GALLERY = {
         ["z - 1", "(x - 1)^2 - 7*(y + 1)^2 - 1"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}
     ),
     "twisted_cubic": (["y - x^2", "z - x^3"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}),
+    # residue field Q(sqrt(2)): maximal, radical, no rational point
+    "sqrt2_point": (
+        ["x^2 - 2", "y"], {"claimed_maximal": True}, None, {"box": 2, "probe_radii": [1, 2]}
+    ),
 }
 XYZ = ["x", "y", "z"]
 VARS = {"point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ}
@@ -58,6 +62,10 @@ CASES["probe-pell"] = ("pell", ["probe"])
 CASES["probe-circle"] = ("circle", ["probe"])
 CASES["sset-pell-point"] = ("pell", ["sset", "--point", "1,0"])
 CASES["sset-pell-point-json"] = ("pell", ["sset", "--point", "1,0", "--json"])
+# the T-set walks the rank-1 complement; with --full its 4 members share one K-coset
+TSET_POINT = ["tset", "x - 1", "y - 1", "--prime", "--box", "6"]
+CASES["tset-line-point"] = ("line", TSET_POINT)
+CASES["tset-line-point-full"] = ("line", [*TSET_POINT, "--full"])
 SKEW_PAIR = ["(x)*g[1,0] + (3)*e", "(y - 1)*g[0,-1] - (x^2 - 1/2)*e"]
 CASES["skewmul-pell"] = ("pell", ["skewmul", *SKEW_PAIR])
 CASES["skewmul-pell-json"] = ("pell", ["skewmul", *SKEW_PAIR, "--json"])
