@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .groebner import Ideal, ideal_equal
@@ -76,6 +76,13 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
     )
 
 
+def box_walk(bounds: Sequence[int], test=None) -> Iterator[tuple[int, ...]]:
+    """Integer vectors c with |c_j| <= bounds[j], lazily and in increasing
+    order; with ``test``, only those that pass it."""
+    points = itertools.product(*(range(-b, b + 1) for b in bounds))
+    return points if test is None else filter(test, points)
+
+
 class Lattice:
     """Finitely generated subgroup of Z^d in canonical column-Hermite basis."""
 
@@ -120,43 +127,39 @@ class Lattice:
         vecs = " ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.basis)
         return f"Lattice[{vecs or 'trivial'}]"
 
-    def coords(self, v: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer coordinates of v in the canonical basis, or None."""
-        v = [int(x) for x in v]
-        if len(v) != self.ambient:
+    def reduce(self, v: Sequence[int]) -> tuple[tuple[int, ...], GroupElement]:
+        """q and r with v = sum_j q_j basis[j] + r and r in [0, pivot) on each
+        pivot row.  Basis vector j is zero above its pivot row, so r is the
+        same for every member of the coset v + L, and zero exactly on L."""
+        work = [int(x) for x in v]
+        if len(work) != self.ambient:
             raise ValueError("vector dimension mismatch")
         coords = []
-        work = list(v)
-        for j, (prow, _) in enumerate(self._pivots):
-            pivot = self.basis[j][prow]
-            q, rem = divmod(work[prow], pivot)
-            if rem:
-                return None
+        for b, (prow, _) in zip(self.basis, self._pivots):
+            q = work[prow] // b[prow]
             coords.append(q)
-            work = [w - q * b for w, b in zip(work, self.basis[j])]
-        if any(work):
-            return None
-        return tuple(coords)
+            work = [w - q * x for w, x in zip(work, b)]
+        return tuple(coords), tuple(work)
+
+    def coords(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """Integer coordinates of v in the canonical basis, or None."""
+        coords, remainder = self.reduce(v)
+        return None if any(remainder) else coords
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
+
+    def element(self, coeffs: Sequence[int]) -> GroupElement:
+        """The lattice element sum_j coeffs[j] * basis[j]."""
+        return tuple(sum(c * b[i] for c, b in zip(coeffs, self.basis)) for i in range(self.ambient))
 
     def points_in_box(self, radius: int) -> list[GroupElement]:
         """All lattice elements of sup-norm at most ``radius``, sorted."""
         if radius < 0:
             return []
         columns = [[v[i] for v in self.basis] for i in range(self.ambient)]
-        bounds = linalg.box_bounds(columns, radius)
-        out = []
-        for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            v = tuple(
-                sum(c * self.basis[j][i] for j, c in enumerate(coeffs))
-                for i in range(self.ambient)
-            )
-            if all(abs(x) <= radius for x in v):
-                out.append(v)
-        out.sort()
-        return out
+        points = map(self.element, box_walk(linalg.box_bounds(columns, radius)))
+        return sorted(v for v in points if all(abs(x) <= radius for x in v))
 
 
 def stabiliser(I: Ideal, act: TranslationAction) -> Lattice:

@@ -1,4 +1,4 @@
-"""Integer points on plane curves: Pell solutions, box searches, classification.
+"""Integer points on plane curves: Pell solutions, the zero test, classification.
 
 Pell fundamentals come from the continued fraction of sqrt(n), entirely in
 integer arithmetic (convergents are tested against the equation directly, no
@@ -11,11 +11,10 @@ rather than guessed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .groebner import _fresh_aux_name, reduced_groebner_basis
 from .poly import Poly, PolyRing, mono_degree
@@ -110,19 +109,6 @@ def zero_test(
         return True
 
     return test
-
-
-def box_zeros(
-    gens: Sequence[Poly],
-    bounds: Sequence[int],
-    base: Sequence[Fraction] | None = None,
-    matrix: Sequence[Sequence[Fraction]] | None = None,
-    box: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Integer vectors c with |c_j| <= bounds[j] that pass ``zero_test``,
-    lazily and in increasing order."""
-    candidates = itertools.product(*(range(-b, b + 1) for b in bounds))
-    return filter(zero_test(gens, base, matrix, box), candidates)
 
 
 @dataclass(frozen=True)

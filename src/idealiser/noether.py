@@ -25,11 +25,12 @@ from .action import (
     TranslationAction,
     act_on_ideal,
     apply_action,
+    box_walk,
     complement,
     effective_directions,
     stabiliser,
 )
-from .diophantine import CurveClass, box_zeros, classify_plane_curve, pell_enumerate, zero_test
+from .diophantine import CurveClass, classify_plane_curve, pell_enumerate, zero_test
 from .groebner import (
     Ideal,
     dimension_probe,
@@ -110,7 +111,7 @@ class Analysis:
     def anchor(self, box: int) -> tuple[int, ...] | None:
         """The least integer zero of I in the sup-norm box, or None."""
         if box not in self._anchors:
-            self._anchors[box] = next(box_zeros(self.I.gens, [box] * self.I.ring.n), None)
+            self._anchors[box] = next(box_walk([box] * self.I.ring.n, zero_test(self.I.gens)), None)
         return self._anchors[box]
 
     def right(self, H: Lattice | None, box: int):
@@ -175,15 +176,12 @@ class LatticeSubsetReport:
 def _group_by_coset(
     members: Sequence[GroupElement], K: Lattice
 ) -> tuple[tuple[GroupElement, tuple[GroupElement, ...]], ...]:
-    groups: list[tuple[GroupElement, list[GroupElement]]] = []
+    """Classes of the members modulo K, each led by its least member, in
+    the order of those; K.reduce's remainder keys the class."""
+    groups: dict[GroupElement, list[GroupElement]] = {}
     for m in sorted(members):
-        for rep, bucket in groups:
-            if K.contains(tuple(a - b for a, b in zip(m, rep))):
-                bucket.append(m)
-                break
-        else:
-            groups.append((m, [m]))
-    return tuple((rep, tuple(bucket)) for rep, bucket in groups)
+        groups.setdefault(K.reduce(m)[1], []).append(m)
+    return tuple((bucket[0], tuple(bucket)) for bucket in groups.values())
 
 
 def _report(kind, description, box, sub, K, members) -> LatticeSubsetReport:
@@ -233,10 +231,7 @@ def s_set_box(
             raise ValueError(
                 "translation action is not injective on the sublattice; the point window is unbounded"
             ) from None
-        members = [
-            tuple(sum(b[i] * c for b, c in zip(sub.basis, coeffs)) for i in range(act.d))
-            for coeffs in box_zeros(I.gens, bounds, point, AB, box)
-        ]
+        members = list(map(sub.element, box_walk(bounds, zero_test(I.gens, point, AB, box))))
         desc = f"S-set of <{gens}> at point ({', '.join(str(c) for c in point)})"
     return _report("S", desc, box, sub, K, members)
 
@@ -326,11 +321,12 @@ def growth_probe(
     if not radii:
         raise ValueError("need at least one radius")
     K = analysis(I, act).K
-    members = [g for g in Lattice.standard(act.d).points_in_box(radii[-1]) if nonzero(g)]
-    counts = []
-    for r in radii:
-        inside = [g for g in members if all(abs(x) <= r for x in g)]
-        counts.append(len(_group_by_coset(inside, K)))
+    # each K-coset class enters the count at the least norm of its members
+    least: dict[GroupElement, int] = {}
+    for g in box_walk([radii[-1]] * act.d, nonzero):
+        key, norm = K.reduce(g)[1], max(map(abs, g))
+        least[key] = min(norm, least.get(key, norm))
+    counts = [sum(norm <= r for norm in least.values()) for r in radii]
     flag = "growing" if len(counts) >= 2 and counts[-1] > counts[-2] else "stabilising"
     return GrowthProbe(
         side=side,

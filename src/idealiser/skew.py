@@ -22,6 +22,7 @@ from .action import (
     TranslationAction,
     act_on_ideal,
     apply_action,
+    box_walk,
 )
 from .groebner import (
     DimensionProbe,
@@ -154,10 +155,7 @@ def quotient_table(
     J: Ideal, I: Ideal, act: TranslationAction, box: int
 ) -> dict[GroupElement, Ideal]:
     """(J : I^g) for all g in the sup-norm box, by honest colon quotients."""
-    table = {}
-    for g in Lattice.standard(act.d).points_in_box(box):
-        table[g] = ideal_quotient(J, act_on_ideal(I, g, act))
-    return table
+    return {g: ideal_quotient(J, act_on_ideal(I, g, act)) for g in box_walk([box] * act.d)}
 
 
 def idealiser_membership(b: SkewElement, I: Ideal, act: TranslationAction) -> bool:

@@ -10,7 +10,8 @@ from idealiser import (
     pell_enumerate,
     pell_fundamental,
 )
-from idealiser.diophantine import box_zeros
+from idealiser.action import box_walk
+from idealiser.diophantine import zero_test
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -66,22 +67,22 @@ IDENTITY = [[1, 0], [0, 1]]
 
 def test_lattice_points_on_graph_curve():
     f = X - 7 * Y**2 - 1
-    shifts = list(box_zeros([f], [10, 10], (1, 0), IDENTITY))
+    shifts = list(box_walk([10, 10], zero_test([f], (1, 0), IDENTITY)))
     assert shifts == sorted([(0, 0), (7, -1), (7, 1)])
 
 
 def test_lattice_points_on_pell_curve():
     f = X**2 - 7 * Y**2 - 1
-    shifts = list(box_zeros([f], [8, 8], (1, 0), IDENTITY))
+    shifts = list(box_walk([8, 8], zero_test([f], (1, 0), IDENTITY)))
     assert shifts == sorted([(-2, 0), (0, 0), (7, -3), (7, 3)])
 
 
 def test_lattice_points_fraction_offset():
     f = 2 * X - 1
-    assert list(box_zeros([f], [3, 3], (Fraction(1, 2), 0), IDENTITY)) == [
+    assert list(box_walk([3, 3], zero_test([f], (Fraction(1, 2), 0), IDENTITY))) == [
         (0, -3), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (0, 3),
     ]
-    assert list(box_zeros([f], [3, 3], (0, 0), IDENTITY)) == []
+    assert list(box_walk([3, 3], zero_test([f], (0, 0), IDENTITY))) == []
 
 
 # -------------------------------------------------------- classification

@@ -31,7 +31,8 @@ from idealiser import (
     tor1_is_zero,
     unit_ideal,
 )
-from idealiser.diophantine import box_zeros
+from idealiser.action import box_walk
+from idealiser.diophantine import zero_test
 from idealiser.noether import analysis, component_test, left_witness_ideal
 
 RING = PolyRing(("x", "y"))
@@ -372,7 +373,7 @@ def test_growth_probe_general_route_against_fast_route():
 
 
 def test_integer_zeros_in_box():
-    zeros = list(box_zeros(PELL.gens, [8, 8]))
+    zeros = list(box_walk([8, 8], zero_test(PELL.gens)))
     assert zeros == [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
     assert analysis(PELL, ACT).anchor(8) == (-8, -3)
     assert analysis(Ideal(RING, [X**2 + Y**2 - 3]), ACT).anchor(8) is None
