@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .poly import (
     ZERO,
+    MonomialOrder,
     Poly,
     PolyRing,
     _ElimOrder,
@@ -385,11 +386,28 @@ def krull_dimension(I: Ideal) -> int:
     return -1
 
 
+def has_repeated_factor(f: Poly) -> bool:
+    """Nonconstant f has a repeated factor: in characteristic 0, exactly when
+    f and all its partials share a nonconstant factor, and then
+    V(f, df/dx_1, ..., df/dx_n) has a component of dimension n - 1."""
+    n = f.ring.n
+    return krull_dimension(Ideal(f.ring, [f] + [f.partial(i) for i in range(n)])) == n - 1
+
+
 def is_maximal_effective(I: Ideal) -> bool:
-    """Caller flag, refused unless I is zero-dimensional, or residue dimension 1."""
+    """Caller flag, refused unless I is zero-dimensional and radical, or
+    residue dimension 1.  By Seidenberg's lemma a zero-dimensional I is
+    radical exactly when, for every i, the generator of I cap Q[x_i] (the
+    last element of a lex basis with x_i least) has no repeated factor."""
     probe = dimension_probe(I, bound=1)
     if I.claimed_maximal and not probe.zero_dimensional:
         raise ValueError("ideal flagged maximal is not zero-dimensional")
+    if I.claimed_maximal and probe.total_dimension > 1:
+        n = I.ring.n
+        for i in range(n):
+            lex = MonomialOrder.lex(n, [j for j in range(n) if j != i] + [i])
+            if has_repeated_factor(reduced_groebner_basis(I.gens, lex)[-1]):
+                raise ValueError("ideal flagged maximal is not radical")
     return I.claimed_maximal or probe.total_dimension == 1
 
 

@@ -40,6 +40,7 @@ from .groebner import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
+    has_repeated_factor,
     is_maximal_effective,
     krull_dimension,
     rational_point_of,
@@ -94,15 +95,8 @@ class Analysis:
 
     @cached_property
     def repeated_factor(self) -> bool:
-        """I = (f) with f and all its partials sharing a nonconstant factor:
-        in characteristic 0, exactly when f has a repeated factor, and then
-        V(f, df/dx_1, ..., df/dx_n) has a component of dimension n - 1."""
-        if not self.I.is_principal():
-            return False
-        f = self.I.groebner_basis()[0]
-        n = self.I.ring.n
-        jacobian = Ideal(self.I.ring, [f] + [f.partial(i) for i in range(n)])
-        return krull_dimension(jacobian) == n - 1
+        """I = (f) with f having a repeated factor."""
+        return self.I.is_principal() and has_repeated_factor(self.I.groebner_basis()[0])
 
     @cached_property
     def curve(self) -> CurveClass:

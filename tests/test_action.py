@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from idealiser import (
     smith_normal_form,
     stabiliser,
 )
+from idealiser.noether import _group_by_coset
 from idealiser.normalforms import identity_matrix
 from matrix_helpers import det_int, mat_mul_int
 
@@ -122,6 +124,92 @@ def test_points_in_box():
     # rectangular sublattice of rank 2
     pts2 = Lattice(2, [(2, 0), (0, 3)]).points_in_box(3)
     assert set(pts2) == {(a, b) for a in (-2, 0, 2) for b in (-3, 0, 3)}
+
+
+def random_lattices(seed=7, per_rank=4):
+    """Seeded lattices in Z^d for d = 1..3 and every rank 0..d; the full-rank
+    ones include a sublattice of index above 1."""
+    rng = random.Random(seed)
+    out = [Lattice(2, [(2, 0), (0, 3)]), Lattice(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])]
+    for d in (1, 2, 3):
+        for rank in range(d + 1):
+            found = 0
+            while found < per_rank:
+                vecs = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rank)]
+                L = Lattice(d, vecs)
+                if L.rank == rank:
+                    out.append(L)
+                    found += 1
+    return out
+
+
+def box(d, radius):
+    return list(itertools.product(range(-radius, radius + 1), repeat=d))
+
+
+def index(L):
+    return math.prod(b[prow] for b, (prow, _) in zip(L.basis, L._pivots))
+
+
+def pairwise_cosets(members, K):
+    """The pairwise-membership grouping ``_group_by_coset`` replaced: the
+    oracle for it."""
+    groups = []
+    for m in sorted(members):
+        for rep, bucket in groups:
+            if K.contains(tuple(a - b for a, b in zip(m, rep))):
+                bucket.append(m)
+                break
+        else:
+            groups.append((m, [m]))
+    return tuple((rep, tuple(bucket)) for rep, bucket in groups)
+
+
+LATTICES = random_lattices()
+
+
+def test_random_lattices_cover_every_rank_and_a_proper_full_rank_index():
+    assert {(L.ambient, L.rank) for L in LATTICES} == {
+        (d, r) for d in (1, 2, 3) for r in range(d + 1)
+    }
+    assert any(L.rank == L.ambient and index(L) > 1 for L in LATTICES)
+
+
+@pytest.mark.parametrize("L", LATTICES, ids=repr)
+def test_reduce_remainder_is_a_coset_invariant(L):
+    rng = random.Random(repr(L))
+    for _ in range(30):
+        v = tuple(rng.randint(-20, 20) for _ in range(L.ambient))
+        coords, rem = L.reduce(v)
+        assert tuple(a + b for a, b in zip(L.element(coords), rem)) == v
+        k = L.element([rng.randint(-5, 5) for _ in range(L.rank)])
+        assert L.reduce(tuple(a + b for a, b in zip(v, k)))[1] == rem
+        assert L.coords(v) == (coords if not any(rem) else None)
+
+
+@pytest.mark.parametrize("L", LATTICES, ids=repr)
+def test_equal_remainders_are_exactly_one_coset(L):
+    points = box(L.ambient, 2)
+    rem = {v: L.reduce(v)[1] for v in points}
+    for v in points:
+        for w in points:
+            diff = tuple(a - b for a, b in zip(v, w))
+            assert (rem[v] == rem[w]) == L.contains(diff)
+
+
+@pytest.mark.parametrize("L", LATTICES, ids=repr)
+def test_group_by_coset_matches_the_pairwise_scan(L):
+    rng = random.Random(repr(L))
+    points = box(L.ambient, 3)
+    for size in (0, 1, 5, 40):
+        members = rng.sample(points, min(size, len(points)))
+        assert _group_by_coset(members, L) == pairwise_cosets(members, L)
+
+
+@pytest.mark.parametrize("L", LATTICES, ids=repr)
+def test_points_in_box_are_the_lattice_points_of_the_box(L):
+    for radius in (0, 1, 3):
+        assert L.points_in_box(radius) == [v for v in box(L.ambient, radius) if L.contains(v)]
 
 
 # ---------------------------------------------------------- stabilisers

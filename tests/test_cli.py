@@ -527,6 +527,14 @@ def test_false_maximality_flag_is_refused(capsys, tmp_path):
     assert err == "error: ideal flagged maximal is not zero-dimensional\n"
 
 
+def test_non_radical_maximality_flag_is_refused(capsys, tmp_path):
+    # zero-dimensional with residue dimension 2, but not radical
+    cfg = {**PELL_CFG, "ideal": {"generators": ["x^2", "y"], "claimed_maximal": True}}
+    code, out, err = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg), "--box", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: ideal flagged maximal is not radical\n"
+
+
 @pytest.mark.parametrize(
     "variables, generators, options",
     [

@@ -223,6 +223,35 @@ def test_is_maximal_effective():
     assert not is_maximal_effective(Ideal(RING, [X]))
     # zero-dimensional but not maximal: residue dimension 2
     assert not is_maximal_effective(Ideal(RING, [X**2, Y]))
+    # flagged: radical residue rings of dimension above 1 are trusted
+    assert is_maximal_effective(Ideal(RING, [X**2 - 2, Y], claimed_maximal=True))
+    assert is_maximal_effective(Ideal(RING, [X**2 - 1, Y], claimed_maximal=True))
+    R3 = PolyRing(("x", "y", "z"))
+    X3, Y3, Z3 = R3.var(0), R3.var(1), R3.var(2)
+    field = [X3**2 - 2, Y3**2 - 3, Z3 - X3 * Y3]
+    assert is_maximal_effective(Ideal(R3, field, claimed_maximal=True))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [X**2, Y],
+        [X**2 - 2, (Y - 1) ** 2],  # only the elimination ideal in y is not squarefree
+        [(X - Y) ** 2, X + Y],
+    ],
+)
+def test_maximality_flag_on_a_non_radical_ideal_is_refused(gens):
+    with pytest.raises(ValueError, match="ideal flagged maximal is not radical"):
+        is_maximal_effective(Ideal(RING, gens, claimed_maximal=True))
+
+
+def test_maximality_flag_refused_by_the_last_elimination_ideal():
+    R3 = PolyRing(("x", "y", "z"))
+    X3, Y3, Z3 = R3.var(0), R3.var(1), R3.var(2)
+    # I cap Q[z] is generated by (z^2 - 6)^2; x and y eliminate to squarefree polynomials
+    fat = Ideal(R3, [X3**2 - 2, Y3**2 - 3, (Z3 - X3 * Y3) ** 2], claimed_maximal=True)
+    with pytest.raises(ValueError, match="not radical"):
+        is_maximal_effective(fat)
 
 
 def test_pair_limit_raises():
