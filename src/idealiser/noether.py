@@ -34,13 +34,13 @@ from .diophantine import CurveClass, classify_plane_curve, pell_enumerate, zero_
 from .groebner import (
     Ideal,
     dimension_probe,
+    has_repeated_factor,
     ideal_contains,
     ideal_equal,
     ideal_intersect,
     ideal_product,
     ideal_quotient,
     ideal_sum,
-    has_repeated_factor,
     is_maximal_effective,
     krull_dimension,
     rational_point_of,
