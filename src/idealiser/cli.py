@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextvars
+import functools
 import json
 import sys
 import time
@@ -26,7 +27,7 @@ from .noether import (
     decide,
     growth_probe,
     lattice_payload,
-    left_witness_ideal,
+    point_ideal,
     s_set_box,
     t_set_box,
     tor1,
@@ -35,6 +36,14 @@ from .poly import MonomialOrder, PolyRing
 from .skew import idealiser_membership, parse_skew, quotient_table
 
 SCHEMA_VERSION = 1
+
+# section -> the keys a config may set in it
+CONFIG_KEYS = {
+    "ring": ("vars", "order"),
+    "action": ("matrix",),
+    "ideal": ("generators", "claimed_prime", "claimed_maximal"),
+    "options": ("box", "probe_radii", "pair_limit"),
+}
 
 
 # ------------------------------------------------------------- config
@@ -85,9 +94,14 @@ def _load(args, ideal: bool = True):
         raise InputError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
-    for section in ("ring", "action", "ideal", "options"):
-        if not isinstance(cfg.get(section, {}), dict):
+    for section, body in cfg.items():
+        if section not in CONFIG_KEYS:
+            raise InputError(f"unknown config key {section!r}")
+        if not isinstance(body, dict):
             raise InputError(f"config section {section!r} must be a JSON object")
+        for key in body:
+            if key not in CONFIG_KEYS[section]:
+                raise InputError(f"unknown config key {section + '.' + key!r}")
 
     ring_cfg = cfg.get("ring", {})
     variables = _strings(ring_cfg.get("vars", ["x", "y"]), "ring.vars")
@@ -135,11 +149,6 @@ def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad point coordinate: {exc}")
-
-
-def _point_ideal(ring: PolyRing, p) -> Ideal:
-    gens = [ring.var(i) - ring.const(p[i]) for i in range(ring.n)]
-    return Ideal(ring, gens, claimed_prime=True, claimed_maximal=True)
 
 
 # ----------------------------------------------------------- rendering
@@ -236,19 +245,20 @@ def _probe_line(p: GrowthProbe) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    ring, act, I, opts = _load(args)
+    _, act, I, opts = _load(args)
     box = _box(args, opts, 8)
     radii = _radii(args.probe_radii, opts)
 
     t0 = time.perf_counter()
     verdict, sets = decide(I, act, box=box)
     a = analysis(I, act)
-    anchor = a.anchor(box)
-    target = I if anchor is None else _point_ideal(ring, anchor)
-    witness = left_witness_ideal(verdict, ring)
+    target = a.target(box)
+    # the left probe runs against the line that traps the orbit, if the left ladder found one
+    trapped = any(c.rule == "MaximalLeftCriticalDensity" for c in verdict.certificates)
+    witness = a.density.witness if trapped else None
     probes = [
         growth_probe(I, target, act, "right", radii),
-        growth_probe(I, target if witness is None else witness, act, "left", radii),
+        growth_probe(I, witness or target, act, "left", radii),
     ]
     elapsed = time.perf_counter() - t0
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -428,10 +438,9 @@ def _cmd_probe(args) -> int:
     if args.target:
         J = Ideal(ring, [ring.parse(s) for s in args.target], claimed_prime=args.prime)
     elif args.point is not None:
-        J = _point_ideal(ring, _parse_point(args.point, ring.n))
+        J = point_ideal(ring, _parse_point(args.point, ring.n))
     else:
-        anchor = analysis(I, act).anchor(max(radii))
-        J = I if anchor is None else _point_ideal(ring, anchor)
+        J = analysis(I, act).target(max(radii))
     sides = ["right", "left"] if args.side == "both" else [args.side]
     probes = [growth_probe(I, J, act, side, radii) for side in sides]
     payload = {"probes": [asdict(p) for p in probes]}
@@ -442,7 +451,10 @@ def _cmd_probe(args) -> int:
 # -------------------------------------------------------------- parser
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.cache
+def _argparser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process.
+    It holds no per-command data: every parse returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="idealiser",
         description="Idealiser subrings of polynomial skew group rings: "
@@ -505,7 +517,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_argparser().parse_args(argv)
+        args = _argparser().parse_args(argv)
     except SystemExit as exc:
         if exc.code:  # a usage error: exit 1, as for any bad input; 2 means undecided
             return 1

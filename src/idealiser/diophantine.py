@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import _fresh_aux_name, reduced_groebner_basis
+from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
 from .poly import Poly, PolyRing, mono_degree
 
 
@@ -216,19 +216,8 @@ def _projective_smoothness(f: Poly) -> tuple[int, ...] | None:
     )
     partials = [F.partial(i) for i in range(pring.n)]
     basis = reduced_groebner_basis(partials, pring.order)
-    if basis and basis[0].is_constant():
-        return None  # cannot happen for d >= 1, defensive
-    powers = [0] * pring.n
-    for g in basis:
-        lm = g.leading()[0]
-        nz = [i for i, e in enumerate(lm) if e]
-        if len(nz) == 1:
-            i = nz[0]
-            if powers[i] == 0 or lm[i] < powers[i]:
-                powers[i] = lm[i]
-    if all(p > 0 for p in powers):
-        return tuple(powers)
-    return None
+    powers = pure_powers([g.leading()[0] for g in basis], pring.n)
+    return powers if all(powers) else None
 
 
 def classify_plane_curve(f: Poly) -> CurveClass:

@@ -214,10 +214,9 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
 class Ideal:
     """Finitely generated ideal of a polynomial ring with optional flags.
 
-    ``claimed_prime``/``claimed_maximal`` are caller assertions; cheap checks
-    accept a maximality claim automatically when the quotient has dimension 1
-    over Q.  The reduced basis in the ring's order is cached, analyses
-    (``noether.analysis``) per action.
+    ``claimed_prime``/``claimed_maximal`` are caller assertions, which the
+    ideal's analyses (``noether.analysis``, kept per action) check and refuse
+    when cheaply false.  The reduced basis in the ring's order is cached.
     """
 
     __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb", "_analyses")
@@ -342,6 +341,13 @@ class DimensionProbe:
     total_dimension: int | None
 
 
+def pure_powers(monomials: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Per variable x_i, the least e with x_i^e among ``monomials``, else 0."""
+    return tuple(
+        min((m[i] for m in monomials if m[i] and sum(m) == m[i]), default=0) for i in range(n)
+    )
+
+
 def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
     ring = I.ring
     gb = I.groebner_basis()
@@ -359,18 +365,11 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
             counts[degree] += 1
     cumulative = tuple(itertools.accumulate(counts))
 
-    pure_powers: dict[int, int] = {}
-    for lm in lms:
-        nz = [i for i, e in enumerate(lm) if e]
-        if len(nz) == 1:
-            i = nz[0]
-            pure_powers[i] = min(pure_powers.get(i, lm[i]), lm[i])
-    zero_dim = len(pure_powers) == ring.n
+    powers = pure_powers(lms, ring.n)  # all nonzero iff C/I is finite-dimensional
     total = None
-    if zero_dim:
-        ranges = (range(pure_powers[i]) for i in range(ring.n))
-        total = sum(1 for m in itertools.product(*ranges) if standard(m))
-    return DimensionProbe(cumulative, zero_dim, total)
+    if all(powers):
+        total = sum(1 for m in itertools.product(*map(range, powers)) if standard(m))
+    return DimensionProbe(cumulative, total is not None, total)
 
 
 def krull_dimension(I: Ideal) -> int:
@@ -394,31 +393,22 @@ def has_repeated_factor(f: Poly) -> bool:
     return krull_dimension(Ideal(f.ring, [f] + [f.partial(i) for i in range(n)])) == n - 1
 
 
-def is_maximal_effective(I: Ideal) -> bool:
-    """Caller flag, refused unless I is zero-dimensional and radical, or
-    residue dimension 1.  By Seidenberg's lemma a zero-dimensional I is
-    radical exactly when, for every i, the generator of I cap Q[x_i] (the
-    last element of a lex basis with x_i least) has no repeated factor."""
-    probe = dimension_probe(I, bound=1)
-    if I.claimed_maximal and not probe.zero_dimensional:
-        raise ValueError("ideal flagged maximal is not zero-dimensional")
-    if I.claimed_maximal and probe.total_dimension > 1:
-        n = I.ring.n
-        for i in range(n):
-            lex = MonomialOrder.lex(n, [j for j in range(n) if j != i] + [i])
-            if has_repeated_factor(reduced_groebner_basis(I.gens, lex)[-1]):
-                raise ValueError("ideal flagged maximal is not radical")
-    return I.claimed_maximal or probe.total_dimension == 1
+def is_radical(I: Ideal) -> bool:
+    """Whether a zero-dimensional I is radical: by Seidenberg's lemma, exactly
+    when, for every i, the generator of I cap Q[x_i] (the last element of a
+    reduced lex basis with x_i least) has no repeated factor."""
+    n = I.ring.n
+    for i in range(n):
+        lex = MonomialOrder.lex(n, [j for j in range(n) if j != i] + [i])
+        if has_repeated_factor(reduced_groebner_basis(I.gens, lex)[-1]):
+            return False
+    return True
 
 
 def rational_point_of(I: Ideal) -> tuple[Fraction, ...] | None:
-    """The unique rational point of a residue-dimension-1 ideal, else None."""
-    if dimension_probe(I, bound=1).total_dimension != 1:
+    """The rational point p with I = m_p, else None.  When every x_i reduces
+    to a constant c_i mod a proper I, m_c lies in I, and m_c is maximal."""
+    nfs = [I.normal_form(I.ring.var(i)) for i in range(I.ring.n)]
+    if I.is_unit_ideal() or not all(nf.is_constant() for nf in nfs):
         return None
-    coords = []
-    for i in range(I.ring.n):
-        nf = I.normal_form(I.ring.var(i))
-        if not nf.is_constant():
-            return None
-        coords.append(nf.constant_value())
-    return tuple(coords)
+    return tuple(nf.constant_value() for nf in nfs)

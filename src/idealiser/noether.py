@@ -41,13 +41,11 @@ from .groebner import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
-    is_maximal_effective,
+    is_radical,
     krull_dimension,
     rational_point_of,
 )
 from .linalg import box_bounds
-
-REPEATED_FACTOR = "a principal ideal with a repeated factor is not prime"
 
 # ------------------------------------------------------------- analysis
 
@@ -55,11 +53,12 @@ REPEATED_FACTOR = "a principal ideal with a repeated factor is not prime"
 class Analysis:
     """The facts about one (ideal, action) pair that both criteria read.
 
-    Stabiliser K, complement H, effective rank, maximality, rational point,
-    Krull dimension, repeated factor, plane-curve class, least integer zero
-    per box and the right ladder per box and complement.  Each is computed
-    on first use, so errors surface where the fact is first needed;
-    ``analysis`` keeps one per action on the ideal.
+    Stabiliser K, complement H, effective rank, residue dimension, the two
+    flags, rational point, orbit density, Krull dimension, repeated factor,
+    plane-curve class, least integer zero per box and the right ladder per
+    box and complement, each computed on first use; ``analysis`` keeps one
+    per action on the ideal.  ``maximal`` and ``prime`` are the only code
+    that refuses a flag, when it is cheap to refute.
     """
 
     def __init__(self, I: Ideal, act: TranslationAction):
@@ -81,12 +80,40 @@ class Analysis:
         return len(effective_directions(self.act))
 
     @cached_property
+    def residue_dimension(self) -> int | None:
+        """dim_Q C/I, None when it is infinite."""
+        return dimension_probe(self.I, bound=1).total_dimension
+
+    @cached_property
     def maximal(self) -> bool:
-        return is_maximal_effective(self.I)
+        """Residue dimension 1, or the caller's flag; the flag is refused
+        unless I is zero-dimensional and radical."""
+        if not self.I.claimed_maximal:
+            return self.residue_dimension == 1
+        if self.residue_dimension is None:
+            raise ValueError("ideal flagged maximal is not zero-dimensional")
+        if self.residue_dimension > 1 and not is_radical(self.I):
+            raise ValueError("ideal flagged maximal is not radical")
+        return True
+
+    @cached_property
+    def prime(self) -> bool:
+        """The flag, refused on the unit ideal and on (f) with a repeated factor."""
+        if self.I.claimed_prime:
+            if self.I.is_unit_ideal():
+                raise ValueError("an ideal flagged prime must be proper, not the unit ideal")
+            if self.repeated_factor:
+                raise ValueError("a principal ideal with a repeated factor is not prime")
+        return self.I.claimed_prime
 
     @cached_property
     def point(self) -> tuple[Fraction, ...] | None:
         return rational_point_of(self.I)
+
+    @cached_property
+    def density(self) -> CriticalDensityReport:
+        """Critical density of the orbit of the rational point."""
+        return critical_density_decide(self.point, self.act)
 
     @cached_property
     def dim(self) -> int:
@@ -108,6 +135,12 @@ class Analysis:
             self._anchors[box] = next(box_walk([box] * self.I.ring.n, zero_test(self.I.gens)), None)
         return self._anchors[box]
 
+    def target(self, radius: int) -> Ideal:
+        """The growth probes' default target: the point ideal of the least
+        integer zero of I in the box of ``radius``, else I itself."""
+        p = self.anchor(radius)
+        return self.I if p is None else point_ideal(self.I.ring, p)
+
     def right(self, H: Lattice | None, box: int):
         """The right ladder with complement H (None: the analysis's own)."""
         key = (box, None if H is None else H.basis)
@@ -123,6 +156,12 @@ def analysis(I: Ideal, act: TranslationAction) -> Analysis:
     if found is None:
         found = I._analyses[act] = Analysis(I, act)
     return found
+
+
+def point_ideal(ring, p) -> Ideal:
+    """m_p, flagged prime and maximal."""
+    gens = [ring.var(i) - ring.const(p[i]) for i in range(ring.n)]
+    return Ideal(ring, gens, claimed_prime=True, claimed_maximal=True)
 
 
 # ---------------------------------------------------------------- Tor_1
@@ -334,9 +373,10 @@ def growth_probe(
 def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     """The test g -> "the g-component is nonzero": of (J : I^g)/J on the
     right, which for J flagged prime says I^g lies in J, and of
-    Tor_1(C/I, C/J^g) on the left.  Rules, in order:
+    Tor_1(C/I, C/J^g) on the left.  The primality flags of I and J are
+    read through their analyses, which refuse false ones first.  Rules, in
+    order:
     - J = 0: (0 : I^g) = 0 unless I = 0, and Tor_1(C/I, C) = 0.
-    - J flagged prime must be proper: the unit ideal so flagged is refused.
     - J = m_p: I^g lies in m_p iff I vanishes at p + A g; m_p^g = m_{p - A g},
       and for I nonzero Tor_1(C/I, C/m) != 0 iff I lies in m (Nakayama).
     - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
@@ -345,8 +385,7 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     - Left, I = (f) and J flagged prime: Tor_1(C/(f), C/P) != 0 iff f lies
       in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
       J^g iff f^{-g} lies in J.
-    - Left, J = (h) and I flagged prime and proper: likewise iff h^g lies
-      in I.
+    - Left, J = (h) and I flagged prime: likewise iff h^g lies in I.
     - Left, dim C/I + dim C/J < n: Tor_1(C/I, C/J^g) != 0 iff I + J^g != C.
       If the sum is the unit ideal, I cap J^g = I*J^g and Tor_1 = 0.
       Otherwise localise at a maximal ideal m over I + J^g: C_m is regular
@@ -358,35 +397,28 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       ideal's dimension is computed once, in its analysis.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
-    - Right otherwise: containment (J prime) or the colon.
-    A primality flag is refused on the unit ideal and on a principal (f)
-    whose f has a repeated factor, since the rules above read it."""
+    - Right otherwise: containment (J prime) or the colon."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    a, b = analysis(I, act), analysis(J, act)
+    I_prime, J_prime = a.prime, b.prime  # refuse a false flag before any rule
     if J.is_zero_ideal():
         return lambda g: side == "right" and I.is_zero_ideal()
-    if J.claimed_prime and J.is_unit_ideal():
-        raise ValueError("an ideal flagged prime must be proper, not the unit ideal")
-    for P in (I, J):
-        if P.claimed_prime and analysis(P, act).repeated_factor:
-            raise ValueError(REPEATED_FACTOR)
-    p = analysis(J, act).point
-    if p is not None:
+    if b.point is not None:
         sign = 1 if side == "right" else -1
-        return zero_test(I.gens, p, [[sign * x for x in row] for row in act.matrix])
-    if J.claimed_prime and (side == "right" or I.is_principal()) and ideal_equal(I, J):
-        return analysis(I, act).K.contains
+        return zero_test(I.gens, b.point, [[sign * x for x in row] for row in act.matrix])
+    if J_prime and (side == "right" or I.is_principal()) and ideal_equal(I, J):
+        return a.K.contains
     if side == "left":
-        q = analysis(I, act).point
-        if q is not None:
-            return zero_test(J.gens, q, act.matrix)
-        if J.claimed_prime and I.is_principal():
+        if a.point is not None:
+            return zero_test(J.gens, a.point, act.matrix)
+        if J_prime and I.is_principal():
             f = I.groebner_basis()[0]
             return lambda g: J.contains_poly(apply_action(f, tuple(-x for x in g), act))
-        if I.claimed_prime and J.is_principal() and not I.is_unit_ideal():
+        if I_prime and J.is_principal():
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
-        by_dimension = analysis(I, act).dim + analysis(J, act).dim < I.ring.n
+        by_dimension = a.dim + b.dim < I.ring.n
 
         def tor_nonzero(g):
             Jg = act_on_ideal(J, g, act)
@@ -395,7 +427,7 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
             return by_dimension or not tor1_is_zero(I, Jg)
 
         return tor_nonzero
-    if J.claimed_prime:
+    if J_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
     return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
 
@@ -419,10 +451,9 @@ class Verdict:
 def _require_decidable(a: Analysis) -> None:
     if a.I.is_zero_ideal() or a.I.is_unit_ideal():
         raise ValueError("decision needs a proper nonzero ideal")
-    if not (a.maximal or a.I.claimed_prime):  # a.maximal refuses a false flag
+    maximal, prime = a.maximal, a.prime  # each refuses a false flag
+    if not (maximal or prime):
         raise ValueError("decision requires an ideal flagged prime")
-    if a.repeated_factor:
-        raise ValueError(REPEATED_FACTOR)
 
 
 def lattice_payload(L: Lattice) -> list[list[int]]:
@@ -483,7 +514,7 @@ def _right_ladder(a: Analysis, H: Lattice | None, box: int):
         if a.point is not None:
             payload["point"] = [str(c) for c in a.point]
         else:
-            payload["residue_dimension"] = dimension_probe(I, bound=1).total_dimension
+            payload["residue_dimension"] = a.residue_dimension
         return "yes", [Certificate("MaximalRight", payload)], []
     if I.ring.n == 2 and I.is_principal():
         f = I.groebner_basis()[0]
@@ -568,15 +599,14 @@ def decide_left(
     if a.K.rank == act.d:
         return _trivial_complement(a)
     if a.maximal:
-        point = a.point
-        if point is None:
+        if a.point is None:
             answer, certs, sets = _box_evidence_left(a, complement_lattice, box)
             note = "maximal ideal without a rational point; orbit density undecided"
             certs[0].payload["note"] = note
             return answer, certs, sets
-        density = critical_density_decide(point, act)
+        density = a.density
         payload = {
-            "point": [str(c) for c in point],
+            "point": [str(c) for c in a.point],
             "dense": density.dense,
             "orbit_rank": density.orbit_rank,
         }
@@ -611,12 +641,3 @@ def decide(
     sets = right_sets + [s for s in left_sets if s not in right_sets]
     return Verdict(right, left, tuple(certs)), sets
 
-
-def left_witness_ideal(verdict: Verdict, ring) -> Ideal | None:
-    """Reconstruct the trapping line from a density certificate, if present."""
-    for cert in verdict.certificates:
-        if cert.rule == "MaximalLeftCriticalDensity" and not cert.payload.get("dense"):
-            gens = [ring.parse(s) for s in cert.payload.get("witness_line", [])]
-            if gens:
-                return Ideal(ring, gens, claimed_prime=True)
-    return None

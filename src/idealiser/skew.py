@@ -146,7 +146,7 @@ def parse_skew(text: str, action: TranslationAction) -> SkewElement:
 def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
     """(I : I^g): for prime I this is everything when g stabilises I, so
     that I^g lies inside I, otherwise I itself; else a colon quotient."""
-    if I.claimed_prime:
+    if analysis(I, act).prime:
         return unit_ideal(I.ring) if component_test(I, I, act, "right")(g) else I
     return ideal_quotient(I, act_on_ideal(I, g, act))
 
@@ -182,6 +182,6 @@ class IdealiserPresentation:
 
 
 def presentation_R_mod_IB(I: Ideal, act: TranslationAction) -> IdealiserPresentation:
-    if not I.claimed_prime:
+    if not analysis(I, act).prime:
         raise ValueError("presentation requires an ideal flagged prime")
     return IdealiserPresentation(I, analysis(I, act).K, act, dimension_probe(I))

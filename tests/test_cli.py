@@ -477,23 +477,43 @@ def _count_calls(monkeypatch, modules, names) -> dict:
     for module in modules:
         for name in names:
             if hasattr(module, name):
-                def counted(*args, _fn=getattr(module, name), _name=name):
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                     calls[_name] += 1
-                    return _fn(*args)
+                    return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("generator", ["x^2 - 7*y^2 - 1", "y^2 - x^3"])
-def test_analyze_computes_each_fact_once(capsys, tmp_path, monkeypatch, generator):
+@pytest.mark.parametrize(
+    "generators",
+    [
+        pytest.param(["x^2 - 7*y^2 - 1"], id="x^2 - 7*y^2 - 1"),
+        pytest.param(["y^2 - x^3"], id="y^2 - x^3"),
+        pytest.param(["x - 1", "y - 2"], id="point"),
+        pytest.param(["x - 1", "y - 2", "z + 1"], id="point3"),
+    ],
+)
+def test_analyze_computes_each_fact_once(capsys, tmp_path, monkeypatch, generators):
+    import idealiser.groebner as groebner
     import idealiser.noether as noether
+    from idealiser.poly import PolyRing
 
-    names = ("stabiliser", "complement", "classify_plane_curve", "_right_ladder")
-    calls = _count_calls(monkeypatch, [noether], names)
-    cfg = {**PELL_CFG, "ideal": {"generators": [generator], "claimed_prime": True}}
-    run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
+    names = ("stabiliser", "complement", "_right_ladder", "dimension_probe")
+    calls = _count_calls(monkeypatch, [noether, groebner], names)
+    curves = _count_calls(monkeypatch, [noether], ["classify_plane_curve"])
+    parses = _count_calls(monkeypatch, [PolyRing], ["parse"])
+    variables = ["x", "y", "z"][: max(2, len(generators))]
+    ideal = {"generators": generators, "claimed_prime": True}
+    cfg = {"ring": {"vars": variables}, "ideal": ideal, "options": PELL_CFG["options"]}
+    code, _, _ = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
+    assert code in (0, 2)
+    # dimension_probe runs once: the residue dimension that maximality and MaximalRight read
     assert calls == dict.fromkeys(names, 1)
+    # points are classified by their rational point, curves once
+    assert curves == {"classify_plane_curve": int(len(generators) == 1)}
+    # the density witness is handed on as an ideal, never printed and parsed back
+    assert parses == {"parse": len(generators)}
 
 
 def test_config_sections_must_be_objects(capsys, tmp_path):
@@ -557,3 +577,75 @@ def test_analyze_needs_no_groebner_component_tests(
     cfg = {"ring": {"vars": variables}, "ideal": ideal, "options": options}
     run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
     assert calls == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize(
+    "config, argv, error",
+    [
+        ("{", ["stab"], "error: config is not valid JSON: Expecting property name"),
+        ("[1, 2]", ["stab"], "error: config must be a JSON object\n"),
+        (
+            {**LINE_CFG, "ring": {"vars": ["x", "y"], "order": "revlex"}},
+            ["stab"],
+            "error: unknown order 'revlex' (use 'lex' or 'grevlex')\n",
+        ),
+        (
+            {**LINE_CFG, "action": {"matrix": [["1", "a"], ["0", "1"]]}},
+            ["stab"],
+            "error: bad action matrix entry: Invalid literal for Fraction: 'a'\n",
+        ),
+        ({"ring": {"vars": ["x", "y"]}}, ["stab"], "error: config needs ideal.generators\n"),
+        (LINE_CFG, ["sset", "--point", "1"], "error: point needs 2 coordinates, got 1\n"),
+        (
+            LINE_CFG,
+            ["probe", "--point", "1,a"],
+            "error: bad point coordinate: Invalid literal for Fraction: 'a'\n",
+        ),
+    ],
+    ids=[
+        "invalid-json", "not-an-object", "unknown-order", "bad-matrix-entry",
+        "no-generators", "point-arity", "point-coordinate",
+    ],
+)
+def test_input_errors_exit_one(capsys, tmp_path, config, argv, error):
+    path = tmp_path / "cfg.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    code, out, err = run(capsys, argv[0], "-c", str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "name"), ("ring", "variables"), ("action", "matrx"), ("ideal", "prime"),
+     ("options", "boxes"), ("options", "probe_radius")],
+)
+def test_unknown_config_keys_are_refused(capsys, tmp_path, section, key):
+    cfg = json.loads(json.dumps(PELL_CFG))
+    if section is None:
+        cfg[key] = 1
+    else:
+        cfg[section][key] = [1]
+    code, out, err = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
+    assert (code, out) == (1, "")
+    name = key if section is None else f"{section}.{key}"
+    assert err == f"error: unknown config key '{name}'\n"
+
+
+def test_parser_is_built_once_and_keeps_no_flags(capsys, tmp_path):
+    import idealiser.cli as cli
+
+    pell = _write(tmp_path, "pell.json", PELL_CFG)
+    first = ("probe", "-c", pell, "--radii", "1,2", "--side", "right", "--json")
+    usage = ("probe", "-c", pell, "--side", "up")
+    second = ("probe", "-c", pell, "--radii", "1", "--point", "1,0")
+    alone = []
+    for argv in (first, second):
+        cli._argparser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._argparser.cache_clear()
+    together = [run(capsys, *first), run(capsys, *usage), run(capsys, *second)]
+    assert cli._argparser.cache_info().misses == 1
+    assert together[1][:2] == (1, "") and "invalid choice: 'up'" in together[1][2]
+    assert [together[0], together[2]] == alone
+    assert alone[0][1] != alone[1][1]

@@ -62,6 +62,8 @@ CASES["probe-pell"] = ("pell", ["probe"])
 CASES["probe-circle"] = ("circle", ["probe"])
 CASES["sset-pell-point"] = ("pell", ["sset", "--point", "1,0"])
 CASES["sset-pell-point-json"] = ("pell", ["sset", "--point", "1,0", "--json"])
+# an ideal target: the group elements g in the complement with I^g in the target
+CASES["sset-line-target"] = ("line", ["sset", "--target", "x - 1", "y - 1"])
 # the T-set walks the rank-1 complement; with --full its 4 members share one K-coset
 TSET_POINT = ["tset", "x - 1", "y - 1", "--prime", "--box", "6"]
 CASES["tset-line-point"] = ("line", TSET_POINT)

@@ -12,6 +12,7 @@ from idealiser import (
     Poly,
     PolyRing,
     ResourceLimitError,
+    TranslationAction,
     buchberger,
     dimension_probe,
     exact_divide,
@@ -21,7 +22,7 @@ from idealiser import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
-    is_maximal_effective,
+    is_radical,
     krull_dimension,
     normal_form,
     rational_point_of,
@@ -29,6 +30,7 @@ from idealiser import (
     s_polynomial,
     unit_ideal,
 )
+from idealiser.noether import analysis
 from idealiser.poly import _ElimOrder
 from reference_groebner import chain_reduced_basis
 
@@ -217,19 +219,25 @@ def test_rational_point_extraction():
     assert rational_point_of(Ideal(RING, [X**2 - 2, Y])) is None
 
 
+def maximal(I: Ideal) -> bool:
+    """The maximality the analysis reads, which refuses a false flag."""
+    return analysis(I, TranslationAction.standard(I.ring)).maximal
+
+
 def test_is_maximal_effective():
-    assert is_maximal_effective(Ideal(RING, [X - 1, Y - 2]))
-    assert is_maximal_effective(Ideal(RING, [X, Y], claimed_maximal=True))
-    assert not is_maximal_effective(Ideal(RING, [X]))
+    assert maximal(Ideal(RING, [X - 1, Y - 2]))
+    assert maximal(Ideal(RING, [X, Y], claimed_maximal=True))
+    assert not maximal(Ideal(RING, [X]))
     # zero-dimensional but not maximal: residue dimension 2
-    assert not is_maximal_effective(Ideal(RING, [X**2, Y]))
+    assert not maximal(Ideal(RING, [X**2, Y]))
     # flagged: radical residue rings of dimension above 1 are trusted
-    assert is_maximal_effective(Ideal(RING, [X**2 - 2, Y], claimed_maximal=True))
-    assert is_maximal_effective(Ideal(RING, [X**2 - 1, Y], claimed_maximal=True))
+    assert maximal(Ideal(RING, [X**2 - 2, Y], claimed_maximal=True))
+    assert maximal(Ideal(RING, [X**2 - 1, Y], claimed_maximal=True))
     R3 = PolyRing(("x", "y", "z"))
     X3, Y3, Z3 = R3.var(0), R3.var(1), R3.var(2)
     field = [X3**2 - 2, Y3**2 - 3, Z3 - X3 * Y3]
-    assert is_maximal_effective(Ideal(R3, field, claimed_maximal=True))
+    assert maximal(Ideal(R3, field, claimed_maximal=True))
+    assert is_radical(Ideal(R3, field)) and is_radical(Ideal(RING, [X**2 - 1, Y]))
 
 
 @pytest.mark.parametrize(
@@ -241,8 +249,9 @@ def test_is_maximal_effective():
     ],
 )
 def test_maximality_flag_on_a_non_radical_ideal_is_refused(gens):
+    assert not is_radical(Ideal(RING, gens))
     with pytest.raises(ValueError, match="ideal flagged maximal is not radical"):
-        is_maximal_effective(Ideal(RING, gens, claimed_maximal=True))
+        maximal(Ideal(RING, gens, claimed_maximal=True))
 
 
 def test_maximality_flag_refused_by_the_last_elimination_ideal():
@@ -250,8 +259,9 @@ def test_maximality_flag_refused_by_the_last_elimination_ideal():
     X3, Y3, Z3 = R3.var(0), R3.var(1), R3.var(2)
     # I cap Q[z] is generated by (z^2 - 6)^2; x and y eliminate to squarefree polynomials
     fat = Ideal(R3, [X3**2 - 2, Y3**2 - 3, (Z3 - X3 * Y3) ** 2], claimed_maximal=True)
+    assert not is_radical(fat)
     with pytest.raises(ValueError, match="not radical"):
-        is_maximal_effective(fat)
+        maximal(fat)
 
 
 def test_pair_limit_raises():

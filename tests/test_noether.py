@@ -33,7 +33,7 @@ from idealiser import (
 )
 from idealiser.action import box_walk
 from idealiser.diophantine import zero_test
-from idealiser.noether import analysis, component_test, left_witness_ideal
+from idealiser.noether import analysis, component_test
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -99,6 +99,31 @@ def test_component_test_refuses_a_unit_ideal_flagged_prime(side):
     unit = Ideal(RING, [RING.one()], claimed_prime=True)
     with pytest.raises(ValueError, match="flagged prime must be proper"):
         component_test(PELL, unit, ACT, side)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_component_test_refuses_a_unit_source_flagged_prime(side):
+    unit = Ideal(RING, [RING.one()], claimed_prime=True)
+    with pytest.raises(ValueError, match="flagged prime must be proper"):
+        component_test(unit, point_ideal((1, 2)), ACT, side)
+
+
+FLAG_REFUSALS = (
+    "an ideal flagged prime must be proper, not the unit ideal",
+    "a principal ideal with a repeated factor is not prime",
+    "ideal flagged maximal is not zero-dimensional",
+    "ideal flagged maximal is not radical",
+)
+
+
+def test_flags_are_refused_in_the_analysis_only():
+    package = Path(__file__).resolve().parent.parent / "src" / "idealiser"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    noether = sources["noether.py"]
+    body = noether[noether.index("class Analysis:") : noether.index("\ndef analysis(")]
+    for message in FLAG_REFUSALS:
+        assert sum(text.count(message) for text in sources.values()) == 1, message
+        assert message in body, message
 
 
 def test_tor_with_a_unit_ideal_is_zero():
@@ -273,7 +298,7 @@ def test_verdict_maximal_point():
     assert (v.right, v.left) == ("yes", "no")
     cert = next(c for c in v.certificates if c.rule == "MaximalLeftCriticalDensity")
     assert cert.payload["witness_line"] == ["x - 1"]
-    witness = left_witness_ideal(v, RING)
+    witness = analysis(POINT, ACT).density.witness
     assert witness is not None and witness.contains_poly(X - 1)
 
 
