@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
-from .groebner import Ideal, ideal_equal
+from .groebner import Ideal, _fresh_aux_name, ideal_equal, reduced_groebner_basis
 from .normalforms import column_hermite, kernel_basis, smith_normal_form
-from .poly import Poly, PolyRing
+from .poly import MonomialOrder, Poly, PolyRing, _ElimOrder
 
 GroupElement = tuple[int, ...]
 
@@ -73,6 +73,34 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
         [apply_action(f, g, act) for f in I.gens],
         claimed_prime=I.claimed_prime,
         claimed_maximal=I.claimed_maximal,
+    )
+
+
+def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, ...]:
+    """The reduced basis of E = (I(x) + J(x + A s)) cap Q[s_1..s_d], in the
+    variables s: one elimination under the block order that puts x first.
+    V(E) is the Zariski closure of the s in C^d with A s in V(J) - V(I)."""
+    ring, n, d = I.ring, I.ring.n, act.d
+    aux = _fresh_aux_name(ring)
+    ext = PolyRing(ring.variables + tuple(f"{aux}{j}" for j in range(d)))
+    moved = [
+        sum((a * ext.var(n + j) for j, a in enumerate(row) if a), ext.var(i))
+        for i, row in enumerate(act.matrix)
+    ]
+
+    def at_moved(h: Poly) -> Poly:
+        terms = (c * math.prod(map(pow, moved, m), start=ext.one()) for m, c in h.terms.items())
+        return sum(terms, Poly(ext, {}))
+
+    raw = [Poly(ext, {m + (0,) * d: c for m, c in f.terms.items()}) for f in I.gens]
+    raw += [at_moved(h) for h in J.gens]
+    basis = reduced_groebner_basis(raw, _ElimOrder(n, MonomialOrder.grevlex(d)))
+    sring = PolyRing(ext.variables[n:])
+    # the x-free block of an elimination basis is a reduced basis of E, in order
+    return tuple(
+        Poly(sring, {m[n:]: c for m, c in p.terms.items()})
+        for p in basis
+        if not any(any(m[:n]) for m in p.terms)
     )
 
 

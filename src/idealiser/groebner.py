@@ -279,8 +279,9 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _fresh_aux_name(ring: PolyRing) -> str:
+    """A name that begins no variable of ``ring``, so numbered ones are fresh too."""
     name = "_t"
-    while name in ring.variables:
+    while any(v.startswith(name) for v in ring.variables):
         name = "_" + name
     return name
 

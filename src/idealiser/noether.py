@@ -27,6 +27,7 @@ from .action import (
     apply_action,
     box_walk,
     complement,
+    difference_ideal,
     effective_directions,
     stabiliser,
 )
@@ -386,6 +387,12 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
       J^g iff f^{-g} lies in J.
     - Left, J = (h) and I flagged prime: likewise iff h^g lies in I.
+    - Left otherwise, first: g lies on V(E), for the difference ideal
+      E = (I(x) + J(x + A s)) cap Q[s_1..s_d], one elimination per pair.
+      A proper I + J^g has a zero x on V(I) with x + A g on V(J), so (x, g)
+      is a zero of I(x) + J(x + A s) and g lies on V(E); a g off V(E) has
+      a unit sum, so Tor_1 = 0 as below.  No converse: V(E) is only the
+      closure of those g, so every survivor still gets the sum test.
     - Left, dim C/I + dim C/J < n: Tor_1(C/I, C/J^g) != 0 iff I + J^g != C.
       If the sum is the unit ideal, I cap J^g = I*J^g and Tor_1 = 0.
       Otherwise localise at a maximal ideal m over I + J^g: C_m is regular
@@ -419,8 +426,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
         by_dimension = a.dim + b.dim < I.ring.n
+        meets = zero_test(difference_ideal(I, J, act))
 
         def tor_nonzero(g):
+            if not meets(g):
+                return False
             Jg = act_on_ideal(J, g, act)
             if ideal_sum(I, Jg).is_unit_ideal():
                 return False

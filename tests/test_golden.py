@@ -42,13 +42,15 @@ GALLERY = {
         ["z - 1", "(x - 1)^2 - 7*(y + 1)^2 - 1"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}
     ),
     "twisted_cubic": (["y - x^2", "z - x^3"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}),
+    # the default box 8: a T-set with hundreds of K-cosets
+    "space_conic": (["z - 1", "(x-1)^2 - 2*(y+1)^2 - 1"], PRIME, None, {}),
     # residue field Q(sqrt(2)): maximal, radical, no rational point
     "sqrt2_point": (
         ["x^2 - 2", "y"], {"claimed_maximal": True}, None, {"box": 2, "probe_radii": [1, 2]}
     ),
 }
 XYZ = ["x", "y", "z"]
-VARS = {"point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ}
+VARS = {"point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ}
 
 CASES = {}
 for _name in GALLERY:

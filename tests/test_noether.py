@@ -24,6 +24,7 @@ from idealiser import (
     ideal_intersect,
     ideal_product,
     ideal_quotient,
+    ideal_sum,
     s_set_box,
     stabiliser,
     t_set_box,
@@ -31,7 +32,7 @@ from idealiser import (
     tor1_is_zero,
     unit_ideal,
 )
-from idealiser.action import box_walk
+from idealiser.action import box_walk, difference_ideal
 from idealiser.diophantine import zero_test
 from idealiser.noether import analysis, component_test
 
@@ -541,6 +542,84 @@ def test_conic3_t_set_needs_no_intersection(monkeypatch):
     act = TranslationAction.standard(R3)
     report = t_set_box(conic, conic, analysis(conic, act).H, 2, act)
     assert report.members and calls == []
+
+
+# ---------------------------------------------------- difference variety
+
+LINE3 = Ideal(R3, [X3 - 1 - 2 * (Z3 - 1), Y3 + 1 - (Z3 - 1)], claimed_prime=True)
+CONIC3 = Ideal(R3, [Z3 - 1, (X3 - 1) ** 2 - 2 * (Y3 + 1) ** 2 - 1], claimed_prime=True)
+PARABOLA3 = Ideal(R3, [Z3 + 1 - (X3 - 1) ** 2, Y3 - 1], claimed_prime=True)
+TWISTED3 = Ideal(R3, [Y3 - X3**2, Z3 - X3**3], claimed_prime=True)
+
+
+def _difference_cases():
+    """(label, I, J, act): the four space curves against themselves under
+    the standard action, a pair under a rational A, and pairs with d != n;
+    none reaches the point or principal rules of ``component_test``."""
+    standard = TranslationAction.standard(R3)
+    for label, C in [
+        ("line", LINE3), ("conic", CONIC3), ("parabola", PARABOLA3), ("twisted", TWISTED3)
+    ]:
+        yield label, C, C, standard
+    # the x-axis meets a translate of the twisted cubic at t = 0, and at
+    # t = +-1 when g_2 = -2, as the y-move is halved: E = <y^3 + 8*z^2>
+    x_axis = Ideal(R3, [Y3, Z3], claimed_prime=True)
+    rational = TranslationAction(R3, [[1, 0, 0], [0, "1/2", 0], [0, 0, 1]])
+    yield "rational", TWISTED3, x_axis, rational
+    # d = 2, no y-move: a line in the conic's plane meets it after any x-move
+    in_plane = Ideal(R3, [Z3 - 1, Y3 + 1], claimed_prime=True)
+    yield "d2", CONIC3, in_plane, TranslationAction(R3, [[1, 0], [0, 0], [0, 1]])
+    yield "d4", PARABOLA3, TWISTED3, TranslationAction(R3, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
+
+
+def _proper_sum(I, J, act, g):
+    """The unfiltered test: I + J^g is not the unit ideal."""
+    return not ideal_sum(I, act_on_ideal(J, g, act)).is_unit_ideal()
+
+
+@pytest.mark.parametrize("label", [case[0] for case in _difference_cases()])
+def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
+    import idealiser.noether as noether
+
+    _, I, J, act = next(case for case in _difference_cases() if case[0] == label)
+    meets = zero_test(difference_ideal(I, J, act))
+    radius = 2 if act.d < 4 else 1
+    box = Lattice.standard(act.d).points_in_box(radius)
+    proper = [g for g in box if _proper_sum(I, J, act, g)]
+    assert proper and all(meets(g) for g in proper)
+    assert any(not meets(g) for g in box)  # the filter rejects something
+    # every curve pair here has dim C/I + dim C/J < n, so the T-set is the
+    # proper sums; only the survivors of the filter are translated
+    assert analysis(I, act).dim + analysis(J, act).dim < I.ring.n
+    moved = []
+    monkeypatch.setattr(
+        noether, "act_on_ideal", lambda A, g, a: moved.append(g) or act_on_ideal(A, g, a)
+    )
+    report = t_set_box(I, J, Lattice.standard(act.d), radius, act)
+    assert list(report.members) == proper
+    assert moved == [g for g in box if meets(g)]
+
+
+def test_difference_ideals_of_the_space_curves():
+    """E for each space curve against itself, in the ring's own variables
+    (s_1, s_2, s_3 written x, y, z): the line's direction (2, 1, 1), the
+    directions of the conic's plane z = 1 and of the parabola's plane y = 1,
+    and the twisted cubic's differences (u - t, u^2 - t^2, u^3 - t^3)."""
+    standard = TranslationAction.standard(R3)
+    expected = {
+        "line": [X3 - 2 * Z3, Y3 - Z3],
+        "conic": [Z3],
+        "parabola": [Y3],
+        "twisted": [X3**4 + 3 * Y3**2 - 4 * X3 * Z3],
+    }
+    for label, I, J, act in _difference_cases():
+        if act == standard:
+            E = difference_ideal(I, J, act)
+            assert [p.terms for p in E] == [q.terms for q in expected[label]], label
+    # V(E) is only the closure of the differences: (0, 0, 1) lies on the
+    # twisted cubic's V(E), yet no two points of the curve differ by it
+    assert zero_test(difference_ideal(TWISTED3, TWISTED3, standard))((0, 0, 1))
+    assert not _proper_sum(TWISTED3, TWISTED3, standard, (0, 0, 1))
 
 
 @pytest.mark.parametrize(
