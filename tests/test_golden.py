@@ -59,6 +59,12 @@ for _name in GALLERY:
 GALLERY["two_lines"] = (["x*y"], {}, None, {"box": 1})
 CASES["quotient-table-two_lines"] = ("two_lines", ["quotient-table"])
 CASES["quotient-table-two_lines-json"] = ("two_lines", ["quotient-table", "--json"])
+# a translate of a fat point or a double line is the ideal itself or comaximal with it
+GALLERY["fat_point"] = (["(x - 1)^2", "(x - 1)*(y + 2)", "(y + 2)^2"], {}, None, {"box": 2})
+GALLERY["double_line"] = (["(x - 2*y - 1)^2"], {}, None, {"box": 2})
+for _name in ("fat_point", "double_line"):
+    CASES[f"quotient-table-{_name}"] = (_name, ["quotient-table"])
+    CASES[f"quotient-table-{_name}-json"] = (_name, ["quotient-table", "--json"])
 # probe's default target is the least integer zero in its largest box, or I itself
 CASES["probe-pell"] = ("pell", ["probe"])
 CASES["probe-circle"] = ("circle", ["probe"])
