@@ -312,10 +312,18 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
-    """Colon quotient (J : I) = {c | c*I subset of J}."""
+    """Colon quotient (J : I) = {c | c*I subset of J}.
+
+    Two checks come before any elimination, and hold for every pair.  If I
+    lies in J, the quotient is <1>.  If I + J = <1>, it is J: c*I in J gives
+    c = c*1 in c*I + c*J, inside J.  Only a proper sum that does not contain
+    I goes on to (J : f) = (J cap (f))/f per generator f of I, and to the
+    intersection of those (Cox, Little and O'Shea, IVA, section 4.4)."""
     ring = J.ring
-    if not I.gens:
+    if ideal_contains(J, I):
         return unit_ideal(ring)
+    if Ideal(ring, J.groebner_basis() + I.gens).is_unit_ideal():
+        return J
     result: Ideal | None = None
     for f in I.gens:
         meet = ideal_intersect(Ideal(ring, [f]), J)

@@ -47,6 +47,7 @@ from .groebner import (
     rational_point_of,
 )
 from .linalg import box_bounds
+from .poly import Poly
 
 # ------------------------------------------------------------- analysis
 
@@ -56,16 +57,18 @@ class Analysis:
 
     Stabiliser K, complement H, effective rank, residue dimension, the two
     flags, rational point, orbit density, Krull dimension, repeated factor,
-    plane-curve class, least integer zero per box and the right ladder per
-    box and complement, each computed on first use; ``analysis`` keeps one
-    per action on the ideal.  ``maximal`` and ``prime`` are the only code
-    that refuses a flag, when it is cheap to refute.
+    plane-curve class, least integer zero per box, difference ideal per
+    second ideal and the right ladder per box and complement, each computed
+    on first use; ``analysis`` keeps one per action on the ideal.
+    ``maximal`` and ``prime`` are the only code that refuses a flag, when it
+    is cheap to refute.
     """
 
     def __init__(self, I: Ideal, act: TranslationAction):
         self.I = I
         self.act = act
         self._anchors: dict[int, tuple[int, ...] | None] = {}
+        self._differences: dict = {}
         self._right: dict = {}
 
     @cached_property
@@ -135,6 +138,14 @@ class Analysis:
         if box not in self._anchors:
             self._anchors[box] = next(box_walk([box] * self.I.ring.n, zero_test(self.I.gens)), None)
         return self._anchors[box]
+
+    def difference(self, J: Ideal) -> tuple[Poly, ...]:
+        """The difference ideal E of (I, J) under the action, keyed by the
+        reduced basis of J, so that every test against J shares one."""
+        key = tuple(frozenset(g.terms.items()) for g in J.groebner_basis())
+        if key not in self._differences:
+            self._differences[key] = difference_ideal(self.I, J, self.act)
+        return self._differences[key]
 
     def target(self, radius: int) -> Ideal:
         """The growth probes' default target: the point ideal of the least
@@ -388,7 +399,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       J^g iff f^{-g} lies in J.
     - Left, J = (h) and I flagged prime: likewise iff h^g lies in I.
     - Left otherwise, first: g lies on V(E), for the difference ideal
-      E = (I(x) + J(x + A s)) cap Q[s_1..s_d], one elimination per pair.
+      E = (I(x) + J(x + A s)) cap Q[s_1..s_d], one elimination per pair,
+      kept in the analysis of I.
       A proper I + J^g has a zero x on V(I) with x + A g on V(J), so (x, g)
       is a zero of I(x) + J(x + A s) and g lies on V(E); a g off V(E) has
       a unit sum, so Tor_1 = 0 as below.  No converse: V(E) is only the
@@ -426,7 +438,7 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
         by_dimension = a.dim + b.dim < I.ring.n
-        meets = zero_test(difference_ideal(I, J, act))
+        meets = zero_test(a.difference(J))
 
         def tor_nonzero(g):
             if not meets(g):

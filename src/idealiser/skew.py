@@ -154,7 +154,9 @@ def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Id
 def quotient_table(
     J: Ideal, I: Ideal, act: TranslationAction, box: int
 ) -> dict[GroupElement, Ideal]:
-    """(J : I^g) for all g in the sup-norm box, by honest colon quotients."""
+    """(J : I^g) for all g in the sup-norm box, each from J and I^g alone by
+    ``ideal_quotient``: C when I^g lies in J and J when J + I^g = C, with no
+    elimination; one elimination per generator of I^g otherwise."""
     return {g: ideal_quotient(J, act_on_ideal(I, g, act)) for g in box_walk([box] * act.d)}
 
 

@@ -13,6 +13,7 @@ from idealiser import (
     PolyRing,
     ResourceLimitError,
     TranslationAction,
+    act_on_ideal,
     buchberger,
     dimension_probe,
     exact_divide,
@@ -386,8 +387,76 @@ def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
 
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
     for I, J in cases:
-        ideal_quotient(J, I)
+        # the eliminations of the colon's general route, J cap (f) per generator f
+        for f in I.gens:
+            ideal_intersect(Ideal(I.ring, [f]), J)
         ideal_intersect(I, J)
     assert len(seen) >= 2 * len(cases)
     for gens, order, basis in seen:
         assert basis == chain_reduced_basis(gens, order)
+
+
+def _reference_quotient(J, I):
+    """(J : I) by the general route alone: the intersection over the
+    generators f of I of (J cap (f))/f."""
+    result = None
+    for f in I.gens:
+        meet = ideal_intersect(Ideal(J.ring, [f]), J)
+        colon_f = Ideal(J.ring, [exact_divide(g, f) for g in meet.gens])
+        result = colon_f if result is None else ideal_intersect(result, colon_f)
+    return result
+
+
+def _colon_tables():
+    """(label, J, I^g) over the box-2 tables (I : I^g) of six plane ideals,
+    and a 3-variable pair in the box of radius 1."""
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(i) for i in range(3))
+    plane = {
+        "line": [2 * X - 3 * Y - 1],
+        "conic": [X**2 - 7 * Y**2 - 1],
+        "point": [X - 1, Y - 2],
+        "fat_point": [(X - 1) ** 2, (X - 1) * (Y + 2), (Y + 2) ** 2],
+        "double_line": [(X - 2 * Y - 1) ** 2],
+        "two_lines": [(X - 2 * Y - 1) * (X + Y - 3)],
+    }
+    act = TranslationAction.standard(RING)
+    for label, gens in plane.items():
+        I = Ideal(RING, gens)
+        for g in itertools.product(range(-2, 3), repeat=2):
+            yield label, I, act_on_ideal(I, g, act)
+    J = Ideal(R3, [x - y, z**2 - 1])
+    act3 = TranslationAction.standard(R3)
+    for g in itertools.product(range(-1, 2), repeat=3):
+        yield "space", J, act_on_ideal(Ideal(R3, [x * z - 1, y - z]), g, act3)
+        yield "space", J, act_on_ideal(J, g, act3)
+
+
+def test_colon_quotient_matches_the_general_route(monkeypatch):
+    """Contained and comaximal pairs are settled without an elimination;
+    every quotient's reduced basis equals the general route's."""
+    eliminations = []
+    original = groebner.reduced_groebner_basis
+
+    def recording(gens, order):
+        if isinstance(order, _ElimOrder):
+            eliminations.append(order)
+        return original(gens, order)
+
+    branches = {"contained": 0, "comaximal": 0, "general": 0}
+    for label, J, Ig in _colon_tables():
+        if ideal_contains(J, Ig):
+            branch = "contained"
+        elif ideal_sum(J, Ig).is_unit_ideal():
+            branch = "comaximal"
+        else:
+            branch = "general"
+        branches[branch] += 1
+        monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+        eliminations.clear()
+        got = ideal_quotient(J, Ig)
+        monkeypatch.undo()
+        if branch != "general":
+            assert eliminations == [], (label, Ig)
+        assert got.groebner_basis() == _reference_quotient(J, Ig).groebner_basis(), (label, Ig)
+    assert all(branches.values()), branches

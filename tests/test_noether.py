@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -620,6 +621,27 @@ def test_difference_ideals_of_the_space_curves():
     # twisted cubic's V(E), yet no two points of the curve differ by it
     assert zero_test(difference_ideal(TWISTED3, TWISTED3, standard))((0, 0, 1))
     assert not _proper_sum(TWISTED3, TWISTED3, standard, (0, 0, 1))
+
+
+def test_analyze_eliminates_each_pair_once(tmp_path, capsys, monkeypatch):
+    """A space conic with no integer zero is its own left probe target, so
+    the T-set and the left growth probe test the same pair (I, I)."""
+    import idealiser.noether as noether
+    from idealiser.cli import main
+
+    calls = []
+    monkeypatch.setattr(
+        noether, "difference_ideal", lambda I, J, act: calls.append(J) or difference_ideal(I, J, act)
+    )
+    cfg = {
+        "ring": {"vars": ["x", "y", "z"]},
+        "ideal": {"generators": ["2*z - 1", "x^2 - 2*y^2 - 1"], "claimed_prime": True},
+    }
+    path = tmp_path / "conic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--box", "2", "-c", str(path)]) == 2  # a side is undecided
+    assert "left noetherian: unknown" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
