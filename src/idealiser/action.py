@@ -22,11 +22,21 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
-from .groebner import Ideal, _fresh_aux_name, ideal_equal, reduced_groebner_basis
+from .groebner import (
+    Ideal,
+    ResourceLimitError,
+    _fresh_aux_name,
+    ideal_equal,
+    reduced_groebner_basis,
+)
 from .normalforms import column_hermite, kernel_basis, smith_normal_form
 from .poly import MonomialOrder, Poly, PolyRing, _ElimOrder
 
 GroupElement = tuple[int, ...]
+
+# the most integer vectors one box walk may visit; the largest walks of the
+# tests, goldens and demos visit about 70,000
+WALK_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -87,13 +97,8 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
         sum((a * ext.var(n + j) for j, a in enumerate(row) if a), ext.var(i))
         for i, row in enumerate(act.matrix)
     ]
-
-    def at_moved(h: Poly) -> Poly:
-        terms = (c * math.prod(map(pow, moved, m), start=ext.one()) for m, c in h.terms.items())
-        return sum(terms, Poly(ext, {}))
-
     raw = [Poly(ext, {m + (0,) * d: c for m, c in f.terms.items()}) for f in I.gens]
-    raw += [at_moved(h) for h in J.gens]
+    raw += [h.compose(moved) for h in J.gens]
     basis = reduced_groebner_basis(raw, _ElimOrder(n, MonomialOrder.grevlex(d)))
     sring = PolyRing(ext.variables[n:])
     # the x-free block of an elimination basis is a reduced basis of E, in order
@@ -106,7 +111,11 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
 
 def box_walk(bounds: Sequence[int], test=None) -> Iterator[tuple[int, ...]]:
     """Integer vectors c with |c_j| <= bounds[j], lazily and in increasing
-    order; with ``test``, only those that pass it."""
+    order; with ``test``, only those that pass it.  A box of more than
+    WALK_LIMIT vectors raises ResourceLimitError before any is made."""
+    count = math.prod(2 * b + 1 for b in bounds)
+    if count > WALK_LIMIT:
+        raise ResourceLimitError(f"box walk of {count} points exceeds the budget of {WALK_LIMIT}")
     points = itertools.product(*(range(-b, b + 1) for b in bounds))
     return points if test is None else filter(test, points)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
@@ -77,32 +78,51 @@ def zero_test(
     which with ``box`` must also lie in the sup-norm box of that radius.
     Without base and matrix, c is the point itself.
 
-    Coefficients are scaled to integers once.  Integer points, base and
-    matrix keep the loop in int arithmetic; rational ones go through Fraction.
+    The exact work is done once, when the test is built.  Each generator f
+    is composed with the affine map into g_f(c) = f(base + matrix * c) and
+    scaled by the lcm of its denominators to integer coefficients; its zeros
+    on Z^d are the c whose point is a zero of f.  A g_f that vanishes
+    identically is dropped, so no generators pass every c, and a nonzero
+    constant g_f rejects every c.  With D the common denominator of base and
+    matrix, the point is (P + M c) / D with integral P and M, so the box
+    check compares |P_i + M_i c| with D * box.  The test evaluates integer
+    polynomials at the integer vector c and builds no Fraction.
     """
-    scaled = []
-    for f in gens:
-        denom = math.lcm(*(c.denominator for c in f.terms.values()))
-        scaled.append([(m, int(c * denom)) for m, c in f.terms.items()])
+    inside = None if box is None else (lambda c: all(abs(x) <= box for x in c))
     if matrix is not None:
         base = [Fraction(b) for b in base]
-        matrix = [[Fraction(x) for x in row] for row in matrix]
-        if all(x.denominator == 1 for row in [base] + matrix for x in row):
-            base = [int(b) for b in base]
-            matrix = [[int(x) for x in row] for row in matrix]
+        matrix = [[Fraction(a) for a in row] for row in matrix]
+        if box is not None:
+            D = math.lcm(*(x.denominator for row in [base, *matrix] for x in row))
+            rows = [(int(b * D), [int(a * D) for a in row]) for b, row in zip(base, matrix)]
+            bound = D * box
+            inside = lambda c: all(abs(p + sum(map(mul, row, c))) <= bound for p, row in rows)
+        # a ring needs a variable even for an empty sublattice, where c = ()
+        coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
+        images = [
+            sum((a * coords.var(j) for j, a in enumerate(row) if a), coords.const(b))
+            for b, row in zip(base, matrix)
+        ]
+        gens = [f.compose(images) for f in gens]
+    compiled = []
+    for f in gens:
+        if f.is_zero:
+            continue
+        if f.is_constant():
+            return lambda c: False
+        denom = math.lcm(*(c.denominator for c in f.terms.values()))
+        compiled.append(
+            [(int(c * denom), [(i, e) for i, e in enumerate(m) if e]) for m, c in f.terms.items()]
+        )
 
     def test(c: Sequence[int]) -> bool:
-        point = c
-        if matrix is not None:
-            point = [b + sum(a * x for a, x in zip(row, c)) for b, row in zip(base, matrix)]
-        if box is not None and any(abs(x) > box for x in point):
+        if inside is not None and not inside(c):
             return False
-        for terms in scaled:
+        for terms in compiled:
             total = 0
-            for mono, v in terms:
-                for p, e in zip(point, mono):
-                    if e:
-                        v *= p**e
+            for v, factors in terms:
+                for i, e in factors:
+                    v *= c[i] ** e
                 total += v
             if total:
                 return False

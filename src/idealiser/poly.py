@@ -323,6 +323,27 @@ class Poly:
             total += val
         return total
 
+    def compose(self, images: Sequence["Poly"]) -> "Poly":
+        """Substitute x_i -> images[i]; the images share one ring, and the
+        result lives in it.  Each power of an image is multiplied out once."""
+        if len(images) != self.ring.n:
+            raise ValueError("one image per variable is needed")
+        ring = images[0].ring
+        powers = [[ring.one()] for _ in images]
+
+        def power(i: int, e: int) -> Poly:
+            row = powers[i]
+            while len(row) <= e:
+                row.append(row[-1] * images[i])
+            return row[e]
+
+        out: dict[Monomial, Fraction] = {}
+        for m, c in self.terms.items():
+            term = math.prod((power(i, e) for i, e in enumerate(m) if e), start=ring.const(c))
+            for mm, cc in term.terms.items():
+                out[mm] = out.get(mm, ZERO) + cc
+        return Poly(ring, out)
+
     def translate(self, shift: Sequence[Fraction]) -> "Poly":
         """Substitute x_i -> x_i + shift_i."""
         shift = [Fraction(s) for s in shift]

@@ -10,6 +10,7 @@ from idealiser import (
     Lattice,
     Poly,
     PolyRing,
+    ResourceLimitError,
     TranslationAction,
     act_on_ideal,
     apply_action,
@@ -21,6 +22,7 @@ from idealiser import (
     smith_normal_form,
     stabiliser,
 )
+from idealiser.action import WALK_LIMIT, box_walk
 from idealiser.noether import _group_by_coset
 from idealiser.normalforms import identity_matrix
 from matrix_helpers import det_int, mat_mul_int
@@ -124,6 +126,20 @@ def test_points_in_box():
     # rectangular sublattice of rank 2
     pts2 = Lattice(2, [(2, 0), (0, 3)]).points_in_box(3)
     assert set(pts2) == {(a, b) for a in (-2, 0, 2) for b in (-3, 0, 3)}
+
+
+def test_box_walk_refuses_a_box_over_the_budget():
+    # by the count alone: the refused walks are never started
+    with pytest.raises(ResourceLimitError):
+        box_walk([10**6] * 2)
+    with pytest.raises(ResourceLimitError):
+        Lattice.standard(3).points_in_box(10**4)
+    side = (WALK_LIMIT - 1) // 2
+    assert next(box_walk([side])) == (-side,)
+    with pytest.raises(ResourceLimitError):
+        box_walk([side + 1])
+    with pytest.raises(ResourceLimitError):
+        box_walk([side, 1], lambda c: True)
 
 
 def random_lattices(seed=7, per_rank=4):

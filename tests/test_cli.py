@@ -384,6 +384,13 @@ def test_pair_limit_reaches_the_colon_quotients(capsys, tmp_path):
     assert err.startswith("error: pair budget exceeded")
 
 
+def test_box_over_the_walk_budget_exits_one(capsys, pell_config):
+    # the walk is refused by its count before the first point
+    code, out, err = run(capsys, "quotient-table", "-c", pell_config, "--box", "1000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: box walk of 4000004000001 points exceeds the budget")
+
+
 @pytest.mark.parametrize(
     "section, value, message",
     [

@@ -1,10 +1,13 @@
+import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from idealiser import (
+    Poly,
     PolyRing,
     classify_plane_curve,
     pell_enumerate,
@@ -83,6 +86,92 @@ def test_lattice_points_fraction_offset():
         (0, -3), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (0, 3),
     ]
     assert list(box_walk([3, 3], zero_test([f], (0, 0), IDENTITY))) == []
+
+
+def _random_poly(rng, ring, degree):
+    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.n) if sum(m) <= degree]
+    return Poly(
+        ring, {m: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for m in rng.sample(monos, min(3, len(monos)))}
+    )
+
+
+def test_zero_test_agrees_with_exact_evaluation():
+    """The compiled test against Poly.eval_at at base + matrix * c in Fractions."""
+    rng = random.Random(20261018)
+    entries = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    checked = passed = 0
+    for trial in range(60):
+        n = rng.randint(1, 3)
+        d = rng.randint(1, n + 1)
+        ring = PolyRing(tuple("xyz"[:n]))
+        rational = trial % 2
+        pick = (lambda: rng.choice(entries)) if rational else (lambda: rng.randint(-2, 2))
+        base = [Fraction(pick()) for _ in range(n)]
+        matrix = [[Fraction(pick()) for _ in range(d)] for _ in range(n)]
+        if trial % 3 == 0:
+            matrix[rng.randrange(n)] = [Fraction(0)] * d
+        box = rng.choice((None, 1, 2, 3))
+        c0 = [rng.randint(-2, 2) for _ in range(d)]
+        q = [b + sum(a * x for a, x in zip(row, c0)) for b, row in zip(base, matrix)]
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            f = _random_poly(rng, ring, rng.randint(1, 3))
+            # vanish at the image of c0, so that some c pass
+            gens.append(f - f.eval_at(q))
+        test = zero_test(gens, base, matrix, box)
+        for c in box_walk([2] * d):
+            point = [b + sum(a * x for a, x in zip(row, c)) for b, row in zip(base, matrix)]
+            inside = box is None or all(abs(x) <= box for x in point)
+            expected = inside and all(f.eval_at(point) == 0 for f in gens)
+            assert test(c) == expected, (gens, base, matrix, box, c)
+            checked += 1
+            passed += expected
+        if n == d:
+            # without base and matrix, c is the point itself
+            plain = zero_test(gens, box=box)
+            for c in box_walk([2] * n):
+                inside = box is None or all(abs(x) <= box for x in c)
+                assert plain(c) == (inside and all(f.eval_at(c) == 0 for f in gens))
+    assert passed > 100 and checked - passed > 2000
+
+
+def test_zero_test_edge_cases():
+    every = list(box_walk([2, 2]))
+    # no generators (E = 0): every c passes, inside the window when one is given
+    assert all(zero_test([])(c) for c in every)
+    assert all(zero_test([], (0, 0), IDENTITY)(c) for c in every)
+    assert list(box_walk([2, 2], zero_test([], (Fraction(1, 2), 0), IDENTITY, 1))) == [
+        (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
+    ]
+    # a nonzero constant rejects every c, also one that the affine map makes
+    assert not any(zero_test([RING.const(3)])(c) for c in every)
+    assert not any(zero_test([X - 5], (1, 0), [[0, 0], [1, 1]])(c) for c in every)
+    # a generator that vanishes identically on the image is dropped
+    on_axis = [[1, 0], [0, 0]]
+    assert all(zero_test([Y], (0, 0), on_axis)(c) for c in every)
+    assert list(box_walk([2, 2], zero_test([Y, X - 2], (0, 0), on_axis))) == [
+        (2, -2), (2, -1), (2, 0), (2, 1), (2, 2),
+    ]
+
+
+def test_zero_test_builds_no_fraction_per_point():
+    """The walk of a Pell conic under a 1/3 action calls nothing in fractions.py."""
+    f = X**2 - 7 * Y**2 - 1
+    test = zero_test([f], (1, 0), [[Fraction(1, 3), 0], [0, 1]])
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        zeros = list(box_walk([16, 16], test))
+    finally:
+        sys.setprofile(None)
+    assert calls == 0
+    assert zeros == [(-6, 0), (0, 0)]
 
 
 # -------------------------------------------------------- classification

@@ -135,6 +135,22 @@ def test_translate_matches_evaluation():
             assert moved.eval_at(p) == expected
 
 
+def test_compose_matches_evaluation():
+    rng = random.Random(13)
+    target = PolyRing(("s", "t", "u"))
+    for _ in range(30):
+        f = random_poly(rng, RING)
+        images = [random_poly(rng, target, max_deg=2) for _ in range(2)]
+        composed = f.compose(images)
+        assert composed.ring == target
+        for _ in range(5):
+            p = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3))
+            assert composed.eval_at(p) == f.eval_at([g.eval_at(p) for g in images])
+    assert (X * Y).compose([Y, X]) == X * Y
+    with pytest.raises(ValueError):
+        X.compose([X])
+
+
 def test_translate_is_additive():
     f = X**3 - 2 * X * Y + 5
     assert f.translate((1, 2)).translate((3, -1)) == f.translate((4, 1))
