@@ -90,9 +90,8 @@ def test_lattice_points_fraction_offset():
 
 def _random_poly(rng, ring, degree):
     monos = [m for m in itertools.product(range(degree + 1), repeat=ring.n) if sum(m) <= degree]
-    return Poly(
-        ring, {m: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for m in rng.sample(monos, min(3, len(monos)))}
-    )
+    picked = rng.sample(monos, min(3, len(monos)))
+    return Poly(ring, {m: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for m in picked})
 
 
 def test_zero_test_agrees_with_exact_evaluation():
@@ -152,6 +151,11 @@ def test_zero_test_edge_cases():
     assert list(box_walk([2, 2], zero_test([Y, X - 2], (0, 0), on_axis))) == [
         (2, -2), (2, -1), (2, 0), (2, 1), (2, 2),
     ]
+    # an empty sublattice (d = 0): the one element () tests the base point
+    pell = X**2 - 7 * Y**2 - 1
+    assert zero_test([pell], (1, 0), [[], []])(())
+    assert not zero_test([pell], (2, 0), [[], []])(())
+    assert not zero_test([pell], (1, 0), [[], []], 0)(())
 
 
 def test_zero_test_builds_no_fraction_per_point():
