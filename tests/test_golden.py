@@ -48,9 +48,16 @@ GALLERY = {
     "sqrt2_point": (
         ["x^2 - 2", "y"], {"claimed_maximal": True}, None, {"box": 2, "probe_radii": [1, 2]}
     ),
+    # principal and maximal without a rational point: the left side ends in box evidence,
+    # because conjugation is tried only on ideals that are not maximal
+    "sqrt2_one_var": (
+        ["x^2 - 2"], {"claimed_maximal": True}, None, {"box": 2, "probe_radii": [1, 2]}
+    ),
 }
 XYZ = ["x", "y", "z"]
-VARS = {"point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ}
+VARS = {
+    "point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ, "sqrt2_one_var": ["x"]
+}
 
 CASES = {}
 for _name in GALLERY:
