@@ -5,10 +5,16 @@ whose translate of p stays on V(I); the left-hand criterion counts Tor_1
 obstructions between I and moved primes.  Both sets are unions of cosets of
 the stabiliser K, so reports group their members by K-coset.
 
-The decision ladders only answer yes/no when a theorem-backed rule applies
-(trivial complement, maximal ideal + orbit density, rational line, smooth
-curve of positive genus, Pell conic, graph curve, conjugation for principal
-primes); everything else returns unknown together with exact box evidence.
+The decision ladders only answer yes/no when a theorem-backed rule applies.
+Each side lists its rules in one table: RIGHT_RULES (trivial complement,
+maximal ideal, rational line, smooth curve of positive genus, Pell conic,
+graph curve) and LEFT_RULES (trivial complement, maximal ideal + orbit
+density).  A rule is a function of the Analysis that returns (answer,
+certificate) when it fires and None otherwise, so a new rule is one
+function plus one table entry.  ``_ladder`` runs a table in order; past it,
+the left side of a principal prime that is not maximal copies the right
+answer by conjugation, and everything else returns unknown together with
+exact box evidence.
 """
 
 from __future__ import annotations
@@ -57,9 +63,9 @@ class Analysis:
 
     Stabiliser K, complement H, effective rank, residue dimension, the two
     flags, rational point, orbit density, Krull dimension, repeated factor,
-    plane-curve class, least integer zero per box, difference ideal per
-    second ideal and the right ladder per box and complement, each computed
-    on first use; ``analysis`` keeps one per action on the ideal.
+    plane-curve class, least integer zero per box and difference ideal per
+    second ideal, each computed on first use; ``analysis`` keeps one per
+    action on the ideal.
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
     """
@@ -69,7 +75,6 @@ class Analysis:
         self.act = act
         self._anchors: dict[int, tuple[int, ...] | None] = {}
         self._differences: dict = {}
-        self._right: dict = {}
 
     @cached_property
     def K(self) -> Lattice:
@@ -130,8 +135,11 @@ class Analysis:
         return self.I.is_principal() and has_repeated_factor(self.I.groebner_basis()[0])
 
     @cached_property
-    def curve(self) -> CurveClass:
-        return classify_plane_curve(self.I.groebner_basis()[0])
+    def curve(self) -> CurveClass | None:
+        """The class of a principal plane curve; None for any other ideal."""
+        if self.I.ring.n == 2 and self.I.is_principal():
+            return classify_plane_curve(self.I.groebner_basis()[0])
+        return None
 
     def anchor(self, box: int) -> tuple[int, ...] | None:
         """The least integer zero of I in the sup-norm box, or None."""
@@ -152,14 +160,6 @@ class Analysis:
         integer zero of I in the box of ``radius``, else I itself."""
         p = self.anchor(radius)
         return self.I if p is None else point_ideal(self.I.ring, p)
-
-    def right(self, H: Lattice | None, box: int):
-        """The right ladder with complement H (None: the analysis's own)."""
-        key = (box, None if H is None else H.basis)
-        if key not in self._right:
-            self._right[key] = _right_ladder(self, H, box)
-        answer, certs, sets = self._right[key]
-        return answer, list(certs), list(sets)
 
 
 def analysis(I: Ideal, act: TranslationAction) -> Analysis:
@@ -482,30 +482,131 @@ def lattice_payload(L: Lattice) -> list[list[int]]:
     return [list(v) for v in L.basis]
 
 
-def _box_evidence(side: str, report: LatticeSubsetReport):
-    cert = Certificate(
-        "BoxEvidenceOnly",
-        {
-            "side": side,
-            "box": report.box,
-            "members": [list(m) for m in report.members],
-            "coset_classes": len(report.cosets),
-        },
-    )
-    return "unknown", [cert], [report]
+def trivial_complement(a: Analysis):
+    """K of full rank: the complement is trivial, and both sides are yes."""
+    if a.K.rank != a.act.d:
+        return None
+    payload = {"stabiliser": lattice_payload(a.K), "ambient_rank": a.act.d}
+    return "yes", Certificate("TrivialComplement", payload)
 
 
-def _box_evidence_left(a: Analysis, H: Lattice | None, box: int):
-    report = t_set_box(a.I, a.I, a.H if H is None else H, box, a.act)
-    return _box_evidence("left", report)
+def maximal_right(a: Analysis):
+    if not a.maximal:
+        return None
+    payload: dict = {"stabiliser": lattice_payload(a.K)}
+    if a.point is not None:
+        payload["point"] = [str(c) for c in a.point]
+    else:
+        payload["residue_dimension"] = a.residue_dimension
+    return "yes", Certificate("MaximalRight", payload)
 
 
-def _trivial_complement(a: Analysis):
-    cert = Certificate(
-        "TrivialComplement",
-        {"stabiliser": lattice_payload(a.K), "ambient_rank": a.act.d},
-    )
-    return "yes", [cert], []
+def rational_line(a: Analysis):
+    if a.curve is None or a.curve.tag != "rational_line":
+        return None
+    payload = {"line": str(a.I.groebner_basis()[0]), "stabiliser": lattice_payload(a.K)}
+    return "yes", Certificate("RationalLine", payload)
+
+
+def genus_at_least_one(a: Analysis):
+    cls = a.curve
+    if cls is None or cls.tag != "smooth_high_degree":
+        return None
+    payload = {
+        "curve": str(a.I.groebner_basis()[0]),
+        "degree": cls.degree,
+        "genus": cls.genus,
+        "jacobian_pure_powers": list(cls.jacobian_pure_powers),
+    }
+    return "yes", Certificate("GenusAtLeastOne", payload)
+
+
+def pell_conic(a: Analysis):
+    cls = a.curve
+    if cls is None or cls.tag != "pell_conic" or a.effective_rank != 2:
+        return None
+    sols = pell_enumerate(cls.pell_n, 3)
+    payload = {
+        "n": cls.pell_n,
+        "centre": list(cls.pell_centre),
+        "axis": a.I.ring.variables[cls.pell_axis],
+        "fundamental": [sols[0].x, sols[0].y],
+        "solutions": [[s.x, s.y] for s in sols],
+    }
+    return "no", Certificate("PellConic", payload)
+
+
+def graph_curve(a: Analysis):
+    cls = a.curve
+    if cls is None or cls.tag != "graph_curve" or a.effective_rank != 2:
+        return None
+    q, axis = cls.graph_poly, cls.graph_axis
+    step = math.lcm(*(c.denominator for m, c in q.terms.items() if m[1 - axis] >= 1), 1)
+    samples = []
+    for k in range(3):
+        pt = [str(k * step)] * 2
+        pt[axis] = str(q.eval_at([Fraction(0 if i == axis else k * step) for i in range(2)]))
+        samples.append(pt)
+    payload = {
+        "axis": a.I.ring.variables[axis],
+        "graph_poly": str(q),
+        "step": step,
+        "curve_samples": samples,
+    }
+    return "no", Certificate("GraphCurve", payload)
+
+
+def maximal_left_critical_density(a: Analysis):
+    """A maximal ideal with a rational point p is left yes iff the orbit of
+    p is critically dense; otherwise the witness line shows no."""
+    if not a.maximal or a.point is None:
+        return None
+    density = a.density
+    payload = {
+        "point": [str(c) for c in a.point],
+        "dense": density.dense,
+        "orbit_rank": density.orbit_rank,
+    }
+    if not density.dense:
+        payload["direction"] = list(density.direction)
+        payload["witness_line"] = [str(g) for g in density.witness.gens]
+    return ("yes" if density.dense else "no"), Certificate("MaximalLeftCriticalDensity", payload)
+
+
+RIGHT_RULES = (
+    trivial_complement, maximal_right, rational_line, genus_at_least_one, pell_conic, graph_curve
+)
+LEFT_RULES = (trivial_complement, maximal_left_critical_density)
+
+
+def _ladder(a: Analysis, side: str, H: Lattice | None, box: int, right=None):
+    """The first rule of the side's table that fires; else conjugation,
+    copying ``right`` (or a run of the right ladder); else unknown, with the
+    S-set of the least integer zero of I (or of I) or the T-set of I."""
+    _require_decidable(a)
+    for rule in RIGHT_RULES if side == "right" else LEFT_RULES:
+        fired = rule(a)
+        if fired is not None:
+            answer, cert = fired
+            return answer, [cert], []
+    if side == "left" and a.I.is_principal() and not a.maximal:
+        answer, certs, sets = right or decide_right(a.I, a.act, H, box)
+        payload = {"copied_from": "right", "right_rules": [c.rule for c in certs]}
+        return answer, [Certificate("PrincipalConjugation", payload)] + certs, sets
+    H = a.H if H is None else H
+    if side == "right":
+        report = s_set_box(a.I, a.anchor(box) or a.I, H, box, a.act)
+    else:
+        report = t_set_box(a.I, a.I, H, box, a.act)
+    payload = {
+        "side": side,
+        "box": report.box,
+        "members": [list(m) for m in report.members],
+        "coset_classes": len(report.cosets),
+    }
+    if side == "left" and a.maximal:
+        payload["note"] = "maximal ideal without a rational point; orbit density undecided"
+    return "unknown", [Certificate("BoxEvidenceOnly", payload)], [report]
 
 
 def decide_right(
@@ -514,97 +615,11 @@ def decide_right(
     complement_lattice: Lattice | None = None,
     box: int = 8,
 ) -> tuple[str, list[Certificate], list[LatticeSubsetReport]]:
-    """Right noetherianity of the idealiser of IB.
-
-    Ladder: saturated stabiliser, then maximal ideals (always yes), then the
-    plane-curve classification for principal primes in two variables; the
-    no-verdicts of the classification additionally need a rank-2 translation
-    image, otherwise the integer-point argument does not apply and the
-    answer stays unknown with box evidence.  The analysis runs it once per
-    box and complement.
-    """
-    return analysis(I, act).right(complement_lattice, box)
-
-
-def _right_ladder(a: Analysis, H: Lattice | None, box: int):
-    _require_decidable(a)
-    I, K = a.I, a.K
-    if K.rank == a.act.d:
-        return _trivial_complement(a)
-    if a.maximal:
-        payload: dict = {"stabiliser": lattice_payload(K)}
-        if a.point is not None:
-            payload["point"] = [str(c) for c in a.point]
-        else:
-            payload["residue_dimension"] = a.residue_dimension
-        return "yes", [Certificate("MaximalRight", payload)], []
-    if I.ring.n == 2 and I.is_principal():
-        f = I.groebner_basis()[0]
-        cls = a.curve
-        if cls.tag == "rational_line":
-            cert = Certificate(
-                "RationalLine",
-                {"line": str(f), "stabiliser": lattice_payload(K)},
-            )
-            return "yes", [cert], []
-        if cls.tag == "smooth_high_degree":
-            cert = Certificate(
-                "GenusAtLeastOne",
-                {
-                    "curve": str(f),
-                    "degree": cls.degree,
-                    "genus": cls.genus,
-                    "jacobian_pure_powers": list(cls.jacobian_pure_powers),
-                },
-            )
-            return "yes", [cert], []
-        if cls.tag == "pell_conic" and a.effective_rank == 2:
-            sols = pell_enumerate(cls.pell_n, 3)
-            cert = Certificate(
-                "PellConic",
-                {
-                    "n": cls.pell_n,
-                    "centre": list(cls.pell_centre),
-                    "axis": I.ring.variables[cls.pell_axis],
-                    "fundamental": [sols[0].x, sols[0].y],
-                    "solutions": [[s.x, s.y] for s in sols],
-                },
-            )
-            return "no", [cert], []
-        if cls.tag == "graph_curve" and a.effective_rank == 2:
-            q = cls.graph_poly
-            step = math.lcm(
-                *(
-                    c.denominator
-                    for m, c in q.terms.items()
-                    if m[1 - cls.graph_axis] >= 1
-                ),
-                1,
-            )
-            samples = []
-            for k in range(3):
-                val = q.eval_at(
-                    [
-                        Fraction(0) if i == cls.graph_axis else Fraction(k * step)
-                        for i in range(2)
-                    ]
-                )
-                pt = [None, None]
-                pt[cls.graph_axis] = str(val)
-                pt[1 - cls.graph_axis] = str(k * step)
-                samples.append(pt)
-            cert = Certificate(
-                "GraphCurve",
-                {
-                    "axis": I.ring.variables[cls.graph_axis],
-                    "graph_poly": str(q),
-                    "step": step,
-                    "curve_samples": samples,
-                },
-            )
-            return "no", [cert], []
-    report = s_set_box(I, a.anchor(box) or I, a.H if H is None else H, box, a.act)
-    return _box_evidence("right", report)
+    """Right noetherianity of the idealiser of IB, by the table RIGHT_RULES.
+    Its no-verdicts need a rank-2 translation image for the integer-point
+    argument; unknown comes with the S-set as box evidence.  A new rule is
+    one function plus one table entry."""
+    return _ladder(analysis(I, act), "right", complement_lattice, box)
 
 
 def decide_left(
@@ -613,41 +628,11 @@ def decide_left(
     complement_lattice: Lattice | None = None,
     box: int = 8,
 ) -> tuple[str, list[Certificate], list[LatticeSubsetReport]]:
-    """Left noetherianity: saturated stabiliser, then orbit critical density
-    for maximal ideals, then conjugation symmetry for principal primes, which
-    takes the right ladder's answer, certificates and sets."""
-    a = analysis(I, act)
-    _require_decidable(a)
-    if a.K.rank == act.d:
-        return _trivial_complement(a)
-    if a.maximal:
-        if a.point is None:
-            answer, certs, sets = _box_evidence_left(a, complement_lattice, box)
-            note = "maximal ideal without a rational point; orbit density undecided"
-            certs[0].payload["note"] = note
-            return answer, certs, sets
-        density = a.density
-        payload = {
-            "point": [str(c) for c in a.point],
-            "dense": density.dense,
-            "orbit_rank": density.orbit_rank,
-        }
-        if density.dense:
-            return "yes", [Certificate("MaximalLeftCriticalDensity", payload)], []
-        payload["direction"] = list(density.direction)
-        payload["witness_line"] = [str(g) for g in density.witness.gens]
-        return "no", [Certificate("MaximalLeftCriticalDensity", payload)], []
-    if I.is_principal():
-        answer, certs, sets = a.right(complement_lattice, box)
-        conj = Certificate(
-            "PrincipalConjugation",
-            {
-                "copied_from": "right",
-                "right_rules": [c.rule for c in certs],
-            },
-        )
-        return answer, [conj] + certs, sets
-    return _box_evidence_left(a, complement_lattice, box)
+    """Left noetherianity, by the table LEFT_RULES, then conjugation, which
+    gives a principal prime that is not maximal the right ladder's answer,
+    certificates and sets; unknown comes with the T-set as box evidence.  A
+    new rule is one function plus one table entry."""
+    return _ladder(analysis(I, act), "left", complement_lattice, box)
 
 
 def decide(
@@ -656,10 +641,10 @@ def decide(
     complement_lattice: Lattice | None = None,
     box: int = 8,
 ) -> tuple[Verdict, list[LatticeSubsetReport]]:
-    right, right_certs, right_sets = decide_right(I, act, complement_lattice, box)
-    left, left_certs, left_sets = decide_left(I, act, complement_lattice, box)
+    a = analysis(I, act)
+    right, right_certs, right_sets = outcome = decide_right(I, act, complement_lattice, box)
+    left, left_certs, left_sets = _ladder(a, "left", complement_lattice, box, outcome)
     # conjugation and the trivial complement repeat the right's certificates and sets
     certs = right_certs + [c for c in left_certs if c not in right_certs]
     sets = right_sets + [s for s in left_sets if s not in right_sets]
     return Verdict(right, left, tuple(certs)), sets
-

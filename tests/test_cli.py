@@ -506,7 +506,7 @@ def test_analyze_computes_each_fact_once(capsys, tmp_path, monkeypatch, generato
     import idealiser.noether as noether
     from idealiser.poly import PolyRing
 
-    names = ("stabiliser", "complement", "_right_ladder", "dimension_probe")
+    names = ("stabiliser", "complement", "decide_right", "dimension_probe")
     calls = _count_calls(monkeypatch, [noether, groebner], names)
     curves = _count_calls(monkeypatch, [noether], ["classify_plane_curve"])
     parses = _count_calls(monkeypatch, [PolyRing], ["parse"])

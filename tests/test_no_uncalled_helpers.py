@@ -22,6 +22,8 @@ PACKAGE = ROOT / "src" / "idealiser"
 KEPT = {
     "presentation_R_mod_IB": "the paper's R/IB, as a library entry point",
     "PolyRing.zero": "the ring's additive identity, next to one(), const() and var()",
+    "decide_left": "the left ladder alone, as a library entry point; decide hands its right "
+    "outcome to the ladder driver instead, so conjugation does not rerun the right ladder",
 }
 
 
