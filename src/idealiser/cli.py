@@ -483,8 +483,9 @@ def _argparser() -> argparse.ArgumentParser:
     p.add_argument("target", nargs="+", help="generators of J")
 
     p = add("sset", _cmd_sset, "S-set of the ideal in a box")
-    p.add_argument("--point", help="target point, comma separated")
-    p.add_argument("--target", nargs="+", help="generators of a target prime")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--point", help="target point, comma separated")
+    target.add_argument("--target", nargs="+", help="generators of a target prime")
     p.add_argument("--box", type=int)
     p.add_argument("--full", action="store_true", help="use the full lattice")
 
@@ -508,8 +509,9 @@ def _argparser() -> argparse.ArgumentParser:
     p = add("probe", _cmd_probe, "growth of nonzero components in boxes")
     p.add_argument("--side", choices=("right", "left", "both"), default="both")
     p.add_argument("--radii", help="comma separated radii")
-    p.add_argument("--target", nargs="+", help="generators of the target ideal")
-    p.add_argument("--point", help="target point, comma separated")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--target", nargs="+", help="generators of the target ideal")
+    target.add_argument("--point", help="target point, comma separated")
     p.add_argument("--prime", action="store_true", help="target is known prime")
 
     return ap

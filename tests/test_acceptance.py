@@ -74,36 +74,37 @@ def test_criterion_01_pell_reproduction():
     print(f"criterion 1 PASS: pell fundamental + recurrence ({elapsed:.3f}s)")
 
 
+R1 = PolyRing(("x",))
+# (ideal, action, right, left): the golden verdict table of criterion 2
+VERDICT_TABLE = [
+    (Ideal(RING, [X**2 - 7 * Y**2 - 1], claimed_prime=True), ACT, "no", "no"),
+    (Ideal(RING, [X - 7 * Y**2 - 1], claimed_prime=True), ACT, "no", "no"),
+    (Ideal(RING, [Y**2 - X**3 - X - 1], claimed_prime=True), ACT, "yes", "yes"),
+    (Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True), ACT, "yes", "yes"),
+    (
+        Ideal(RING, [X - 1, Y - 2], claimed_prime=True, claimed_maximal=True),
+        ACT,
+        "yes",
+        "no",
+    ),
+    (
+        Ideal(R1, [R1.var(0) - 5], claimed_prime=True, claimed_maximal=True),
+        TranslationAction.standard(R1),
+        "yes",
+        "yes",
+    ),
+    (
+        Ideal(RING, [X, Y], claimed_prime=True, claimed_maximal=True),
+        TranslationAction(RING, [[1], [0]]),
+        "yes",
+        "no",
+    ),
+]
+
+
 def test_criterion_02_golden_verdict_table():
     t0 = time.perf_counter()
-    R1 = PolyRing(("x",))
-    A1 = TranslationAction.standard(R1)
-    AX = TranslationAction(RING, [[1], [0]])
-    table = [
-        (Ideal(RING, [X**2 - 7 * Y**2 - 1], claimed_prime=True), ACT, "no", "no"),
-        (Ideal(RING, [X - 7 * Y**2 - 1], claimed_prime=True), ACT, "no", "no"),
-        (Ideal(RING, [Y**2 - X**3 - X - 1], claimed_prime=True), ACT, "yes", "yes"),
-        (Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True), ACT, "yes", "yes"),
-        (
-            Ideal(RING, [X - 1, Y - 2], claimed_prime=True, claimed_maximal=True),
-            ACT,
-            "yes",
-            "no",
-        ),
-        (
-            Ideal(R1, [R1.var(0) - 5], claimed_prime=True, claimed_maximal=True),
-            A1,
-            "yes",
-            "yes",
-        ),
-        (
-            Ideal(RING, [X, Y], claimed_prime=True, claimed_maximal=True),
-            AX,
-            "yes",
-            "no",
-        ),
-    ]
-    for I, act, want_right, want_left in table:
+    for I, act, want_right, want_left in VERDICT_TABLE:
         verdict, _ = decide(I, act)
         label = ", ".join(str(g) for g in I.gens)
         assert verdict.right == want_right, f"<{label}> right: {verdict.right}"

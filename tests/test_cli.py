@@ -201,6 +201,13 @@ def test_sset_needs_a_target(capsys, pell_config):
     assert "error" in err
 
 
+def test_sset_refuses_a_point_and_a_target(capsys, pell_config):
+    argv = ("sset", "-c", pell_config, "--point", "1,0", "--target", "x - 1", "y")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
+
+
 def test_tset_command(capsys, tmp_path):
     cfg = tmp_path / "origin.json"
     cfg.write_text(
@@ -246,6 +253,13 @@ def test_probe_command(capsys, pell_config):
     )
     assert code == 0
     assert "counts 2,2,4,10 [growing]" in out
+
+
+def test_probe_refuses_a_point_and_a_target(capsys, pell_config):
+    argv = ("probe", "-c", pell_config, "--radii", "1,2", "--target", "x - 1", "y", "--point", "1,0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from idealiser import (
 )
 from idealiser.action import box_walk, difference_ideal
 from idealiser.diophantine import zero_test
-from idealiser.noether import analysis, component_test
+from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -324,6 +324,35 @@ def test_verdict_trivial_action_saturates():
     v, _ = decide(POINT, act)
     assert (v.right, v.left) == ("yes", "yes")
     assert all(c.rule == "TrivialComplement" for c in v.certificates)
+
+
+def test_every_table_rule_fires_and_every_certificate_names_one():
+    # a rule that fires nowhere, or a certificate no table lists, is a dead or unlisted entry
+    from test_acceptance import VERDICT_TABLE
+    from test_golden import CASES, GALLERY, VARS
+
+    inputs = [(POINT, TranslationAction(RING, [[0, 0], [0, 0]]))]
+    inputs += [(I, act) for I, act, _, _ in VERDICT_TABLE]
+    for name, (gens, flags, matrix, _) in GALLERY.items():
+        if f"analyze-{name}" in CASES:
+            ring = PolyRing(tuple(VARS.get(name, ["x", "y"])))
+            act = TranslationAction(ring, matrix) if matrix else TranslationAction.standard(ring)
+            inputs.append((Ideal(ring, [ring.parse(g) for g in gens], **flags), act))
+    fired = {rule: set() for rule in RIGHT_RULES + LEFT_RULES}
+    produced = set()
+    for I, act in inputs:
+        verdict, _ = decide(I, act, box=2)
+        produced |= {c.rule for c in verdict.certificates}
+        # a rule may assume that the entries before it in its table did not fire
+        for table in (RIGHT_RULES, LEFT_RULES):
+            for rule in table:
+                found = rule(analysis(I, act))
+                if found is not None:
+                    fired[rule].add(found[1].rule)
+                    break
+    assert all(fired.values()), [rule.__name__ for rule, names in fired.items() if not names]
+    named = set().union(*fired.values()) | {"PrincipalConjugation", "BoxEvidenceOnly"}
+    assert produced <= named, produced - named
 
 
 def test_no_verdict_needs_full_rank_translations():
