@@ -482,7 +482,7 @@ def lattice_payload(L: Lattice) -> list[list[int]]:
     return [list(v) for v in L.basis]
 
 
-def trivial_complement(a: Analysis):
+def trivial_complement(a: Analysis) -> tuple[str, Certificate] | None:
     """K of full rank: the complement is trivial, and both sides are yes."""
     if a.K.rank != a.act.d:
         return None
@@ -490,7 +490,7 @@ def trivial_complement(a: Analysis):
     return "yes", Certificate("TrivialComplement", payload)
 
 
-def maximal_right(a: Analysis):
+def maximal_right(a: Analysis) -> tuple[str, Certificate] | None:
     if not a.maximal:
         return None
     payload: dict = {"stabiliser": lattice_payload(a.K)}
@@ -501,14 +501,14 @@ def maximal_right(a: Analysis):
     return "yes", Certificate("MaximalRight", payload)
 
 
-def rational_line(a: Analysis):
+def rational_line(a: Analysis) -> tuple[str, Certificate] | None:
     if a.curve is None or a.curve.tag != "rational_line":
         return None
     payload = {"line": str(a.I.groebner_basis()[0]), "stabiliser": lattice_payload(a.K)}
     return "yes", Certificate("RationalLine", payload)
 
 
-def genus_at_least_one(a: Analysis):
+def genus_at_least_one(a: Analysis) -> tuple[str, Certificate] | None:
     cls = a.curve
     if cls is None or cls.tag != "smooth_high_degree":
         return None
@@ -521,7 +521,7 @@ def genus_at_least_one(a: Analysis):
     return "yes", Certificate("GenusAtLeastOne", payload)
 
 
-def pell_conic(a: Analysis):
+def pell_conic(a: Analysis) -> tuple[str, Certificate] | None:
     cls = a.curve
     if cls is None or cls.tag != "pell_conic" or a.effective_rank != 2:
         return None
@@ -536,7 +536,7 @@ def pell_conic(a: Analysis):
     return "no", Certificate("PellConic", payload)
 
 
-def graph_curve(a: Analysis):
+def graph_curve(a: Analysis) -> tuple[str, Certificate] | None:
     cls = a.curve
     if cls is None or cls.tag != "graph_curve" or a.effective_rank != 2:
         return None
@@ -556,7 +556,7 @@ def graph_curve(a: Analysis):
     return "no", Certificate("GraphCurve", payload)
 
 
-def maximal_left_critical_density(a: Analysis):
+def maximal_left_critical_density(a: Analysis) -> tuple[str, Certificate] | None:
     """A maximal ideal with a rational point p is left yes iff the orbit of
     p is critically dense; otherwise the witness line shows no."""
     if not a.maximal or a.point is None:
