@@ -18,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
-from .poly import Poly, PolyRing, mono_degree
+from .poly import Poly, PolyRing, _integral, mono_degree
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ def zero_test(
             continue
         if f.is_constant():
             return lambda c: False
-        denom = math.lcm(*(c.denominator for c in f.terms.values()))
-        compiled.append(
-            [(int(c * denom), [(i, e) for i, e in enumerate(m) if e]) for m, c in f.terms.items()]
-        )
+        ints = _integral(f.terms)[0]
+        compiled.append([(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in ints.items()])
 
     def test(c: Sequence[int]) -> bool:
         if inside is not None and not inside(c):

@@ -17,16 +17,18 @@ from __future__ import annotations
 import contextvars
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly import (
-    ZERO,
     MonomialOrder,
     Poly,
     PolyRing,
     _ElimOrder,
+    _integral,
+    _scaled,
     mono_degree,
     mono_div,
     mono_divides,
@@ -42,57 +44,84 @@ class ResourceLimitError(RuntimeError):
     """Raised when a basis computation exceeds its pair budget."""
 
 
-def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], Fraction, dict]]:
+def _run_poly(ring: PolyRing, terms: dict) -> Poly:
+    """A Poly on int coefficients as they are; only basis runs make these."""
+    p = object.__new__(Poly)
+    p.ring, p.terms = ring, terms
+    return p
+
+
+def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], int, dict]]:
+    """(lm, lc, integer terms) per nonzero divisor."""
     prepared = []
     for g in basis:
-        if g.is_zero:
-            continue
-        lm, lc = g.leading(order)
-        prepared.append((lm, lc, g.terms))
+        if g.terms:
+            lm, lc = g.leading(order)
+            terms = g.terms if type(lc) is int else _integral(g.terms)[0]
+            prepared.append((lm, terms[lm], terms))
     return prepared
 
 
-def _nf_terms(terms: dict, prepared, order, quotient: dict | None = None) -> dict:
-    """Remainder terms of ``terms`` on division by ``prepared``; with a single
-    divisor, ``quotient`` (when given) collects the quotient's terms."""
-    work = dict(terms)
+def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
+    """Pseudo-reduction of the integer terms ``work`` (consumed) by ``prepared``
+    (Geddes, Czapor and Labahn, 1992, ch. 10): (R, lam), lam*work = R modulo
+    the divisors.  Each step scales by lc/gcd(c, lc) and divides out the
+    content; with one divisor, ``quotient`` collects lam*work's quotient."""
     out: dict = {}
+    num = den = 1
     key = order.key
+    parts = (work, out) if quotient is None else (work, out, quotient)
     while work:
         m = max(work, key=key)
         c = work.pop(m)
         for lm, lc, gterms in prepared:
             if mono_divides(lm, m):
-                factor = c / lc
+                g = math.gcd(c, lc)
+                a, b = (lc // g, c // g) if lc > 0 else (-lc // g, -c // g)  # a*c == b*lc
+                if a != 1:
+                    num *= a
+                    for part in parts:
+                        part.update({k: v * a for k, v in part.items()})
                 q = mono_div(m, lm)
                 if quotient is not None:
-                    quotient[q] = factor
+                    quotient[q] = b
                 for gm, gc in gterms.items():
-                    if gm == lm:
-                        continue
-                    tm = mono_mul(q, gm)
-                    s = work.get(tm, ZERO) - factor * gc
-                    if s:
-                        work[tm] = s
-                    else:
-                        work.pop(tm, None)
+                    if gm != lm:
+                        tm = mono_mul(q, gm)
+                        s = work.get(tm, 0) - b * gc
+                        if s:
+                            work[tm] = s
+                        else:
+                            work.pop(tm, None)
+                content = math.gcd(*work.values(), *out.values(), *(quotient or {}).values())
+                if content > 1:
+                    den *= content
+                    for part in parts:
+                        part.update({k: v // content for k, v in part.items()})
                 break
         else:
             out[m] = c
-    return out
+    return out, Fraction(num, den)
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order=None) -> Poly:
-    """Full remainder of f on division by ``basis``."""
+    """Full remainder of f on division by ``basis``, exact; for int
+    coefficients (a basis run's) its primitive integer multiple."""
     if order is None:
         order = f.ring.order
     prepared = _prepare(basis, order)
-    if not prepared:
+    if not prepared or f.is_zero:
         return f
-    return Poly(f.ring, _nf_terms(f.terms, prepared, order))
+    work, scale = _integral(f.terms)
+    rem, lam = _pseudo_reduce(work, prepared, order)
+    if type(next(iter(f.terms.values()))) is int:
+        return _run_poly(f.ring, rem)
+    return _scaled(f.ring, rem, scale / lam)
 
 
 def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
+    """The S-polynomial of f and g times lc(f)*lc(g), which keeps int
+    coefficients ints."""
     if order is None:
         order = f.ring.order
     lmf, lcf = f.leading(order)
@@ -101,17 +130,13 @@ def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
     qf = mono_div(lcm, lmf)
     qg = mono_div(lcm, lmg)
     # the leading terms cancel; shift and scale the rest of each term dict
-    out = {mono_mul(qf, m): c / lcf for m, c in f.terms.items() if m != lmf}
+    out = {mono_mul(qf, m): lcg * c for m, c in f.terms.items() if m != lmf}
     for m, c in g.terms.items():
-        if m == lmg:
-            continue
-        tm = mono_mul(qg, m)
-        s = out.get(tm, ZERO) - c / lcg
-        if s:
-            out[tm] = s
-        else:
-            del out[tm]
-    return Poly(f.ring, out)
+        if m != lmg:
+            tm = mono_mul(qg, m)
+            out[tm] = out.get(tm, 0) - lcf * c
+    out = {m: c for m, c in out.items() if c}
+    return _run_poly(f.ring, out) if type(lcf) is int else Poly(f.ring, out)
 
 
 def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
@@ -120,7 +145,8 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     filtered by the Gebauer-Moeller update; the pair budget counts the pairs
     that survive it.  S-polynomials are reduced against every element found
     so far: the inactive ones are often the smaller reducers, and under lex
-    orders reducing against the active ones alone swells the coefficients."""
+    orders reducing against the active ones alone swells the coefficients.
+    The elements are primitive integer polynomials until the basis leaves."""
     limit = PAIR_LIMIT.get()
     key = order.key
     polys: list[Poly] = []
@@ -165,7 +191,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
 
     for g in gens:
         if not g.is_zero:
-            add(g.monic(order), int(g.degree()))
+            add(_run_poly(g.ring, _integral(g.terms)[0]), int(g.degree()))
 
     processed = 0
     while pairs:
@@ -175,8 +201,8 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
         sugar, _, i, j, _ = heapq.heappop(pairs)
         r = normal_form(s_polynomial(polys[i], polys[j], order), polys, order)
         if not r.is_zero:
-            add(r.monic(order), max(sugar, int(r.degree())))
-    return [polys[k] for k in active]
+            add(r, max(sugar, int(r.degree())))
+    return [Poly(polys[k].ring, polys[k].terms).monic(order) for k in active]
 
 
 def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
@@ -191,11 +217,12 @@ def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
         lm = g.leading(order)[0]
         if not any(mono_divides(h.leading(order)[0], lm) for h in minimal):
             minimal.append(g)
-    # a single full-reduction pass leaves every monomial irreducible
-    reduced: list[Poly] = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(normal_form(g, others, order).monic(order))
+    # a single full-reduction pass leaves every monomial irreducible; each g
+    # is monic with an irreducible leading term, so each remainder is monic
+    integral = [_run_poly(g.ring, _integral(g.terms)[0]) for g in minimal]
+    reduced = [
+        normal_form(g, integral[:k] + integral[k + 1 :], order) for k, g in enumerate(minimal)
+    ]
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
     return tuple(reduced)
 
@@ -205,10 +232,14 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     order = g.ring.order
+    prepared = _prepare([f], order)
+    work, scale = _integral(g.terms)
     quotient: dict = {}
-    if _nf_terms(g.terms, _prepare([f], order), order, quotient):
+    rem, lam = _pseudo_reduce(work, prepared, order, quotient)
+    if rem:
         raise ValueError("polynomial is not divisible")
-    return Poly(g.ring, quotient)
+    # f is lc(f)/lc(D) times its integer multiple D
+    return _scaled(g.ring, quotient, scale * prepared[0][1] / (lam * f.leading(order)[1]))
 
 
 class Ideal:

@@ -9,7 +9,6 @@ leading-term extraction are deterministic.  Coefficients are plain
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +41,22 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def _integral(terms: Mapping[Monomial, Fraction]) -> tuple[dict, Fraction]:
+    """(P, s) with ``terms`` = s*P, P primitive with int coefficients in the
+    order of ``terms``: s is the gcd of the numerators over the lcm of the
+    denominators.  Int coefficients are read as they are."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    content = math.gcd(*[c.numerator for c in terms.values()])
+    ints = {m: c.numerator // content * (den // c.denominator) for m, c in terms.items()}
+    return ints, Fraction(content, den)
+
+
+def _scaled(ring: "PolyRing", terms: Mapping[Monomial, int], scale: Fraction) -> "Poly":
+    """The Poly of the integer ``terms`` times ``scale``."""
+    num, den = scale.numerator, scale.denominator
+    return Poly(ring, {m: Fraction(c * num, den) for m, c in terms.items()})
 
 
 def _lex_key(perm: tuple[int, ...], exps: Monomial):
@@ -345,34 +360,29 @@ class Poly:
         return Poly(ring, out)
 
     def translate(self, shift: Sequence[Fraction]) -> "Poly":
-        """Substitute x_i -> x_i + shift_i."""
+        """Substitute x_i -> x_i + shift_i: a Taylor shift in one variable at a
+        time (von zur Gathen and Gerhard, 1997), in integers when every shift is."""
         shift = [Fraction(s) for s in shift]
         if len(shift) != self.ring.n:
             raise ValueError("shift dimension mismatch")
-        if all(s == 0 for s in shift):
+        if not any(shift):
             return self
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            options = []
-            for i, e in enumerate(m):
-                if shift[i] == 0 or e == 0:
-                    options.append([(e, Fraction(1))])
-                else:
-                    s = shift[i]
-                    options.append(
-                        [(j, Fraction(math.comb(e, j)) * s ** (e - j)) for j in range(e + 1)]
-                    )
-            for combo in itertools.product(*options):
-                mono = tuple(j for j, _ in combo)
-                coeff = c
-                for _, factor in combo:
-                    coeff *= factor
-                s = out.get(mono, ZERO) + coeff
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return Poly(self.ring, out)
+        terms, scale = self.terms, None
+        if all(s.denominator == 1 for s in shift):
+            terms, scale = _integral(terms)
+            shift = [s.numerator for s in shift]
+        for i, s in [(i, s) for i, s in enumerate(shift) if s]:
+            d = max((m[i] for m in terms), default=0)
+            rows: dict = {}  # the coefficients of x_i^0, ..., x_i^d per monomial in the rest
+            for m, c in terms.items():
+                rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c
+            terms = {}
+            for rest, row in rows.items():
+                for j in range(d):
+                    for k in range(d - 1, j - 1, -1):
+                        row[k] += s * row[k + 1]
+                terms.update((rest[:i] + (e,) + rest[i:], c) for e, c in enumerate(row) if c)
+        return Poly(self.ring, terms) if scale is None else _scaled(self.ring, terms, scale)
 
     # -- printing ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -394,6 +395,104 @@ def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
     assert len(seen) >= 2 * len(cases)
     for gens, order, basis in seen:
         assert basis == chain_reduced_basis(gens, order)
+
+
+def _fraction_remainder(f, basis, order):
+    """Full remainder of f on division by ``basis`` in Fraction arithmetic:
+    the leading term of what is left is divided by the first basis element
+    whose leading monomial divides it, else moved to the remainder."""
+    work, out = dict(f.terms), {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for g in basis:
+            lm, lc = g.leading(order)
+            if all(a <= b for a, b in zip(lm, m)):
+                q = tuple(b - a for a, b in zip(lm, m))
+                for gm, gc in g.terms.items():
+                    if gm != lm:
+                        tm = tuple(a + b for a, b in zip(q, gm))
+                        work[tm] = work.get(tm, 0) - c / lc * gc
+                        if not work[tm]:
+                            del work[tm]
+                break
+        else:
+            out[m] = c
+    return Poly(f.ring, out)
+
+
+def test_engine_matches_the_reference_on_rational_coefficients(monkeypatch):
+    """Generators with denominators 2 to 7: the basis run clears them at its
+    boundary, and its bases equal the reference's in every order; the exact
+    remainder on division by a non-monic rational basis equals the one that
+    Fraction division leaves."""
+    rng = random.Random(77)
+
+    def rational():
+        return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(2, 7))
+
+    remainders = 0
+    for n, perm in ((2, (1, 0)), (3, (2, 0, 1))):
+        ring = PolyRing(("x", "y", "z")[:n])
+        monos = [m for m in itertools.product(range(3), repeat=n) if sum(m) <= 3]
+        orders = [ring.order, MonomialOrder.lex(n), MonomialOrder.grevlex(n, perm), MonomialOrder.lex(n, perm)]
+        for _ in range(8):
+            gens = [Poly(ring, {m: rational() for m in rng.sample(monos, 3)}) for _ in range(rng.randint(2, 3))]
+            assert any(c.denominator > 1 for g in gens for c in g.terms.values())
+            for order in orders:
+                basis = reduced_groebner_basis(gens, order)
+                assert basis == chain_reduced_basis(gens, order), (gens, order)
+                scaled = [rational() * g for g in basis]
+                raw = [rational() * g for g in gens]
+                for _ in range(3):
+                    f = Poly(ring, {m: rational() for m in rng.sample(monos, 4)})
+                    for divisors in (scaled, raw):
+                        nf = normal_form(f, divisors, order)
+                        assert nf == _fraction_remainder(f, divisors, order), (f, divisors, order)
+                        remainders += not nf.is_zero
+    assert remainders >= 100
+
+    seen = []
+    original = groebner.reduced_groebner_basis
+
+    def recording(gens, order):
+        basis = original(gens, order)
+        if isinstance(order, _ElimOrder):
+            seen.append((gens, order, basis))
+        return basis
+
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+    I = Ideal(RING, [Fraction(2, 3) * X**2 - Fraction(5, 7) * Y, Fraction(1, 2) * X * Y - Fraction(3, 5)])
+    J = Ideal(RING, [Fraction(3, 4) * X - Fraction(1, 6) * Y**2 + Fraction(2, 7)])
+    meet = ideal_intersect(I, J)
+    assert len(seen) == 1
+    gens, order, basis = seen[0]
+    assert basis == chain_reduced_basis(gens, order)
+    assert meet.gens and all(I.contains_poly(g) and J.contains_poly(g) for g in meet.gens)
+
+
+def test_lex_katsura_3_calls_fractions_only_at_the_boundary():
+    """Inside a basis run the coefficients are ints.  The calls into
+    fractions.py that the reduced lex basis of Katsura-3 makes come from
+    clearing the denominators of what enters and from the monic Fractions
+    of what leaves, so they stay within a bound per input and output term."""
+    ring, eqs = katsura(3)
+    order = MonomialOrder.lex(ring.n)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        basis = reduced_groebner_basis(eqs, order)
+    finally:
+        sys.setprofile(None)
+    assert basis == chain_reduced_basis(eqs, order)
+    terms = sum(len(g.terms) for g in eqs) + sum(len(g.terms) for g in basis)
+    assert calls <= 20 * terms, (calls, terms)
 
 
 def _reference_quotient(J, I):

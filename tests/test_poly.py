@@ -151,6 +151,30 @@ def test_compose_matches_evaluation():
         X.compose([X])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_translate_equals_composition_with_shifted_variables(n):
+    """The Taylor shift equals f(x_1 + s_1, ..., x_n + s_n) multiplied out by
+    ``compose``, for integral, zero, partly zero and rational shifts."""
+    rng = random.Random(100 + n)
+    ring = PolyRing(("x", "y", "z")[:n])
+    xs = [ring.var(i) for i in range(n)]
+    shifts = [
+        tuple(rng.randint(-4, 4) or 1 for _ in range(n)),  # integral, none zero
+        (0,) * n,
+        (0,) * (n - 1) + (rng.randint(1, 4),),  # integral, all but the last zero
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in range(n)),
+        (Fraction(-3, 2),) + (0,) * (n - 1),  # rational, partly zero
+    ]
+    for _ in range(12):
+        f = random_poly(rng, ring, max_deg=5, max_terms=6)
+        f = f + Fraction(rng.randint(1, 9), rng.randint(2, 7)) * xs[-1] ** 5
+        for shift in shifts:
+            moved = f.translate(shift)
+            assert moved == f.compose([x + s for x, s in zip(xs, shift)]), (f, shift)
+            assert moved.ring == ring
+        assert f.translate(shifts[1]) is f
+
+
 def test_translate_is_additive():
     f = X**3 - 2 * X * Y + 5
     assert f.translate((1, 2)).translate((3, -1)) == f.translate((4, 1))
