@@ -45,7 +45,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def _run_poly(ring: PolyRing, terms: dict) -> Poly:
-    """A Poly on int coefficients as they are; only basis runs make these."""
+    """A Poly on int coefficients as they are, standing for its rational
+    multiples; only basis runs make these."""
     p = object.__new__(Poly)
     p.ring, p.terms = ring, terms
     return p
@@ -76,8 +77,8 @@ def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
         c = work.pop(m)
         for lm, lc, gterms in prepared:
             if mono_divides(lm, m):
-                g = math.gcd(c, lc)
-                a, b = (lc // g, c // g) if lc > 0 else (-lc // g, -c // g)  # a*c == b*lc
+                d = math.gcd(c, lc)
+                a, b = (lc // d, c // d) if lc > 0 else (-lc // d, -c // d)  # a*c == b*lc
                 if a != 1:
                     num *= a
                     for part in parts:
