@@ -45,15 +45,14 @@ class ResourceLimitError(RuntimeError):
 
 
 def _run_poly(ring: PolyRing, terms: dict) -> Poly:
-    """A Poly on int coefficients as they are, standing for its rational
-    multiples; only basis runs make these."""
+    """A Poly on int coefficients, as they are; only basis runs make these.
+    Under the ring's order its terms descend, as a Poly's do."""
     p = object.__new__(Poly)
     p.ring, p.terms = ring, terms
     return p
 
 
 def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], int, dict]]:
-    """(lm, lc, integer terms) per nonzero divisor."""
     prepared = []
     for g in basis:
         if g.terms:
@@ -74,9 +73,9 @@ def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
     parts = (work, out) if quotient is None else (work, out, quotient)
     while work:
         m = max(work, key=key)
-        c = work.pop(m)
         for lm, lc, gterms in prepared:
             if mono_divides(lm, m):
+                c = work[m]
                 d = math.gcd(c, lc)
                 a, b = (lc // d, c // d) if lc > 0 else (-lc // d, -c // d)  # a*c == b*lc
                 if a != 1:
@@ -86,14 +85,13 @@ def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
                 q = mono_div(m, lm)
                 if quotient is not None:
                     quotient[q] = b
-                for gm, gc in gterms.items():
-                    if gm != lm:
-                        tm = mono_mul(q, gm)
-                        s = work.get(tm, 0) - b * gc
-                        if s:
-                            work[tm] = s
-                        else:
-                            work.pop(tm, None)
+                for gm, gc in gterms.items():  # the leading term cancels: a*c - b*lc == 0
+                    tm = mono_mul(q, gm)
+                    s = work.get(tm, 0) - b * gc
+                    if s:
+                        work[tm] = s
+                    else:
+                        del work[tm]
                 content = math.gcd(*work.values(), *out.values(), *(quotient or {}).values())
                 if content > 1:
                     den *= content
@@ -101,21 +99,21 @@ def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
                         part.update({k: v // content for k, v in part.items()})
                 break
         else:
-            out[m] = c
+            out[m] = work.pop(m)
     return out, Fraction(num, den)
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order=None) -> Poly:
     """Full remainder of f on division by ``basis``, exact; for int
-    coefficients (a basis run's) its primitive integer multiple."""
+    coefficients (a basis run's) an integer multiple of it."""
     if order is None:
         order = f.ring.order
     prepared = _prepare(basis, order)
-    if not prepared or f.is_zero:
+    if not any(mono_divides(lm, m) for lm, _, _ in prepared for m in f.terms):
         return f
     work, scale = _integral(f.terms)
     rem, lam = _pseudo_reduce(work, prepared, order)
-    if type(next(iter(f.terms.values()))) is int:
+    if not rem or type(next(iter(f.terms.values()))) is int:
         return _run_poly(f.ring, rem)
     return _scaled(f.ring, rem, scale / lam)
 
@@ -136,7 +134,7 @@ def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
         if m != lmg:
             tm = mono_mul(qg, m)
             out[tm] = out.get(tm, 0) - lcf * c
-    out = {m: c for m, c in out.items() if c}
+    out = {m: out[m] for m in sorted(out, key=order.key, reverse=True) if out[m]}
     return _run_poly(f.ring, out) if type(lcf) is int else Poly(f.ring, out)
 
 
@@ -147,7 +145,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     that survive it.  S-polynomials are reduced against every element found
     so far: the inactive ones are often the smaller reducers, and under lex
     orders reducing against the active ones alone swells the coefficients.
-    The elements are primitive integer polynomials until the basis leaves."""
+    The elements are integer polynomials until the basis leaves."""
     limit = PAIR_LIMIT.get()
     key = order.key
     polys: list[Poly] = []
@@ -203,7 +201,8 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
         r = normal_form(s_polynomial(polys[i], polys[j], order), polys, order)
         if not r.is_zero:
             add(r, max(sugar, int(r.degree())))
-    return [Poly(polys[k].ring, polys[k].terms).monic(order) for k in active]
+    basis = [polys[k] for k in active]
+    return [_scaled(p.ring, p.terms, Fraction(1, p.leading(order)[1])) for p in basis]
 
 
 def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
@@ -218,11 +217,11 @@ def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
         lm = g.leading(order)[0]
         if not any(mono_divides(h.leading(order)[0], lm) for h in minimal):
             minimal.append(g)
-    # a single full-reduction pass leaves every monomial irreducible; each g
-    # is monic with an irreducible leading term, so each remainder is monic
+    # a single full-reduction pass leaves every monomial irreducible
     integral = [_run_poly(g.ring, _integral(g.terms)[0]) for g in minimal]
     reduced = [
-        normal_form(g, integral[:k] + integral[k + 1 :], order) for k, g in enumerate(minimal)
+        normal_form(g, integral[:k] + integral[k + 1 :], order).monic(order)
+        for k, g in enumerate(minimal)
     ]
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
     return tuple(reduced)
@@ -251,7 +250,7 @@ class Ideal:
     when cheaply false.  The reduced basis in the ring's order is cached.
     """
 
-    __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb", "_analyses")
+    __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb", "_divisors", "_analyses")
 
     def __init__(
         self,
@@ -271,6 +270,7 @@ class Ideal:
         self.claimed_prime = bool(claimed_prime)
         self.claimed_maximal = bool(claimed_maximal)
         self._gb: tuple[Poly, ...] | None = None
+        self._divisors: list[Poly] | None = None  # the basis as integer polynomials
         self._analyses: dict = {}
 
     def __repr__(self) -> str:
@@ -282,7 +282,9 @@ class Ideal:
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.groebner_basis(), self.ring.order)
+        if self._divisors is None:
+            self._divisors = [_run_poly(g.ring, _integral(g.terms)[0]) for g in self.groebner_basis()]
+        return normal_form(f, self._divisors, self.ring.order)
 
     def contains_poly(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero

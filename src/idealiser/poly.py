@@ -45,8 +45,7 @@ def mono_degree(a: Monomial) -> int:
 
 def _integral(terms: Mapping[Monomial, Fraction]) -> tuple[dict, Fraction]:
     """(P, s) with ``terms`` = s*P, P primitive with int coefficients in the
-    order of ``terms``: s is the gcd of the numerators over the lcm of the
-    denominators.  Int coefficients are read as they are."""
+    order of ``terms``, and s = gcd(numerators) / lcm(denominators)."""
     den = math.lcm(*[c.denominator for c in terms.values()])
     content = math.gcd(*[c.numerator for c in terms.values()])
     ints = {m: c.numerator // content * (den // c.denominator) for m, c in terms.items()}
@@ -367,10 +366,9 @@ class Poly:
             raise ValueError("shift dimension mismatch")
         if not any(shift):
             return self
-        terms, scale = self.terms, None
-        if all(s.denominator == 1 for s in shift):
-            terms, scale = _integral(terms)
-            shift = [s.numerator for s in shift]
+        integral = all(s.denominator == 1 for s in shift)
+        terms, scale = _integral(self.terms) if integral else (self.terms, None)
+        shift = [s.numerator for s in shift] if integral else shift
         for i, s in [(i, s) for i, s in enumerate(shift) if s]:
             d = max((m[i] for m in terms), default=0)
             rows: dict = {}  # the coefficients of x_i^0, ..., x_i^d per monomial in the rest
