@@ -492,7 +492,7 @@ def test_lex_katsura_3_calls_fractions_only_at_the_boundary():
         sys.setprofile(None)
     assert basis == chain_reduced_basis(eqs, order)
     terms = sum(len(g.terms) for g in eqs) + sum(len(g.terms) for g in basis)
-    assert calls <= 20 * terms, (calls, terms)
+    assert calls <= 10 * terms, (calls, terms)
 
 
 def _reference_quotient(J, I):
