@@ -38,6 +38,12 @@ GroupElement = tuple[int, ...]
 # tests, goldens and demos visit about 70,000
 WALK_LIMIT = 10**6
 
+# the primes of box_walk's residue sieve, and the least range of the last
+# coordinate that it sieves: tabulating the residues costs about as much as
+# testing 13 x 13 points of a plane curve, so smaller boxes test every point
+SIEVE_PRIMES = (2, 3, 5, 7)
+SIEVE_MIN_RANGE = 13
+
 
 @dataclass(frozen=True)
 class TranslationAction:
@@ -112,12 +118,51 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
 def box_walk(bounds: Sequence[int], test=None) -> Iterator[tuple[int, ...]]:
     """Integer vectors c with |c_j| <= bounds[j], lazily and in increasing
     order; with ``test``, only those that pass it.  A box of more than
-    WALK_LIMIT vectors raises ResourceLimitError before any is made."""
+    WALK_LIMIT vectors raises ResourceLimitError before any is made.  When
+    the test carries residues (``zero_test``'s) and the last coordinate
+    takes at least SIEVE_MIN_RANGE values, the walk is sieved: only the c
+    whose last coordinate is a residue mod every prime of SIEVE_PRIMES get
+    the exact test.  The sieve drops only vectors at which some integer
+    composite is nonzero mod a prime, so the walk yields the same vectors."""
     count = math.prod(2 * b + 1 for b in bounds)
     if count > WALK_LIMIT:
         raise ResourceLimitError(f"box walk of {count} points exceeds the budget of {WALK_LIMIT}")
-    points = itertools.product(*(range(-b, b + 1) for b in bounds))
-    return points if test is None else filter(test, points)
+    ranges = [range(-b, b + 1) for b in bounds]
+    if test is None:
+        return itertools.product(*ranges)
+    if not hasattr(test, "residues") or not ranges or len(ranges[-1]) < SIEVE_MIN_RANGE:
+        return filter(test, itertools.product(*ranges))
+    return _sieved_walk(ranges, test)
+
+
+def _sieved_walk(ranges, test) -> Iterator[tuple[int, ...]]:
+    """The vectors of ``box_walk`` that pass ``test``, in the same order.
+    Bit i of a mask stands for the last coordinate lo + i.  Per head of the
+    first coordinates, the masks of the residues mod each prime are ANDed,
+    and each set bit, in increasing order, gets the exact test."""
+    *heads, last = ranges
+    lo, width = last.start, len(last)
+    full = (1 << width) - 1
+    classes = []  # per prime q and residue r: the bits i with lo + i = r mod q
+    for q in SIEVE_PRIMES:
+        period = sum(1 << i for i in range(0, width, q))
+        classes.append([(period << (r - lo) % q) & full for r in range(q)])
+    masks: list[dict] = [{} for _ in SIEVE_PRIMES]  # per prime q: head mod q -> its bits
+    # the heads mod each q, in the order of the heads
+    mods = [itertools.product(*([h % q for h in r] for r in heads)) for q in SIEVE_PRIMES]
+    for head, *keys in zip(itertools.product(*heads), *mods):
+        bits = full
+        for q, key, known, cls in zip(SIEVE_PRIMES, keys, masks, classes):
+            mask = known.get(key)
+            if mask is None:
+                mask = known[key] = sum(cls[r] for r in test.residues(q, head))
+            bits &= mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            c = head + (lo + low.bit_length() - 1,)
+            if test(c):
+                yield c
 
 
 class Lattice:

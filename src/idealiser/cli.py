@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .action import Lattice, TranslationAction
@@ -253,13 +253,16 @@ def _cmd_analyze(args) -> int:
     verdict, sets = decide(I, act, box=box)
     a = analysis(I, act)
     target = a.target(box)
-    # the left probe runs against the line that traps the orbit, if the left ladder found one
-    trapped = any(c.rule == "MaximalLeftCriticalDensity" for c in verdict.certificates)
-    witness = a.density.witness if trapped else None
-    probes = [
-        growth_probe(I, target, act, "right", radii),
-        growth_probe(I, witness or target, act, "left", radii),
-    ]
+    right = growth_probe(I, target, act, "right", radii)
+    # the left probe runs against the line that traps the orbit, if the left ladder found
+    # one; against a point target it is the right probe under g -> -g (see growth_probe)
+    if any(c.rule == "MaximalLeftCriticalDensity" for c in verdict.certificates):
+        left = growth_probe(I, a.density.witness, act, "left", radii)
+    elif analysis(target, act).point is not None:
+        left = replace(right, side="left")
+    else:
+        left = growth_probe(I, target, act, "left", radii)
+    probes = [right, left]
     elapsed = time.perf_counter() - t0
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
-from .poly import Poly, PolyRing, _integral, mono_degree
+from .poly import Poly, PolyRing, _integral, _taylor_shift, mono_degree
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,25 @@ def zero_test(
     The exact work is done once, when the test is built.  Each generator f
     is composed with the affine map into g_f(c) = f(base + matrix * c) and
     scaled by the lcm of its denominators to integer coefficients; its zeros
-    on Z^d are the c whose point is a zero of f.  A g_f that vanishes
-    identically is dropped, so no generators pass every c, and a nonzero
-    constant g_f rejects every c.  With D the common denominator of base and
-    matrix, the point is (P + M c) / D with integral P and M, so the box
-    check compares |P_i + M_i c| with D * box.  The test evaluates integer
-    polynomials at the integer vector c and builds no Fraction.
+    on Z^d are the c whose point is a zero of f.  For the identity matrix
+    and an integral base, g_f is the integer Taylor shift of f by the base.
+    A g_f that vanishes identically is dropped, so no generators pass every
+    c, and a nonzero constant g_f rejects every c.  With D the common
+    denominator of base and matrix, the point is (P + M c) / D with integral
+    P and M, so the box check compares |P_i + M_i c| with D * box.  The test
+    evaluates integer polynomials at the integer vector c and builds no
+    Fraction.
+
+    The test also carries ``test.residues(q, head)``: the t in 0..q-1 at
+    which every g_f vanishes mod the prime q at c = head + (t,), a list
+    that depends on head mod q only.  An integer zero of
+    g_f is a zero mod every q, so a walk that skips the other residues
+    (``box_walk``, as Stoll's ratpoints does) drops no c that passes.
     """
     inside = None if box is None else (lambda c: all(abs(x) <= box for x in c))
-    if matrix is not None:
+    if matrix is None:
+        composites = [_integral(f.terms)[0] for f in gens]
+    else:
         base = [Fraction(b) for b in base]
         matrix = [[Fraction(a) for a in row] for row in matrix]
         if box is not None:
@@ -97,21 +107,25 @@ def zero_test(
             rows = [(int(b * D), [int(a * D) for a in row]) for b, row in zip(base, matrix)]
             bound = D * box
             inside = lambda c: all(abs(p + sum(map(mul, row, c))) <= bound for p, row in rows)
-        # a ring needs a variable even for an empty sublattice, where c = ()
-        coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
-        images = [
-            sum((a * coords.var(j) for j, a in enumerate(row) if a), coords.const(b))
-            for b, row in zip(base, matrix)
-        ]
-        gens = [f.compose(images) for f in gens]
+        identity = [[int(i == j) for j in range(len(base))] for i in range(len(base))]
+        if matrix == identity and all(b.denominator == 1 for b in base):
+            shift = [b.numerator for b in base]
+            composites = [_taylor_shift(_integral(f.terms)[0], shift) for f in gens]
+        else:
+            # a ring needs a variable even for an empty sublattice, where c = ()
+            coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
+            images = [
+                sum((a * coords.var(j) for j, a in enumerate(row) if a), coords.const(b))
+                for b, row in zip(base, matrix)
+            ]
+            composites = [_integral(f.compose(images).terms)[0] for f in gens]
     compiled = []
-    for f in gens:
-        if f.is_zero:
+    for terms in composites:
+        if not terms:
             continue
-        if f.is_constant():
+        if not any(map(any, terms)):  # a nonzero constant
             return lambda c: False
-        ints = _integral(f.terms)[0]
-        compiled.append([(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in ints.items()])
+        compiled.append([(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in terms.items()])
 
     def test(c: Sequence[int]) -> bool:
         if inside is not None and not inside(c):
@@ -126,6 +140,29 @@ def zero_test(
                 return False
         return True
 
+    def residues(q: int, head: Sequence[int]) -> list[int]:
+        last, found = len(head), range(q)
+        for terms in compiled:
+            row: dict[int, int] = {}  # the coefficients of g_f(head, t) by powers of t
+            for v, factors in terms:
+                k = 0
+                for i, e in factors:
+                    if i == last:
+                        k = e
+                    else:
+                        v *= head[i] ** e
+                row[k] = row.get(k, 0) + v
+            kept = []
+            for t in found:
+                total = 0
+                for k, v in row.items():
+                    total += v * t**k
+                if not total % q:
+                    kept.append(t)
+            found = kept
+        return found
+
+    test.residues = residues
     return test
 
 

@@ -360,17 +360,33 @@ def growth_probe(
     radii: Sequence[int],
 ) -> GrowthProbe:
     """Count nonzero graded components of the comparison module in growing
-    boxes: (J : I^g)/J on the right, Tor_1(C/I, C/J^g) on the left."""
+    boxes: (J : I^g)/J on the right, Tor_1(C/I, C/J^g) on the left.  Each
+    K-coset class enters the count at the least sup-norm of its members.
+
+    Against a point target J = m_p the two sides are mirror images.  The
+    right member test is p + A g in V(I), the left one p - A g in V(I)
+    (``component_test``), so the left members are the negatives of the
+    right ones.  As K = -K, g -> -g maps each K-coset onto a K-coset and
+    keeps the sup-norm of every member, hence the least norm of each class:
+    the left probe is the right one with ``side="left"``, and ``analyze``
+    builds it without a second walk.
+
+    When the member test is membership in K (J = I flagged prime), the
+    members in a box are K itself cut to the box: one class, which holds 0,
+    so its least norm is 0 and it counts once at every radius.  The probe
+    then reads counts of 1 without a walk."""
     nonzero = component_test(I, J, act, side)
     radii = tuple(sorted(set(int(r) for r in radii)))
     if not radii:
         raise ValueError("need at least one radius")
     K = analysis(I, act).K
-    # each K-coset class enters the count at the least norm of its members
     least: dict[GroupElement, int] = {}
-    for g in box_walk([radii[-1]] * act.d, nonzero):
-        key, norm = K.reduce(g)[1], max(map(abs, g))
-        least[key] = min(norm, least.get(key, norm))
+    if nonzero == K.contains:  # the bound method of this K, from component_test
+        least[(0,) * act.d] = 0
+    else:
+        for g in box_walk([radii[-1]] * act.d, nonzero):
+            key, norm = K.reduce(g)[1], max(map(abs, g))
+            least[key] = min(norm, least.get(key, norm))
     counts = [sum(norm <= r for norm in least.values()) for r in radii]
     flag = "growing" if len(counts) >= 2 and counts[-1] > counts[-2] else "stabilising"
     return GrowthProbe(

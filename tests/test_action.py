@@ -22,7 +22,8 @@ from idealiser import (
     smith_normal_form,
     stabiliser,
 )
-from idealiser.action import WALK_LIMIT, box_walk
+from idealiser.action import SIEVE_MIN_RANGE, WALK_LIMIT, box_walk
+from idealiser.diophantine import zero_test
 from idealiser.noether import _group_by_coset
 from idealiser.normalforms import identity_matrix
 from matrix_helpers import det_int, mat_mul_int
@@ -140,6 +141,66 @@ def test_box_walk_refuses_a_box_over_the_budget():
         box_walk([side + 1])
     with pytest.raises(ResourceLimitError):
         box_walk([side, 1], lambda c: True)
+    # a sieved walk too, before its residues are read
+    with pytest.raises(ResourceLimitError):
+        box_walk([side, 1], zero_test([X - Y]))
+
+
+def _counting(test):
+    """``test`` with its calls recorded, and its residues kept for the sieve."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return test(c)
+
+    if hasattr(test, "residues"):
+        counted.residues = test.residues
+    return counted, calls
+
+
+def test_sieved_walk_yields_the_plain_filter_in_order():
+    """Seeded: box_walk with a zero test equals filter(test, product(...)),
+    in order, over d = 1..3, integral and rational base and matrix, with and
+    without a box window, and last ranges on both sides of SIEVE_MIN_RANGE."""
+    rng = random.Random(20261018)
+    entries = (0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+    rings = [PolyRing(tuple("xyz"[:n])) for n in (1, 2, 3)]
+    sieved = plain = zeros = tested = walked = 0
+    for trial in range(150):
+        ring = rings[rng.randrange(3)]
+        n, d = ring.n, rng.randint(1, 3)
+        rational = trial % 2
+        pick = (lambda: rng.choice(entries)) if rational else (lambda: rng.randint(-3, 3))
+        base = [Fraction(pick()) for _ in range(n)]
+        if trial % 5 == 0 and d == n:
+            matrix = [[Fraction(i == j) for j in range(d)] for i in range(n)]  # a pure translation
+        else:
+            matrix = [[Fraction(pick()) for _ in range(d)] for _ in range(n)]
+        box = rng.choice((None, None, 2, 5))
+        bounds = [rng.randint(0, 3) for _ in range(d - 1)]
+        bounds.append(rng.choice((1, 4, SIEVE_MIN_RANGE // 2, 9, 16)))
+        c0 = [rng.randint(-b, b) for b in bounds]
+        point = [b + sum(a * x for a, x in zip(row, c0)) for b, row in zip(base, matrix)]
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            f = random_poly(rng, ring)
+            gens.append(f - f.eval_at(point))  # vanishes at the image of c0
+        test = zero_test(gens, base, matrix, box)
+        expected = list(filter(test, itertools.product(*(range(-b, b + 1) for b in bounds))))
+        counted, calls = _counting(test)
+        assert list(box_walk(bounds, counted)) == expected, (gens, base, matrix, box, bounds)
+        size = math.prod(2 * b + 1 for b in bounds)
+        if 2 * bounds[-1] + 1 >= SIEVE_MIN_RANGE:
+            sieved += 1
+            tested += len(calls)
+            walked += size
+        else:
+            plain += 1
+            assert len(calls) == size
+        zeros += len(expected)
+    # the sieve is used, and spares most of the exact tests
+    assert sieved > 50 and plain > 20 and zeros > 200 and 4 * tested < walked
 
 
 def random_lattices(seed=7, per_rank=4):

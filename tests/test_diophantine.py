@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import time
@@ -13,7 +14,7 @@ from idealiser import (
     pell_enumerate,
     pell_fundamental,
 )
-from idealiser.action import box_walk
+from idealiser.action import SIEVE_MIN_RANGE, SIEVE_PRIMES, box_walk
 from idealiser.diophantine import zero_test
 
 RING = PolyRing(("x", "y"))
@@ -159,23 +160,107 @@ def test_zero_test_edge_cases():
 
 
 def test_zero_test_builds_no_fraction_per_point():
-    """The walk of a Pell conic under a 1/3 action calls nothing in fractions.py."""
+    """The walk of a Pell conic under a 1/3 action calls nothing in fractions.py,
+    sieved (box 16) or testing every point (box 2)."""
     f = X**2 - 7 * Y**2 - 1
     test = zero_test([f], (1, 0), [[Fraction(1, 3), 0], [0, 1]])
-    calls = 0
+    assert 2 * 16 + 1 >= SIEVE_MIN_RANGE > 2 * 2 + 1
+    for bounds, expected in (([16, 16], [(-6, 0), (0, 0)]), ([2, 2], [(0, 0)])):
+        calls = tests = 0
 
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
-            calls += 1
+        def count(frame, event, arg):
+            nonlocal calls, tests
+            if event == "call":
+                calls += frame.f_code.co_filename.endswith("fractions.py")
+                tests += frame.f_code is test.__code__
 
-    sys.setprofile(count)
-    try:
-        zeros = list(box_walk([16, 16], test))
-    finally:
-        sys.setprofile(None)
-    assert calls == 0
-    assert zeros == [(-6, 0), (0, 0)]
+        sys.setprofile(count)
+        try:
+            zeros = list(box_walk(bounds, test))
+        finally:
+            sys.setprofile(None)
+        assert calls == 0
+        assert zeros == expected
+        # the sieved walk tests a few candidates, the small box every point
+        assert (tests < 33 * 33 // 10) if bounds[0] == 16 else (tests == 25)
+
+
+def _residues_by_definition(f, q, head):
+    """The t in 0..q-1 with f(head, t) = 0 mod q, for f with integer coefficients."""
+    return [t for t in range(q) if f.eval_at([*head, t]).numerator % q == 0]
+
+
+def test_zero_test_residues_are_the_zeros_mod_each_prime():
+    rng = random.Random(20261019)
+    checked = 0
+    for _ in range(40):
+        f = _random_poly(rng, RING, rng.randint(1, 4))
+        f = f * math.lcm(*(c.denominator for c in f.terms.values()))
+        content = math.gcd(*(c.numerator for c in f.terms.values()))
+        if f.is_constant() or content != 1:
+            continue  # zero_test divides out the content, which could hide a zero mod q
+        test = zero_test([f])
+        for q in SIEVE_PRIMES:
+            for h in range(q):
+                assert list(test.residues(q, (h,))) == _residues_by_definition(f, q, (h,))
+                checked += 1
+    assert checked > 300
+    # x^3 - x vanishes at every residue mod 2 and mod 3; the sieve then passes every t
+    one = PolyRing(("x",))
+    cubic = one.var(0) ** 3 - one.var(0)
+    test = zero_test([cubic])
+    assert [list(test.residues(q, ())) for q in SIEVE_PRIMES] == [
+        [0, 1], [0, 1, 2], [0, 1, 4], [0, 1, 6]
+    ]
+    assert list(box_walk([20], test)) == [(-1,), (0,), (1,)]
+    # in the last of two coordinates, with the first free
+    test = zero_test([Y**3 - Y])
+    assert list(box_walk([1, 20], test)) == [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+
+
+def test_sieved_walk_edge_cases():
+    wide = [3, 20]
+    every = list(itertools.product(range(-3, 4), range(-20, 21)))
+    # a nonzero constant composite, also one that the affine map makes, and one divisible by 2*3*5*7
+    for test in (
+        zero_test([RING.const(3)]),
+        zero_test([X - 5], (1, 0), [[0, 0], [1, 1]]),
+        zero_test([RING.const(210)]),
+    ):
+        assert list(box_walk(wide, test)) == []
+    # no generators: every c passes, inside the window when one is given
+    assert list(box_walk(wide, zero_test([]))) == every
+    window = zero_test([], (Fraction(1, 2), 0), [[1, 0], [0, 1]], 6)
+    assert list(box_walk(wide, window)) == [c for c in every if abs(c[1]) <= 6]
+    # empty bounds: the one element () tests the base point
+    pell = X**2 - 7 * Y**2 - 1
+    assert list(box_walk([], zero_test([pell], (1, 0), [[], []]))) == [()]
+    assert list(box_walk([], zero_test([pell], (2, 0), [[], []]))) == []
+    # a last range just below the threshold walks every point, just above it is sieved
+    for half in (SIEVE_MIN_RANGE // 2 - 1, SIEVE_MIN_RANGE // 2 + 1):
+        test = zero_test([pell], (0, 0), [[1, 0], [0, 1]])
+        points = itertools.product(range(-8, 9), range(-half, half + 1))
+        assert list(box_walk([8, half], test)) == list(filter(test, points))
+
+
+def test_zero_test_of_an_integral_translation_agrees_with_exact_evaluation():
+    """Identity matrix and integral base: the composites come from the Taylor shift."""
+    rng = random.Random(20261020)
+    passed = 0
+    for n in (1, 2, 3, 3):
+        ring = PolyRing(tuple("xyz"[:n]))
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(5):
+            base = [rng.randint(-4, 4) for _ in range(n)]
+            c0 = [rng.randint(-2, 2) for _ in range(n)]
+            f = _random_poly(rng, ring, rng.randint(1, 4))
+            f = f - f.eval_at([b + x for b, x in zip(base, c0)])
+            test = zero_test([f], base, identity)
+            for c in box_walk([2] * n):
+                expected = f.eval_at([b + x for b, x in zip(base, c)]) == 0
+                assert test(c) == expected, (f, base, c)
+                passed += expected
+    assert passed >= 20
 
 
 # -------------------------------------------------------- classification

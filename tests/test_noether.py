@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from idealiser import (
 )
 from idealiser.action import box_walk, difference_ideal
 from idealiser.diophantine import zero_test
+from idealiser import noether
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 
 RING = PolyRing(("x", "y"))
@@ -428,6 +430,78 @@ def test_growth_probe_general_route_against_fast_route():
     assert fast.counts == general.counts
 
 
+def _probe_configs(monkeypatch):
+    """(label, I, act, box, radii): every golden analyze config, and one
+    seeded config per plane2 family."""
+    from test_golden import CASES, GALLERY, VARS
+
+    for name, (gens, flags, matrix, opts) in GALLERY.items():
+        if f"analyze-{name}" in CASES:
+            ring = PolyRing(tuple(VARS.get(name, ["x", "y"])))
+            act = TranslationAction(ring, matrix) if matrix else TranslationAction.standard(ring)
+            I = Ideal(ring, [ring.parse(g) for g in gens], **flags)
+            yield name, I, act, opts.get("box", 8), opts.get("probe_radii", [2, 4, 8])
+    for case in _benchmark_cases(monkeypatch, ("plane2",), seed=3, cycles=1):
+        cfg = case.config
+        ring = PolyRing(tuple(cfg["ring"]["vars"]))
+        matrix = cfg.get("action", {}).get("matrix")
+        act = TranslationAction(ring, matrix) if matrix else TranslationAction.standard(ring)
+        I = Ideal(ring, [ring.parse(g) for g in cfg["ideal"]["generators"]], claimed_prime=True)
+        yield case.family, I, act, cfg["options"]["box"], cfg["options"]["probe_radii"]
+
+
+def test_left_probe_against_a_point_target_mirrors_the_right_probe(monkeypatch):
+    """Against the point target m_p that ``analyze`` probes, the left probe is
+    the right probe with side="left" (g -> -g), on every golden analyze
+    config and one config per plane2 family."""
+    mirrored = []
+    for label, I, act, box, radii in _probe_configs(monkeypatch):
+        target = analysis(I, act).target(box)
+        if analysis(target, act).point is None:
+            continue  # no integer zero in the box: the target is I itself
+        right = growth_probe(I, target, act, "right", radii)
+        assert replace(right, side="left") == growth_probe(I, target, act, "left", radii), label
+        mirrored.append(label)
+    assert len(mirrored) >= 20, mirrored
+    assert {"pell", "point", "rank_one", "rational", "space_conic", "pell_rational"} <= set(mirrored)
+
+
+def _counts_by_walk(I, act, radii):
+    """The probe counts of the member test g in K, by an explicit walk."""
+    K = analysis(I, act).K
+    least = {}
+    for g in box_walk([max(radii)] * act.d, K.contains):
+        key, norm = K.reduce(g)[1], max(map(abs, g))
+        least[key] = min(norm, least.get(key, norm))
+    return tuple(sum(norm <= r for norm in least.values()) for r in radii)
+
+
+def test_growth_probe_against_I_reads_K_without_a_walk(monkeypatch):
+    cases = [
+        # no integer zeros: 2x - 2y is even, and y^2 = x^3 + 7 has no integer solution
+        (Ideal(RING, [2 * X - 2 * Y - 1], claimed_prime=True), ACT),
+        (Ideal(RING, [Y**2 - X**3 - 7], claimed_prime=True), ACT),
+        # a rank-1 action along the line: K is all of Z, and the box is one class
+        (Ideal(RING, [X - Y - 1], claimed_prime=True), TranslationAction(RING, [[1], [1]])),
+    ]
+    radii = (0, 2, 8)  # radius 0: the class of K enters at norm 0
+    assert [analysis(I, act).anchor(8) for I, act in cases[:2]] == [None, None]
+    walked = [_counts_by_walk(I, act, radii) for I, act in cases]
+    assert walked == [(1, 1, 1)] * 3
+    # the rank-1 case walks 17 members of K in one class
+    assert len(list(box_walk([8], analysis(*cases[2]).K.contains))) == 17
+
+    def no_walk(*args):
+        raise AssertionError("the probe walked a box")
+
+    monkeypatch.setattr(noether, "box_walk", no_walk)
+    for (I, act), counts in zip(cases, walked):
+        for side in ("right", "left"):
+            assert component_test(I, I, act, side) == analysis(I, act).K.contains
+            probe = growth_probe(I, I, act, side, radii)
+            assert (probe.counts, probe.flag) == (counts, "stabilising")
+
+
 def test_integer_zeros_in_box():
     zeros = list(box_walk([8, 8], zero_test(PELL.gens)))
     assert zeros == [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
@@ -699,15 +773,15 @@ def test_squarefree_principal_primes_are_accepted(generator):
     decide(I, ACT, box=2)
 
 
-def _benchmark_cases(monkeypatch):
+def _benchmark_cases(monkeypatch, workloads=("plane2", "space3"), seed=1, cycles=2):
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     # dataclasses look their module up by name while it executes
     monkeypatch.setitem(sys.modules, spec.name, inputs)
     spec.loader.exec_module(inputs)
-    for workload in ("plane2", "space3"):
-        yield from inputs.generate(workload, 1, 2)
+    for workload in workloads:
+        yield from inputs.generate(workload, seed, cycles)
 
 
 def test_benchmark_families_have_no_repeated_factor(monkeypatch):
