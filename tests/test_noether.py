@@ -34,9 +34,9 @@ from idealiser import (
     tor1_is_zero,
     unit_ideal,
 )
+from idealiser import noether
 from idealiser.action import box_walk, difference_ideal
 from idealiser.diophantine import zero_test
-from idealiser import noether
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 
 RING = PolyRing(("x", "y"))
@@ -446,7 +446,9 @@ def _probe_configs(monkeypatch):
         ring = PolyRing(tuple(cfg["ring"]["vars"]))
         matrix = cfg.get("action", {}).get("matrix")
         act = TranslationAction(ring, matrix) if matrix else TranslationAction.standard(ring)
-        I = Ideal(ring, [ring.parse(g) for g in cfg["ideal"]["generators"]], claimed_prime=True)
+        gens, flags = cfg["ideal"]["generators"], dict(cfg["ideal"])
+        del flags["generators"]
+        I = Ideal(ring, [ring.parse(g) for g in gens], **flags)
         yield case.family, I, act, cfg["options"]["box"], cfg["options"]["probe_radii"]
 
 
