@@ -19,9 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import linalg
+from .diophantine import ZeroTest
 from .groebner import (
     Ideal,
     ResourceLimitError,
@@ -40,7 +41,8 @@ WALK_LIMIT = 10**6
 
 # the primes of box_walk's residue sieve, and the least range of the last
 # coordinate that it sieves: tabulating the residues costs about as much as
-# testing 13 x 13 points of a plane curve, so smaller boxes test every point
+# testing 13 x 13 points of a plane curve, and with every box sieved the
+# radius-2 walks of the space3 benchmark ran 7% slower (BENCH_16.json)
 SIEVE_PRIMES = (2, 3, 5, 7)
 SIEVE_MIN_RANGE = 13
 
@@ -115,27 +117,31 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
     )
 
 
-def box_walk(bounds: Sequence[int], test=None) -> Iterator[tuple[int, ...]]:
+def box_walk(
+    bounds: Sequence[int], test: Callable[[tuple[int, ...]], bool] | ZeroTest | None = None
+) -> Iterator[tuple[int, ...]]:
     """Integer vectors c with |c_j| <= bounds[j], lazily and in increasing
     order; with ``test``, only those that pass it.  A box of more than
     WALK_LIMIT vectors raises ResourceLimitError before any is made.  When
-    the test carries residues (``zero_test``'s) and the last coordinate
-    takes at least SIEVE_MIN_RANGE values, the walk is sieved: only the c
-    whose last coordinate is a residue mod every prime of SIEVE_PRIMES get
-    the exact test.  The sieve drops only vectors at which some integer
-    composite is nonzero mod a prime, so the walk yields the same vectors."""
+    the test is a ``ZeroTest`` and the last coordinate takes at least
+    SIEVE_MIN_RANGE values, the walk is sieved: only the c whose last
+    coordinate is a residue mod every prime of SIEVE_PRIMES get the exact
+    test.  The sieve drops only vectors at which some integer composite is
+    nonzero mod a prime, so the walk yields the same vectors."""
     count = math.prod(2 * b + 1 for b in bounds)
     if count > WALK_LIMIT:
         raise ResourceLimitError(f"box walk of {count} points exceeds the budget of {WALK_LIMIT}")
     ranges = [range(-b, b + 1) for b in bounds]
     if test is None:
         return itertools.product(*ranges)
-    if not hasattr(test, "residues") or not ranges or len(ranges[-1]) < SIEVE_MIN_RANGE:
+    if not isinstance(test, ZeroTest):
         return filter(test, itertools.product(*ranges))
+    if not ranges or len(ranges[-1]) < SIEVE_MIN_RANGE:
+        return filter(test.exact, itertools.product(*ranges))
     return _sieved_walk(ranges, test)
 
 
-def _sieved_walk(ranges, test) -> Iterator[tuple[int, ...]]:
+def _sieved_walk(ranges, test: ZeroTest) -> Iterator[tuple[int, ...]]:
     """The vectors of ``box_walk`` that pass ``test``, in the same order.
     Bit i of a mask stands for the last coordinate lo + i.  Per head of the
     first coordinates, the masks of the residues mod each prime are ANDed,
@@ -161,7 +167,7 @@ def _sieved_walk(ranges, test) -> Iterator[tuple[int, ...]]:
             low = bits & -bits
             bits ^= low
             c = head + (lo + low.bit_length() - 1,)
-            if test(c):
+            if test.exact(c):
                 yield c
 
 

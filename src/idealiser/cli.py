@@ -255,8 +255,10 @@ def _cmd_analyze(args) -> int:
     target = a.target(box)
     right = growth_probe(I, target, act, "right", radii)
     # the left probe runs against the line that traps the orbit, if the left ladder found
-    # one; against a point target it is the right probe under g -> -g (see growth_probe)
-    if any(c.rule == "MaximalLeftCriticalDensity" for c in verdict.certificates):
+    # one (in one variable a dense orbit has none); against a point target it is the right
+    # probe under g -> -g (see growth_probe)
+    trapped = any(c.rule == "MaximalLeftCriticalDensity" for c in verdict.certificates)
+    if trapped and a.density.witness is not None:
         left = growth_probe(I, a.density.witness, act, "left", radii)
     elif analysis(target, act).point is not None:
         left = replace(right, side="left")

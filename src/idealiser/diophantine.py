@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
-from .poly import Poly, PolyRing, _integral, _taylor_shift, mono_degree
+from .poly import Poly, PolyRing, _integral, mono_degree
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def zero_test(
     base: Sequence[Fraction] | None = None,
     matrix: Sequence[Sequence[Fraction]] | None = None,
     box: int | None = None,
-):
+) -> ZeroTest:
     """The test c -> do all ``gens`` vanish at the point base + matrix * c,
     which with ``box`` must also lie in the sup-norm box of that radius.
     Without base and matrix, c is the point itself.
@@ -82,19 +82,15 @@ def zero_test(
     is composed with the affine map into g_f(c) = f(base + matrix * c) and
     scaled by the lcm of its denominators to integer coefficients; its zeros
     on Z^d are the c whose point is a zero of f.  For the identity matrix
-    and an integral base, g_f is the integer Taylor shift of f by the base.
-    A g_f that vanishes identically is dropped, so no generators pass every
-    c, and a nonzero constant g_f rejects every c.  With D the common
-    denominator of base and matrix, the point is (P + M c) / D with integral
-    P and M, so the box check compares |P_i + M_i c| with D * box.  The test
-    evaluates integer polynomials at the integer vector c and builds no
-    Fraction.
-
-    The test also carries ``test.residues(q, head)``: the t in 0..q-1 at
-    which every g_f vanishes mod the prime q at c = head + (t,), a list
-    that depends on head mod q only.  An integer zero of
-    g_f is a zero mod every q, so a walk that skips the other residues
-    (``box_walk``, as Stoll's ratpoints does) drops no c that passes.
+    and an integral base, g_f is f translated by the base (``Poly.translate``,
+    an integer Taylor shift).  A g_f that vanishes identically is dropped, so
+    no generators pass every c, and a nonzero constant g_f rejects every c,
+    as the constant 1 does.  With D the common denominator of base and
+    matrix, the point is (P + M c) / D with integral P and M, so the box
+    check compares |P_i + M_i c| with D * box.  The test evaluates integer
+    polynomials at the integer vector c and builds no Fraction.  It is a
+    ``ZeroTest``, which also gives the residues mod a prime of the last
+    coordinate of c at which every g_f vanishes.
     """
     inside = None if box is None else (lambda c: all(abs(x) <= box for x in c))
     if matrix is None:
@@ -109,8 +105,7 @@ def zero_test(
             inside = lambda c: all(abs(p + sum(map(mul, row, c))) <= bound for p, row in rows)
         identity = [[int(i == j) for j in range(len(base))] for i in range(len(base))]
         if matrix == identity and all(b.denominator == 1 for b in base):
-            shift = [b.numerator for b in base]
-            composites = [_taylor_shift(_integral(f.terms)[0], shift) for f in gens]
+            composites = [_integral(f.translate(base).terms)[0] for f in gens]
         else:
             # a ring needs a variable even for an empty sublattice, where c = ()
             coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
@@ -124,7 +119,8 @@ def zero_test(
         if not terms:
             continue
         if not any(map(any, terms)):  # a nonzero constant
-            return lambda c: False
+            compiled = [[(1, [])]]
+            break
         compiled.append([(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in terms.items()])
 
     def test(c: Sequence[int]) -> bool:
@@ -162,8 +158,23 @@ def zero_test(
             found = kept
         return found
 
-    test.residues = residues
-    return test
+    return ZeroTest(test, residues)
+
+
+@dataclass(frozen=True)
+class ZeroTest:
+    """A compiled ``zero_test``.  Calling it, or ``exact``, is the exact test
+    of c.  ``residues(q, head)`` lists the t in 0..q-1 at which every
+    integer composite vanishes mod the prime q at c = head + (t,); the list
+    depends on head mod q only.  An integer zero is a zero mod every q, so
+    a walk that skips the other residues (``box_walk``, as Stoll's ratpoints
+    does) drops no c that passes."""
+
+    exact: Callable[[Sequence[int]], bool]
+    residues: Callable[[int, Sequence[int]], list[int]]
+
+    def __call__(self, c: Sequence[int]) -> bool:
+        return self.exact(c)
 
 
 @dataclass(frozen=True)

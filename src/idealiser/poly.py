@@ -52,24 +52,6 @@ def _integral(terms: Mapping[Monomial, Fraction]) -> tuple[dict, Fraction]:
     return ints, Fraction(content, den)
 
 
-def _taylor_shift(terms: Mapping[Monomial, Fraction], shift: Sequence) -> Mapping:
-    """The terms of P(x + shift) for the terms of P, a Taylor shift in one
-    variable at a time (von zur Gathen and Gerhard, 1997); int coefficients
-    and an int shift give int coefficients."""
-    for i, s in [(i, s) for i, s in enumerate(shift) if s]:
-        d = max((m[i] for m in terms), default=0)
-        rows: dict = {}  # the coefficients of x_i^0, ..., x_i^d per monomial in the rest
-        for m, c in terms.items():
-            rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c
-        terms = {}
-        for rest, row in rows.items():
-            for j in range(d):
-                for k in range(d - 1, j - 1, -1):
-                    row[k] += s * row[k + 1]
-            terms.update((rest[:i] + (e,) + rest[i:], c) for e, c in enumerate(row) if c)
-    return terms
-
-
 def _scaled(ring: "PolyRing", terms: Mapping[Monomial, int], scale: Fraction) -> "Poly":
     """The Poly of the integer ``terms`` times ``scale``."""
     num, den = scale.numerator, scale.denominator
@@ -377,17 +359,28 @@ class Poly:
         return Poly(ring, out)
 
     def translate(self, shift: Sequence[Fraction]) -> "Poly":
-        """Substitute x_i -> x_i + shift_i by ``_taylor_shift``, in integers
-        when every shift is."""
+        """Substitute x_i -> x_i + shift_i: a Taylor shift in one variable at a
+        time (von zur Gathen and Gerhard, 1997), in integers when every shift is."""
         shift = [Fraction(s) for s in shift]
         if len(shift) != self.ring.n:
             raise ValueError("shift dimension mismatch")
         if not any(shift):
             return self
-        if any(s.denominator != 1 for s in shift):
-            return Poly(self.ring, _taylor_shift(self.terms, shift))
-        terms, scale = _integral(self.terms)
-        return _scaled(self.ring, _taylor_shift(terms, [s.numerator for s in shift]), scale)
+        integral = all(s.denominator == 1 for s in shift)
+        terms, scale = _integral(self.terms) if integral else (self.terms, None)
+        shift = [s.numerator for s in shift] if integral else shift
+        for i, s in [(i, s) for i, s in enumerate(shift) if s]:
+            d = max((m[i] for m in terms), default=0)
+            rows: dict = {}  # the coefficients of x_i^0, ..., x_i^d per monomial in the rest
+            for m, c in terms.items():
+                rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c
+            terms = {}
+            for rest, row in rows.items():
+                for j in range(d):
+                    for k in range(d - 1, j - 1, -1):
+                        row[k] += s * row[k + 1]
+                terms.update((rest[:i] + (e,) + rest[i:], c) for e, c in enumerate(row) if c)
+        return Poly(self.ring, terms) if scale is None else _scaled(self.ring, terms, scale)
 
     # -- printing ---------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -147,16 +148,29 @@ def test_box_walk_refuses_a_box_over_the_budget():
 
 
 def _counting(test):
-    """``test`` with its calls recorded, and its residues kept for the sieve."""
+    """The zero test ``test`` with its exact calls recorded; its residues
+    still sieve the walk."""
     calls = []
 
     def counted(c):
         calls.append(c)
         return test(c)
 
-    if hasattr(test, "residues"):
-        counted.residues = test.residues
-    return counted, calls
+    return replace(test, exact=counted), calls
+
+
+def test_box_walk_sieves_a_zero_test_and_tests_any_other_callable_everywhere():
+    test = zero_test([X**2 - 7 * Y**2 - 1])
+    counted, calls = _counting(test)
+    walked = []
+
+    def wrapped(c):
+        walked.append(c)
+        return test(c)
+
+    pell = [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
+    assert list(box_walk([8, 8], counted)) == list(box_walk([8, 8], wrapped)) == pell
+    assert len(walked) == 17 * 17 and 4 * len(calls) < len(walked)
 
 
 def test_sieved_walk_yields_the_plain_filter_in_order():

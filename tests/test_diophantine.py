@@ -172,7 +172,7 @@ def test_zero_test_builds_no_fraction_per_point():
             nonlocal calls, tests
             if event == "call":
                 calls += frame.f_code.co_filename.endswith("fractions.py")
-                tests += frame.f_code is test.__code__
+                tests += frame.f_code is test.exact.__code__
 
         sys.setprofile(count)
         try:

@@ -53,10 +53,14 @@ GALLERY = {
     "sqrt2_one_var": (
         ["x^2 - 2"], {"claimed_maximal": True}, None, {"box": 2, "probe_radii": [1, 2]}
     ),
+    # a point on the line: its orbit is dense, so no witness line traps it, and the left
+    # probe runs against the point itself
+    "one_var_point": (["x - 3"], PRIME, None, {"box": 4, "probe_radii": [1, 2, 4]}),
 }
 XYZ = ["x", "y", "z"]
 VARS = {
-    "point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ, "sqrt2_one_var": ["x"]
+    "point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ, "sqrt2_one_var": ["x"],
+    "one_var_point": ["x"],
 }
 
 CASES = {}

@@ -465,7 +465,9 @@ def test_left_probe_against_a_point_target_mirrors_the_right_probe(monkeypatch):
         assert replace(right, side="left") == growth_probe(I, target, act, "left", radii), label
         mirrored.append(label)
     assert len(mirrored) >= 20, mirrored
-    assert {"pell", "point", "rank_one", "rational", "space_conic", "pell_rational"} <= set(mirrored)
+    assert {"pell", "point", "rank_one", "rational", "space_conic", "one_var_point", "pell_rational"} <= set(
+        mirrored
+    )
 
 
 def _counts_by_walk(I, act, radii):
