@@ -85,12 +85,13 @@ def zero_test(
     and an integral base, g_f is f translated by the base (``Poly.translate``,
     an integer Taylor shift).  A g_f that vanishes identically is dropped, so
     no generators pass every c, and a nonzero constant g_f rejects every c,
-    as the constant 1 does.  With D the common denominator of base and
+    so it is then the only one kept.  With D the common denominator of base and
     matrix, the point is (P + M c) / D with integral P and M, so the box
     check compares |P_i + M_i c| with D * box.  The test evaluates integer
     polynomials at the integer vector c and builds no Fraction.  It is a
-    ``ZeroTest``, which also gives the residues mod a prime of the last
-    coordinate of c at which every g_f vanishes.
+    ``ZeroTest``, which also gives, for the first coordinates of c fixed,
+    the integer roots in the last coordinate of the first g_f that is not
+    identically zero there.
     """
     inside = None if box is None else (lambda c: all(abs(x) <= box for x in c))
     if matrix is None:
@@ -114,14 +115,17 @@ def zero_test(
                 for b, row in zip(base, matrix)
             ]
             composites = [_integral(f.compose(images).terms)[0] for f in gens]
-    compiled = []
-    for terms in composites:
-        if not terms:
-            continue
-        if not any(map(any, terms)):  # a nonzero constant
-            compiled = [[(1, [])]]
-            break
-        compiled.append([(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in terms.items()])
+    composites = [terms for terms in composites if terms]
+    constants = [terms for terms in composites if not any(map(any, terms))]
+    if constants:  # a nonzero constant rejects every c
+        composites = constants[:1]
+    compiled = [[(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in terms.items()] for terms in composites]
+    # the same terms along a row of c: per composite its degree in the last coordinate t,
+    # and per term the coefficient, the factors in the other coordinates and the power of t
+    by_row = [
+        (max(m[-1] for m in terms), [(c, [(i, e) for i, e in enumerate(m[:-1]) if e], m[-1]) for m, c in terms.items()])
+        for terms in composites
+    ]
 
     def test(c: Sequence[int]) -> bool:
         if inside is not None and not inside(c):
@@ -136,42 +140,66 @@ def zero_test(
                 return False
         return True
 
-    def residues(q: int, head: Sequence[int]) -> list[int]:
-        last, found = len(head), range(q)
-        for terms in compiled:
-            row: dict[int, int] = {}  # the coefficients of g_f(head, t) by powers of t
-            for v, factors in terms:
-                k = 0
+    def roots(head: Sequence[int], last: range) -> Sequence[int]:
+        for degree, terms in by_row:
+            coeffs = [0] * (degree + 1)  # of g_f(head, t) by powers of t
+            for v, factors, k in terms:
                 for i, e in factors:
-                    if i == last:
-                        k = e
-                    else:
-                        v *= head[i] ** e
-                row[k] = row.get(k, 0) + v
-            kept = []
-            for t in found:
-                total = 0
-                for k, v in row.items():
-                    total += v * t**k
-                if not total % q:
-                    kept.append(t)
-            found = kept
-        return found
+                    v *= head[i] ** e
+                coeffs[k] += v
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            if coeffs:
+                return _integer_roots(coeffs, last)
+        return last
 
-    return ZeroTest(test, residues)
+    return ZeroTest(test, roots)
+
+
+def _integer_roots(coeffs: list[int], window: range) -> list[int]:
+    """The t in ``window`` with sum_k coeffs[k] * t^k = 0, in increasing
+    order, for a nonzero leading coefficient coeffs[-1]: one exact division
+    in degree 1, the integer square root of the discriminant in degree 2,
+    and Horner's rule at every t of the window above that."""
+    degree, a = len(coeffs) - 1, coeffs[-1]
+    if degree == 0:
+        return []
+    if degree == 1:
+        t, r = divmod(-coeffs[0], a)
+        return [t] if not r and t in window else []
+    if degree == 2:
+        c, b = coeffs[0], coeffs[1]
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return []
+        found = {num // (2 * a) for num in (-b - s, -b + s) if not num % (2 * a)}
+        return sorted(t for t in found if t in window)
+    found = []
+    for t in window:
+        total = 0
+        for v in reversed(coeffs):
+            total = total * t + v
+        if not total:
+            found.append(t)
+    return found
 
 
 @dataclass(frozen=True)
 class ZeroTest:
     """A compiled ``zero_test``.  Calling it, or ``exact``, is the exact test
-    of c.  ``residues(q, head)`` lists the t in 0..q-1 at which every
-    integer composite vanishes mod the prime q at c = head + (t,); the list
-    depends on head mod q only.  An integer zero is a zero mod every q, so
-    a walk that skips the other residues (``box_walk``, as Stoll's ratpoints
-    does) drops no c that passes."""
+    of c.  ``roots(head, last)`` fixes the first coordinates of c = head +
+    (t,) and takes the first integer composite that is not the zero
+    polynomial in t there; it lists, in increasing order, the t in the
+    range ``last`` at which that composite vanishes.  A row on which every
+    composite is zero gives every t, a nonzero constant none.  A zero of
+    the test is a zero of that composite, so a walk that gives only these
+    t the exact test (``box_walk``) drops no c that passes."""
 
     exact: Callable[[Sequence[int]], bool]
-    residues: Callable[[int, Sequence[int]], list[int]]
+    roots: Callable[[Sequence[int], range], Sequence[int]]
 
     def __call__(self, c: Sequence[int]) -> bool:
         return self.exact(c)

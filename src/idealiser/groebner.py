@@ -145,7 +145,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     that survive it.  S-polynomials are reduced against every element found
     so far: the inactive ones are often the smaller reducers, and under lex
     orders reducing against the active ones alone swells the coefficients.
-    The elements are integer polynomials until the basis leaves."""
+    The elements are integer polynomials, and leave as they are."""
     limit = PAIR_LIMIT.get()
     key = order.key
     polys: list[Poly] = []
@@ -201,8 +201,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
         r = normal_form(s_polynomial(polys[i], polys[j], order), polys, order)
         if not r.is_zero:
             add(r, max(sugar, int(r.degree())))
-    basis = [polys[k] for k in active]
-    return [_scaled(p.ring, p.terms, Fraction(1, p.leading(order)[1])) for p in basis]
+    return [polys[k] for k in active]
 
 
 def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
@@ -218,9 +217,8 @@ def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
         if not any(mono_divides(h.leading(order)[0], lm) for h in minimal):
             minimal.append(g)
     # a single full-reduction pass leaves every monomial irreducible
-    integral = [_run_poly(g.ring, _integral(g.terms)[0]) for g in minimal]
     reduced = [
-        normal_form(g, integral[:k] + integral[k + 1 :], order).monic(order)
+        normal_form(g, minimal[:k] + minimal[k + 1 :], order).monic(order)
         for k, g in enumerate(minimal)
     ]
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)

@@ -394,7 +394,7 @@ def growth_probe(
         radii=radii,
         counts=tuple(counts),
         flag=flag,
-        target="<" + ", ".join(str(g) for g in J.gens) + ">",
+        target="<" + (", ".join(str(g) for g in J.gens) or "0") + ">",
     )
 
 

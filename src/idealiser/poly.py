@@ -230,10 +230,12 @@ class Poly:
         return self.terms.get(tuple(mono), ZERO)
 
     def monic(self, order: MonomialOrder | None = None) -> "Poly":
+        """The Poly with leading coefficient 1, on Fraction coefficients also
+        when its own are ints (a basis run's)."""
         if self.is_zero:
             return self
         _, lc = self.leading(order)
-        return self if lc == 1 else self * (1 / lc)
+        return _scaled(self.ring, self.terms, Fraction(1, lc))
 
     # -- arithmetic ------------------------------------------------------
 

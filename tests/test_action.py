@@ -23,7 +23,7 @@ from idealiser import (
     smith_normal_form,
     stabiliser,
 )
-from idealiser.action import SIEVE_MIN_RANGE, WALK_LIMIT, box_walk
+from idealiser.action import WALK_LIMIT, box_walk
 from idealiser.diophantine import zero_test
 from idealiser.noether import _group_by_coset
 from idealiser.normalforms import identity_matrix
@@ -142,14 +142,14 @@ def test_box_walk_refuses_a_box_over_the_budget():
         box_walk([side + 1])
     with pytest.raises(ResourceLimitError):
         box_walk([side, 1], lambda c: True)
-    # a sieved walk too, before its residues are read
+    # a walk by a zero test's roots too, before any root is found
     with pytest.raises(ResourceLimitError):
         box_walk([side, 1], zero_test([X - Y]))
 
 
 def _counting(test):
-    """The zero test ``test`` with its exact calls recorded; its residues
-    still sieve the walk."""
+    """The zero test ``test`` with its exact calls recorded; its roots still
+    pick the candidates of the walk."""
     calls = []
 
     def counted(c):
@@ -170,17 +170,18 @@ def test_box_walk_sieves_a_zero_test_and_tests_any_other_callable_everywhere():
 
     pell = [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
     assert list(box_walk([8, 8], counted)) == list(box_walk([8, 8], wrapped)) == pell
-    assert len(walked) == 17 * 17 and 4 * len(calls) < len(walked)
+    # the zero test gives only the roots of each row the exact test, here the six zeros
+    assert len(walked) == 17 * 17 and 4 * len(calls) < len(walked) and calls == pell
 
 
-def test_sieved_walk_yields_the_plain_filter_in_order():
+def test_root_walk_yields_the_plain_filter_in_order():
     """Seeded: box_walk with a zero test equals filter(test, product(...)),
     in order, over d = 1..3, integral and rational base and matrix, with and
-    without a box window, and last ranges on both sides of SIEVE_MIN_RANGE."""
+    without a box window, and last ranges of 3 to 33 values."""
     rng = random.Random(20261018)
     entries = (0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
     rings = [PolyRing(tuple("xyz"[:n])) for n in (1, 2, 3)]
-    sieved = plain = zeros = tested = walked = 0
+    zeros = tested = walked = 0
     for trial in range(150):
         ring = rings[rng.randrange(3)]
         n, d = ring.n, rng.randint(1, 3)
@@ -193,7 +194,7 @@ def test_sieved_walk_yields_the_plain_filter_in_order():
             matrix = [[Fraction(pick()) for _ in range(d)] for _ in range(n)]
         box = rng.choice((None, None, 2, 5))
         bounds = [rng.randint(0, 3) for _ in range(d - 1)]
-        bounds.append(rng.choice((1, 4, SIEVE_MIN_RANGE // 2, 9, 16)))
+        bounds.append(rng.choice((1, 4, 6, 9, 16)))
         c0 = [rng.randint(-b, b) for b in bounds]
         point = [b + sum(a * x for a, x in zip(row, c0)) for b, row in zip(base, matrix)]
         gens = []
@@ -204,17 +205,11 @@ def test_sieved_walk_yields_the_plain_filter_in_order():
         expected = list(filter(test, itertools.product(*(range(-b, b + 1) for b in bounds))))
         counted, calls = _counting(test)
         assert list(box_walk(bounds, counted)) == expected, (gens, base, matrix, box, bounds)
-        size = math.prod(2 * b + 1 for b in bounds)
-        if 2 * bounds[-1] + 1 >= SIEVE_MIN_RANGE:
-            sieved += 1
-            tested += len(calls)
-            walked += size
-        else:
-            plain += 1
-            assert len(calls) == size
         zeros += len(expected)
-    # the sieve is used, and spares most of the exact tests
-    assert sieved > 50 and plain > 20 and zeros > 200 and 4 * tested < walked
+        tested += len(calls)
+        walked += math.prod(2 * b + 1 for b in bounds)
+    # the roots spare most of the exact tests
+    assert zeros > 200 and 4 * tested < walked
 
 
 def random_lattices(seed=7, per_rank=4):

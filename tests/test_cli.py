@@ -280,6 +280,18 @@ def test_probe_against_an_unflagged_target(capsys, tmp_path, generator, target, 
     assert f"counts {counts} " in out
 
 
+def test_probe_against_the_zero_ideal_names_it(capsys, pell_config):
+    # (0 : I^g) = 0 and Tor_1(C/I, C) = 0: no component counts, and the target prints as tor's
+    code, out, _ = run(capsys, "probe", "-c", pell_config, "--target", "0", "--radii", "1,2")
+    assert code == 0
+    assert out == (
+        "probe right vs <0>: radii 1,2 counts 0,0 [stabilising]\n"
+        "probe left vs <0>: radii 1,2 counts 0,0 [stabilising]\n"
+    )
+    code, out, _ = run(capsys, "tor", "-c", pell_config, "0")
+    assert code == 0 and "product: <0>\n" in out
+
+
 def test_probe_refuses_a_unit_target_flagged_prime(capsys, pell_config):
     for side in ("right", "left"):
         argv = ("probe", "-c", pell_config, "--target", "1", "--prime", "--radii", "1,2", "--side", side)

@@ -14,7 +14,7 @@ from idealiser import (
     pell_enumerate,
     pell_fundamental,
 )
-from idealiser.action import SIEVE_MIN_RANGE, SIEVE_PRIMES, box_walk
+from idealiser.action import box_walk
 from idealiser.diophantine import zero_test
 
 RING = PolyRing(("x", "y"))
@@ -161,10 +161,9 @@ def test_zero_test_edge_cases():
 
 def test_zero_test_builds_no_fraction_per_point():
     """The walk of a Pell conic under a 1/3 action calls nothing in fractions.py,
-    sieved (box 16) or testing every point (box 2)."""
+    in a wide box (16) and a narrow one (2)."""
     f = X**2 - 7 * Y**2 - 1
     test = zero_test([f], (1, 0), [[Fraction(1, 3), 0], [0, 1]])
-    assert 2 * 16 + 1 >= SIEVE_MIN_RANGE > 2 * 2 + 1
     for bounds, expected in (([16, 16], [(-6, 0), (0, 0)]), ([2, 2], [(0, 0)])):
         calls = tests = 0
 
@@ -181,47 +180,114 @@ def test_zero_test_builds_no_fraction_per_point():
             sys.setprofile(None)
         assert calls == 0
         assert zeros == expected
-        # the sieved walk tests a few candidates, the small box every point
-        assert (tests < 33 * 33 // 10) if bounds[0] == 16 else (tests == 25)
+        # only the roots of each row get the exact test; with one generator and no window
+        # each of them passes
+        assert tests == len(zeros)
 
 
-def _residues_by_definition(f, q, head):
-    """The t in 0..q-1 with f(head, t) = 0 mod q, for f with integer coefficients."""
-    return [t for t in range(q) if f.eval_at([*head, t]).numerator % q == 0]
+def _inverse(matrix):
+    """The inverse of an invertible rational 2 x 2 matrix."""
+    (p, q), (r, s) = matrix
+    det = p * s - q * r
+    return [[s / det, -q / det], [-r / det, p / det]]
 
 
-def test_zero_test_residues_are_the_zeros_mod_each_prime():
+def test_zero_test_roots_are_the_integer_zeros_of_each_row():
+    """Seeded: for one generator f, roots(head, last) is the list of the t in
+    last at which f vanishes at base + matrix * (head + (t,)).  At a chosen
+    head the row is lead * (product of factors) in t, of degree 0-4: a
+    negative or positive lead, integer roots (also double ones and ones at
+    both ends of the range), half-integer and irrational roots, or lead 0,
+    where the row vanishes identically.  Other heads give random rows.  The
+    point is c itself, an integral translate of c, or a rational affine image."""
     rng = random.Random(20261019)
-    checked = 0
-    for _ in range(40):
-        f = _random_poly(rng, RING, rng.randint(1, 4))
-        f = f * math.lcm(*(c.denominator for c in f.terms.values()))
-        content = math.gcd(*(c.numerator for c in f.terms.values()))
-        if f.is_constant() or content != 1:
-            continue  # zero_test divides out the content, which could hide a zero mod q
-        test = zero_test([f])
-        for q in SIEVE_PRIMES:
-            for h in range(q):
-                assert list(test.residues(q, (h,))) == _residues_by_definition(f, q, (h,))
-                checked += 1
-    assert checked > 300
-    # x^3 - x vanishes at every residue mod 2 and mod 3; the sieve then passes every t
+    C = PolyRing(("c0", "c1"))
+    c0, c1 = C.var(0), C.var(1)
+    last = range(-5, 8)  # not symmetric, so a root must be tested against both ends
+    heads = range(-3, 4)
+    degrees, modes, found, checked = set(), [], 0, 0
+    negative = repeated = ends = 0
+    for trial in range(90):
+        h = rng.choice(heads)
+        factors, room = [], trial % 5
+        while room:
+            kind = rng.randrange(5)
+            if kind == 0 and factors and factors[-1].degree() <= room:
+                factor = factors[-1]  # a double root, or a repeated factor
+            elif kind == 1:
+                factor = c1 - rng.choice((last[0], last[-1]))
+            elif kind == 2:
+                factor = 2 * c1 - (2 * rng.randint(-4, 4) + 1)  # no integer root
+            elif kind == 3 and room >= 2:
+                factor = c1**2 - rng.choice((2, 3, 4, 9))
+            else:
+                factor = c1 - rng.choice(last)
+            factors.append(factor)
+            room -= factor.degree()
+        lead = 0 if trial % 11 == 10 else rng.choice((-3, -2, -1, 1, 2, 5))
+        row = math.prod(factors, start=C.const(lead))
+        g = row + (c0 - h) * _random_poly(rng, C, 2)
+        mode = trial % 3
+        if mode == 0:  # c is the point
+            base = matrix = None
+            f = g.compose([X, Y])
+        else:
+            if mode == 1:  # an integral translation
+                base, matrix = [rng.randint(-3, 3) for _ in range(2)], IDENTITY
+            else:
+                base = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(2)]
+                matrix = [[0, 0], [0, 0]]
+                while matrix[0][0] * matrix[1][1] == matrix[0][1] * matrix[1][0]:
+                    matrix = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)]
+                              for _ in range(2)]
+            inverse = _inverse([[Fraction(a) for a in row] for row in matrix])
+            # f(base + matrix * c) = g(c)
+            f = g.compose([sum((a * (v - b) for a, v, b in zip(row, (X, Y), base)), RING.zero())
+                           for row in inverse])
+        test = zero_test([f], base, matrix)
+        for head in heads:
+            if base is None:
+                points = [(head, t) for t in last]
+            else:
+                points = [[b + row[0] * head + row[1] * t for b, row in zip(base, matrix)] for t in last]
+            expected = [t for t, q in zip(last, points) if f.eval_at(q) == 0]
+            assert list(test.roots((head,), last)) == expected, (g, base, matrix, head)
+            found += len(expected)
+            checked += 1
+            ends += head == h and lead != 0 and bool({last[0], last[-1]} & set(expected))
+        degrees.add(row.degree_in(1))
+        modes.append(mode)
+        negative += lead < 0
+        repeated += any(factors.count(factor) > 1 for factor in factors)
+    assert degrees == {float("-inf"), 0, 1, 2, 3, 4} and set(modes) == {0, 1, 2}
+    assert checked == 90 * len(heads) and found > 200
+    assert negative > 10 and repeated > 5 and ends > 5
+    # in one variable the row is the composite itself
     one = PolyRing(("x",))
-    cubic = one.var(0) ** 3 - one.var(0)
-    test = zero_test([cubic])
-    assert [list(test.residues(q, ())) for q in SIEVE_PRIMES] == [
-        [0, 1], [0, 1, 2], [0, 1, 4], [0, 1, 6]
-    ]
-    assert list(box_walk([20], test)) == [(-1,), (0,), (1,)]
+    x = one.var(0)
+    window = range(-20, 21)
+    for f, roots in (
+        (x**3 - x, [-1, 0, 1]),
+        (-(x - 20) * (x + 20) * x**2, [-20, 0, 20]),
+        (-(x**2) + 2 * x - 1, [1]),
+        (4 * x**2 - 1, []),
+        (x**2 + 1, []),
+        (3 * x + 60, [-20]),
+        (3 * x + 61, []),
+        (one.const(-5), []),
+    ):
+        assert list(zero_test([f]).roots((), window)) == roots, f
+    assert list(zero_test([]).roots((), window)) == list(window)
+    assert list(box_walk([20], zero_test([x**3 - x]))) == [(-1,), (0,), (1,)]
     # in the last of two coordinates, with the first free
     test = zero_test([Y**3 - Y])
     assert list(box_walk([1, 20], test)) == [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
 
 
-def test_sieved_walk_edge_cases():
+def test_root_walk_edge_cases():
     wide = [3, 20]
     every = list(itertools.product(range(-3, 4), range(-20, 21)))
-    # a nonzero constant composite, also one that the affine map makes, and one divisible by 2*3*5*7
+    # a nonzero constant composite, also one that the affine map makes, and a larger one
     for test in (
         zero_test([RING.const(3)]),
         zero_test([X - 5], (1, 0), [[0, 0], [1, 1]]),
@@ -236,8 +302,11 @@ def test_sieved_walk_edge_cases():
     pell = X**2 - 7 * Y**2 - 1
     assert list(box_walk([], zero_test([pell], (1, 0), [[], []]))) == [()]
     assert list(box_walk([], zero_test([pell], (2, 0), [[], []]))) == []
-    # a last range just below the threshold walks every point, just above it is sieved
-    for half in (SIEVE_MIN_RANGE // 2 - 1, SIEVE_MIN_RANGE // 2 + 1):
+    # a first generator that vanishes on a whole row leaves that row to the second one
+    assert list(box_walk([3, 3], zero_test([X * Y, X + Y]))) == [(0, 0)]
+    assert list(box_walk([3, 3], zero_test([X * (Y - 1), Y - X**2]))) == [(-1, 1), (0, 0), (1, 1)]
+    # last ranges of one value and wider ones
+    for half in (0, 5, 7):
         test = zero_test([pell], (0, 0), [[1, 0], [0, 1]])
         points = itertools.product(range(-8, 9), range(-half, half + 1))
         assert list(box_walk([8, half], test)) == list(filter(test, points))

@@ -1,8 +1,9 @@
-"""Golden transcripts: ``cli.main`` stdout, byte for byte, on a fixed gallery.
+"""Golden transcripts: ``cli.main`` stdout, byte for byte, on a fixed gallery,
+and the stdout of each script in ``demos/``.
 
 Each case is a config plus an argument list; its expected stdout lives in
-``tests/golden/<case>.out``.  Regenerate the transcripts only when a change
-to stdout is intended:
+``tests/golden/<case>.out``, and a demo's in ``tests/golden/demo-<name>.out``.
+Regenerate the transcripts only when a change to stdout is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -10,6 +11,7 @@ to stdout is intended:
 import contextlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 from idealiser.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 PRIME = {"claimed_prime": True}
 
@@ -114,10 +117,27 @@ def transcript(case: str, tmp_dir: Path) -> str:
     return out.getvalue()
 
 
+def demo_transcript(name: str) -> str:
+    """The stdout of ``demos/demo_<name>.py``, run as a script."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"demo_{name}.py"), run_name="__main__")
+    return out.getvalue()
+
+
+DEMO_NAMES = sorted(p.stem.removeprefix("demo_") for p in DEMOS.glob("demo_*.py"))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_transcript(case, tmp_path):
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert transcript(case, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_transcript(name):
+    expected = (GOLDEN / f"demo-{name}.out").read_text(encoding="utf-8")
+    assert demo_transcript(name) == expected
 
 
 if __name__ == "__main__":
@@ -125,3 +145,6 @@ if __name__ == "__main__":
         for case in sorted(CASES):
             (GOLDEN / f"{case}.out").write_text(transcript(case, Path(tmp)), encoding="utf-8")
             print(f"wrote {case}.out", file=sys.stderr)
+    for name in DEMO_NAMES:
+        (GOLDEN / f"demo-{name}.out").write_text(demo_transcript(name), encoding="utf-8")
+        print(f"wrote demo-{name}.out", file=sys.stderr)
