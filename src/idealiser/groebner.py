@@ -343,18 +343,54 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
+def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
+    """The point p when the reduced basis of J holds a power (x_i - p_i)^k
+    for every i, else None.  A monic g of degree k in x_i alone is such a
+    power exactly when g(x_i + p_i), with p_i = -(coefficient of
+    x_i^(k-1))/k, is the single term x_i^k."""
+    n = J.ring.n
+    point: list = [None] * n
+    for g in J.groebner_basis():
+        support = {i for m in g.terms for i, e in enumerate(m) if e}
+        if len(support) == 1:
+            (i,) = support
+            k = g.degree_in(i)
+            shift = [0] * n
+            shift[i] = -g.coefficient(tuple(k - 1 if j == i else 0 for j in range(n))) / k
+            if len(g.translate(shift).terms) == 1:
+                point[i] = shift[i]
+    return None if None in point else tuple(point)
+
+
 def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
     """Colon quotient (J : I) = {c | c*I subset of J}.
 
-    Two checks come before any elimination, and hold for every pair.  If I
-    lies in J, the quotient is <1>.  If I + J = <1>, it is J: c*I in J gives
-    c = c*1 in c*I + c*J, inside J.  Only a proper sum that does not contain
-    I goes on to (J : f) = (J cap (f))/f per generator f of I, and to the
-    intersection of those (Cox, Little and O'Shea, IVA, section 4.4)."""
+    Checks that return J without an elimination rest on one fact: (J : I)
+    is J exactly when I lies in no associated prime of C/J (Eisenbud,
+    Commutative Algebra, Thm 3.1 and Lemma 3.3).  In order:
+    - I in J: the quotient is <1>.
+    - J proper with (x_i - p_i)^k in its basis for every i: V(J) = {p}, so
+      J is m_p-primary and m_p is its only associated prime.  A generator
+      of I that is nonzero at p puts I outside m_p, and the quotient is J.
+    - I + J = <1>: it is J, as c*I in J gives c = c*1 in c*I + c*J, in J.
+    - J = (f) principal and dim C/(I + J) <= n - 2: C is a UFD, so the
+      associated primes of C/(f) are the (p) for the irreducible factors p
+      of f, each of height 1.  I in (p) would put I + J in (p), of
+      dimension n - 1; so I lies in none, and the quotient is J.  The
+      dimension is read off the sum basis of the previous check.
+    Any other pair goes on to (J : f) = (J cap (f))/f per generator f of I,
+    and to the intersection of those (Cox, Little and O'Shea, IVA, section
+    4.4)."""
     ring = J.ring
     if ideal_contains(J, I):
         return unit_ideal(ring)
-    if Ideal(ring, J.groebner_basis() + I.gens).is_unit_ideal():
+    point = _primary_point(J)
+    if point is not None and any(f.eval_at(point) for f in I.gens):
+        return J
+    total = Ideal(ring, J.groebner_basis() + I.gens)
+    if total.is_unit_ideal():
+        return J
+    if J.is_principal() and krull_dimension(total) <= ring.n - 2:
         return J
     result: Ideal | None = None
     for f in I.gens:

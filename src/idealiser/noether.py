@@ -432,7 +432,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       ideal's dimension is computed once, in its analysis.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
-    - Right otherwise: containment (J prime) or the colon."""
+    - Right otherwise: containment (J prime) or the colon; ``ideal_quotient``
+      returns J with no elimination when J is primary to a rational point
+      where I^g does not vanish, when J + I^g = C, and when J is principal
+      and J + I^g has height at least 2, as I^g then lies in no associated
+      prime of C/J."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     a, b = analysis(I, act), analysis(J, act)

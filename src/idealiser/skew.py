@@ -155,8 +155,11 @@ def quotient_table(
     J: Ideal, I: Ideal, act: TranslationAction, box: int
 ) -> dict[GroupElement, Ideal]:
     """(J : I^g) for all g in the sup-norm box, each from J and I^g alone by
-    ``ideal_quotient``: C when I^g lies in J and J when J + I^g = C, with no
-    elimination; one elimination per generator of I^g otherwise."""
+    ``ideal_quotient``: C when I^g lies in J, and J with no elimination when
+    a check shows that I^g lies in no associated prime of C/J (J primary to
+    a rational point where I^g does not vanish, J + I^g = C, or J principal
+    with J + I^g of height at least 2); one elimination per generator of
+    I^g otherwise."""
     return {g: ideal_quotient(J, act_on_ideal(I, g, act)) for g in box_walk([box] * act.d)}
 
 

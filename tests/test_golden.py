@@ -79,6 +79,9 @@ GALLERY["double_line"] = (["(x - 2*y - 1)^2"], {}, None, {"box": 2})
 for _name in ("fat_point", "double_line"):
     CASES[f"quotient-table-{_name}"] = (_name, ["quotient-table"])
     CASES[f"quotient-table-{_name}-json"] = (_name, ["quotient-table", "--json"])
+# no nonzero g stabilises the Pell conic, and each of its translates meets it in points
+CASES["quotient-table-pell"] = ("pell", ["quotient-table", "--box", "2"])
+CASES["quotient-table-pell-json"] = ("pell", ["quotient-table", "--box", "2", "--json"])
 # probe's default target is the least integer zero in its largest box, or I itself
 CASES["probe-pell"] = ("pell", ["probe"])
 CASES["probe-circle"] = ("circle", ["probe"])

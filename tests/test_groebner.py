@@ -506,9 +506,17 @@ def _reference_quotient(J, I):
     return result
 
 
+# the rational point p of an m_p-primary J among the tables below
+POINTS = {"point": (1, 2), "fat_point": (1, -2), "(x - 3)^2": (3,)}
+
+
 def _colon_tables():
-    """(label, J, I^g) over the box-2 tables (I : I^g) of six plane ideals,
-    and a 3-variable pair in the box of radius 1."""
+    """(label, J, L) over the box-2 tables (I : I^g) of six plane ideals, a
+    3-variable pair in the box of radius 1, and guard pairs that no check
+    settles: a height-2 sum with J not principal, an L inside m_p but not in
+    an m_p-primary J, J with univariate elements that are not powers of a
+    linear form, and a double point on the line."""
+    R1 = PolyRing(("x",))
     R3 = PolyRing(("x", "y", "z"))
     x, y, z = (R3.var(i) for i in range(3))
     plane = {
@@ -529,32 +537,99 @@ def _colon_tables():
     for g in itertools.product(range(-1, 2), repeat=3):
         yield "space", J, act_on_ideal(Ideal(R3, [x * z - 1, y - z]), g, act3)
         yield "space", J, act_on_ideal(J, g, act3)
+    yield "guard", Ideal(R3, [x * z, y * z]), Ideal(R3, [x, y])
+    yield "guard", Ideal(RING, [X**2, Y**2]), Ideal(RING, [X])
+    yield "guard", Ideal(RING, [X**2 - 2, Y**2]), Ideal(RING, [X**2 + Y - 2])
+    yield "guard", Ideal(RING, [X**2 - 1, Y**2 - 1]), Ideal(RING, [X - 1])
+    t = R1.var(0)
+    yield "(x - 3)^2", Ideal(R1, [(t - 3) ** 2]), Ideal(R1, [t - 3])
+
+
+def _branch(J, L, point):
+    """The check that should settle (J : L), given the point p of an
+    m_p-primary J, or None."""
+    if ideal_contains(J, L):
+        return "contained"
+    if point is not None and any(f.eval_at(point) for f in L.gens):
+        return "point"
+    total = ideal_sum(J, L)
+    if total.is_unit_ideal():
+        return "comaximal"
+    if J.is_principal() and krull_dimension(total) <= J.ring.n - 2:
+        return "principal"
+    return "general"
 
 
 def test_colon_quotient_matches_the_general_route(monkeypatch):
-    """Contained and comaximal pairs are settled without an elimination;
-    every quotient's reduced basis equals the general route's."""
-    eliminations = []
+    """Only the general pairs and the guards run an elimination, and a
+    point-primary J settles its pairs with no basis beyond its own; every
+    quotient's reduced basis equals the general route's."""
+    calls = []  # the (gens, order) of every reduced basis computed
     original = groebner.reduced_groebner_basis
 
     def recording(gens, order):
-        if isinstance(order, _ElimOrder):
-            eliminations.append(order)
+        calls.append((gens, order))
         return original(gens, order)
 
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
-    branches = {"contained": 0, "comaximal": 0, "general": 0}
-    for label, J, Ig in _colon_tables():
-        if ideal_contains(J, Ig):
-            branch = "contained"
-        elif ideal_sum(J, Ig).is_unit_ideal():
-            branch = "comaximal"
-        else:
-            branch = "general"
+    branches = dict.fromkeys(["contained", "point", "comaximal", "principal", "general"], 0)
+    for label, J, L in _colon_tables():
+        branch = _branch(J, L, POINTS.get(label))
         branches[branch] += 1
-        eliminations.clear()
-        got = ideal_quotient(J, Ig)
+        if label in ("guard", "(x - 3)^2"):
+            assert branch == "general", (label, J, L)
+        J.groebner_basis()
+        calls.clear()
+        got = ideal_quotient(J, L)
+        if branch == "point":
+            assert calls == [], (label, L)
         if branch != "general":
-            assert eliminations == [], (label, Ig)
-        assert got.groebner_basis() == _reference_quotient(J, Ig).groebner_basis(), (label, Ig)
+            assert not any(isinstance(order, _ElimOrder) for _, order in calls), (label, L)
+        else:
+            assert any(isinstance(order, _ElimOrder) for _, order in calls), (label, L)
+        assert got.groebner_basis() == _reference_quotient(J, L).groebner_basis(), (label, L)
+    assert all(branches.values()), branches
+
+
+def _random_colon_pair(rng):
+    """(J, L, p) in 1-3 variables: J principal, primary to a rational point p
+    (else p is None) or random, and L a translate of J, linear forms or
+    random."""
+    ring = PolyRing(("x", "y", "z")[: rng.randint(1, 3)])
+    xs = [ring.var(i) for i in range(ring.n)]
+
+    def linear():
+        f = sum((rng.randint(-2, 2) * v for v in xs), ring.const(rng.randint(-2, 2)))
+        return f if not f.is_constant() else xs[0] - 1
+
+    point = None
+    kind = rng.choice(["principal", "point", "random"])
+    if kind == "principal":
+        J = Ideal(ring, [prod(linear() for _ in range(rng.randint(1, 2))) ** rng.randint(1, 2)])
+    elif kind == "point":
+        point = tuple(rng.randint(-2, 2) for _ in xs)
+        ms = [v - c for v, c in zip(xs, point)]
+        gens = [m ** rng.randint(1, 2) for m in ms] + [prod(ms)] * rng.randint(0, 1)
+        J = Ideal(ring, gens)
+    else:
+        J = Ideal(ring, [random_poly(rng, ring) for _ in range(rng.randint(1, 2))])
+    how = rng.choice(["translate", "linear", "random"])
+    if how == "translate":
+        g = tuple(rng.randint(-1, 1) for _ in xs)
+        L = act_on_ideal(J, g, TranslationAction.standard(ring))
+    elif how == "linear":
+        L = Ideal(ring, [linear() for _ in range(rng.randint(1, 2))])
+    else:
+        L = Ideal(ring, [random_poly(rng, ring) for _ in range(rng.randint(1, 2))])
+    return J, L, point
+
+
+def test_colon_quotient_fuzz_against_the_general_route():
+    rng = random.Random(18)
+    branches = dict.fromkeys(["contained", "point", "comaximal", "principal", "general"], 0)
+    for _ in range(100):
+        J, L, point = _random_colon_pair(rng)
+        branches[_branch(J, L, point)] += 1
+        got = ideal_quotient(J, L)
+        assert got.groebner_basis() == _reference_quotient(J, L).groebner_basis(), (J, L)
     assert all(branches.values()), branches
