@@ -27,11 +27,11 @@ from .groebner import (
     Ideal,
     ResourceLimitError,
     _fresh_aux_name,
+    eliminate,
     ideal_equal,
-    reduced_groebner_basis,
 )
 from .normalforms import column_hermite, kernel_basis, smith_normal_form
-from .poly import MonomialOrder, Poly, PolyRing, _ElimOrder
+from .poly import Poly, PolyRing
 
 GroupElement = tuple[int, ...]
 
@@ -79,9 +79,10 @@ def apply_action(f: Poly, g: GroupElement, act: TranslationAction) -> Poly:
 
 
 def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
+    shift = act.translation(g)
     return Ideal(
         I.ring,
-        [apply_action(f, g, act) for f in I.gens],
+        [f.translate(shift) for f in I.gens],
         claimed_prime=I.claimed_prime,
         claimed_maximal=I.claimed_maximal,
     )
@@ -89,8 +90,9 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
 
 def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, ...]:
     """The reduced basis of E = (I(x) + J(x + A s)) cap Q[s_1..s_d], in the
-    variables s: one elimination under the block order that puts x first.
-    V(E) is the Zariski closure of the s in C^d with A s in V(J) - V(I)."""
+    variables s under grevlex: one ``eliminate`` of the x block, which comes
+    first.  V(E) is the Zariski closure of the s in C^d with A s in
+    V(J) - V(I)."""
     ring, n, d = I.ring, I.ring.n, act.d
     aux = _fresh_aux_name(ring)
     ext = PolyRing(ring.variables + tuple(f"{aux}{j}" for j in range(d)))
@@ -100,14 +102,7 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
     ]
     raw = [Poly(ext, {m + (0,) * d: c for m, c in f.terms.items()}) for f in I.gens]
     raw += [h.compose(moved) for h in J.gens]
-    basis = reduced_groebner_basis(raw, _ElimOrder(n, MonomialOrder.grevlex(d)))
-    sring = PolyRing(ext.variables[n:])
-    # the x-free block of an elimination basis is a reduced basis of E, in order
-    return tuple(
-        Poly(sring, {m[n:]: c for m, c in p.terms.items()})
-        for p in basis
-        if not any(any(m[:n]) for m in p.terms)
-    )
+    return eliminate(raw, n, PolyRing(ext.variables[n:]))
 
 
 def box_walk(
@@ -227,15 +222,12 @@ def stabiliser(I: Ideal, act: TranslationAction) -> Lattice:
         monomials = sorted({m for r in residues for m in r.terms})
         for mono in monomials:
             rows.append([r.coefficient(mono) for r in residues])
-    if not rows:
-        lattice = Lattice.standard(act.d)
-    else:
-        constraint = linalg.mat_mul(rows, [list(r) for r in act.matrix])
-        int_rows = []
-        for row in constraint:
-            denom = math.lcm(*(x.denominator for x in row))
-            int_rows.append([int(x * denom) for x in row])
-        lattice = Lattice(act.d, kernel_basis(int_rows, cols=act.d))
+    constraint = linalg.mat_mul(rows, [list(r) for r in act.matrix])
+    int_rows = []
+    for row in constraint:
+        denom = math.lcm(*(x.denominator for x in row))
+        int_rows.append([int(x * denom) for x in row])
+    lattice = Lattice(act.d, kernel_basis(int_rows, cols=act.d))
     for v in lattice.basis:
         if not ideal_equal(act_on_ideal(I, v, act), I):
             raise AssertionError("stabiliser certificate failed on a basis vector")

@@ -330,16 +330,10 @@ def _cmd_quotient_table(args) -> int:
     t0 = time.perf_counter()
     table = quotient_table(I, I, act, box)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    payload = {
-        "box": box,
-        "entries": [
-            {"g": list(g), "component": _ideal_str(comp)}
-            for g, comp in sorted(table.items())
-        ],
-    }
+    entries = [(g, _ideal_str(comp)) for g, comp in sorted(table.items())]
+    payload = {"box": box, "entries": [{"g": list(g), "component": s} for g, s in entries]}
     lines = [f"idealiser components (I : I^g), box {box}:"]
-    for g, comp in sorted(table.items()):
-        lines.append(f"  g={_vec(g)}: {_ideal_str(comp)}")
+    lines += [f"  g={_vec(g)}: {s}" for g, s in entries]
     _emit(payload, args.json, lines)
     return 0
 

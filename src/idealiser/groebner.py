@@ -318,28 +318,34 @@ def _fresh_aux_name(ring: PolyRing) -> str:
     return name
 
 
+def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[Poly, ...]:
+    """The reduced basis of <raw> cap ``ring``, for ``raw`` in a ring with
+    ``block`` more variables, first.  The part of the reduced basis under
+    _ElimOrder(block, ring.order) free of them generates it (Cox, Little and
+    O'Shea, IVA, section 3.1).  On that part the block order is ``ring``'s,
+    so it is monic, inter-reduced and, coming last, in descending order."""
+    basis = reduced_groebner_basis(raw, _ElimOrder(block, ring.order))
+    return tuple(
+        Poly(ring, {m[block:]: c for m, c in p.terms.items()})
+        for p in basis
+        if not any(any(m[:block]) for m in p.terms)
+    )
+
+
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via the auxiliary variable t: eliminate t from t*I + (1-t)*J."""
+    """I cap J via the auxiliary variable t: eliminate t from t*I + (1-t)*J.
+    The result's basis cache holds the elimination's reduced basis."""
     ring = I.ring
     if not I.gens or not J.gens:
         return Ideal(ring, [])
-    aux = _fresh_aux_name(ring)
-    ext = PolyRing((aux,) + ring.variables)
-    t = ext.var(0)
+    ext = PolyRing((_fresh_aux_name(ring),) + ring.variables)
 
-    def lift(p: Poly) -> Poly:
-        return Poly(ext, {(0,) + m: c for m, c in p.terms.items()})
+    def lift(p: Poly, e: int) -> Poly:  # t^e * p
+        return Poly(ext, {(e,) + m: c for m, c in p.terms.items()})
 
-    raw = [t * lift(f) for f in I.gens] + [(ext.one() - t) * lift(g) for g in J.gens]
-    elim = _ElimOrder(1, ring.order)
-    basis = reduced_groebner_basis(raw, elim)
-    down = []
-    for p in basis:
-        if all(m[0] == 0 for m in p.terms):
-            down.append(Poly(ring, {m[1:]: c for m, c in p.terms.items()}))
-    result = Ideal(ring, down)
-    # the t-free block of an elimination basis is already a reduced basis
-    result._gb = tuple(sorted(down, key=lambda g: ring.order.key(g.leading()[0]), reverse=True))
+    raw = [lift(f, 1) for f in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
+    result = Ideal(ring, eliminate(raw, 1, ring))
+    result._gb = result.gens
     return result
 
 
@@ -347,7 +353,7 @@ def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
     """The point p when the reduced basis of J holds a power (x_i - p_i)^k
     for every i, else None.  A monic g of degree k in x_i alone is such a
     power exactly when g(x_i + p_i), with p_i = -(coefficient of
-    x_i^(k-1))/k, is the single term x_i^k."""
+    x_i^(k-1))/k, is the single term x_i^k; for k = 1 it always is."""
     n = J.ring.n
     point: list = [None] * n
     for g in J.groebner_basis():
@@ -357,7 +363,7 @@ def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
             k = g.degree_in(i)
             shift = [0] * n
             shift[i] = -g.coefficient(tuple(k - 1 if j == i else 0 for j in range(n))) / k
-            if len(g.translate(shift).terms) == 1:
+            if k == 1 or len(g.translate(shift).terms) == 1:
                 point[i] = shift[i]
     return None if None in point else tuple(point)
 
@@ -483,9 +489,9 @@ def is_radical(I: Ideal) -> bool:
 
 
 def rational_point_of(I: Ideal) -> tuple[Fraction, ...] | None:
-    """The rational point p with I = m_p, else None.  When every x_i reduces
-    to a constant c_i mod a proper I, m_c lies in I, and m_c is maximal."""
-    nfs = [I.normal_form(I.ring.var(i)) for i in range(I.ring.n)]
-    if I.is_unit_ideal() or not all(nf.is_constant() for nf in nfs):
+    """The rational point p with I = m_p, else None.  The reduced basis of
+    m_p is {x_i - p_i} in every order, so I = m_p exactly when every basis
+    element has degree 1 and _primary_point reads a point off the basis."""
+    if any(g.degree() != 1 for g in I.groebner_basis()):
         return None
-    return tuple(nf.constant_value() for nf in nfs)
+    return _primary_point(I)

@@ -199,13 +199,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(mono_degree(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     def degree(self):
         """Total degree; the zero polynomial gets -inf."""
         if not self.terms:

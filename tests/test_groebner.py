@@ -214,11 +214,71 @@ def test_krull_dimension():
     assert krull_dimension(Ideal(RING, [X**2, Y])) == 0
 
 
-def test_rational_point_extraction():
-    assert rational_point_of(Ideal(RING, [X - 1, Y - 2])) == (1, 2)
-    assert rational_point_of(Ideal(RING, [2 * X - 1, Y])) == (Fraction(1, 2), 0)
-    # residue field Q(sqrt(2)) has no rational coordinates
-    assert rational_point_of(Ideal(RING, [X**2 - 2, Y])) is None
+def _point_by_normal_forms(I: Ideal):
+    """The reference: when every x_i reduces to a constant c_i mod a proper
+    I, m_c lies in I, and m_c is maximal, so I = m_c."""
+    nfs = [I.normal_form(I.ring.var(i)) for i in range(I.ring.n)]
+    if I.is_unit_ideal() or not all(nf.is_constant() for nf in nfs):
+        return None
+    return tuple(nf.coefficient((0,) * I.ring.n) for nf in nfs)
+
+
+def test_rational_point_extraction(monkeypatch):
+    half = Fraction(1, 2)
+    table = [
+        (("x",), ["3*x - 1"], (Fraction(1, 3),)),
+        (("x", "y"), ["x - 1", "y - 2"], (1, 2)),
+        (("x", "y"), ["2*x - 1", "y"], (half, 0)),
+        (("x", "y"), ["x + y - 1/2", "x - y - 1/3"], (Fraction(5, 12), Fraction(1, 12))),
+        (("x", "y", "z"), ["2*x - 1", "y - x^2", "z - x*y"], (half, Fraction(1, 4), Fraction(1, 8))),
+        # two points, (1/2, 1/3, -1/6) and (-2/3, -1/4, 2/9): radical, not maximal
+        (("x", "y", "z"), ["x*y - 1/6", "x - 2*y + 1/6", "3*z + x"], None),
+        (("x", "y"), ["(x - 1)^2", "y"], None),  # primary to a point, not maximal
+        (("x", "y"), ["x^2 - 2", "y"], None),  # residue field Q(sqrt(2))
+        (("x", "y"), ["x - 2*y - 1"], None),  # a line
+        (("x", "y"), ["x", "x - 1"], None),  # the unit ideal
+        (("x", "y", "z"), [], None),  # the zero ideal
+    ]
+    cases = []
+    for variables, gens, expected in table:
+        for order in (MonomialOrder.grevlex, MonomialOrder.lex):
+            ring = PolyRing(variables, order(len(variables)))
+            cases.append((Ideal(ring, [ring.parse(s) for s in gens]), expected))
+    # seeded fuzz: m_p by triangular generators x_i - p_i + sum_{j<i} r_ij*(x_j - p_j),
+    # three in four of them perturbed off m_p
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        ring = PolyRing(("x", "y", "z")[:n], rng.choice((MonomialOrder.grevlex, MonomialOrder.lex))(n))
+        lin = [ring.var(i) - Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for i in range(n)]
+        gens = [sum((random_poly(rng, ring, max_deg=1) * lin[j] for j in range(i)), lin[i]) for i in range(n)]
+        perturb = rng.randrange(4)
+        if perturb == 1:
+            gens[0] = gens[0] * gens[0]
+        elif perturb == 2:
+            gens.append(random_poly(rng, ring, max_deg=1))
+        elif perturb == 3:
+            gens.pop()
+        cases.append((Ideal(ring, gens), ...))
+    calls = []
+    original = groebner.normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for I, _ in cases:
+        I.groebner_basis()
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    points = [rational_point_of(I) for I, _ in cases]
+    monkeypatch.undo()
+    assert not calls  # read off the cached basis, with no normal form
+    for (I, expected), point in zip(cases, points):
+        assert point == _point_by_normal_forms(I), I
+        assert expected is ... or point == expected, I
+        assert point is None or all(type(c) is Fraction for c in point)
+    fuzzed = points[2 * len(table) :]
+    assert sum(p is None for p in fuzzed) >= 10 and sum(p is not None for p in fuzzed) >= 10
 
 
 def maximal(I: Ideal) -> bool:
@@ -389,9 +449,10 @@ def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
     for I, J in cases:
         # the eliminations of the colon's general route, J cap (f) per generator f
-        for f in I.gens:
-            ideal_intersect(Ideal(I.ring, [f]), J)
-        ideal_intersect(I, J)
+        meets = [ideal_intersect(Ideal(I.ring, [f]), J) for f in I.gens] + [ideal_intersect(I, J)]
+        # the seeded basis cache is the reduced basis of the result's generators
+        for meet in meets:
+            assert meet.groebner_basis() == reduced_groebner_basis(meet.gens, I.ring.order)
     assert len(seen) >= 2 * len(cases)
     for gens, order, basis in seen:
         assert basis == chain_reduced_basis(gens, order)
