@@ -368,42 +368,69 @@ def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
     return None if None in point else tuple(point)
 
 
-def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
-    """Colon quotient (J : I) = {c | c*I subset of J}.
+class Colon:
+    """Colon quotients (J : L) for one J and any number of L.
 
-    Checks that return J without an elimination rest on one fact: (J : I)
-    is J exactly when I lies in no associated prime of C/J (Eisenbud,
-    Commutative Algebra, Thm 3.1 and Lemma 3.3).  In order:
-    - I in J: the quotient is <1>.
+    The facts about J alone, its reduced basis, its point when it is
+    primary to one (``_primary_point``) and whether it is principal, are
+    read once.  Checks that return J without an elimination rest on one
+    fact: (J : L) is J exactly when L lies in no associated prime of C/J
+    (Eisenbud, Commutative Algebra, Thm 3.1 and Lemma 3.3).  In order:
+    - L in J: the quotient is <1>.
     - J proper with (x_i - p_i)^k in its basis for every i: V(J) = {p}, so
       J is m_p-primary and m_p is its only associated prime.  A generator
-      of I that is nonzero at p puts I outside m_p, and the quotient is J.
-    - I + J = <1>: it is J, as c*I in J gives c = c*1 in c*I + c*J, in J.
-    - J = (f) principal and dim C/(I + J) <= n - 2: C is a UFD, so the
+      of L that is nonzero at p puts L outside m_p, and the quotient is J.
+    - L + J = <1>: it is J, as c*L in J gives c = c*1 in c*L + c*J, in J.
+    - J = (f) principal and dim C/(L + J) <= n - 2: C is a UFD, so the
       associated primes of C/(f) are the (p) for the irreducible factors p
-      of f, each of height 1.  I in (p) would put I + J in (p), of
-      dimension n - 1; so I lies in none, and the quotient is J.  The
+      of f, each of height 1.  L in (p) would put L + J in (p), of
+      dimension n - 1; so L lies in none, and the quotient is J.  The
       dimension is read off the sum basis of the previous check.
-    Any other pair goes on to (J : f) = (J cap (f))/f per generator f of I,
+    Any other pair goes on to (J : f) = (J cap (f))/f per generator f of L,
     and to the intersection of those (Cox, Little and O'Shea, IVA, section
-    4.4)."""
-    ring = J.ring
-    if ideal_contains(J, I):
-        return unit_ideal(ring)
-    point = _primary_point(J)
-    if point is not None and any(f.eval_at(point) for f in I.gens):
-        return J
-    total = Ideal(ring, J.groebner_basis() + I.gens)
-    if total.is_unit_ideal():
-        return J
-    if J.is_principal() and krull_dimension(total) <= ring.n - 2:
-        return J
-    result: Ideal | None = None
-    for f in I.gens:
-        meet = ideal_intersect(Ideal(ring, [f]), J)
-        colon_f = Ideal(ring, [exact_divide(g, f) for g in meet.gens])
-        result = colon_f if result is None else ideal_intersect(result, colon_f)
-    return result
+    4.4).
+
+    A caller that already knows whether L lies in J passes ``contained``.
+    Calls with the same ``key`` share the outcome of the two sum checks,
+    kept in ``outside`` (True when they return J): the caller vouches that
+    an automorphism of C maps the one sum J + L onto the other, so that
+    both are <1> or neither is, and both have the same dimension."""
+
+    def __init__(self, J: Ideal):
+        self.J = J
+        self.point = _primary_point(J)
+        self.principal = J.is_principal()
+        self.outside: dict = {}
+
+    def __call__(self, L: Ideal, contained: bool | None = None, key=None) -> Ideal:
+        J, ring = self.J, self.J.ring
+        if ideal_contains(J, L) if contained is None else contained:
+            return unit_ideal(ring)
+        if self.point is not None and any(f.eval_at(self.point) for f in L.gens):
+            return J
+        if key in self.outside:
+            outside = self.outside[key]
+        else:
+            total = Ideal(ring, J.groebner_basis() + L.gens)
+            outside = total.is_unit_ideal() or (
+                self.principal and krull_dimension(total) <= ring.n - 2
+            )
+            if key is not None:
+                self.outside[key] = outside
+        if outside:
+            return J
+        result: Ideal | None = None
+        for f in L.gens:
+            meet = ideal_intersect(Ideal(ring, [f]), J)
+            colon_f = Ideal(ring, [exact_divide(g, f) for g in meet.gens])
+            result = colon_f if result is None else ideal_intersect(result, colon_f)
+        return result
+
+
+def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
+    """Colon quotient (J : I) = {c | c*I subset of J}, by the checks and the
+    general route of ``Colon``."""
+    return Colon(J)(I)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:

@@ -288,10 +288,23 @@ def t_set_box(
     box: int,
     act: TranslationAction,
 ) -> LatticeSubsetReport:
-    """Members h of ``sub`` in the box with Tor_1(C/I, C/J^h) nonzero."""
+    """Members h of ``sub`` in the box with Tor_1(C/I, C/J^h) nonzero.
+
+    When J = I, h and -h are members together: the automorphism f -> f^h
+    of C maps the pair (I, I^{-h}) onto (I^h, I), so Tor_1(C/I, C/I^{-h})
+    is isomorphic to Tor_1(C/I^h, C/I), which is Tor_1(C/I, C/I^h) by the
+    symmetry of Tor.  The box of a lattice is symmetric, so each pair
+    {h, -h} is tested once, at its first member in box order (the
+    argument for the colon table of J = I is the same, in
+    ``skew.quotient_table``)."""
     K = analysis(I, act).K
     nonzero = component_test(I, J, act, "left")
-    members = [h for h in sub.points_in_box(box) if nonzero(h)]
+    mirrored = ideal_equal(I, J)
+    found: dict[GroupElement, bool] = {}
+    for h in sub.points_in_box(box):
+        minus = tuple(-x for x in h)
+        found[h] = found[minus] if mirrored and minus in found else nonzero(h)
+    members = [h for h, hit in found.items() if hit]
     desc = (
         f"T-set of <{', '.join(str(f) for f in I.gens)}> against "
         f"<{', '.join(str(g) for g in J.gens)}>"

@@ -24,10 +24,13 @@ from .action import (
     apply_action,
     box_walk,
 )
+from .diophantine import zero_test
 from .groebner import (
+    Colon,
     DimensionProbe,
     Ideal,
     dimension_probe,
+    ideal_equal,
     ideal_quotient,
     unit_ideal,
 )
@@ -154,13 +157,46 @@ def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Id
 def quotient_table(
     J: Ideal, I: Ideal, act: TranslationAction, box: int
 ) -> dict[GroupElement, Ideal]:
-    """(J : I^g) for all g in the sup-norm box, each from J and I^g alone by
-    ``ideal_quotient``: C when I^g lies in J, and J with no elimination when
-    a check shows that I^g lies in no associated prime of C/J (J primary to
-    a rational point where I^g does not vanish, J + I^g = C, or J principal
-    with J + I^g of height at least 2); one elimination per generator of
-    I^g otherwise."""
-    return {g: ideal_quotient(J, act_on_ideal(I, g, act)) for g in box_walk([box] * act.d)}
+    """(J : I^g) for all g in the sup-norm box, by one ``Colon(J)``, which
+    reads the basis, point and principality of J once.  Three exact facts
+    settle entries before I^g is built, or spare it a check:
+    - J = I, proper and nonzero: I^g lies in I iff g lies in the stabiliser
+      K.  If I^g is in I, translating by -(k+1)g puts I^{-kg} in
+      I^{-(k+1)g} for every k >= 0; this chain of ideals stabilises,
+      I^{-kg} = I^{-(k+1)g} for some k, and translating by (k+1)g gives
+      I^g = I.  So an entry in
+      K is <1> with no normal form, and no other entry is tested for
+      containment.
+    - J primary to a rational point p: the entry is J when a generator f of
+      I has f^g(p) = f(p + A g) nonzero (``Colon``'s point check).  One
+      compiled ``zero_test`` of the generators of I at p + A g serves the
+      whole table, so no such g builds I^g.
+    - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
+      so the two sums are both <1> or neither is, and they have the same
+      dimension.  Each pair {g, -g} builds one sum basis, and when that
+      sum returns J, the second member of the pair is J with no I^g.
+    Only the other entries build I^g and go on through ``Colon``.  K comes
+    from ``analysis``, which computes it; no input flag is read."""
+    colon = Colon(J)
+    K = None
+    if not (I.is_zero_ideal() or I.is_unit_ideal()) and ideal_equal(I, J):
+        K = analysis(I, act).K
+    vanishes = None if colon.point is None else zero_test(I.gens, colon.point, act.matrix)
+    table = {}
+    for g in box_walk([box] * act.d):
+        if K is not None and K.contains(g):
+            table[g] = unit_ideal(J.ring)
+        elif vanishes is not None and not vanishes(g):
+            table[g] = J
+        elif K is None:
+            table[g] = colon(act_on_ideal(I, g, act))
+        else:
+            pair = min(g, tuple(-x for x in g))
+            if colon.outside.get(pair):
+                table[g] = J
+            else:
+                table[g] = colon(act_on_ideal(I, g, act), contained=False, key=pair)
+    return table
 
 
 def idealiser_membership(b: SkewElement, I: Ideal, act: TranslationAction) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from idealiser import (
     Ideal,
+    MonomialOrder,
     ParseError,
     Poly,
     PolyRing,
@@ -12,11 +13,19 @@ from idealiser import (
     TranslationAction,
     idealiser_component,
     idealiser_membership,
+    ideal_contains,
+    ideal_quotient,
+    ideal_sum,
+    krull_dimension,
     parse_skew,
     presentation_R_mod_IB,
     quotient_table,
     unit_ideal,
 )
+from idealiser import groebner, skew
+from idealiser.action import act_on_ideal, box_walk
+from idealiser.noether import analysis
+from idealiser.poly import _ElimOrder
 from skew_oracle import right_ideal_truncation
 
 RING = PolyRing(("x", "y"))
@@ -180,6 +189,151 @@ def test_quotient_table_matches_componentwise_fast_path():
     for g, entry in table.items():
         fast = idealiser_component(I, g, ACT)
         assert entry.groebner_basis() == fast.groebner_basis()
+
+
+def _table_cases(rng):
+    """(label, J, I, act, box, p): colon tables with p the rational point of
+    an m_p-primary J (given here, not read from the code), else None.  J = I
+    from the same or from other generators, and J != I; lines, two lines
+    with one of them stabilised, a double line, a Pell conic, points and fat
+    points, in one to three variables, under the lex order and under a
+    rational action; the unit and the zero ideal, whose stabiliser is not
+    defined."""
+    a, b = rng.randint(1, 2), rng.randint(-2, 2)
+    p = (rng.randint(-2, 2), rng.randint(-2, 2))
+    line = X - a * Y - b  # stabilised by (a, 1)
+    m_p = Ideal(RING, [X - p[0], Y - p[1]], claimed_prime=True)
+    m_p2 = Ideal(RING, [(X - p[0]) ** 2, (X - p[0]) * (Y - p[1]), (Y - p[1]) ** 2])
+    pell = Ideal(RING, [X**2 - 7 * Y**2 - 1], claimed_prime=True)
+    two = Ideal(RING, [line * (X + Y - 3)])
+    yield "line", Ideal(RING, [line], claimed_prime=True), Ideal(RING, [line]), ACT, 2, None
+    other = Ideal(RING, [2 * line, line * (Y + 1)])  # the same ideal from other generators
+    yield "line, other generators", other, Ideal(RING, [line]), ACT, 2, None
+    yield "point", m_p, m_p, ACT, 2, p
+    yield "m_p^2 against m_p", m_p2, m_p, ACT, 2, p
+    yield "fat point", m_p2, m_p2, ACT, 2, p
+    yield "two lines", two, two, ACT, 2, None
+    # the first generator moves along (a, 1), which stabilises the first line only
+    along = TranslationAction(RING, [[a, 1], [1, 0]])
+    yield "two lines, one stabilised", two, two, along, 2, None
+    double = Ideal(RING, [line**2])
+    yield "double line", double, double, ACT, 2, None
+    yield "pell", pell, pell, ACT, 2, None
+    yield "pell against a point on it", pell, Ideal(RING, [X - 8, Y - 3]), ACT, 2, None
+    R1 = PolyRing(("x",))
+    t = R1.var(0)
+    act1 = TranslationAction.standard(R1)
+    yield "(x - 3)^2", Ideal(R1, [(t - 3) ** 2]), Ideal(R1, [(t - 3) ** 2]), act1, 2, (3,)
+    yield "(x - 3)^2 against x - 3", Ideal(R1, [(t - 3) ** 2]), Ideal(R1, [t - 3]), act1, 2, (3,)
+    third = TranslationAction(RING, [["1/3", 0], [0, 1]])
+    fat = Ideal(RING, [(X - 1) ** 2, Y**2])
+    # vanishes at (1, 0) + (g_1/3, g_2) for g = (1, 0) and (2, 0)
+    moving = Ideal(RING, [(3 * X - 4) * (3 * X - 5), Y])
+    yield "rational action", fat, moving, third, 2, (1, 0)
+    third_point = Ideal(RING, [3 * X - 1, Y + 1], claimed_prime=True)
+    yield "rational action, point", third_point, third_point, third, 2, (Fraction(1, 3), -1)
+    lex = PolyRing(("x", "y"), MonomialOrder.lex(2))
+    u, v = lex.var(0), lex.var(1)
+    lex_two = Ideal(lex, [(u - a * v - b) * (u + v - 3)])
+    lex_act = TranslationAction(lex, [[a, 1], [1, 0]])
+    yield "lex", lex_two, lex_two, lex_act, 2, None
+    lex_fat = Ideal(lex, [u - 1, v**2])
+    yield "lex point", lex_fat, lex_fat, TranslationAction.standard(lex), 2, (1, 0)
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(i) for i in range(3))
+    act3 = TranslationAction.standard(R3)
+    lines3 = Ideal(R3, [x - y, z**2 - 1])
+    yield "three variables", lines3, lines3, act3, 1, None
+    yield "three variables, J != I", lines3, Ideal(R3, [x * z - 1, y - z]), act3, 1, None
+    unit, zero = Ideal(RING, [RING.one()]), Ideal(RING, [])
+    yield "unit", unit, unit, ACT, 1, None
+    yield "zero", zero, zero, ACT, 1, None
+    yield "m_p against the unit ideal", m_p, unit, ACT, 1, p
+    yield "m_p against the zero ideal", m_p, zero, ACT, 1, p
+
+
+def _colon_branch(J, L, point):
+    """The step of ``ideal_quotient`` that settles (J : L), given the point p
+    of an m_p-primary J, or None."""
+    if ideal_contains(J, L):
+        return "contained"
+    if point is not None and any(f.eval_at(point) for f in L.gens):
+        return "point"
+    total = ideal_sum(J, L)
+    if total.is_unit_ideal():
+        return "comaximal"
+    if J.is_principal() and krull_dimension(total) <= J.ring.n - 2:
+        return "principal"
+    return "general"
+
+
+def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
+    """quotient_table equals ideal_quotient(J, I^g) entry by entry.  It
+    builds no I^g for an entry that the stabiliser (J = I) or the zero test
+    at the point of J settles, one sum basis per pair {g, -g} when J = I,
+    and one per other entry that reaches the sum, and every entry of the
+    general route still eliminates."""
+    translated = []  # the g of every I^g that the table builds
+    bases = []  # (g of the last I^g built, gens, order) of every basis computed
+    original_act, original_basis = skew.act_on_ideal, groebner.reduced_groebner_basis
+
+    def recording_act(I, g, act):
+        translated.append(g)
+        return original_act(I, g, act)
+
+    def recording_basis(gens, order):
+        bases.append((translated[-1] if translated else None, gens, order))
+        return original_basis(gens, order)
+
+    seen = set()
+    for label, J, I, act, box, p in _table_cases(random.Random(20)):
+        moved = {g: act_on_ideal(I, g, act) for g in box_walk([box] * act.d)}
+        expected = {g: ideal_quotient(J, L) for g, L in moved.items()}
+        branch = {g: _colon_branch(J, L, p) for g, L in moved.items()}
+        gb = J.groebner_basis()
+        proper = not (I.is_zero_ideal() or I.is_unit_ideal())
+        K = analysis(I, act).K if proper and gb == I.groebner_basis() else None
+        translated.clear()
+        bases.clear()
+        monkeypatch.setattr(skew, "act_on_ideal", recording_act)
+        monkeypatch.setattr(groebner, "reduced_groebner_basis", recording_basis)
+        table = quotient_table(J, I, act, box)
+        monkeypatch.undo()
+        assert list(table) == list(moved), label
+        for g, entry in table.items():
+            assert entry.groebner_basis() == expected[g].groebner_basis(), (label, g)
+        # no translate where the zero test or, for J = I, the stabiliser settles
+        assert not [g for g in translated if branch[g] == "point"], label
+        if K is not None:
+            assert all(branch[g] == "contained" for g in moved if K.contains(g)), label
+            assert not [g for g in translated if K.contains(g)], label
+        # one sum basis per entry that reaches the sum; when J = I, one per
+        # pair {g, -g}, at its first member, and the second member builds
+        # no translate unless that sum sends both on to the general route
+        first = {g: min(g, tuple(-x for x in g)) for g in moved}
+        reach = [g for g in moved if branch[g] in ("comaximal", "principal", "general")]
+        sums = [
+            g for g, gens, order in bases
+            if gens[: len(gb)] == gb and not isinstance(order, _ElimOrder)
+        ]
+        if K is None:
+            assert sums == reach, label
+            assert translated == [g for g in moved if branch[g] != "point"], label
+        else:
+            assert sums == sorted({first[g] for g in reach}), label
+            built = [g for g in reach if g == first[g] or branch[g] == "general"]
+            assert translated == built, label
+        # every entry of the general route eliminates, in its own translate
+        eliminated = {g for g, _, order in bases if isinstance(order, _ElimOrder)}
+        assert eliminated == {g for g in moved if branch[g] == "general"}, label
+        seen.update(branch[g] for g in translated)
+        if K is not None:
+            seen.update("stabiliser" for g in moved if K.contains(g) and any(g))
+            seen.update("mirror" for g in reach if g != first[g])
+        if p is not None and any(branch[g] == "point" for g in moved):
+            seen.add("zero test")
+    kinds = {"stabiliser", "zero test", "mirror", "contained", "comaximal", "principal", "general"}
+    assert kinds <= seen, seen
 
 
 def test_idealiser_membership():
