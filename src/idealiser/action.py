@@ -100,7 +100,8 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
         sum((a * ext.var(n + j) for j, a in enumerate(row) if a), ext.var(i))
         for i, row in enumerate(act.matrix)
     ]
-    raw = [Poly(ext, {m + (0,) * d: c for m, c in f.terms.items()}) for f in I.gens]
+    pad = (0,) * d
+    raw = [Poly.from_ints(ext, f.num, f.den, {m + pad: c for m, c in f.ints.items()}) for f in I.gens]
     raw += [h.compose(moved) for h in J.gens]
     return eliminate(raw, n, PolyRing(ext.variables[n:]))
 
@@ -219,7 +220,7 @@ def stabiliser(I: Ideal, act: TranslationAction) -> Lattice:
     rows: list[list[Fraction]] = []
     for f in gb:
         residues = [I.normal_form(f.partial(j)) for j in range(ring.n)]
-        monomials = sorted({m for r in residues for m in r.terms})
+        monomials = sorted({m for r in residues for m in r.ints})
         for mono in monomials:
             rows.append([r.coefficient(mono) for r in residues])
     constraint = linalg.mat_mul(rows, [list(r) for r in act.matrix])

@@ -330,7 +330,8 @@ def _cmd_quotient_table(args) -> int:
     t0 = time.perf_counter()
     table = quotient_table(I, I, act, box)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    entries = [(g, _ideal_str(comp)) for g, comp in sorted(table.items())]
+    strings = {comp: _ideal_str(comp) for comp in set(table.values())}  # each object once
+    entries = [(g, strings[comp]) for g, comp in sorted(table.items())]
     payload = {"box": box, "entries": [{"g": list(g), "component": s} for g, s in entries]}
     lines = [f"idealiser components (I : I^g), box {box}:"]
     lines += [f"  g={_vec(g)}: {s}" for g, s in entries]

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
-from .poly import Poly, PolyRing, _integral, mono_degree
+from .poly import Poly, PolyRing, mono_degree
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,14 @@ def zero_test(
 
     The exact work is done once, when the test is built.  Each generator f
     is composed with the affine map into g_f(c) = f(base + matrix * c) and
-    scaled by the lcm of its denominators to integer coefficients; its zeros
-    on Z^d are the c whose point is a zero of f.  For the identity matrix
-    and an integral base, g_f is f translated by the base (``Poly.translate``,
-    an integer Taylor shift).  A g_f that vanishes identically is dropped, so
-    no generators pass every c, and a nonzero constant g_f rejects every c,
-    so it is then the only one kept.  With D the common denominator of base and
-    matrix, the point is (P + M c) / D with integral P and M, so the box
-    check compares |P_i + M_i c| with D * box.  The test evaluates integer
+    read as its primitive integer part; its zeros on Z^d are the c whose
+    point is a zero of f.  For the identity matrix, g_f is f translated by
+    the base (``Poly.translate``, an integer Taylor shift).  A g_f that
+    vanishes identically is dropped, so no generators pass every c, and a
+    nonzero constant g_f rejects every c, so it is then the only one kept.
+    With D the common denominator of base and matrix, the point is
+    (P + M c) / D with integral P and M, so the box check compares
+    |P_i + M_i c| with D * box.  The test evaluates integer
     polynomials at the integer vector c and builds no Fraction.  It is a
     ``ZeroTest``, which also gives, for the first coordinates of c fixed,
     the integer roots in the last coordinate of the first g_f that is not
@@ -95,7 +95,7 @@ def zero_test(
     """
     inside = None if box is None else (lambda c: all(abs(x) <= box for x in c))
     if matrix is None:
-        composites = [_integral(f.terms)[0] for f in gens]
+        composites = [f.ints for f in gens]
     else:
         base = [Fraction(b) for b in base]
         matrix = [[Fraction(a) for a in row] for row in matrix]
@@ -105,8 +105,8 @@ def zero_test(
             bound = D * box
             inside = lambda c: all(abs(p + sum(map(mul, row, c))) <= bound for p, row in rows)
         identity = [[int(i == j) for j in range(len(base))] for i in range(len(base))]
-        if matrix == identity and all(b.denominator == 1 for b in base):
-            composites = [_integral(f.translate(base).terms)[0] for f in gens]
+        if matrix == identity:
+            composites = [f.translate(base).ints for f in gens]
         else:
             # a ring needs a variable even for an empty sublattice, where c = ()
             coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
@@ -114,7 +114,7 @@ def zero_test(
                 sum((a * coords.var(j) for j, a in enumerate(row) if a), coords.const(b))
                 for b, row in zip(base, matrix)
             ]
-            composites = [_integral(f.compose(images).terms)[0] for f in gens]
+            composites = [f.compose(images).ints for f in gens]
     composites = [terms for terms in composites if terms]
     constants = [terms for terms in composites if not any(map(any, terms))]
     if constants:  # a nonzero constant rejects every c
@@ -304,13 +304,11 @@ def _projective_smoothness(f: Poly) -> tuple[int, ...] | None:
     ring = f.ring
     d = int(f.degree())
     pring = PolyRing(ring.variables + (_fresh_aux_name(ring),))
-    F = Poly(
-        pring,
-        {m + (d - mono_degree(m),): c for m, c in f.terms.items()},
-    )
+    homogeneous = {m + (d - mono_degree(m),): c for m, c in f.ints.items()}
+    F = Poly.from_ints(pring, f.num, f.den, homogeneous)
     partials = [F.partial(i) for i in range(pring.n)]
     basis = reduced_groebner_basis(partials, pring.order)
-    powers = pure_powers([g.leading()[0] for g in basis], pring.n)
+    powers = pure_powers([g.leading_monomial() for g in basis], pring.n)
     return powers if all(powers) else None
 
 

@@ -27,8 +27,6 @@ from .poly import (
     Poly,
     PolyRing,
     _ElimOrder,
-    _integral,
-    _scaled,
     mono_degree,
     mono_div,
     mono_divides,
@@ -44,29 +42,17 @@ class ResourceLimitError(RuntimeError):
     """Raised when a basis computation exceeds its pair budget."""
 
 
-def _run_poly(ring: PolyRing, terms: dict) -> Poly:
-    """A Poly on int coefficients, as they are; only basis runs make these.
-    Under the ring's order its terms descend, as a Poly's do."""
-    p = object.__new__(Poly)
-    p.ring, p.terms = ring, terms
-    return p
-
-
 def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], int, dict]]:
-    prepared = []
-    for g in basis:
-        if g.terms:
-            lm, lc = g.leading(order)
-            terms = g.terms if type(lc) is int else _integral(g.terms)[0]
-            prepared.append((lm, terms[lm], terms))
-    return prepared
+    """(leading monomial, its int coefficient, int coefficients) per nonzero divisor."""
+    return [(lm, g.ints[lm], g.ints) for g in basis if g.ints for lm in [g.leading_monomial(order)]]
 
 
 def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
     """Pseudo-reduction of the integer terms ``work`` (consumed) by ``prepared``
     (Geddes, Czapor and Labahn, 1992, ch. 10): (R, lam), lam*work = R modulo
-    the divisors.  Each step scales by lc/gcd(c, lc) and divides out the
-    content; with one divisor, ``quotient`` collects lam*work's quotient."""
+    the divisors, lam = num/den returned as the two ints.  Each step scales
+    by lc/gcd(c, lc) and divides out the content; with one divisor,
+    ``quotient`` collects lam*work's quotient."""
     out: dict = {}
     num = den = 1
     key = order.key
@@ -100,42 +86,37 @@ def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
                 break
         else:
             out[m] = work.pop(m)
-    return out, Fraction(num, den)
+    return out, num, den
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order=None) -> Poly:
-    """Full remainder of f on division by ``basis``, exact; for int
-    coefficients (a basis run's) an integer multiple of it."""
+    """Full remainder of f on division by ``basis``, exact."""
     if order is None:
         order = f.ring.order
     prepared = _prepare(basis, order)
-    if not any(mono_divides(lm, m) for lm, _, _ in prepared for m in f.terms):
+    if not any(mono_divides(lm, m) for lm, _, _ in prepared for m in f.ints):
         return f
-    work, scale = _integral(f.terms)
-    rem, lam = _pseudo_reduce(work, prepared, order)
-    if not rem or type(next(iter(f.terms.values()))) is int:
-        return _run_poly(f.ring, rem)
-    return _scaled(f.ring, rem, scale / lam)
+    rem, num, den = _pseudo_reduce(dict(f.ints), prepared, order)
+    return Poly.from_ints(f.ring, f.num * den, f.den * num, rem)
 
 
 def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
-    """The S-polynomial of f and g times lc(f)*lc(g), which keeps int
-    coefficients ints."""
+    """The S-polynomial of f and g times lc(f)*lc(g): the S-polynomial of
+    their integer parts times both contents."""
     if order is None:
         order = f.ring.order
-    lmf, lcf = f.leading(order)
-    lmg, lcg = g.leading(order)
+    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+    lcf, lcg = f.ints[lmf], g.ints[lmg]
     lcm = mono_lcm(lmf, lmg)
     qf = mono_div(lcm, lmf)
     qg = mono_div(lcm, lmg)
     # the leading terms cancel; shift and scale the rest of each term dict
-    out = {mono_mul(qf, m): lcg * c for m, c in f.terms.items() if m != lmf}
-    for m, c in g.terms.items():
+    out = {mono_mul(qf, m): lcg * c for m, c in f.ints.items() if m != lmf}
+    for m, c in g.ints.items():
         if m != lmg:
             tm = mono_mul(qg, m)
             out[tm] = out.get(tm, 0) - lcf * c
-    out = {m: out[m] for m in sorted(out, key=order.key, reverse=True) if out[m]}
-    return _run_poly(f.ring, out) if type(lcf) is int else Poly(f.ring, out)
+    return Poly.from_ints(f.ring, f.num * g.num, f.den * g.den, out)
 
 
 def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
@@ -145,7 +126,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     that survive it.  S-polynomials are reduced against every element found
     so far: the inactive ones are often the smaller reducers, and under lex
     orders reducing against the active ones alone swells the coefficients.
-    The elements are integer polynomials, and leave as they are."""
+    Reduction reads the elements' integer parts alone."""
     limit = PAIR_LIMIT.get()
     key = order.key
     polys: list[Poly] = []
@@ -156,7 +137,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
 
     def add(h: Poly, sugar: int) -> None:
         j = len(polys)
-        lmh = h.leading(order)[0]
+        lmh = h.leading_monomial(order)
         polys.append(h)
         sugars.append(sugar)
         lms.append(lmh)
@@ -190,7 +171,7 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
 
     for g in gens:
         if not g.is_zero:
-            add(_run_poly(g.ring, _integral(g.terms)[0]), int(g.degree()))
+            add(g, int(g.degree()))
 
     processed = 0
     while pairs:
@@ -210,18 +191,18 @@ def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
     if not G:
         return ()
     # minimalise: ascending sweep keeps only elements with undominated lm
-    G_sorted = sorted(G, key=lambda g: order.key(g.leading(order)[0]))
+    G_sorted = sorted(G, key=lambda g: order.key(g.leading_monomial(order)))
     minimal: list[Poly] = []
     for g in G_sorted:
-        lm = g.leading(order)[0]
-        if not any(mono_divides(h.leading(order)[0], lm) for h in minimal):
+        lm = g.leading_monomial(order)
+        if not any(mono_divides(h.leading_monomial(order), lm) for h in minimal):
             minimal.append(g)
     # a single full-reduction pass leaves every monomial irreducible
     reduced = [
         normal_form(g, minimal[:k] + minimal[k + 1 :], order).monic(order)
         for k, g in enumerate(minimal)
     ]
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return tuple(reduced)
 
 
@@ -230,14 +211,12 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     order = g.ring.order
-    prepared = _prepare([f], order)
-    work, scale = _integral(g.terms)
     quotient: dict = {}
-    rem, lam = _pseudo_reduce(work, prepared, order, quotient)
+    rem, num, den = _pseudo_reduce(dict(g.ints), _prepare([f], order), order, quotient)
     if rem:
         raise ValueError("polynomial is not divisible")
-    # f is lc(f)/lc(D) times its integer multiple D
-    return _scaled(g.ring, quotient, scale * prepared[0][1] / (lam * f.leading(order)[1]))
+    # num/den * g's integer part = quotient * f's integer part
+    return Poly.from_ints(g.ring, g.num * f.den * den, g.den * f.num * num, quotient)
 
 
 class Ideal:
@@ -248,7 +227,7 @@ class Ideal:
     when cheaply false.  The reduced basis in the ring's order is cached.
     """
 
-    __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb", "_divisors", "_analyses")
+    __slots__ = ("ring", "gens", "claimed_prime", "claimed_maximal", "_gb", "_analyses")
 
     def __init__(
         self,
@@ -268,7 +247,6 @@ class Ideal:
         self.claimed_prime = bool(claimed_prime)
         self.claimed_maximal = bool(claimed_maximal)
         self._gb: tuple[Poly, ...] | None = None
-        self._divisors: list[Poly] | None = None  # the basis as integer polynomials
         self._analyses: dict = {}
 
     def __repr__(self) -> str:
@@ -280,9 +258,7 @@ class Ideal:
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
-        if self._divisors is None:
-            self._divisors = [_run_poly(g.ring, _integral(g.terms)[0]) for g in self.groebner_basis()]
-        return normal_form(f, self._divisors, self.ring.order)
+        return normal_form(f, self.groebner_basis(), self.ring.order)
 
     def contains_poly(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
@@ -326,9 +302,9 @@ def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[Poly, ..
     so it is monic, inter-reduced and, coming last, in descending order."""
     basis = reduced_groebner_basis(raw, _ElimOrder(block, ring.order))
     return tuple(
-        Poly(ring, {m[block:]: c for m, c in p.terms.items()})
+        Poly.from_ints(ring, p.num, p.den, {m[block:]: c for m, c in p.ints.items()})
         for p in basis
-        if not any(any(m[:block]) for m in p.terms)
+        if not any(any(m[:block]) for m in p.ints)
     )
 
 
@@ -341,7 +317,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     ext = PolyRing((_fresh_aux_name(ring),) + ring.variables)
 
     def lift(p: Poly, e: int) -> Poly:  # t^e * p
-        return Poly(ext, {(e,) + m: c for m, c in p.terms.items()})
+        return Poly.from_ints(ext, p.num, p.den, {(e,) + m: c for m, c in p.ints.items()})
 
     raw = [lift(f, 1) for f in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
     result = Ideal(ring, eliminate(raw, 1, ring))
@@ -357,13 +333,13 @@ def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
     n = J.ring.n
     point: list = [None] * n
     for g in J.groebner_basis():
-        support = {i for m in g.terms for i, e in enumerate(m) if e}
+        support = {i for m in g.ints for i, e in enumerate(m) if e}
         if len(support) == 1:
             (i,) = support
             k = g.degree_in(i)
             shift = [0] * n
             shift[i] = -g.coefficient(tuple(k - 1 if j == i else 0 for j in range(n))) / k
-            if k == 1 or len(g.translate(shift).terms) == 1:
+            if k == 1 or len(g.translate(shift).ints) == 1:
                 point[i] = shift[i]
     return None if None in point else tuple(point)
 
@@ -463,7 +439,7 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
     gb = I.groebner_basis()
     if gb and gb[0].is_constant():
         return DimensionProbe(tuple(0 for _ in range(bound + 1)), True, 0)
-    lms = [g.leading()[0] for g in gb]
+    lms = [g.leading_monomial() for g in gb]
 
     def standard(m) -> bool:
         return not any(mono_divides(lm, m) for lm in lms)
@@ -487,7 +463,7 @@ def krull_dimension(I: Ideal) -> int:
     largest set of variables that contains the support of no leading
     monomial, which is dim C/in(I) = dim C/I; -1 for the unit ideal."""
     n = I.ring.n
-    supports = [{i for i, e in enumerate(g.leading()[0]) if e} for g in I.groebner_basis()]
+    supports = [{i for i, e in enumerate(g.leading_monomial()) if e} for g in I.groebner_basis()]
     for k in range(n, -1, -1):
         for free in itertools.combinations(range(n), k):
             if not any(s.issubset(free) for s in supports):

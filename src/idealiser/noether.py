@@ -149,8 +149,9 @@ class Analysis:
 
     def difference(self, J: Ideal) -> tuple[Poly, ...]:
         """The difference ideal E of (I, J) under the action, keyed by the
-        reduced basis of J, so that every test against J shares one."""
-        key = tuple(frozenset(g.terms.items()) for g in J.groebner_basis())
+        reduced basis of J (monic, so its integer parts determine it), so
+        that every test against J shares one."""
+        key = tuple(frozenset(g.ints.items()) for g in J.groebner_basis())
         if key not in self._differences:
             self._differences[key] = difference_ideal(self.I, J, self.act)
         return self._differences[key]

@@ -43,7 +43,8 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         if m.group("num") is not None:
             lit = m.group("num")
-            tokens.append(("num", Fraction(lit), m.start("num"), "/" not in lit))
+            value = Fraction(lit) if "/" in lit else int(lit)
+            tokens.append(("num", value, m.start("num"), "/" not in lit))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name"), False))
         else:

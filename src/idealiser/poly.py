@@ -1,10 +1,16 @@
-"""Sparse multivariate polynomials over Q with exact rational coefficients.
+"""Sparse multivariate polynomials over Q, each a rational content times a
+primitive integer polynomial (Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, 1992, ch. 2).
 
-A polynomial is a map from exponent tuples to nonzero Fractions.  The ring
-fixes the variable names and a monomial order; every stored polynomial keeps
-its term dict in descending order of that order, so iteration, printing and
-leading-term extraction are deterministic.  Coefficients are plain
-``fractions.Fraction`` values: always reduced, positive denominator, one zero.
+The ring fixes the variable names and a monomial order.  A Poly is its
+content num/den, two ints in lowest terms with den > 0, times ``ints``, a
+dict from exponent tuples to nonzero ints with gcd 1 whose monomials descend
+in the ring's order and whose leading coefficient is positive; zero is 0/1
+times the empty dict.  Each value has exactly one such form, so iteration,
+printing and equality are deterministic.  Arithmetic, derivatives and
+Taylor shifts run on ints, and ``fractions.Fraction`` appears only at the
+boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
+``coefficient``, ``leading``, ``eval_at`` and printing.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import add, le, sub
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
 NEG_INFINITY = float("-inf")
-ZERO = Fraction(0)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -41,21 +47,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
-
-
-def _integral(terms: Mapping[Monomial, Fraction]) -> tuple[dict, Fraction]:
-    """(P, s) with ``terms`` = s*P, P primitive with int coefficients in the
-    order of ``terms``, and s = gcd(numerators) / lcm(denominators)."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    content = math.gcd(*[c.numerator for c in terms.values()])
-    ints = {m: c.numerator // content * (den // c.denominator) for m, c in terms.items()}
-    return ints, Fraction(content, den)
-
-
-def _scaled(ring: "PolyRing", terms: Mapping[Monomial, int], scale: Fraction) -> "Poly":
-    """The Poly of the integer ``terms`` times ``scale``."""
-    num, den = scale.numerator, scale.denominator
-    return Poly(ring, {m: Fraction(c * num, den) for m, c in terms.items()})
 
 
 def _lex_key(perm: tuple[int, ...], exps: Monomial):
@@ -162,12 +153,13 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        return Poly(self, {(0,) * self.n: Fraction(c)})
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        return Poly.from_ints(self, c.numerator, c.denominator, {(0,) * self.n: 1})
 
     def var(self, i: int) -> "Poly":
         exps = [0] * self.n
         exps[i] = 1
-        return Poly(self, {tuple(exps): Fraction(1)})
+        return Poly.from_ints(self, 1, 1, {tuple(exps): 1})
 
     def parse(self, text: str) -> "Poly":
         from .parser import parse_poly
@@ -175,60 +167,97 @@ class PolyRing:
         return parse_poly(text, self)
 
 
-class Poly:
-    """Immutable-by-convention sparse polynomial attached to a ring."""
 
-    __slots__ = ("ring", "terms")
+
+class Poly:
+    """Immutable-by-convention sparse polynomial attached to a ring: the
+    content num/den times the primitive integer polynomial ``ints``."""
+
+    __slots__ = ("ring", "num", "den", "ints", "_terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Monomial, Fraction]):
-        cleaned = {}
-        for mono, coeff in terms.items():
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            if coeff:
-                cleaned[mono if type(mono) is tuple else tuple(mono)] = coeff
-        self.ring = ring
-        self.terms = {m: cleaned[m] for m in sorted(cleaned, key=ring.order.key, reverse=True)}
+        items = [(tuple(m), Fraction(c)) for m, c in terms.items()]
+        den = math.lcm(*[c.denominator for _, c in items])
+        self._normalise(ring, 1, den, {m: c.numerator * (den // c.denominator) for m, c in items})
+
+    @classmethod
+    def from_ints(cls, ring: PolyRing, num: int, den: int, ints: Mapping[Monomial, int]) -> "Poly":
+        """num/den times the int coefficients ``ints``, which may hold zeros."""
+        p = object.__new__(cls)
+        p._normalise(ring, num, den, ints)
+        return p
+
+    def _normalise(self, ring: PolyRing, num: int, den: int, ints: Mapping[Monomial, int]) -> None:
+        # sort, drop zeros, and divide out the gcd with the sign of the leading coefficient
+        monos = sorted([m for m, c in ints.items() if c], key=ring.order.key, reverse=True)
+        g = math.gcd(*ints.values())
+        if monos and ints[monos[0]] < 0:
+            g = -g
+        self._set(ring, num * g, den, {m: ints[m] // g for m in monos})
+
+    def _set(self, ring: PolyRing, num: int, den: int, ints: dict) -> None:
+        """Set the parts from normalised ``ints``, reducing the content num/den."""
+        if not num or not ints:
+            num, den, ints = 0, 1, {}
+        elif den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        self.ring, self.num, self.den, self.ints, self._terms = ring, num // g, den // g, ints, None
+
+    def _times(self, num: int, den: int) -> "Poly":
+        """This polynomial times num/den: only the content changes."""
+        p = object.__new__(Poly)
+        p._set(self.ring, self.num * num, self.den * den, self.ints)
+        return p
+
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        """The coefficients as Fractions, in order: a read-only view built on first use."""
+        if self._terms is None:
+            num, den = self.num, self.den
+            self._terms = MappingProxyType({m: Fraction(c * num, den) for m, c in self.ints.items()})
+        return self._terms
 
     # -- basic structure -------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return all(mono_degree(m) == 0 for m in self.ints)
 
     def degree(self):
         """Total degree; the zero polynomial gets -inf."""
-        if not self.terms:
+        if not self.ints:
             return NEG_INFINITY
-        return max(mono_degree(m) for m in self.terms)
+        return max(mono_degree(m) for m in self.ints)
 
     def degree_in(self, i: int):
-        if not self.terms:
+        if not self.ints:
             return NEG_INFINITY
-        return max(m[i] for m in self.terms)
+        return max(m[i] for m in self.ints)
 
-    def leading(self, order: MonomialOrder | None = None) -> tuple[Monomial, Fraction]:
-        if not self.terms:
+    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
         if order is None or order is self.ring.order or order == self.ring.order:
-            mono = next(iter(self.terms))
-        else:
-            mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
+            return next(iter(self.ints))
+        return max(self.ints, key=order.key)
+
+    def leading(self, order: MonomialOrder | None = None) -> tuple[Monomial, Fraction]:
+        mono = self.leading_monomial(order)
+        return mono, Fraction(self.num * self.ints[mono], self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), ZERO)
+        return Fraction(self.num * self.ints.get(tuple(mono), 0), self.den)
 
     def monic(self, order: MonomialOrder | None = None) -> "Poly":
-        """The Poly with leading coefficient 1, on Fraction coefficients also
-        when its own are ints (a basis run's)."""
+        """The Poly with leading coefficient 1: a change of content."""
         if self.is_zero:
             return self
         _, lc = self.leading(order)
-        return _scaled(self.ring, self.terms, Fraction(1, lc))
+        return self._times(lc.denominator, lc.numerator)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -236,24 +265,26 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and (self.num, self.den) == (other.num, other.den)
+            and self.ints == other.ints
         )
 
     __hash__ = None
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._times(-1, 1)
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+        if not other.ints:
+            return self
+        # over the common denominator, with the gcd of the numerators kept out
+        g, den = math.gcd(self.num, other.num), math.lcm(self.den, other.den)
+        a, b = self.num // g * (den // self.den), other.num // g * (den // other.den)
+        out = {m: a * c for m, c in self.ints.items()}
+        for m, c in other.ints.items():
+            out[m] = out.get(m, 0) + b * c
+        return Poly.from_ints(self.ring, g, den, out)
 
     def __radd__(self, other) -> "Poly":
         return self.__add__(other)
@@ -266,19 +297,15 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Poly(self.ring, {m: cc * c for m, cc in self.terms.items()})
+            return self._times(other.numerator, other.denominator)
         other = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.ints.items():
+            for m2, c2 in other.ints.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly(self.ring, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        # the contents multiply: by Gauss's lemma the product of the integer parts is primitive
+        return Poly.from_ints(self.ring, self.num * other.num, self.den * other.den, out)
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -308,20 +335,20 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.ints.items():
             if m[i]:
                 mm = list(m)
                 mm[i] -= 1
                 out[tuple(mm)] = c * m[i]
-        return Poly(self.ring, out)
+        return Poly.from_ints(self.ring, self.num, self.den, out)
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.ring.n:
             raise ValueError("point dimension mismatch")
         point = [Fraction(p) for p in point]
-        pows: list[dict[int, Fraction]] = [{0: Fraction(1)} for _ in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
+        pows: list[dict[int, Fraction]] = [{0: 1} for _ in point]
+        total = 0
+        for m, c in self.ints.items():
             val = c
             for i, e in enumerate(m):
                 if e:
@@ -330,7 +357,7 @@ class Poly:
                         cache[e] = point[i] ** e
                     val *= cache[e]
             total += val
-        return total
+        return total * Fraction(self.num, self.den)
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute x_i -> images[i]; the images share one ring, and the
@@ -346,41 +373,45 @@ class Poly:
                 row.append(row[-1] * images[i])
             return row[e]
 
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            term = math.prod((power(i, e) for i, e in enumerate(m) if e), start=ring.const(c))
-            for mm, cc in term.terms.items():
-                out[mm] = out.get(mm, ZERO) + cc
-        return Poly(ring, out)
+        terms = [
+            math.prod((power(i, e) for i, e in enumerate(m) if e), start=ring.const(c))
+            for m, c in self.ints.items()
+        ]
+        return sum(terms, ring.const(0))._times(self.num, self.den)
 
     def translate(self, shift: Sequence[Fraction]) -> "Poly":
         """Substitute x_i -> x_i + shift_i: a Taylor shift in one variable at a
-        time (von zur Gathen and Gerhard, 1997), in integers when every shift is."""
-        shift = [Fraction(s) for s in shift]
+        time (von zur Gathen and Gerhard, 1997), in ints.  For shift_i = a/b
+        and degree d in x_i, f(x_i + a/b) = b^-d * g(b*x_i + a), where g's
+        coefficient of x_i^k is b^(d-k) times f's: so g is shifted by the
+        integer a, and its coefficient of x_i^k scaled by b^k."""
         if len(shift) != self.ring.n:
             raise ValueError("shift dimension mismatch")
         if not any(shift):
             return self
-        integral = all(s.denominator == 1 for s in shift)
-        terms, scale = _integral(self.terms) if integral else (self.terms, None)
-        shift = [s.numerator for s in shift] if integral else shift
-        for i, s in [(i, s) for i, s in enumerate(shift) if s]:
+        terms, den = self.ints, self.den
+        for i, s in enumerate(shift):
+            if not s:
+                continue
+            a, b = s.numerator, s.denominator
             d = max((m[i] for m in terms), default=0)
-            rows: dict = {}  # the coefficients of x_i^0, ..., x_i^d per monomial in the rest
+            pw = [b**k for k in range(d + 1)]
+            rows: dict = {}  # g's coefficients of x_i^0, ..., x_i^d per monomial in the rest
             for m, c in terms.items():
-                rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c
+                rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c * pw[d - m[i]]
             terms = {}
             for rest, row in rows.items():
                 for j in range(d):
                     for k in range(d - 1, j - 1, -1):
-                        row[k] += s * row[k + 1]
-                terms.update((rest[:i] + (e,) + rest[i:], c) for e, c in enumerate(row) if c)
-        return Poly(self.ring, terms) if scale is None else _scaled(self.ring, terms, scale)
+                        row[k] += a * row[k + 1]
+                terms.update((rest[:i] + (e,) + rest[i:], c * pw[e]) for e, c in enumerate(row) if c)
+            den *= pw[d]
+        return Poly.from_ints(self.ring, self.num, den, terms)
 
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for idx, (m, c) in enumerate(self.terms.items()):

@@ -313,23 +313,28 @@ def test_root_walk_edge_cases():
 
 
 def test_zero_test_of_an_integral_translation_agrees_with_exact_evaluation():
-    """Identity matrix and integral base: the composites come from the Taylor shift."""
+    """Identity matrix: the composites come from the Taylor shift by the
+    base, integral (the first pass) or rational (the second, whose bases
+    have denominators 2 to 5)."""
     rng = random.Random(20261020)
-    passed = 0
-    for n in (1, 2, 3, 3):
-        ring = PolyRing(tuple("xyz"[:n]))
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(5):
-            base = [rng.randint(-4, 4) for _ in range(n)]
-            c0 = [rng.randint(-2, 2) for _ in range(n)]
-            f = _random_poly(rng, ring, rng.randint(1, 4))
-            f = f - f.eval_at([b + x for b, x in zip(base, c0)])
-            test = zero_test([f], base, identity)
-            for c in box_walk([2] * n):
-                expected = f.eval_at([b + x for b, x in zip(base, c)]) == 0
-                assert test(c) == expected, (f, base, c)
-                passed += expected
-    assert passed >= 20
+    passed = {False: 0, True: 0}
+    for rational in (False, True):
+        for n in (1, 2, 3, 3):
+            ring = PolyRing(tuple("xyz"[:n]))
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(5):
+                base = [rng.randint(-4, 4) for _ in range(n)]
+                if rational:
+                    base = [Fraction(b, rng.randint(2, 5)) for b in base]
+                c0 = [rng.randint(-2, 2) for _ in range(n)]
+                f = _random_poly(rng, ring, rng.randint(1, 4))
+                f = f - f.eval_at([b + x for b, x in zip(base, c0)])
+                test = zero_test([f], base, identity)
+                for c in box_walk([2] * n):
+                    expected = f.eval_at([b + x for b, x in zip(base, c)]) == 0
+                    assert test(c) == expected, (f, base, c)
+                    passed[rational] += expected
+    assert passed[False] >= 20 and passed[True] >= 20
 
 
 # -------------------------------------------------------- classification

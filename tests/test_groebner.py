@@ -486,7 +486,8 @@ def test_engine_matches_the_reference_on_rational_coefficients(monkeypatch):
     """Generators with denominators 2 to 7: the basis run clears them at its
     boundary, and its bases equal the reference's in every order; the exact
     remainder on division by a non-monic rational basis equals the one that
-    Fraction division leaves."""
+    Fraction division leaves, for random inputs and for the elements of a
+    ``buchberger`` run alike."""
     rng = random.Random(77)
 
     def rational():
@@ -505,8 +506,8 @@ def test_engine_matches_the_reference_on_rational_coefficients(monkeypatch):
                 assert basis == chain_reduced_basis(gens, order), (gens, order)
                 scaled = [rational() * g for g in basis]
                 raw = [rational() * g for g in gens]
-                for _ in range(3):
-                    f = Poly(ring, {m: rational() for m in rng.sample(monos, 4)})
+                inputs = [Poly(ring, {m: rational() for m in rng.sample(monos, 4)}) for _ in range(3)]
+                for f in inputs + buchberger(gens, order):
                     for divisors in (scaled, raw):
                         nf = normal_form(f, divisors, order)
                         assert nf == _fraction_remainder(f, divisors, order), (f, divisors, order)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -247,3 +249,145 @@ def test_nesting_depth_is_bounded():
     assert ring.parse("-" * 100 + "x") == ring.var(0)
     with pytest.raises(ParseError, match="nested deeper than 100 levels"):
         ring.parse("(" * 101 + "x" + ")" * 101)
+
+
+# a Fraction-dict reference: a polynomial is {exponent tuple: nonzero Fraction}
+
+
+def _ref_clean(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def _ref_add(f, g, sign=1):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(f, g):
+    out = {}
+    for (m1, c1), (m2, c2) in itertools.product(f.items(), g.items()):
+        m = tuple(a + b for a, b in zip(m1, m2))
+        out[m] = out.get(m, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_pow(f, k, n):
+    out = {(0,) * n: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, f)
+    return out
+
+
+def _ref_partial(f, i):
+    return _ref_clean({m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in f.items() if m[i]})
+
+
+def _ref_translate(f, shift):
+    """Each term's (x_i + s_i)^e expanded by the binomial theorem."""
+    out = {}
+    for m, c in f.items():
+        expanded = {(): c}
+        for e, s in zip(m, shift):
+            expanded = {
+                mm + (k,): v * math.comb(e, k) * Fraction(s) ** (e - k)
+                for mm, v in expanded.items()
+                for k in range(e + 1)
+            }
+        out = _ref_add(out, expanded)
+    return out
+
+
+def _ref_compose(f, images, n_target):
+    out = {}
+    for m, c in f.items():
+        term = {(0,) * n_target: c}
+        for img, e in zip(images, m):
+            term = _ref_mul(term, _ref_pow(img, e, n_target))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_eval(f, point):
+    return sum((c * math.prod(Fraction(p) ** e for p, e in zip(point, m)) for m, c in f.items()), Fraction(0))
+
+
+def _ref_str(ring, f):
+    parts = []
+    for m in sorted(f, key=ring.order.key, reverse=True):
+        c = f[m]
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, m) if e]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(f" {'-' if c < 0 else '+'} {body}")
+    return "".join(parts) or "0"
+
+
+def _assert_agrees(p, ref):
+    """p has the reference's value and keeps every invariant of the representation."""
+    ints, order = p.ints, p.ring.order
+    assert dict(p.terms) == ref, (p, ref)
+    assert all(type(m) is tuple for m in ints) and all(type(c) is int and c for c in ints.values())
+    assert list(ints) == sorted(ints, key=order.key, reverse=True)
+    assert p.den > 0 and math.gcd(p.num, p.den) == 1
+    if ints:
+        assert math.gcd(*ints.values()) == 1 and next(iter(ints.values())) > 0 and p.num
+    else:
+        assert (p.num, p.den) == (0, 1)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operations_match_a_fraction_dict_reference(n, kind):
+    rng = random.Random(2100 + 10 * n + (kind == "lex"))
+    ring = PolyRing(("x", "y", "z")[:n], getattr(MonomialOrder, kind)(n))
+    target = PolyRing(("s", "t"))
+
+    def coefficient():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6, 35]))
+
+    def random_terms(r, max_deg=3):
+        monos = [m for m in itertools.product(range(max_deg + 1), repeat=r.n) if sum(m) <= max_deg]
+        return _ref_clean({m: coefficient() for m in rng.sample(monos, rng.randint(0, min(5, len(monos))))})
+
+    for _ in range(40):
+        f_ref, g_ref = random_terms(ring), random_terms(ring)
+        f, g = Poly(ring, f_ref), Poly(ring, g_ref)
+        _assert_agrees(f, f_ref)
+        _assert_agrees(f + g, _ref_add(f_ref, g_ref))
+        _assert_agrees(f - g, _ref_add(f_ref, g_ref, -1))
+        _assert_agrees(f - f, {})
+        _assert_agrees(f * g, _ref_mul(f_ref, g_ref))
+        _assert_agrees(-f, {m: -c for m, c in f_ref.items()})
+        for c in (coefficient(), rng.randint(-4, 4), Fraction(0)):
+            _assert_agrees(f * c, _ref_clean({m: v * c for m, v in f_ref.items()}))
+            _assert_agrees(c * f, _ref_clean({m: v * c for m, v in f_ref.items()}))
+            _assert_agrees(f + c, _ref_add(f_ref, {(0,) * n: c}))
+        k = rng.randint(0, 3)
+        _assert_agrees(f**k, _ref_pow(f_ref, k, n))
+        for i in range(n):
+            _assert_agrees(f.partial(i), _ref_partial(f_ref, i))
+        shifts = [
+            tuple(rng.randint(-4, 4) for _ in range(n)),
+            tuple(coefficient() for _ in range(n)),
+            (0,) * (n - 1) + (coefficient(),),
+            (Fraction(rng.randint(-7, 7), rng.randint(2, 5)),) + (0,) * (n - 1),
+        ]
+        for shift in shifts:
+            _assert_agrees(f.translate(shift), _ref_translate(f_ref, shift))
+        images_ref = [random_terms(target, 2) for _ in range(n)]
+        images = [Poly(target, t) for t in images_ref]
+        _assert_agrees(f.compose(images), _ref_compose(f_ref, images_ref, 2))
+        point = [coefficient() for _ in range(n)]
+        assert f.eval_at(point) == _ref_eval(f_ref, point)
+        if f_ref:
+            lc = f_ref[max(f_ref, key=ring.order.key)]
+            _assert_agrees(f.monic(), {m: c / lc for m, c in f_ref.items()})
+        else:
+            _assert_agrees(f.monic(), {})
+        assert (f == g) == (f_ref == g_ref)
+        assert f == Poly(ring, dict(reversed(list(f_ref.items()))))
+        assert str(f) == _ref_str(ring, f_ref)
