@@ -167,8 +167,6 @@ class PolyRing:
         return parse_poly(text, self)
 
 
-
-
 class Poly:
     """Immutable-by-convention sparse polynomial attached to a ring: the
     content num/den times the primitive integer polynomial ``ints``."""
