@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from . import linalg
@@ -43,7 +44,9 @@ WALK_LIMIT = 10**6
 @dataclass(frozen=True)
 class TranslationAction:
     ring: PolyRing
-    matrix: tuple[tuple[Fraction, ...], ...]  # n rows, d columns
+    ints: tuple[tuple[int, ...], ...]  # den*A, n rows and d columns, for den the lcm of A's denominators
+    den: int
+    matrix: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)  # A as Fractions
 
     def __init__(self, ring: PolyRing, matrix: Sequence[Sequence]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
@@ -53,7 +56,10 @@ class TranslationAction:
             raise ValueError("action needs at least one group generator")
         if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged action matrix")
+        den = math.lcm(*(a.denominator for row in rows for a in row))
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "ints", tuple(tuple(int(a * den) for a in row) for row in rows))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "matrix", rows)
 
     @classmethod
@@ -68,9 +74,7 @@ class TranslationAction:
     def translation(self, g: GroupElement) -> tuple[Fraction, ...]:
         if len(g) != self.d:
             raise ValueError("group element has wrong rank")
-        return tuple(
-            sum((a * gi for a, gi in zip(row, g)), Fraction(0)) for row in self.matrix
-        )
+        return tuple(Fraction(sum(map(mul, row, g)), self.den) for row in self.ints)
 
 
 def apply_action(f: Poly, g: GroupElement, act: TranslationAction) -> Poly:
@@ -215,20 +219,17 @@ def stabiliser(I: Ideal, act: TranslationAction) -> Lattice:
     """Lattice of group elements g with I^g = I."""
     if I.is_zero_ideal() or I.is_unit_ideal():
         raise ValueError("stabiliser requires a proper nonzero ideal")
-    ring = I.ring
-    gb = I.groebner_basis()
-    rows: list[list[Fraction]] = []
-    for f in gb:
-        residues = [I.normal_form(f.partial(j)) for j in range(ring.n)]
-        monomials = sorted({m for r in residues for m in r.ints})
-        for mono in monomials:
-            rows.append([r.coefficient(mono) for r in residues])
-    constraint = linalg.mat_mul(rows, [list(r) for r in act.matrix])
-    int_rows = []
-    for row in constraint:
-        denom = math.lcm(*(x.denominator for x in row))
-        int_rows.append([int(x * denom) for x in row])
-    lattice = Lattice(act.d, kernel_basis(int_rows, cols=act.d))
+    columns = list(zip(*act.ints))
+    rows: list[list[int]] = []
+    for f in I.groebner_basis():
+        # v stabilises iff sum_j (A v)_j * NF(df/dx_j) = 0: a row per monomial, over one denominator
+        residues = [I.normal_form(f.partial(j)) for j in range(I.ring.n)]
+        den = math.lcm(*(r.den for r in residues))
+        scales = [r.num * (den // r.den) for r in residues]
+        for mono in sorted({m for r in residues for m in r.ints}):
+            coeffs = [s * r.ints.get(mono, 0) for s, r in zip(scales, residues)]
+            rows.append([sum(map(mul, coeffs, col)) for col in columns])
+    lattice = Lattice(act.d, kernel_basis(rows, cols=act.d))
     for v in lattice.basis:
         if not ideal_equal(act_on_ideal(I, v, act), I):
             raise AssertionError("stabiliser certificate failed on a basis vector")
@@ -253,12 +254,10 @@ def complement(K: Lattice) -> Lattice:
 
 def effective_directions(act: TranslationAction) -> list[tuple[int, ...]]:
     """Primitive integer directions spanning the translation image A(Z^d)."""
-    denom = math.lcm(*(a.denominator for row in act.matrix for a in row))
-    int_matrix = [[int(a * denom) for a in row] for row in act.matrix]
-    ch = column_hermite(int_matrix)
+    ch = column_hermite(act.ints)
     dirs = []
     for j in range(ch.rank):
-        col = [ch.h[i][j] for i in range(len(int_matrix))]
+        col = [ch.h[i][j] for i in range(act.ring.n)]
         g = math.gcd(*(abs(x) for x in col))
         dirs.append(tuple(x // g for x in col))
     return dirs

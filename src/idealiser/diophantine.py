@@ -307,7 +307,7 @@ def _projective_smoothness(f: Poly) -> tuple[int, ...] | None:
     homogeneous = {m + (d - mono_degree(m),): c for m, c in f.ints.items()}
     F = Poly.from_ints(pring, f.num, f.den, homogeneous)
     partials = [F.partial(i) for i in range(pring.n)]
-    basis = reduced_groebner_basis(partials, pring.order)
+    basis = reduced_groebner_basis(partials)
     powers = pure_powers([g.leading_monomial() for g in basis], pring.n)
     return powers if all(powers) else None
 

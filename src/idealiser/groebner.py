@@ -2,10 +2,12 @@
 
 The engine is deliberately small: sugar-ordered pair queue, the
 Gebauer-Moeller pair update (JSC 6, 1988), full normal forms, canonical
-reduced bases (monic, inter-reduced, sorted by leading monomial).  Every run
-is capped by a budget of processed pairs, those that survive the update, so
-runaway eliminations fail loudly instead of hanging.  The budget is the
-context variable ``PAIR_LIMIT``, ``DEFAULT_PAIR_LIMIT`` unless set.
+reduced bases (monic, inter-reduced, sorted by leading monomial), all in
+the order of the polynomials' ring; ``eliminate`` and ``is_radical`` move
+their generators into a ring with the order they need.  Every run is capped
+by a budget of processed pairs, those that survive the update, so runaway
+eliminations fail loudly instead of hanging.  The budget is the context
+variable ``PAIR_LIMIT``, ``DEFAULT_PAIR_LIMIT`` unless set.
 
 Ideal-level operations (sum, product, intersection via an elimination block
 order, colon quotient, equality, containment, dimension probes, Krull
@@ -42,20 +44,20 @@ class ResourceLimitError(RuntimeError):
     """Raised when a basis computation exceeds its pair budget."""
 
 
-def _prepare(basis: Sequence[Poly], order) -> list[tuple[tuple[int, ...], int, dict]]:
+def _prepare(basis: Sequence[Poly]) -> list[tuple[tuple[int, ...], int, dict]]:
     """(leading monomial, its int coefficient, int coefficients) per nonzero divisor."""
-    return [(lm, g.ints[lm], g.ints) for g in basis if g.ints for lm in [g.leading_monomial(order)]]
+    return [(lm, g.ints[lm], g.ints) for g in basis if g.ints for lm in [g.leading_monomial()]]
 
 
-def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
-    """Pseudo-reduction of the integer terms ``work`` (consumed) by ``prepared``
-    (Geddes, Czapor and Labahn, 1992, ch. 10): (R, lam), lam*work = R modulo
-    the divisors, lam = num/den returned as the two ints.  Each step scales
-    by lc/gcd(c, lc) and divides out the content; with one divisor,
+def _pseudo_reduce(f: Poly, prepared, quotient: dict | None = None):
+    """Pseudo-reduction of f's integer part ``work`` by ``prepared`` (Geddes,
+    Czapor and Labahn, 1992, ch. 10): (R, lam), lam*work = R modulo the
+    divisors, lam = num/den returned as the two ints.  Each step scales by
+    lc/gcd(c, lc) and divides out the content; with one divisor,
     ``quotient`` collects lam*work's quotient."""
-    out: dict = {}
+    work, out = dict(f.ints), {}
     num = den = 1
-    key = order.key
+    key = f.ring.order.key
     parts = (work, out) if quotient is None else (work, out, quotient)
     while work:
         m = max(work, key=key)
@@ -89,23 +91,19 @@ def _pseudo_reduce(work: dict, prepared, order, quotient: dict | None = None):
     return out, num, den
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], order=None) -> Poly:
+def normal_form(f: Poly, basis: Sequence[Poly]) -> Poly:
     """Full remainder of f on division by ``basis``, exact."""
-    if order is None:
-        order = f.ring.order
-    prepared = _prepare(basis, order)
+    prepared = _prepare(basis)
     if not any(mono_divides(lm, m) for lm, _, _ in prepared for m in f.ints):
         return f
-    rem, num, den = _pseudo_reduce(dict(f.ints), prepared, order)
+    rem, num, den = _pseudo_reduce(f, prepared)
     return Poly.from_ints(f.ring, f.num * den, f.den * num, rem)
 
 
-def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
+def s_polynomial(f: Poly, g: Poly) -> Poly:
     """The S-polynomial of f and g times lc(f)*lc(g): the S-polynomial of
     their integer parts times both contents."""
-    if order is None:
-        order = f.ring.order
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcf, lcg = f.ints[lmf], g.ints[lmg]
     lcm = mono_lcm(lmf, lmg)
     qf = mono_div(lcm, lmf)
@@ -119,7 +117,7 @@ def s_polynomial(f: Poly, g: Poly, order=None) -> Poly:
     return Poly.from_ints(f.ring, f.num * g.num, f.den * g.den, out)
 
 
-def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
+def buchberger(gens: Sequence[Poly]) -> list[Poly]:
     """A Groebner basis of ``gens``: the active elements, those whose leading
     monomial no later element divides.  Pairs are taken in sugar order and
     filtered by the Gebauer-Moeller update; the pair budget counts the pairs
@@ -128,7 +126,6 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     orders reducing against the active ones alone swells the coefficients.
     Reduction reads the elements' integer parts alone."""
     limit = PAIR_LIMIT.get()
-    key = order.key
     polys: list[Poly] = []
     sugars: list[int] = []
     lms: list[tuple[int, ...]] = []
@@ -136,8 +133,8 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
     pairs: list = []  # heap of (sugar, key(lcm), i, j, lcm), i < j
 
     def add(h: Poly, sugar: int) -> None:
-        j = len(polys)
-        lmh = h.leading_monomial(order)
+        j, key = len(polys), h.ring.order.key
+        lmh = h.leading_monomial()
         polys.append(h)
         sugars.append(sugar)
         lms.append(lmh)
@@ -179,30 +176,27 @@ def buchberger(gens: Sequence[Poly], order) -> list[Poly]:
         if processed > limit:
             raise ResourceLimitError(f"pair budget exceeded ({limit} processed pairs)")
         sugar, _, i, j, _ = heapq.heappop(pairs)
-        r = normal_form(s_polynomial(polys[i], polys[j], order), polys, order)
+        r = normal_form(s_polynomial(polys[i], polys[j]), polys)
         if not r.is_zero:
             add(r, max(sugar, int(r.degree())))
     return [polys[k] for k in active]
 
 
-def reduced_groebner_basis(gens: Sequence[Poly], order) -> tuple[Poly, ...]:
+def reduced_groebner_basis(gens: Sequence[Poly]) -> tuple[Poly, ...]:
     """Canonical reduced basis: minimal, monic, fully inter-reduced, sorted."""
-    G = buchberger(gens, order)
+    G = buchberger(gens)
     if not G:
         return ()
+    key = G[0].ring.order.key
     # minimalise: ascending sweep keeps only elements with undominated lm
-    G_sorted = sorted(G, key=lambda g: order.key(g.leading_monomial(order)))
     minimal: list[Poly] = []
-    for g in G_sorted:
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h.leading_monomial(order), lm) for h in minimal):
+    for g in sorted(G, key=lambda g: key(g.leading_monomial())):
+        lm = g.leading_monomial()
+        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
     # a single full-reduction pass leaves every monomial irreducible
-    reduced = [
-        normal_form(g, minimal[:k] + minimal[k + 1 :], order).monic(order)
-        for k, g in enumerate(minimal)
-    ]
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    reduced = [normal_form(g, minimal[:k] + minimal[k + 1 :]).monic() for k, g in enumerate(minimal)]
+    reduced.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return tuple(reduced)
 
 
@@ -210,9 +204,8 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
     """Quotient g/f for g in the principal ideal of f; errors otherwise."""
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    order = g.ring.order
     quotient: dict = {}
-    rem, num, den = _pseudo_reduce(dict(g.ints), _prepare([f], order), order, quotient)
+    rem, num, den = _pseudo_reduce(g, _prepare([f]), quotient)
     if rem:
         raise ValueError("polynomial is not divisible")
     # num/den * g's integer part = quotient * f's integer part
@@ -254,11 +247,11 @@ class Ideal:
 
     def groebner_basis(self) -> tuple[Poly, ...]:
         if self._gb is None:
-            self._gb = reduced_groebner_basis(self.gens, self.ring.order)
+            self._gb = reduced_groebner_basis(self.gens)
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.groebner_basis(), self.ring.order)
+        return normal_form(f, self.groebner_basis())
 
     def contains_poly(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
@@ -295,12 +288,14 @@ def _fresh_aux_name(ring: PolyRing) -> str:
 
 
 def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[Poly, ...]:
-    """The reduced basis of <raw> cap ``ring``, for ``raw`` in a ring with
-    ``block`` more variables, first.  The part of the reduced basis under
-    _ElimOrder(block, ring.order) free of them generates it (Cox, Little and
-    O'Shea, IVA, section 3.1).  On that part the block order is ``ring``'s,
-    so it is monic, inter-reduced and, coming last, in descending order."""
-    basis = reduced_groebner_basis(raw, _ElimOrder(block, ring.order))
+    """The reduced basis of <raw> cap ``ring``, for nonempty ``raw`` in a
+    ring with ``block`` more variables, first.  Moved into a ring under
+    _ElimOrder(block, ring.order), ``raw`` has a reduced basis whose part
+    free of them generates it (Cox, Little and O'Shea, IVA, section 3.1).
+    On that part the block order is ``ring``'s, so it is monic,
+    inter-reduced and, coming last, in descending order."""
+    elim = PolyRing(raw[0].ring.variables, _ElimOrder(block, ring.order))
+    basis = reduced_groebner_basis([Poly.from_ints(elim, p.num, p.den, p.ints) for p in raw])
     return tuple(
         Poly.from_ints(ring, p.num, p.den, {m[block:]: c for m, c in p.ints.items()})
         for p in basis
@@ -485,8 +480,9 @@ def is_radical(I: Ideal) -> bool:
     reduced lex basis with x_i least) has no repeated factor."""
     n = I.ring.n
     for i in range(n):
-        lex = MonomialOrder.lex(n, [j for j in range(n) if j != i] + [i])
-        if has_repeated_factor(reduced_groebner_basis(I.gens, lex)[-1]):
+        lex = PolyRing(I.ring.variables, MonomialOrder.lex(n, [j for j in range(n) if j != i] + [i]))
+        gens = [Poly.from_ints(lex, g.num, g.den, g.ints) for g in I.gens]
+        if has_repeated_factor(reduced_groebner_basis(gens)[-1]):
             return False
     return True
 

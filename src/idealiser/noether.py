@@ -39,6 +39,7 @@ from .action import (
 )
 from .diophantine import CurveClass, classify_plane_curve, pell_enumerate, zero_test
 from .groebner import (
+    Colon,
     Ideal,
     dimension_probe,
     has_repeated_factor,
@@ -46,7 +47,6 @@ from .groebner import (
     ideal_equal,
     ideal_intersect,
     ideal_product,
-    ideal_quotient,
     ideal_sum,
     is_radical,
     krull_dimension,
@@ -446,11 +446,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       ideal's dimension is computed once, in its analysis.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
-    - Right otherwise: containment (J prime) or the colon; ``ideal_quotient``
-      returns J with no elimination when J is primary to a rational point
-      where I^g does not vanish, when J + I^g = C, and when J is principal
-      and J + I^g has height at least 2, as I^g then lies in no associated
-      prime of C/J."""
+    - Right otherwise: containment (J prime) or the colon, by one ``Colon(J)``
+      for every g, which returns J with no elimination when J is primary to
+      a rational point where I^g does not vanish, when J + I^g = C, and when
+      J is principal and J + I^g has height at least 2, as I^g then lies in
+      no associated prime of C/J."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     a, b = analysis(I, act), analysis(J, act)
@@ -485,7 +485,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         return tor_nonzero
     if J_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
-    return lambda g: not ideal_equal(ideal_quotient(J, act_on_ideal(I, g, act)), J)
+    colon = Colon(J)
+    return lambda g: not ideal_equal(colon(act_on_ideal(I, g, act)), J)
 
 
 # ------------------------------------------------------ decision ladders

@@ -42,9 +42,11 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         if m.group("num") is not None:
-            lit = m.group("num")
-            value = Fraction(lit) if "/" in lit else int(lit)
-            tokens.append(("num", value, m.start("num"), "/" not in lit))
+            num, _, den = m.group("num").partition("/")
+            if den and not int(den):
+                raise ParseError(f"zero denominator in {m.group('num')!r}", m.start("num"))
+            value = Fraction(int(num), int(den)) if den else int(num)
+            tokens.append(("num", value, m.start("num"), not den))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name"), False))
         else:

@@ -111,25 +111,26 @@ class MonomialOrder:
 
 
 class _ElimOrder:
-    """Block order eliminating the first ``block`` variables.
-
-    Used internally for intersections: the auxiliary variables dominate, the
-    remaining block is compared by an inner order on the original ring.
+    """Block order eliminating the first ``block`` variables: the ring order
+    of an elimination (``groebner.eliminate``).  Those variables dominate,
+    by total degree and then lex; the remaining ones are compared by
+    ``inner``.  ``perm`` lists every variable index, the block first, and
     ``key`` is memoised as in ``MonomialOrder``.
     """
 
     def __init__(self, block: int, inner: MonomialOrder):
         self.block = block
         self.inner = inner
+        self.perm = tuple(range(block)) + tuple(block + i for i in inner.perm)
         self.key = _KeyMemo(partial(_elim_key, block, inner.key)).__getitem__
 
 
 @dataclass(frozen=True)
 class PolyRing:
     variables: tuple[str, ...]
-    order: MonomialOrder
+    order: MonomialOrder | _ElimOrder
 
-    def __init__(self, variables: Sequence[str], order: MonomialOrder | None = None):
+    def __init__(self, variables: Sequence[str], order: MonomialOrder | _ElimOrder | None = None):
         variables = tuple(variables)
         if not variables:
             raise ValueError("ring needs at least one variable")
@@ -236,25 +237,23 @@ class Poly:
             return NEG_INFINITY
         return max(m[i] for m in self.ints)
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        if order is None or order is self.ring.order or order == self.ring.order:
-            return next(iter(self.ints))
-        return max(self.ints, key=order.key)
+        return next(iter(self.ints))
 
-    def leading(self, order: MonomialOrder | None = None) -> tuple[Monomial, Fraction]:
-        mono = self.leading_monomial(order)
+    def leading(self) -> tuple[Monomial, Fraction]:
+        mono = self.leading_monomial()
         return mono, Fraction(self.num * self.ints[mono], self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return Fraction(self.num * self.ints.get(tuple(mono), 0), self.den)
 
-    def monic(self, order: MonomialOrder | None = None) -> "Poly":
+    def monic(self) -> "Poly":
         """The Poly with leading coefficient 1: a change of content."""
         if self.is_zero:
             return self
-        _, lc = self.leading(order)
+        _, lc = self.leading()
         return self._times(lc.denominator, lc.numerator)
 
     # -- arithmetic ------------------------------------------------------

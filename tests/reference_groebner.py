@@ -2,26 +2,34 @@
 the product criterion and the chain criterion checked against the set of
 pairs already resolved.  It is the engine ``idealiser.groebner`` had before
 the Gebauer-Moeller pair update, kept as the oracle that the reduced bases
-of the current engine are compared against.
+of the current engine are compared against.  Like the engine, it computes
+in the order of the generators' ring.
 """
 
 import heapq
 
 from idealiser.groebner import normal_form, s_polynomial
-from idealiser.poly import mono_degree, mono_divides, mono_lcm, mono_mul
+from idealiser.poly import Poly, PolyRing, mono_degree, mono_divides, mono_lcm, mono_mul
 
 
-def chain_buchberger(gens, order, counter=None):
+def in_order(polys, order):
+    """The polynomials moved into a ring with the same variables under ``order``."""
+    ring = PolyRing(polys[0].ring.variables, order)
+    return [Poly.from_ints(ring, p.num, p.den, p.ints) for p in polys]
+
+
+def chain_buchberger(gens, counter=None):
     """A (non-minimal) Groebner basis of ``gens``; ``counter["spolys"]``
     counts the S-polynomials reduced."""
+    key = gens[0].ring.order.key
     G, sugars, lms = [], [], []
     for g in gens:
         if g.is_zero:
             continue
-        g = g.monic(order)
+        g = g.monic()
         G.append(g)
         sugars.append(int(g.degree()))
-        lms.append(g.leading(order)[0])
+        lms.append(g.leading_monomial())
 
     queue = []
 
@@ -31,7 +39,7 @@ def chain_buchberger(gens, order, counter=None):
             sugar = mono_degree(lcm) + max(
                 sugars[i] - mono_degree(lms[i]), sugars[j] - mono_degree(lms[j])
             )
-            heapq.heappush(queue, (sugar, order.key(lcm), i, j))
+            heapq.heappush(queue, (sugar, key(lcm), i, j))
 
     for j in range(1, len(G)):
         push_pairs(j)
@@ -53,29 +61,27 @@ def chain_buchberger(gens, order, counter=None):
             continue
         if counter is not None:
             counter["spolys"] = counter.get("spolys", 0) + 1
-        r = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        r = normal_form(s_polynomial(G[i], G[j]), G)
         if r.is_zero:
             continue
-        r = r.monic(order)
+        r = r.monic()
         G.append(r)
         sugars.append(max(sugar, int(r.degree())))
-        lms.append(r.leading(order)[0])
+        lms.append(r.leading_monomial())
         push_pairs(len(G) - 1)
     return G
 
 
-def chain_reduced_basis(gens, order, counter=None):
+def chain_reduced_basis(gens, counter=None):
     """Minimal, monic, inter-reduced basis sorted by descending leading
     monomial, from ``chain_buchberger``."""
-    G = sorted(chain_buchberger(gens, order, counter), key=lambda g: order.key(g.leading(order)[0]))
+    key = gens[0].ring.order.key
+    G = sorted(chain_buchberger(gens, counter), key=lambda g: key(g.leading_monomial()))
     minimal = []
     for g in G:
-        lm = g.leading(order)[0]
-        if not any(mono_divides(h.leading(order)[0], lm) for h in minimal):
+        lm = g.leading_monomial()
+        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
-    reduced = [
-        normal_form(g, minimal[:k] + minimal[k + 1 :], order).monic(order)
-        for k, g in enumerate(minimal)
-    ]
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+    reduced = [normal_form(g, minimal[:k] + minimal[k + 1 :]).monic() for k, g in enumerate(minimal)]
+    reduced.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return tuple(reduced)

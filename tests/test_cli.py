@@ -378,9 +378,9 @@ def _record_limits(monkeypatch) -> list:
     seen = []
     original = groebner.reduced_groebner_basis
 
-    def recording(gens, order):
+    def recording(gens):
         seen.append(("IDEALISER_PAIR_LIMIT" in os.environ, groebner.PAIR_LIMIT.get()))
-        return original(gens, order)
+        return original(gens)
 
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
     return seen
@@ -502,6 +502,13 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "skewmul", f"({deep})*e", "(x)*e")
     assert (code, out) == (1, "")
     assert err.startswith("error: expression nested deeper than")
+
+
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path):
+    cfg = _write(tmp_path, "zero.json", {"ideal": {"generators": ["x - 1/0"]}})
+    code, out, err = run(capsys, "stab", "-c", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: zero denominator in '1/0' (at position 4)\n"
 
 
 def _count_calls(monkeypatch, modules, names) -> dict:

@@ -34,7 +34,7 @@ from idealiser import (
 )
 from idealiser.noether import analysis
 from idealiser.poly import _ElimOrder
-from reference_groebner import chain_reduced_basis
+from reference_groebner import chain_reduced_basis, in_order
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -52,7 +52,7 @@ def random_poly(rng, ring, max_deg=2, max_terms=3):
 def test_lex_basis_of_twisted_cubic_slice():
     lex = PolyRing(("x", "y"), MonomialOrder.lex(2))
     x, y = lex.var(0), lex.var(1)
-    basis = reduced_groebner_basis([y - x**2, x**3], lex.order)
+    basis = reduced_groebner_basis([y - x**2, x**3])
     assert [str(g) for g in basis] == ["x^2 - y", "x*y", "y^2"]
 
 
@@ -61,34 +61,34 @@ def test_buchberger_closes_all_s_pairs():
     for _ in range(12):
         gens = [random_poly(rng, RING) for _ in range(rng.randint(2, 3))]
         gens = [g for g in gens if not g.is_zero]
-        basis = reduced_groebner_basis(gens, RING.order)
+        basis = reduced_groebner_basis(gens)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                s = s_polynomial(basis[i], basis[j], RING.order)
-                assert normal_form(s, basis, RING.order).is_zero
+                s = s_polynomial(basis[i], basis[j])
+                assert normal_form(s, basis).is_zero
 
 
 def test_reduced_basis_is_canonical_under_shuffle():
     rng = random.Random(5)
     gens = [X**2 - Y, X * Y - 1, Y**3 + X]
-    reference = reduced_groebner_basis(gens, RING.order)
+    reference = reduced_groebner_basis(gens)
     for _ in range(6):
         shuffled = gens[:]
         rng.shuffle(shuffled)
         scaled = [Fraction(rng.randint(1, 7)) * g for g in shuffled]
-        assert reduced_groebner_basis(scaled, RING.order) == reference
+        assert reduced_groebner_basis(scaled) == reference
 
 
 def test_normal_form_properties():
-    basis = reduced_groebner_basis([X**2 - Y, Y**2 - X], RING.order)
+    basis = reduced_groebner_basis([X**2 - Y, Y**2 - X])
     rng = random.Random(17)
     for _ in range(20):
         f = random_poly(rng, RING, max_deg=4)
         g = random_poly(rng, RING, max_deg=4)
-        nf = normal_form(f, basis, RING.order)
-        assert normal_form(nf, basis, RING.order) == nf
-        left = normal_form(f + g, basis, RING.order)
-        right = normal_form(nf + normal_form(g, basis, RING.order), basis, RING.order)
+        nf = normal_form(f, basis)
+        assert normal_form(nf, basis) == nf
+        left = normal_form(f + g, basis)
+        right = normal_form(nf + normal_form(g, basis), basis)
         assert left == right
 
 
@@ -331,7 +331,7 @@ def test_pair_limit_raises():
     token = groebner.PAIR_LIMIT.set(1)
     try:
         with pytest.raises(ResourceLimitError):
-            buchberger(gens, RING.order)
+            buchberger(gens)
     finally:
         groebner.PAIR_LIMIT.reset(token)
 
@@ -340,9 +340,9 @@ def test_groebner_cache_reused_across_orders():
     I = Ideal(RING, [X**2 - Y, Y**2 - X])
     first = I.groebner_basis()
     assert I.groebner_basis() is first
-    # a basis in another order is computed apart and leaves the cache alone
-    lex = reduced_groebner_basis(I.gens, MonomialOrder.lex(2))
-    assert lex == (X - Y**2, Y**4 - Y)
+    # a basis in another order is computed apart, in a lex ring, and leaves the cache alone
+    lex = reduced_groebner_basis(in_order(I.gens, MonomialOrder.lex(2)))
+    assert lex == tuple(in_order([X - Y**2, Y**4 - Y], MonomialOrder.lex(2)))
     assert I.groebner_basis() is first
 
 
@@ -384,7 +384,7 @@ def cyclic(n):
     return ring, eqs
 
 
-def counted_basis(monkeypatch, gens, order):
+def counted_basis(monkeypatch, gens):
     """The engine's reduced basis and the number of S-polynomials it formed,
     counted through the module-level ``s_polynomial`` that ``buchberger`` calls."""
     calls = []
@@ -396,8 +396,13 @@ def counted_basis(monkeypatch, gens, order):
 
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "s_polynomial", counting)
-        basis = reduced_groebner_basis(gens, order)
+        basis = reduced_groebner_basis(gens)
     return basis, len(calls)
+
+
+def _is_elimination(gens):
+    """Whether a basis run over ``gens`` is an elimination: their ring carries the block order."""
+    return bool(gens) and isinstance(gens[0].ring.order, _ElimOrder)
 
 
 @pytest.mark.parametrize(
@@ -406,9 +411,9 @@ def counted_basis(monkeypatch, gens, order):
 def test_engine_matches_the_chain_criterion_reference(monkeypatch, family, n):
     ring, eqs = family(n)
     for order in (ring.order, MonomialOrder.lex(ring.n)):
-        counter = {}
-        reference = chain_reduced_basis(eqs, order, counter)
-        basis, spolys = counted_basis(monkeypatch, eqs, order)
+        counter, gens = {}, in_order(eqs, order)
+        reference = chain_reduced_basis(gens, counter)
+        basis, spolys = counted_basis(monkeypatch, gens)
         assert basis == reference
         assert 0 < spolys <= counter["spolys"]
 
@@ -425,7 +430,8 @@ def test_engine_matches_the_reference_on_random_ideals():
                 for _ in range(rng.randint(2, 3))
             ]
             for order in orders:
-                assert reduced_groebner_basis(gens, order) == chain_reduced_basis(gens, order), (gens, order)
+                moved = in_order(gens, order)
+                assert reduced_groebner_basis(moved) == chain_reduced_basis(moved), (gens, order)
 
 
 def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
@@ -440,10 +446,10 @@ def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
     seen = []
     original = groebner.reduced_groebner_basis
 
-    def recording(gens, order):
-        basis = original(gens, order)
-        if isinstance(order, _ElimOrder):
-            seen.append((gens, order, basis))
+    def recording(gens):
+        basis = original(gens)
+        if _is_elimination(gens):
+            seen.append((gens, basis))
         return basis
 
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
@@ -452,22 +458,22 @@ def test_engine_matches_the_reference_on_intersection_inputs(monkeypatch):
         meets = [ideal_intersect(Ideal(I.ring, [f]), J) for f in I.gens] + [ideal_intersect(I, J)]
         # the seeded basis cache is the reduced basis of the result's generators
         for meet in meets:
-            assert meet.groebner_basis() == reduced_groebner_basis(meet.gens, I.ring.order)
+            assert meet.groebner_basis() == reduced_groebner_basis(meet.gens)
     assert len(seen) >= 2 * len(cases)
-    for gens, order, basis in seen:
-        assert basis == chain_reduced_basis(gens, order)
+    for gens, basis in seen:
+        assert basis == chain_reduced_basis(gens)
 
 
-def _fraction_remainder(f, basis, order):
+def _fraction_remainder(f, basis):
     """Full remainder of f on division by ``basis`` in Fraction arithmetic:
     the leading term of what is left is divided by the first basis element
     whose leading monomial divides it, else moved to the remainder."""
     work, out = dict(f.terms), {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=f.ring.order.key)
         c = work.pop(m)
         for g in basis:
-            lm, lc = g.leading(order)
+            lm, lc = g.leading()
             if all(a <= b for a, b in zip(lm, m)):
                 q = tuple(b - a for a, b in zip(lm, m))
                 for gm, gc in g.terms.items():
@@ -502,25 +508,27 @@ def test_engine_matches_the_reference_on_rational_coefficients(monkeypatch):
             gens = [Poly(ring, {m: rational() for m in rng.sample(monos, 3)}) for _ in range(rng.randint(2, 3))]
             assert any(c.denominator > 1 for g in gens for c in g.terms.values())
             for order in orders:
-                basis = reduced_groebner_basis(gens, order)
-                assert basis == chain_reduced_basis(gens, order), (gens, order)
+                moved = in_order(gens, order)
+                basis = reduced_groebner_basis(moved)
+                assert basis == chain_reduced_basis(moved), (gens, order)
                 scaled = [rational() * g for g in basis]
-                raw = [rational() * g for g in gens]
+                raw = [rational() * g for g in moved]
                 inputs = [Poly(ring, {m: rational() for m in rng.sample(monos, 4)}) for _ in range(3)]
-                for f in inputs + buchberger(gens, order):
+                inputs = in_order(inputs, order)
+                for f in inputs + buchberger(moved):
                     for divisors in (scaled, raw):
-                        nf = normal_form(f, divisors, order)
-                        assert nf == _fraction_remainder(f, divisors, order), (f, divisors, order)
+                        nf = normal_form(f, divisors)
+                        assert nf == _fraction_remainder(f, divisors), (f, divisors, order)
                         remainders += not nf.is_zero
     assert remainders >= 100
 
     seen = []
     original = groebner.reduced_groebner_basis
 
-    def recording(gens, order):
-        basis = original(gens, order)
-        if isinstance(order, _ElimOrder):
-            seen.append((gens, order, basis))
+    def recording(gens):
+        basis = original(gens)
+        if _is_elimination(gens):
+            seen.append((gens, basis))
         return basis
 
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
@@ -528,8 +536,8 @@ def test_engine_matches_the_reference_on_rational_coefficients(monkeypatch):
     J = Ideal(RING, [Fraction(3, 4) * X - Fraction(1, 6) * Y**2 + Fraction(2, 7)])
     meet = ideal_intersect(I, J)
     assert len(seen) == 1
-    gens, order, basis = seen[0]
-    assert basis == chain_reduced_basis(gens, order)
+    gens, basis = seen[0]
+    assert basis == chain_reduced_basis(gens)
     assert meet.gens and all(I.contains_poly(g) and J.contains_poly(g) for g in meet.gens)
 
 
@@ -539,7 +547,7 @@ def test_lex_katsura_3_calls_fractions_only_at_the_boundary():
     clearing the denominators of what enters and from the monic Fractions
     of what leaves, so they stay within a bound per input and output term."""
     ring, eqs = katsura(3)
-    order = MonomialOrder.lex(ring.n)
+    eqs = in_order(eqs, MonomialOrder.lex(ring.n))
     calls = 0
 
     def count(frame, event, arg):
@@ -549,10 +557,10 @@ def test_lex_katsura_3_calls_fractions_only_at_the_boundary():
 
     sys.setprofile(count)
     try:
-        basis = reduced_groebner_basis(eqs, order)
+        basis = reduced_groebner_basis(eqs)
     finally:
         sys.setprofile(None)
-    assert basis == chain_reduced_basis(eqs, order)
+    assert basis == chain_reduced_basis(eqs)
     terms = sum(len(g.terms) for g in eqs) + sum(len(g.terms) for g in basis)
     assert calls <= 10 * terms, (calls, terms)
 
@@ -626,12 +634,12 @@ def test_colon_quotient_matches_the_general_route(monkeypatch):
     """Only the general pairs and the guards run an elimination, and a
     point-primary J settles its pairs with no basis beyond its own; every
     quotient's reduced basis equals the general route's."""
-    calls = []  # the (gens, order) of every reduced basis computed
+    calls = []  # the generators of every reduced basis computed
     original = groebner.reduced_groebner_basis
 
-    def recording(gens, order):
-        calls.append((gens, order))
-        return original(gens, order)
+    def recording(gens):
+        calls.append(gens)
+        return original(gens)
 
     monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
     branches = dict.fromkeys(["contained", "point", "comaximal", "principal", "general"], 0)
@@ -646,9 +654,9 @@ def test_colon_quotient_matches_the_general_route(monkeypatch):
         if branch == "point":
             assert calls == [], (label, L)
         if branch != "general":
-            assert not any(isinstance(order, _ElimOrder) for _, order in calls), (label, L)
+            assert not any(map(_is_elimination, calls)), (label, L)
         else:
-            assert any(isinstance(order, _ElimOrder) for _, order in calls), (label, L)
+            assert any(map(_is_elimination, calls)), (label, L)
         assert got.groebner_basis() == _reference_quotient(J, L).groebner_basis(), (label, L)
     assert all(branches.values()), branches
 

@@ -415,6 +415,24 @@ def test_growth_probe_cubic_stabilises():
     assert probe.flag == "stabilising"
 
 
+def test_right_colon_probe_builds_one_colon(monkeypatch):
+    """Against a J not flagged prime, the right component test runs every g
+    through one ``Colon(J)``: J's basis facts are read once, not per g."""
+    from idealiser import groebner
+
+    built = []
+    original = groebner.Colon.__init__
+
+    def counting(self, J):
+        built.append(J)
+        original(self, J)
+
+    monkeypatch.setattr(groebner.Colon, "__init__", counting)
+    probe = growth_probe(Ideal(RING, [X]), Ideal(RING, [X * Y]), ACT, "right", [1, 2])
+    assert probe.counts == (1, 1)
+    assert len(built) == 1
+
+
 def test_growth_probe_line_collapses_to_one_class():
     J = point_ideal((2, 1))
     probe = growth_probe(LINE, J, ACT, "right", [2, 4, 8])

@@ -75,9 +75,25 @@ def test_degree_and_leading():
     assert RING.zero().degree() == float("-inf")
     lm, lc = f.leading()
     assert lm == (2, 0) and lc == 1  # grevlex prefers x^2 over y^2
-    lex = MonomialOrder.lex(2)
-    lm_lex, _ = (Y**3 + X).leading(lex)
+    lex = PolyRing(("x", "y"), MonomialOrder.lex(2))
+    lm_lex, _ = (lex.var(1) ** 3 + lex.var(0)).leading()
     assert lm_lex == (1, 0)
+
+
+def test_leading_monomial_is_the_order_maximum():
+    """The leading monomial is the first key of ``ints``, and that is the
+    greatest monomial of f in its ring's order: lex, grevlex, either one
+    under a permutation, and the block order of an elimination."""
+    rng = random.Random(41)
+    inner = [MonomialOrder.lex(3), MonomialOrder.grevlex(3), MonomialOrder.grevlex(3, (2, 0, 1))]
+    rings = [PolyRing(("x", "y", "z"), o) for o in inner + [MonomialOrder.lex(3, (1, 2, 0))]]
+    rings += [PolyRing(("t", "x", "y", "z"), _ElimOrder(1, o)) for o in inner[1:]]
+    for ring in rings:
+        for _ in range(30):
+            terms = {tuple(rng.randint(0, 4) for _ in range(ring.n)): rng.randint(-3, 3) for _ in range(5)}
+            support = [m for m, c in terms.items() if c]
+            if support:
+                assert Poly(ring, terms).leading_monomial() == max(support, key=ring.order.key), (ring, terms)
 
 
 def test_str_is_deterministic_and_parses_back():
@@ -116,6 +132,10 @@ def test_parse_errors_carry_position():
         RING.parse("x^-2")
     with pytest.raises(ParseError):
         RING.parse("(x + 1")
+    with pytest.raises(ParseError, match=r"zero denominator in '1/0' \(at position 4\)"):
+        RING.parse("x - 1/0")
+    with pytest.raises(ParseError, match=r"zero denominator in '3/00' \(at position 0\)"):
+        RING.parse("3/00*y")
 
 
 def test_eval_at():
