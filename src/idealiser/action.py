@@ -22,7 +22,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from . import linalg
 from .diophantine import ZeroTest
 from .groebner import (
     Ideal,
@@ -31,7 +30,7 @@ from .groebner import (
     eliminate,
     ideal_equal,
 )
-from .normalforms import column_hermite, kernel_basis, smith_normal_form
+from .normalforms import box_bounds, column_hermite, kernel_basis, smith_normal_form
 from .poly import Poly, PolyRing
 
 GroupElement = tuple[int, ...]
@@ -211,7 +210,7 @@ class Lattice:
         if radius < 0:
             return []
         columns = [[v[i] for v in self.basis] for i in range(self.ambient)]
-        points = map(self.element, box_walk(linalg.box_bounds(columns, radius)))
+        points = map(self.element, box_walk(box_bounds(columns, radius)))
         return sorted(v for v in points if all(abs(x) <= radius for x in v))
 
 

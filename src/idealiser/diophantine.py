@@ -222,46 +222,33 @@ class CurveClass:
 
 def _try_pell(f: Poly) -> CurveClass | None:
     """Detect a*((u - c1)^2 - n*(w - c2)^2 - 1) with integer centre, n
-    a positive nonsquare integer, up to swapping the two variables."""
+    a positive nonsquare integer, up to swapping the two variables.  The
+    square and linear terms fix a, n and the centre, and one equality with
+    the rebuilt conic checks the cross and constant terms."""
     if f.ring.n != 2 or f.degree() != 2:
         return None
     for axis in (0, 1):
-        other = 1 - axis
-        sq = [0, 0]
-        sq[axis] = 2
-        alpha = f.coefficient(tuple(sq))
-        sq_other = [0, 0]
-        sq_other[other] = 2
-        beta = f.coefficient(tuple(sq_other))
-        if alpha == 0 or beta == 0:
+        lin = tuple(int(i == axis) for i in range(2))  # u; lin[::-1] is w
+        sq = tuple(2 * e for e in lin)
+        alpha = f.coefficient(sq)
+        if alpha == 0:
             continue
-        cross = [0, 0]
-        cross[axis] = 1
-        cross[other] = 1
-        if f.coefficient(tuple(cross)) != 0:
-            continue
-        ratio = -beta / alpha
-        if ratio.denominator != 1 or ratio <= 0:
+        ratio = -f.coefficient(sq[::-1]) / alpha
+        if ratio.denominator != 1 or ratio <= 0 or math.isqrt(int(ratio)) ** 2 == ratio:
             continue
         n = int(ratio)
-        if math.isqrt(n) ** 2 == n or n < 2:
+        c1 = -f.coefficient(lin) / (2 * alpha)
+        c2 = f.coefficient(lin[::-1]) / (2 * alpha * n)
+        if c1.denominator != 1 or c2.denominator != 1:
             continue
-        lin_axis = [0, 0]
-        lin_axis[axis] = 1
-        lin_other = [0, 0]
-        lin_other[other] = 1
-        u = -f.coefficient(tuple(lin_axis)) / (2 * alpha)
-        w = f.coefficient(tuple(lin_other)) / (2 * alpha * n)
-        if u.denominator != 1 or w.denominator != 1:
-            continue
-        const_needed = alpha * (u * u - n * w * w - 1)
-        if f.coefficient((0, 0)) != const_needed:
+        u, w = f.ring.var(axis), f.ring.var(1 - axis)
+        if f != alpha * ((u - c1) ** 2 - n * (w - c2) ** 2 - 1):
             continue
         return CurveClass(
             tag="pell_conic",
             degree=2,
             pell_n=n,
-            pell_centre=(int(u), int(w)),
+            pell_centre=(int(c1), int(c2)),
             pell_axis=axis,
         )
     return None

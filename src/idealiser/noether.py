@@ -52,7 +52,7 @@ from .groebner import (
     krull_dimension,
     rational_point_of,
 )
-from .linalg import box_bounds
+from .normalforms import box_bounds
 from .poly import Poly
 
 # ------------------------------------------------------------- analysis

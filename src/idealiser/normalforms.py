@@ -1,14 +1,20 @@
-"""Exact integer column Hermite and Smith normal forms with transforms.
+"""Exact integer linear algebra: column Hermite and Smith normal forms with
+transforms, and the bounds of a lattice window.
 
 Everything here works on small dense integer matrices (lists of rows) and
 tracks unimodular transforms explicitly, so lattice kernels, saturations and
 complements come out canonical and certified: M*V = H for the column Hermite
-form, U*M*V = D for Smith, with det(U), det(V) in {+1, -1}.
+form, U*M*V = D for Smith, with det(U), det(V) in {+1, -1}.  ``box_bounds``
+clears a rational matrix's denominators once and solves its Gram system by
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
+Computational Algebraic Number Theory, 2.2), so no Fraction is made inside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -185,3 +191,33 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
         t += 1
     return SmithForm(D, U, V, Uinv)
 
+
+def box_bounds(matrix, radius) -> list[int]:
+    """Bounds b_j with |c_j| <= b_j for every c whose image matrix * c has
+    sup-norm at most ``radius`` (an int or a Fraction).  The matrix needs
+    full column rank: c is recovered by the pseudo-inverse (M^T M)^-1 M^T,
+    whose row sums of absolute values bound each coordinate.  For
+    N = den*M, with den the lcm of M's denominators, and the Gram matrix
+    G = N^T N, that pseudo-inverse is den * adj(G) N^T / det(G); one
+    fraction-free Gauss-Jordan pass over [G | 1] leaves det(G) on the
+    diagonal and adj(G) on the right.  G is positive semidefinite, so no
+    pivoting is needed: a zero leading minor has a null vector, which
+    padded with zeros is a null vector of G, and G is singular."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    N = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    cols = list(zip(*N))
+    n = len(cols)
+    aug = [[sum(map(mul, a, b)) for b in cols] + [int(i == j) for j in range(n)]
+           for i, a in enumerate(cols)]
+    det = 1
+    for k in range(n):
+        pivot = aug[k][k]
+        if pivot == 0:
+            raise ValueError("matrix is singular")
+        for i in range(n):
+            if i != k:
+                lead = aug[i][k]
+                aug[i] = [(pivot * x - lead * y) // det for x, y in zip(aug[i], aug[k])]
+        det = pivot
+    scale, divisor = radius.numerator * den, radius.denominator * det
+    return [scale * sum(abs(sum(map(mul, row[n:], r))) for r in N) // divisor for row in aug]

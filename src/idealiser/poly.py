@@ -10,7 +10,7 @@ times the empty dict.  Each value has exactly one such form, so iteration,
 printing and equality are deterministic.  Arithmetic, derivatives and
 Taylor shifts run on ints, and ``fractions.Fraction`` appears only at the
 boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
-``coefficient``, ``leading``, ``eval_at`` and printing.
+``coefficient``, ``eval_at`` and printing.
 """
 
 from __future__ import annotations
@@ -242,10 +242,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         return next(iter(self.ints))
 
-    def leading(self) -> tuple[Monomial, Fraction]:
-        mono = self.leading_monomial()
-        return mono, Fraction(self.num * self.ints[mono], self.den)
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return Fraction(self.num * self.ints.get(tuple(mono), 0), self.den)
 
@@ -253,8 +249,7 @@ class Poly:
         """The Poly with leading coefficient 1: a change of content."""
         if self.is_zero:
             return self
-        _, lc = self.leading()
-        return self._times(lc.denominator, lc.numerator)
+        return self._times(self.den, self.num * self.ints[self.leading_monomial()])
 
     # -- arithmetic ------------------------------------------------------
 

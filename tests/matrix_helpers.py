@@ -1,4 +1,9 @@
-"""Integer matrix helpers that only the tests use to check normal forms."""
+"""Matrix helpers that only the tests use: integer ones to check normal
+forms, and dense Fraction ones as references for the Groebner engine and
+``normalforms.box_bounds``."""
+
+import math
+from fractions import Fraction
 
 
 def mat_mul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -25,3 +30,53 @@ def det_int(m: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot column indices."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def mat_mul(a, b):
+    return [
+        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    reduced, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced[:n]]
+
+
+def fraction_box_bounds(matrix, radius) -> list[int]:
+    """The reference for ``normalforms.box_bounds``, in Fractions: the row
+    sums of absolute values of the pseudo-inverse (M^T M)^-1 M^T, times
+    ``radius``."""
+    t = [list(col) for col in zip(*matrix)]
+    pinv = mat_mul(fraction_inverse(mat_mul(t, matrix)), t)
+    return [math.floor(sum(abs(x) for x in row) * radius) for row in pinv]

@@ -35,9 +35,8 @@ from idealiser import (
     t_set_box,
     tor1,
 )
-from idealiser.linalg import rref
 from idealiser.skew import SkewElement
-from matrix_helpers import det_int
+from matrix_helpers import det_int, rref
 from skew_oracle import right_ideal_truncation
 
 RING = PolyRing(("x", "y"))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,8 +27,8 @@ from idealiser import (
 from idealiser.action import WALK_LIMIT, box_walk
 from idealiser.diophantine import zero_test
 from idealiser.noether import _group_by_coset
-from idealiser.normalforms import identity_matrix
-from matrix_helpers import det_int, mat_mul_int
+from idealiser.normalforms import box_bounds, identity_matrix
+from matrix_helpers import det_int, fraction_box_bounds, mat_mul_int
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -84,6 +85,10 @@ def test_action_shape_validation():
         TranslationAction(RING, [[1, 0]])  # needs one row per variable
     with pytest.raises(ValueError):
         TranslationAction(RING, [[1], [1, 2]])
+    with pytest.raises(ValueError, match="at least one group generator"):
+        TranslationAction(PolyRing(("x",)), [[]])
+    with pytest.raises(ValueError, match="wrong rank"):
+        STD.translation((1, 2, 3))
 
 
 def test_act_on_ideal_preserves_membership():
@@ -114,6 +119,8 @@ def test_lattice_membership_and_coords():
     assert not L.contains((3, 1))
     assert L.coords((9, 6)) in (( 3,), (-3,))
     assert L.coords((1, 1)) is None
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        L.reduce((1, 2, 3))
 
     full = Lattice(2, [(2, 1), (1, 1)])
     assert full.rank == 2
@@ -125,9 +132,63 @@ def test_points_in_box():
     pts = Lattice(2, [(3, 2)]).points_in_box(7)
     assert pts == sorted([(-6, -4), (-3, -2), (0, 0), (3, 2), (6, 4)])
     assert Lattice(2, []).points_in_box(5) == [(0, 0)]
+    assert Lattice.standard(2).points_in_box(-1) == []
     # rectangular sublattice of rank 2
     pts2 = Lattice(2, [(2, 0), (0, 3)]).points_in_box(3)
     assert set(pts2) == {(a, b) for a in (-2, 0, 2) for b in (-3, 0, 3)}
+
+
+def _window(rng):
+    """A random window matrix of 1-4 rows, 1 to rows columns (0 or rows + 1
+    in one of ten each) and denominators 1-6.  Every third one with a
+    column gets a rational combination of its first and last columns in
+    place of one of them, so some windows have no full column rank."""
+    rows = rng.randint(1, 4)
+    u = rng.random()
+    cols = 0 if u < 0.1 else rows + 1 if u > 0.9 else rng.randint(1, rows)
+    columns = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rows)] for _ in range(cols)]
+    if columns and rng.random() < 1 / 3:
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+        columns[rng.randrange(cols)] = [a * x + b * y for x, y in zip(columns[0], columns[-1])]
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in range(rows)]
+
+
+def test_box_bounds_match_the_fraction_pseudo_inverse():
+    rng = random.Random(23)
+    refused = empty = 0
+    for case in range(2000):
+        matrix = _window(rng)
+        if case % 5 == 0:  # integer matrices, as Lattice.points_in_box passes them
+            matrix = [[int(x * 6) for x in row] for row in matrix]
+        radius = rng.randint(0, 20) if case % 2 else Fraction(rng.randint(0, 60), rng.randint(1, 7))
+        try:
+            expected = fraction_box_bounds(matrix, radius)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="singular"):
+                box_bounds(matrix, radius)
+            continue
+        empty += not expected
+        assert box_bounds(matrix, radius) == expected, (matrix, radius)
+    # rank 0 windows, full rank ones and refusals all occur
+    assert refused >= 100 and empty >= 100 and 2000 - refused - empty >= 1000, (refused, empty)
+
+
+def test_box_bounds_of_an_integer_matrix_make_no_fraction():
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        bounds = box_bounds([[3, 1], [-2, 4], [5, 0]], 7)
+    finally:
+        sys.setprofile(None)
+    assert bounds == fraction_box_bounds([[3, 1], [-2, 4], [5, 0]], 7)
+    assert calls == 0
 
 
 def test_box_walk_refuses_a_box_over_the_budget():

@@ -448,11 +448,13 @@ def test_box_over_the_walk_budget_exits_one(capsys, pell_config):
         ("action", {"matrix": 5}, "action.matrix must be a list of rows, got 5"),
         ("action", {"matrix": [5, 6]}, "action.matrix must be a list of rows, got [5, 6]"),
         ("action", {"matrix": None}, "action.matrix must be a list of rows, got null"),
+        ("action", {"matrix": [[], []]}, "action needs at least one group generator"),
     ],
     ids=[
         "vars-string", "radii-string", "box-float", "box-bool", "radius-bool", "limit-bool",
         "limit-zero", "radii-empty", "generators-string", "generators-int", "generators-empty",
         "prime-string", "maximal-int", "matrix-int", "matrix-flat", "matrix-null",
+        "matrix-no-generator",
     ],
 )
 def test_config_values_are_type_checked(capsys, tmp_path, section, value, message):

@@ -379,6 +379,14 @@ def test_classify_ellipse_is_not_pell():
     assert classify_plane_curve(X**2 + 7 * Y**2 - 1).tag == "unknown"
 
 
+def test_classify_pell_needs_its_cross_and_constant_terms():
+    # each matches a Pell conic on the square and linear terms only
+    for f in (X**2 - 7 * Y**2 - 2, X**2 + X * Y - 7 * Y**2 - 1, (X - 1) ** 2 - 7 * (Y + 2) ** 2 + 1):
+        assert classify_plane_curve(f).tag == "unknown", f
+    cls = classify_plane_curve(Fraction(-2, 3) * ((Y + 3) ** 2 - 5 * (X - 1) ** 2 - 1))
+    assert (cls.tag, cls.pell_n, cls.pell_centre, cls.pell_axis) == ("pell_conic", 5, (-3, 1), 1)
+
+
 def test_classify_graph_curve():
     cls = classify_plane_curve(X - 7 * Y**2 - 1)
     assert cls.tag == "graph_curve"

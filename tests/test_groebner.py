@@ -178,6 +178,8 @@ def test_unit_and_zero_ideals():
     assert unit_ideal(RING).is_unit_ideal()
     assert Ideal(RING, []).is_zero_ideal()
     assert Ideal(RING, [RING.zero()]).is_zero_ideal()
+    with pytest.raises(ValueError, match="wrong ring"):
+        Ideal(RING, [PolyRing(("x", "y", "z")).var(0)])
     assert Ideal(RING, [RING.const(5)]).is_unit_ideal()
 
 
@@ -473,7 +475,8 @@ def _fraction_remainder(f, basis):
         m = max(work, key=f.ring.order.key)
         c = work.pop(m)
         for g in basis:
-            lm, lc = g.leading()
+            lm = g.leading_monomial()
+            lc = g.coefficient(lm)
             if all(a <= b for a, b in zip(lm, m)):
                 q = tuple(b - a for a, b in zip(lm, m))
                 for gm, gc in g.terms.items():

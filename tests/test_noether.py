@@ -167,10 +167,14 @@ def test_s_set_box_splitting_consistency():
     assert filtered == small.members
 
 
-def test_s_set_against_ideal_target_windows_the_group_element():
+def test_s_set_against_ideal_target_windows_the_group_element(monkeypatch):
     rep = s_set_box(LINE, LINE, Lattice.standard(2), 7, ACT)
     assert rep.members == ((-6, -4), (-3, -2), (0, 0), (3, 2), (6, 4))
     assert len(rep.cosets) == 1  # all in one stabiliser coset
+    # a target not flagged prime still gets the containment test, not a colon
+    monkeypatch.setattr(noether, "Colon", None)
+    unflagged = s_set_box(LINE, Ideal(RING, LINE.gens), Lattice.standard(2), 7, ACT)
+    assert unflagged.members == rep.members
 
 
 def test_s_set_on_sublattice():
@@ -391,6 +395,13 @@ def test_left_verdict_copies_right_for_principal_primes():
 
 
 # --------------------------------------------------------------- probes
+
+
+def test_growth_probe_and_component_test_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="at least one radius"):
+        growth_probe(PELL, point_ideal((1, 0)), ACT, "right", [])
+    with pytest.raises(ValueError, match="side must be"):
+        component_test(PELL, point_ideal((1, 0)), ACT, "up")
 
 
 def test_growth_probe_pell_right_is_growing():

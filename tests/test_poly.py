@@ -73,11 +73,10 @@ def test_degree_and_leading():
     assert f.degree() == 2
     assert f.degree_in(0) == 2 and f.degree_in(1) == 2
     assert RING.zero().degree() == float("-inf")
-    lm, lc = f.leading()
-    assert lm == (2, 0) and lc == 1  # grevlex prefers x^2 over y^2
+    lm = f.leading_monomial()
+    assert lm == (2, 0) and f.coefficient(lm) == 1  # grevlex prefers x^2 over y^2
     lex = PolyRing(("x", "y"), MonomialOrder.lex(2))
-    lm_lex, _ = (lex.var(1) ** 3 + lex.var(0)).leading()
-    assert lm_lex == (1, 0)
+    assert (lex.var(1) ** 3 + lex.var(0)).leading_monomial() == (1, 0)
 
 
 def test_leading_monomial_is_the_order_maximum():
@@ -212,8 +211,10 @@ def test_partial_derivatives():
 def test_monic():
     f = 4 * X**2 - 2 * Y
     m = f.monic()
-    assert m.leading()[1] == 1
+    assert m.coefficient(m.leading_monomial()) == 1
     assert m == X**2 - Fraction(1, 2) * Y
+    assert (Fraction(-3, 4) * X * Y + 5).monic() == X * Y - Fraction(20, 3)
+    assert RING.zero().monic() == RING.zero()
 
 
 def test_order_keys_sort_monomials():
