@@ -57,14 +57,14 @@ class TranslationAction:
             raise ValueError("ragged action matrix")
         den = math.lcm(*(a.denominator for row in rows for a in row))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ints", tuple(tuple(int(a * den) for a in row) for row in rows))
+        object.__setattr__(self, "ints", tuple(tuple(a.numerator * den // a.denominator for a in row) for row in rows))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "matrix", rows)
 
     @classmethod
     def standard(cls, ring: PolyRing) -> "TranslationAction":
         n = ring.n
-        return cls(ring, [[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls(ring, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def d(self) -> int:

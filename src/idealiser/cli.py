@@ -14,8 +14,9 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .action import Lattice, TranslationAction
 from .diophantine import pell_enumerate
@@ -177,23 +178,60 @@ def _report_json(rep: LatticeSubsetReport) -> dict:
         "kind": rep.kind,
         "description": rep.description,
         "box": rep.box,
-        "members": [list(m) for m in rep.members],
-        "cosets": [
-            {"rep": list(rep_), "members": [list(m) for m in ms]}
-            for rep_, ms in rep.cosets
-        ],
+        "members": rep.members,
+        "cosets": [{"rep": rep_, "members": ms} for rep_, ms in rep.cosets],
         "stabiliser": lattice_payload(rep.stabiliser),
         "sublattice": lattice_payload(rep.sublattice),
     }
 
 
-def _emit(payload: dict, as_json: bool, human_lines) -> None:
+def _json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, written as one list
+    of parts.  Strings go through the C string encoder, a list of plain ints
+    is one join, and any other type is handed to ``json.dumps``."""
+    parts: list[str] = []
+    put = parts.append
+
+    def encode(value, indent: str) -> None:
+        # indent: a newline and the spaces before the value's closing bracket
+        kind = type(value)
+        if kind is str:
+            put(encode_basestring_ascii(value))
+        elif kind is int:
+            put(str(value))
+        elif (kind is list or kind is tuple) and value:
+            inner = indent + "  "
+            if set(map(type, value)) == {int}:
+                put("[" + inner + ("," + inner).join(map(str, value)) + indent + "]")
+            else:
+                put("[")
+                for x in value:
+                    put(inner)
+                    encode(x, inner)
+                    put(",")
+                parts[-1] = indent + "]"  # in place of the last item's comma
+        elif kind is dict and value and set(map(type, value)) == {str}:
+            inner = indent + "  "
+            put("{")
+            for k in sorted(value):
+                put(inner + encode_basestring_ascii(k) + ": ")
+                encode(value[k], inner)
+                put(",")
+            parts[-1] = indent + "}"
+        else:
+            put(json.dumps(value, indent=2, sort_keys=True).replace("\n", indent))
+
+    encode(payload, "\n")
+    return "".join(parts)
+
+
+def _emit(as_json: bool, payload, lines) -> None:
+    """Print ``payload()`` as JSON, or the strings of ``lines()``: only the one
+    asked for is built."""
     if as_json:
-        payload = dict(payload)
-        payload["version"] = SCHEMA_VERSION
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json({**payload(), "version": SCHEMA_VERSION}))
     else:
-        for line in human_lines:
+        for line in lines():
             print(line)
 
 
@@ -234,6 +272,10 @@ def _radii(text: str | None, opts: dict) -> list[int]:
     return [_natural(r, "probe radius") for r in radii]
 
 
+def _probe_json(p: GrowthProbe) -> dict:
+    return {"side": p.side, "radii": p.radii, "counts": p.counts, "flag": p.flag, "target": p.target}
+
+
 def _probe_line(p: GrowthProbe) -> str:
     return (
         f"probe {p.side} vs {p.target}: radii "
@@ -268,58 +310,56 @@ def _cmd_analyze(args) -> int:
     elapsed = time.perf_counter() - t0
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 
-    payload = {
-        "verdict": {
-            "right": verdict.right,
-            "left": verdict.left,
-            "certificates": [
-                {"rule": c.rule, "payload": c.payload} for c in verdict.certificates
-            ],
-        },
-        "stabiliser": lattice_payload(a.K),
-        "complement": lattice_payload(a.H),
-        "sets": [_report_json(r) for r in sets],
-        "probes": [asdict(p) for p in probes],
-    }
-    lines = [
-        "ideal: " + _ideal_str(I),
-        "stabiliser: " + _lattice_str(a.K),
-        "complement: " + _lattice_str(a.H),
-        f"right noetherian: {verdict.right}",
-        f"left noetherian: {verdict.left}",
-    ]
-    for c in verdict.certificates:
-        detail = ", ".join(f"{k}={c.payload[k]}" for k in sorted(c.payload))
-        lines.append(f"certificate {c.rule}: {detail}")
-    for rep in sets:
-        lines.extend(_print_report_lines(rep))
-    lines.extend(_probe_line(p) for p in probes)
-    _emit(payload, args.json, lines)
+    def payload():
+        return {
+            "verdict": {
+                "right": verdict.right,
+                "left": verdict.left,
+                "certificates": [
+                    {"rule": c.rule, "payload": c.payload} for c in verdict.certificates
+                ],
+            },
+            "stabiliser": lattice_payload(a.K),
+            "complement": lattice_payload(a.H),
+            "sets": [_report_json(r) for r in sets],
+            "probes": [_probe_json(p) for p in probes],
+        }
+
+    def lines():
+        yield "ideal: " + _ideal_str(I)
+        yield "stabiliser: " + _lattice_str(a.K)
+        yield "complement: " + _lattice_str(a.H)
+        yield f"right noetherian: {verdict.right}"
+        yield f"left noetherian: {verdict.left}"
+        for c in verdict.certificates:
+            detail = ", ".join(f"{k}={c.payload[k]}" for k in sorted(c.payload))
+            yield f"certificate {c.rule}: {detail}"
+        for rep in sets:
+            yield from _print_report_lines(rep)
+        yield from map(_probe_line, probes)
+
+    _emit(args.json, payload, lines)
     return 0 if verdict.right != "unknown" and verdict.left != "unknown" else 2
 
 
 def _cmd_stab(args) -> int:
     _, act, I, _ = _load(args)
     K = analysis(I, act).K
-    payload = {"stabiliser": lattice_payload(K), "rank": K.rank}
-    _emit(payload, args.json, [f"lattice basis: {_lattice_str(K)}"])
+    _emit(
+        args.json,
+        lambda: {"stabiliser": lattice_payload(K), "rank": K.rank},
+        lambda: [f"lattice basis: {_lattice_str(K)}"],
+    )
     return 0
 
 
 def _cmd_complement(args) -> int:
     _, act, I, _ = _load(args)
     a = analysis(I, act)
-    payload = {
-        "stabiliser": lattice_payload(a.K),
-        "complement": lattice_payload(a.H),
-    }
     _emit(
-        payload,
         args.json,
-        [
-            f"stabiliser: {_lattice_str(a.K)}",
-            f"complement: {_lattice_str(a.H)}",
-        ],
+        lambda: {"stabiliser": lattice_payload(a.K), "complement": lattice_payload(a.H)},
+        lambda: [f"stabiliser: {_lattice_str(a.K)}", f"complement: {_lattice_str(a.H)}"],
     )
     return 0
 
@@ -332,10 +372,12 @@ def _cmd_quotient_table(args) -> int:
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     strings = {comp: _ideal_str(comp) for comp in set(table.values())}  # each object once
     entries = [(g, strings[comp]) for g, comp in sorted(table.items())]
-    payload = {"box": box, "entries": [{"g": list(g), "component": s} for g, s in entries]}
-    lines = [f"idealiser components (I : I^g), box {box}:"]
-    lines += [f"  g={_vec(g)}: {s}" for g, s in entries]
-    _emit(payload, args.json, lines)
+    _emit(
+        args.json,
+        lambda: {"box": box, "entries": [{"g": g, "component": s} for g, s in entries]},
+        lambda: [f"idealiser components (I : I^g), box {box}:"]
+        + [f"  g={_vec(g)}: {s}" for g, s in entries],
+    )
     return 0
 
 
@@ -343,16 +385,15 @@ def _cmd_tor(args) -> int:
     ring, _, I, _ = _load(args)
     J = Ideal(ring, [ring.parse(s) for s in args.target])
     mod = tor1(I, J)
-    payload = {
-        "is_zero": mod.is_zero,
-        "numerator": _ideal_str(mod.numerator),
-        "denominator": _ideal_str(mod.denominator),
-        "dimension_probe": list(mod.dimension_probe),
-    }
     _emit(
-        payload,
         args.json,
-        [
+        lambda: {
+            "is_zero": mod.is_zero,
+            "numerator": _ideal_str(mod.numerator),
+            "denominator": _ideal_str(mod.denominator),
+            "dimension_probe": mod.dimension_probe,
+        },
+        lambda: [
             f"tor1 zero: {'yes' if mod.is_zero else 'no'}",
             "intersection: " + _ideal_str(mod.numerator),
             "product: " + _ideal_str(mod.denominator),
@@ -379,7 +420,7 @@ def _cmd_sset(args) -> int:
     else:
         raise InputError("sset needs --point or --target")
     rep = s_set_box(I, target, sub, box, act)
-    _emit(_report_json(rep), args.json, _print_report_lines(rep))
+    _emit(args.json, lambda: _report_json(rep), lambda: _print_report_lines(rep))
     return 0
 
 
@@ -389,7 +430,7 @@ def _cmd_tset(args) -> int:
     sub = _sub_for(args, act, I)
     J = Ideal(ring, [ring.parse(s) for s in args.target], claimed_prime=args.prime)
     rep = t_set_box(I, J, sub, box, act)
-    _emit(_report_json(rep), args.json, _print_report_lines(rep))
+    _emit(args.json, lambda: _report_json(rep), lambda: _print_report_lines(rep))
     return 0
 
 
@@ -397,15 +438,14 @@ def _cmd_pell(args) -> int:
     if args.count < 1:  # pell_enumerate checks n
         raise InputError("count must be at least 1")
     sols = pell_enumerate(args.n, args.count)
-    payload = {
-        "n": args.n,
-        "fundamental": [sols[0].x, sols[0].y],
-        "solutions": [[s.x, s.y] for s in sols],
-    }
     _emit(
-        payload,
         args.json,
-        [" ".join(f"({s.x},{s.y})" for s in sols)],
+        lambda: {
+            "n": args.n,
+            "fundamental": [sols[0].x, sols[0].y],
+            "solutions": [[s.x, s.y] for s in sols],
+        },
+        lambda: [" ".join(f"({s.x},{s.y})" for s in sols)],
     )
     return 0
 
@@ -418,8 +458,7 @@ def _cmd_skewmul(args) -> int:
     a = parse_skew(args.left, act)
     b = parse_skew(args.right, act)
     prod = a * b
-    payload = {"left": str(a), "right": str(b), "product": str(prod)}
-    _emit(payload, args.json, [str(prod)])
+    _emit(args.json, lambda: {"left": str(a), "right": str(b), "product": str(prod)}, lambda: [str(prod)])
     return 0
 
 
@@ -427,8 +466,7 @@ def _cmd_member(args) -> int:
     _, act, I, _ = _load(args)
     elt = parse_skew(args.element, act)
     ok = idealiser_membership(elt, I, act)
-    payload = {"element": str(elt), "member": ok}
-    _emit(payload, args.json, [f"member: {'yes' if ok else 'no'}"])
+    _emit(args.json, lambda: {"element": str(elt), "member": ok}, lambda: [f"member: {'yes' if ok else 'no'}"])
     return 0
 
 
@@ -443,8 +481,7 @@ def _cmd_probe(args) -> int:
         J = analysis(I, act).target(max(radii))
     sides = ["right", "left"] if args.side == "both" else [args.side]
     probes = [growth_probe(I, J, act, side, radii) for side in sides]
-    payload = {"probes": [asdict(p) for p in probes]}
-    _emit(payload, args.json, [_probe_line(p) for p in probes])
+    _emit(args.json, lambda: {"probes": list(map(_probe_json, probes))}, lambda: map(_probe_line, probes))
     return 0
 
 

@@ -260,11 +260,12 @@ def s_set_box(
     K = analysis(I, act).K
     gens = ", ".join(str(f) for f in I.gens)
     if isinstance(target, Ideal):
-        # containment is the right test against a target flagged prime
-        if not target.claimed_prime:
-            target = Ideal(target.ring, target.gens, claimed_prime=True)
-        nonzero = component_test(I, target, act, "right")
-        members = [g for g in sub.points_in_box(box) if nonzero(g)]
+        # I^g in J: for J flagged prime the right component test reads exactly that
+        if target.claimed_prime:
+            contained = component_test(I, target, act, "right")
+        else:
+            contained = lambda g: ideal_contains(target, act_on_ideal(I, g, act))
+        members = [g for g in sub.points_in_box(box) if contained(g)]
         desc = f"S-set of <{gens}> against an ideal target"
     else:
         point = tuple(Fraction(c) for c in target)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, mono_mul
 
 
 MAX_DEPTH = 100
@@ -41,28 +41,40 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("num") is not None:
-            num, _, den = m.group("num").partition("/")
+        kind = m.lastgroup
+        token, start = m[kind], m.start(kind)
+        if kind == "num":
+            num, _, den = token.partition("/")
             if den and not int(den):
-                raise ParseError(f"zero denominator in {m.group('num')!r}", m.start("num"))
-            value = Fraction(int(num), int(den)) if den else int(num)
-            tokens.append(("num", value, m.start("num"), not den))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name"), False))
+                raise ParseError(f"zero denominator in {token!r}", start)
+            tokens.append((kind, Fraction(int(num), int(den)) if den else int(num), start, not den))
         else:
-            tokens.append(("op", m.group("op"), m.start("op"), False))
+            tokens.append((kind, token, start, False))
         pos = m.end()
     tokens.append(("end", "", len(text), False))
     return tokens
 
 
+def _mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 class _Parser:
+    """Builds plain {monomial: coefficient} dicts, with int or Fraction
+    coefficients, and normalises them into a Poly once, in ``expr``."""
+
     def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.ring = ring
-        self.var_index = {name: i for i, name in enumerate(ring.variables)}
+        self.one = (0,) * ring.n
+        self.var_mono = {name: self.one[:i] + (1,) + self.one[i + 1 :] for i, name in enumerate(ring.variables)}
 
     def peek(self):
         return self.tokens[self.i]
@@ -89,7 +101,7 @@ class _Parser:
             raise ParseError("expected an integer", pos)
         return sign * int(value)
 
-    def nested(self, parse, pos: int) -> Poly:
+    def nested(self, parse, pos: int) -> dict:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
@@ -105,53 +117,61 @@ class _Parser:
         return result
 
     def expr(self) -> Poly:
+        terms = self.sum()
+        if all(type(c) is int for c in terms.values()):
+            return Poly.from_ints(self.ring, 1, 1, terms)
+        return Poly(self.ring, terms)
+
+    def sum(self) -> dict:
         result = self.term()
         while True:
             kind, value, _, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
+            if kind != "op" or value not in "+-":
                 return result
+            self.advance()
+            sign = 1 if value == "+" else -1
+            for m, c in self.term().items():
+                result[m] = result.get(m, 0) + sign * c
 
-    def term(self) -> Poly:
+    def term(self) -> dict:
         result = self.factor()
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                result = result * self.factor()
-            else:
-                return result
+        while self.peek()[:2] == ("op", "*"):
+            self.advance()
+            result = _mul(result, self.factor())
+        return result
 
-    def factor(self) -> Poly:
+    def factor(self) -> dict:
         kind, value, pos, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.nested(self.factor, pos)
+            return {m: -c for m, c in self.nested(self.factor, pos).items()}
         base = self.atom()
-        kind, value, pos, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            nkind, nvalue, npos, is_int = self.peek()
-            if nkind != "num" or not is_int:
-                raise ParseError("exponent must be a non-negative integer literal", npos)
-            self.advance()
-            return base ** int(nvalue)
-        return base
+        if self.peek()[:2] != ("op", "^"):
+            return base
+        self.advance()
+        kind, k, pos, is_int = self.advance()
+        if kind != "num" or not is_int:
+            raise ParseError("exponent must be a non-negative integer literal", pos)
+        result = {self.one: 1}
+        while k:
+            if k & 1:
+                result = _mul(result, base)
+            k >>= 1
+            if k:
+                base = _mul(base, base)
+        return result
 
-    def atom(self) -> Poly:
+    def atom(self) -> dict:
         kind, value, pos, _ = self.advance()
         if kind == "num":
-            return self.ring.const(value)
+            return {self.one: value}
         if kind == "name":
-            idx = self.var_index.get(value)
-            if idx is None:
+            mono = self.var_mono.get(value)
+            if mono is None:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return self.ring.var(idx)
+            return {mono: 1}
         if kind == "op" and value == "(":
-            inner = self.nested(self.expr, pos)
+            inner = self.nested(self.sum, pos)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)

@@ -7,10 +7,10 @@ content num/den, two ints in lowest terms with den > 0, times ``ints``, a
 dict from exponent tuples to nonzero ints with gcd 1 whose monomials descend
 in the ring's order and whose leading coefficient is positive; zero is 0/1
 times the empty dict.  Each value has exactly one such form, so iteration,
-printing and equality are deterministic.  Arithmetic, derivatives and
-Taylor shifts run on ints, and ``fractions.Fraction`` appears only at the
-boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
-``coefficient``, ``eval_at`` and printing.
+printing and equality are deterministic.  Arithmetic, derivatives, Taylor
+shifts and printing run on ints, and ``fractions.Fraction`` appears only at
+the boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
+``coefficient`` and ``eval_at``.
 """
 
 from __future__ import annotations
@@ -403,29 +403,20 @@ class Poly:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
+        """Each coefficient c*num/den reduced by gcd(c, den), as num and den are coprime."""
         if not self.ints:
             return "0"
+        names, num, den = self.ring.variables, self.num, self.den
         parts = []
-        for idx, (m, c) in enumerate(self.terms.items()):
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(self.ring.variables[i])
-                elif e > 1:
-                    factors.append(f"{self.ring.variables[i]}^{e}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            if idx == 0:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        for m, c in self.ints.items():
+            g = math.gcd(c, den)
+            p, q = c // g * num, den // g
+            mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+            factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, m) if e)
+            body = mag if not factors else factors if mag == "1" else mag + "*" + factors
+            parts.append((" - " if p < 0 else " + ") + body)
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"Poly({self})"

@@ -1,11 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from idealiser.cli import main
+from idealiser.cli import _json, main
 from idealiser.groebner import DEFAULT_PAIR_LIMIT
 
 
@@ -691,3 +692,37 @@ def test_parser_is_built_once_and_keeps_no_flags(capsys, tmp_path):
     assert together[1][:2] == (1, "") and "invalid choice: 'up'" in together[1][2]
     assert [together[0], together[2]] == alone
     assert alone[0][1] != alone[1][1]
+
+
+# characters a JSON string must escape or may carry: quotes, backslashes, control
+# characters, non-ASCII letters and a character outside the basic plane
+JSON_CHARS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "Z", "0", " ", "\u00e9", "\u03bb", "\u4e2d", "\U0001f600"]
+
+
+def _random_payload(rng, depth):
+    """A nested value of every kind the JSON encoder knows."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice([
+            "".join(rng.choices(JSON_CHARS, k=rng.randint(0, 6))),
+            True, False, None, 0, 1, rng.randint(-10**6, 10**6), -(2**70) - rng.randint(0, 9), 10**30,
+        ])
+    if roll < 0.45:  # a list of plain ints, or one with a bool among them
+        ints = [rng.randint(-99, 99) for _ in range(rng.randint(1, 4))]
+        return ints if rng.random() < 0.7 else ints + [rng.choice([True, False])]
+    size = rng.randint(0, 4)
+    if roll < 0.65:
+        return [_random_payload(rng, depth - 1) for _ in range(size)]
+    if roll < 0.75:
+        return tuple(_random_payload(rng, depth - 1) for _ in range(size))
+    keys = ["".join(rng.choices(JSON_CHARS, k=rng.randint(0, 3))) for _ in range(size)]
+    return {k: _random_payload(rng, depth - 1) for k in keys}
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(24)
+    for i in range(500):
+        payload = {"version": 1, "float": 0.1, "body": _random_payload(rng, rng.randint(1, 5))}
+        if i % 50 == 0:  # empty containers and keys the writer hands on
+            payload["edge"] = [[], {}, (), [[]], {"k": {}}, {2: "b", 1: [True, 1, 0, False]}, -2.5e-7]
+        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)

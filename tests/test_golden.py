@@ -137,6 +137,18 @@ def test_golden_transcript(case, tmp_path):
     assert transcript(case, tmp_path) == expected
 
 
+@pytest.mark.parametrize("case", sorted(c for c, (_, argv) in CASES.items() if "--json" in argv))
+def test_json_writer_on_golden_payloads(case, tmp_path, monkeypatch):
+    """The payload objects themselves, tuples included, encode as ``json.dumps`` does."""
+    import idealiser.cli as cli
+
+    writer, payloads = cli._json, []
+    monkeypatch.setattr(cli, "_json", lambda payload: payloads.append(payload) or writer(payload))
+    out = transcript(case, tmp_path)
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", DEMO_NAMES)
 def test_demo_transcript(name):
     expected = (GOLDEN / f"demo-{name}.out").read_text(encoding="utf-8")

@@ -177,6 +177,28 @@ def test_s_set_against_ideal_target_windows_the_group_element(monkeypatch):
     assert unflagged.members == rep.members
 
 
+def test_s_set_against_a_target_not_flagged_prime_reads_containment():
+    """Neither target is prime, and neither is flagged: x^2 has a repeated
+    factor and x*(x - 1) is reducible.  I^g lies in the target iff the
+    target divides the translate of I's generator."""
+    targets = [Ideal(RING, [X**2]), Ideal(RING, [X * (X - 1)])]
+    line = Ideal(RING, [X], claimed_prime=True)
+    for target in targets:
+        assert s_set_box(line, target, Lattice.standard(2), 2, ACT).members == ()
+    # the roots of I^g are -g_0 and -g_0 - 1, each double
+    I = Ideal(RING, [X**2 * (X + 1) ** 2])
+    columns = {a: tuple((a, b) for b in range(-2, 3)) for a in (-1, 0)}
+    expected = [columns[-1] + columns[0], columns[-1]]
+    for target, members in zip(targets, expected):
+        rep = s_set_box(I, target, Lattice.standard(2), 2, ACT)
+        assert rep.members == members
+        assert rep.members == tuple(
+            g for g in Lattice.standard(2).points_in_box(2)
+            if ideal_contains(target, act_on_ideal(I, g, ACT))
+        )
+        assert len(rep.cosets) == len(members) // 5  # K is the y-axis
+
+
 def test_s_set_on_sublattice():
     sub = Lattice(2, [(3, 2)])
     rep = s_set_box(LINE, LINE, sub, 7, ACT)

@@ -412,3 +412,110 @@ def test_operations_match_a_fraction_dict_reference(n, kind):
         assert (f == g) == (f_ref == g_ref)
         assert f == Poly(ring, dict(reversed(list(f_ref.items()))))
         assert str(f) == _ref_str(ring, f_ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_str_of_rational_content_matches_the_fraction_renderer(n):
+    """A content num/den over a primitive integer part: each printed
+    coefficient is the reduced Fraction of c*num/den."""
+    rng = random.Random(2400 + n)
+    ring = PolyRing(("x", "y", "z")[:n], rng.choice([None, MonomialOrder.lex(n)]))
+    monos = list(itertools.product(range(4), repeat=n))
+    for _ in range(200):
+        ints = {m: rng.choice([-1, 1]) * rng.randint(1, 60) for m in rng.sample(monos, rng.randint(1, min(5, len(monos))))}
+        content = Fraction(rng.randint(-40, 40) or 1, rng.choice([1, 2, 3, 6, 12, 35, 10**12 + 39]))
+        ref = _ref_clean({m: content * c for m, c in ints.items()})
+        f = content * Poly.from_ints(ring, 1, 1, ints)
+        assert f == Poly(ring, ref)
+        assert str(f) == _ref_str(ring, ref)
+        assert str(-f) == _ref_str(ring, {m: -c for m, c in ref.items()})
+
+
+def _random_tree(rng, n, depth):
+    """An expression tree over n variables: a leaf, or (op, children...)."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(["int", "frac", "var"])
+        if kind == "int":
+            return ("int", rng.randint(0, 12))
+        if kind == "frac":
+            return ("frac", rng.randint(0, 9), rng.randint(1, 6))
+        return ("var", rng.randrange(n))
+    op = rng.choice(["+", "-", "*", "^", "neg", "()"])
+    if op == "^":
+        return (op, _random_tree(rng, n, depth - 1), rng.randint(0, 3))
+    if op in ("neg", "()"):
+        return (op, _random_tree(rng, n, depth - 1))
+    return (op, _random_tree(rng, n, depth - 1), _random_tree(rng, n, depth - 1))
+
+
+def _render(tree, names, rng) -> str:
+    """Text for the tree: compound operands of *, ^ and unary minus are
+    parenthesised, and spaces are scattered at random."""
+    op = tree[0]
+
+    def sp():
+        return rng.choice(["", " ", "  "])
+
+    if op == "int":
+        return str(tree[1])
+    if op == "frac":
+        return f"{tree[1]}/{tree[2]}"
+    if op == "var":
+        return names[tree[1]]
+    if op == "()":
+        return "(" + sp() + _render(tree[1], names, rng) + sp() + ")"
+
+    def operand(sub):
+        text = _render(sub, names, rng)
+        return text if sub[0] in ("int", "frac", "var", "()") else "(" + text + ")"
+
+    if op == "neg":
+        return "-" + sp() + operand(tree[1])
+    if op == "^":
+        return operand(tree[1]) + sp() + "^" + sp() + str(tree[2])
+    right = operand(tree[2]) if op in "-*" else _render(tree[2], names, rng)
+    left = operand(tree[1]) if op == "*" else _render(tree[1], names, rng)
+    return left + sp() + op + sp() + right
+
+
+def _evaluate(tree, ring):
+    op = tree[0]
+    if op == "int":
+        return ring.const(tree[1])
+    if op == "frac":
+        return ring.const(Fraction(tree[1], tree[2]))
+    if op == "var":
+        return ring.var(tree[1])
+    if op == "()":
+        return _evaluate(tree[1], ring)
+    if op == "neg":
+        return -_evaluate(tree[1], ring)
+    if op == "^":
+        return _evaluate(tree[1], ring) ** tree[2]
+    a, b = _evaluate(tree[1], ring), _evaluate(tree[2], ring)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parse_matches_poly_arithmetic_on_random_trees(n):
+    rng = random.Random(2410 + n)
+    ring = PolyRing(("x", "y", "z")[:n])
+    for _ in range(300):
+        tree = _random_tree(rng, n, rng.randint(1, 4))
+        text = _render(tree, ring.variables, rng)
+        parsed = ring.parse(rng.choice(["", " "]) + text + rng.choice(["", " "]))
+        assert parsed == _evaluate(tree, ring), text
+        _assert_agrees(parsed, _ref_clean(dict(_evaluate(tree, ring).terms)))
+
+
+def test_parse_error_positions_count_leading_whitespace():
+    with pytest.raises(ParseError, match=r"zero denominator in '1/0' \(at position 6\)"):
+        RING.parse("  x + 1/0")
+    with pytest.raises(ParseError, match=r"unknown variable 'z' \(at position 3\)"):
+        RING.parse("   z")
+    with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 6\)"):
+        RING.parse("  x + $")
+    with pytest.raises(ParseError, match=r"exponent must be a non-negative integer literal \(at position 5\)"):
+        RING.parse(" x ^ 1/2")
+    with pytest.raises(ParseError, match=r"unexpected end of input \(at position 5\)"):
+        RING.parse(" x + ")
