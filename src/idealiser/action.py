@@ -45,10 +45,10 @@ class TranslationAction:
     ring: PolyRing
     ints: tuple[tuple[int, ...], ...]  # den*A, n rows and d columns, for den the lcm of A's denominators
     den: int
-    matrix: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)  # A as Fractions
+    matrix: tuple[tuple[int | Fraction, ...], ...] = field(compare=False, repr=False)  # A as ints and Fractions
 
     def __init__(self, ring: PolyRing, matrix: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        rows = tuple(tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row) for row in matrix)
         if len(rows) != ring.n:
             raise ValueError("matrix must have one row per ring variable")
         if not rows or not rows[0]:
@@ -99,11 +99,12 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
     ring, n, d = I.ring, I.ring.n, act.d
     aux = _fresh_aux_name(ring)
     ext = PolyRing(ring.variables + tuple(f"{aux}{j}" for j in range(d)))
-    moved = [
-        sum((a * ext.var(n + j) for j, a in enumerate(row) if a), ext.var(i))
-        for i, row in enumerate(act.matrix)
-    ]
     pad = (0,) * d
+    unit = [tuple(int(i == j) for j in range(n + d)) for i in range(n + d)]
+    moved = [
+        Poly.from_ints(ext, 1, act.den, {unit[i]: act.den, **{unit[n + j]: a for j, a in enumerate(row)}})
+        for i, row in enumerate(act.ints)
+    ]
     raw = [Poly.from_ints(ext, f.num, f.den, {m + pad: c for m, c in f.ints.items()}) for f in I.gens]
     raw += [h.compose(moved) for h in J.gens]
     return eliminate(raw, n, PolyRing(ext.variables[n:]))

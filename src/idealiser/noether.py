@@ -230,6 +230,11 @@ def _group_by_coset(
     return tuple((bucket[0], tuple(bucket)) for bucket in groups.values())
 
 
+def _label(I: Ideal) -> str:
+    """The generators of I as printed, <0> for the zero ideal."""
+    return "<" + (", ".join(str(f) for f in I.gens) or "0") + ">"
+
+
 def _report(kind, description, box, sub, K, members) -> LatticeSubsetReport:
     members = sorted(members)
     return LatticeSubsetReport(
@@ -258,7 +263,6 @@ def s_set_box(
     g is a member when I^g is contained in J; the box then windows g.
     """
     K = analysis(I, act).K
-    gens = ", ".join(str(f) for f in I.gens)
     if isinstance(target, Ideal):
         # I^g in J: for J flagged prime the right component test reads exactly that
         if target.claimed_prime:
@@ -266,7 +270,7 @@ def s_set_box(
         else:
             contained = lambda g: ideal_contains(target, act_on_ideal(I, g, act))
         members = [g for g in sub.points_in_box(box) if contained(g)]
-        desc = f"S-set of <{gens}> against an ideal target"
+        desc = f"S-set of {_label(I)} against an ideal target"
     else:
         point = tuple(Fraction(c) for c in target)
         # columns: the translations A*b of the sublattice basis vectors b
@@ -279,7 +283,7 @@ def s_set_box(
                 "translation action is not injective on the sublattice; the point window is unbounded"
             ) from None
         members = list(map(sub.element, box_walk(bounds, zero_test(I.gens, point, AB, box))))
-        desc = f"S-set of <{gens}> at point ({', '.join(str(c) for c in point)})"
+        desc = f"S-set of {_label(I)} at point ({', '.join(str(c) for c in point)})"
     return _report("S", desc, box, sub, K, members)
 
 
@@ -307,11 +311,7 @@ def t_set_box(
         minus = tuple(-x for x in h)
         found[h] = found[minus] if mirrored and minus in found else nonzero(h)
     members = [h for h, hit in found.items() if hit]
-    desc = (
-        f"T-set of <{', '.join(str(f) for f in I.gens)}> against "
-        f"<{', '.join(str(g) for g in J.gens)}>"
-    )
-    return _report("T", desc, box, sub, K, members)
+    return _report("T", f"T-set of {_label(I)} against {_label(J)}", box, sub, K, members)
 
 
 # ------------------------------------------------- orbit critical density
@@ -409,7 +409,7 @@ def growth_probe(
         radii=radii,
         counts=tuple(counts),
         flag=flag,
-        target="<" + (", ".join(str(g) for g in J.gens) or "0") + ">",
+        target=_label(J),
     )
 
 

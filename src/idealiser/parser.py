@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Poly, PolyRing, mono_mul
+from .poly import Poly, PolyRing, _power, _product
 
 
 MAX_DEPTH = 100
@@ -53,15 +53,6 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("end", "", len(text), False))
     return tokens
-
-
-def _mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
 
 
 class _Parser:
@@ -137,7 +128,7 @@ class _Parser:
         result = self.factor()
         while self.peek()[:2] == ("op", "*"):
             self.advance()
-            result = _mul(result, self.factor())
+            result = _product(result, self.factor())
         return result
 
     def factor(self) -> dict:
@@ -152,14 +143,7 @@ class _Parser:
         kind, k, pos, is_int = self.advance()
         if kind != "num" or not is_int:
             raise ParseError("exponent must be a non-negative integer literal", pos)
-        result = {self.one: 1}
-        while k:
-            if k & 1:
-                result = _mul(result, base)
-            k >>= 1
-            if k:
-                base = _mul(base, base)
-        return result
+        return _power(base, k, {self.one: 1})
 
     def atom(self) -> dict:
         kind, value, pos, _ = self.advance()

@@ -10,7 +10,8 @@ times the empty dict.  Each value has exactly one such form, so iteration,
 printing and equality are deterministic.  Arithmetic, derivatives, Taylor
 shifts and printing run on ints, and ``fractions.Fraction`` appears only at
 the boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
-``coefficient`` and ``eval_at``.
+``coefficient`` and ``eval_at``.  ``_product`` and ``_power`` are the one
+product kernel of ``*``, ``**``, ``compose`` and the parser.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from operator import add, le, sub
+from functools import partial, reduce
+from itertools import accumulate, repeat
+from operator import add, getitem, le, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -168,6 +170,28 @@ class PolyRing:
         return parse_poly(text, self)
 
 
+def _product(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """The product of two coefficient dicts (the parser's may hold Fractions), not normalised."""
+    out: dict[Monomial, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _power(a: Mapping[Monomial, int], k: int, one: Mapping[Monomial, int]) -> Mapping[Monomial, int]:
+    """a^k by square and multiply, where ``one`` is the dict of the constant 1."""
+    result = one
+    while k:
+        if k & 1:
+            result = _product(result, a)
+        k >>= 1
+        if k:
+            a = _product(a, a)
+    return result
+
+
 class Poly:
     """Immutable-by-convention sparse polynomial attached to a ring: the
     content num/den times the primitive integer polynomial ``ints``."""
@@ -291,13 +315,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self._times(other.numerator, other.denominator)
         other = self._coerce(other)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.ints.items():
-            for m2, c2 in other.ints.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
         # the contents multiply: by Gauss's lemma the product of the integer parts is primitive
-        return Poly.from_ints(self.ring, self.num * other.num, self.den * other.den, out)
+        return Poly.from_ints(self.ring, self.num * other.num, self.den * other.den, _product(self.ints, other.ints))
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -305,14 +324,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Poly.from_ints(self.ring, self.num**k, self.den**k, _power(self.ints, k, {(0,) * self.ring.n: 1}))
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -353,23 +365,22 @@ class Poly:
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute x_i -> images[i]; the images share one ring, and the
-        result lives in it.  Each power of an image is multiplied out once."""
+        result lives in it.  For image i = num_i/den_i * ints_i and d_i the
+        degree of f in x_i, a term c*x^e adds c * prod num_i^e_i * den_i^(d_i
+        - e_i) * ints_i^e_i in ints, over the content num/(den * prod den_i^d_i)."""
         if len(images) != self.ring.n:
             raise ValueError("one image per variable is needed")
         ring = images[0].ring
-        powers = [[ring.one()] for _ in images]
-
-        def power(i: int, e: int) -> Poly:
-            row = powers[i]
-            while len(row) <= e:
-                row.append(row[-1] * images[i])
-            return row[e]
-
-        terms = [
-            math.prod((power(i, e) for i, e in enumerate(m) if e), start=ring.const(c))
-            for m, c in self.ints.items()
-        ]
-        return sum(terms, ring.const(0))._times(self.num, self.den)
+        one = (0,) * ring.n
+        degrees = [max((m[i] for m in self.ints), default=0) for i in range(self.ring.n)]
+        scales = [[p.num**e * p.den ** (d - e) for e in range(d + 1)] for p, d in zip(images, degrees)]
+        powers = [list(accumulate(repeat(p.ints, d), _product, initial={one: 1})) for p, d in zip(images, degrees)]
+        out: dict[Monomial, int] = {}
+        for m, c in self.ints.items():
+            c *= math.prod(map(getitem, scales, m))
+            for t, v in reduce(_product, [row[e] for row, e in zip(powers, m) if e], {one: c}).items():
+                out[t] = out.get(t, 0) + v
+        return Poly.from_ints(ring, self.num, self.den * math.prod(row[0] for row in scales), out)
 
     def translate(self, shift: Sequence[Fraction]) -> "Poly":
         """Substitute x_i -> x_i + shift_i: a Taylor shift in one variable at a

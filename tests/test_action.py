@@ -174,7 +174,8 @@ def test_box_bounds_match_the_fraction_pseudo_inverse():
     assert refused >= 100 and empty >= 100 and 2000 - refused - empty >= 1000, (refused, empty)
 
 
-def test_box_bounds_of_an_integer_matrix_make_no_fraction():
+def _fraction_calls(thunk):
+    """thunk() and the number of calls it made into fractions.py."""
     calls = 0
 
     def count(frame, event, arg):
@@ -184,11 +185,26 @@ def test_box_bounds_of_an_integer_matrix_make_no_fraction():
 
     sys.setprofile(count)
     try:
-        bounds = box_bounds([[3, 1], [-2, 4], [5, 0]], 7)
+        result = thunk()
     finally:
         sys.setprofile(None)
+    return result, calls
+
+
+def test_box_bounds_of_an_integer_matrix_make_no_fraction():
+    bounds, calls = _fraction_calls(lambda: box_bounds([[3, 1], [-2, 4], [5, 0]], 7))
     assert bounds == fraction_box_bounds([[3, 1], [-2, 4], [5, 0]], 7)
     assert calls == 0
+
+
+def test_standard_action_makes_no_fraction():
+    ring = PolyRing(("x", "y", "z"))
+    act, calls = _fraction_calls(lambda: TranslationAction.standard(ring))
+    assert (act.ints, act.den, calls) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1, 0)
+    # int and Fraction entries are kept as they are, and strings are read as Fractions
+    mixed = TranslationAction(RING, [[2, Fraction(1, 3)], ["1/2", 0]])
+    assert [[type(a) for a in row] for row in mixed.matrix] == [[int, Fraction], [Fraction, int]]
+    assert (mixed.ints, mixed.den) == (((12, 2), (3, 0)), 6)
 
 
 def test_box_walk_refuses_a_box_over_the_budget():

@@ -291,6 +291,9 @@ def test_probe_against_the_zero_ideal_names_it(capsys, pell_config):
     )
     code, out, _ = run(capsys, "tor", "-c", pell_config, "0")
     assert code == 0 and "product: <0>\n" in out
+    # and as a T-set's
+    code, out, _ = run(capsys, "tset", "-c", pell_config, "0", "--box", "1")
+    assert code == 0 and out.startswith("T-set (T-set of <x^2 - 7*y^2 - 1> against <0>)\n")
 
 
 def test_probe_refuses_a_unit_target_flagged_prime(capsys, pell_config):

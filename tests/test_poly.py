@@ -62,8 +62,14 @@ def test_int_and_fraction_coercion():
 def test_pow():
     assert (X + Y) ** 0 == RING.one()
     assert (X + Y) ** 2 == X**2 + 2 * X * Y + Y**2
-    f = X - 2 * Y + 1
-    assert f**5 == f * f * f * f * f
+    for f in (X - 2 * Y + 1, Fraction(3, 4) * X * Y - Fraction(5, 6) * Y + Fraction(7, 2), RING.zero()):
+        power = RING.one()
+        for k in range(7):
+            assert f**k == power, (f, k)
+            power = power * f
+    for a, b, c in [(3, 4, 5), (2, 6, 0), (1, 1, 1), (0, 5, 2)]:
+        for k in range(7):
+            assert RING.parse(f"({a}/{b}*x - {c})^{k}") == (Fraction(a, b) * X - c) ** k, (a, b, c, k)
     with pytest.raises(ValueError):
         (X + Y) ** -1
 
@@ -170,6 +176,19 @@ def test_compose_matches_evaluation():
     assert (X * Y).compose([Y, X]) == X * Y
     with pytest.raises(ValueError):
         X.compose([X])
+
+
+def test_compose_normalises_once(monkeypatch):
+    target = PolyRing(("s", "t"))
+    s, t = target.var(0), target.var(1)
+    f = Fraction(2, 5) * X**3 * Y - 3 * X * Y**2 + Fraction(1, 7)
+    images = [(2 * s + 1) * Fraction(1, 3), Fraction(5, 2) * t**2 - s]
+    expected = f.compose(images)
+    calls = []
+    normalise = Poly._normalise
+    monkeypatch.setattr(Poly, "_normalise", lambda self, *args: calls.append(args) or normalise(self, *args))
+    assert f.compose(images) == expected
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -399,9 +418,14 @@ def test_operations_match_a_fraction_dict_reference(n, kind):
         ]
         for shift in shifts:
             _assert_agrees(f.translate(shift), _ref_translate(f_ref, shift))
-        images_ref = [random_terms(target, 2) for _ in range(n)]
-        images = [Poly(target, t) for t in images_ref]
-        _assert_agrees(f.compose(images), _ref_compose(f_ref, images_ref, 2))
+        # images of content other than 1, such as (2s + 1)/3, constant and zero images
+        special = [{}, _ref_clean({(0, 0): coefficient()}), {(1, 0): Fraction(2, 3), (0, 0): Fraction(1, 3)}]
+        mixed = [random_terms(target, 2) for _ in range(n)]
+        mixed[rng.randrange(n)] = rng.choice(special)
+        for images_ref in ([random_terms(target, 2) for _ in range(n)], mixed, rng.choices(special, k=n)):
+            images = [Poly(target, t) for t in images_ref]
+            for h_ref in (f_ref, {}, _ref_clean({(0,) * n: coefficient()})):
+                _assert_agrees(Poly(ring, h_ref).compose(images), _ref_compose(h_ref, images_ref, 2))
         point = [coefficient() for _ in range(n)]
         assert f.eval_at(point) == _ref_eval(f_ref, point)
         if f_ref:
