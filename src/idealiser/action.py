@@ -91,7 +91,16 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
     )
 
 
-def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, ...]:
+class DifferenceIdeal(tuple):
+    """The reduced basis of E, a tuple of Polys in s, which keeps in
+    ``whole`` the reduced basis it was cut from: that of D = I(x) +
+    J(x + A s), in the variables x and then s, under _ElimOrder with the x
+    block first."""
+
+    whole: tuple[Poly, ...]
+
+
+def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> DifferenceIdeal:
     """The reduced basis of E = (I(x) + J(x + A s)) cap Q[s_1..s_d], in the
     variables s under grevlex: one ``eliminate`` of the x block, which comes
     first.  V(E) is the Zariski closure of the s in C^d with A s in
@@ -107,7 +116,10 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> tuple[Poly, 
     ]
     raw = [Poly.from_ints(ext, f.num, f.den, {m + pad: c for m, c in f.ints.items()}) for f in I.gens]
     raw += [h.compose(moved) for h in J.gens]
-    return eliminate(raw, n, PolyRing(ext.variables[n:]))
+    part, whole = eliminate(raw, n, PolyRing(ext.variables[n:]))
+    E = DifferenceIdeal(part)
+    E.whole = whole
+    return E
 
 
 def box_walk(

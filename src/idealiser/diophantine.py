@@ -85,9 +85,10 @@ def zero_test(
     the base (``Poly.translate``, an integer Taylor shift).  A g_f that
     vanishes identically is dropped, so no generators pass every c, and a
     nonzero constant g_f rejects every c, so it is then the only one kept.
-    With D the common denominator of base and matrix, the point is
-    (P + M c) / D with integral P and M, so the box check compares
-    |P_i + M_i c| with D * box.  The test evaluates integer
+    With D the common denominator of the int and Fraction entries of base
+    and matrix, the point is (P + M c) / D with integral P and M: each
+    image (P_i + M_i c) / D is built from those ints at once, and the box
+    check compares |P_i + M_i c| with D * box.  The test evaluates integer
     polynomials at the integer vector c and builds no Fraction.  It is a
     ``ZeroTest``, which also gives, for the first coordinates of c fixed,
     the integer roots in the last coordinate of the first g_f that is not
@@ -97,23 +98,22 @@ def zero_test(
     if matrix is None:
         composites = [f.ints for f in gens]
     else:
-        base = [Fraction(b) for b in base]
-        matrix = [[Fraction(a) for a in row] for row in matrix]
+        D = math.lcm(*(x.denominator for row in [base, *matrix] for x in row))
+        rows = [
+            (b.numerator * (D // b.denominator), [a.numerator * (D // a.denominator) for a in row])
+            for b, row in zip(base, matrix)
+        ]
         if box is not None:
-            D = math.lcm(*(x.denominator for row in [base, *matrix] for x in row))
-            rows = [(int(b * D), [int(a * D) for a in row]) for b, row in zip(base, matrix)]
             bound = D * box
             inside = lambda c: all(abs(p + sum(map(mul, row, c))) <= bound for p, row in rows)
         identity = [[int(i == j) for j in range(len(base))] for i in range(len(base))]
-        if matrix == identity:
+        if [list(row) for row in matrix] == identity:
             composites = [f.translate(base).ints for f in gens]
         else:
             # a ring needs a variable even for an empty sublattice, where c = ()
             coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
-            images = [
-                sum((a * coords.var(j) for j, a in enumerate(row) if a), coords.const(b))
-                for b, row in zip(base, matrix)
-            ]
+            unit = [tuple(int(i == j) for i in range(coords.n)) for j in range(coords.n)]
+            images = [Poly.from_ints(coords, 1, D, {(0,) * coords.n: p, **dict(zip(unit, row))}) for p, row in rows]
             composites = [f.compose(images).ints for f in gens]
     composites = [terms for terms in composites if terms]
     constants = [terms for terms in composites if not any(map(any, terms))]

@@ -287,20 +287,22 @@ def _fresh_aux_name(ring: PolyRing) -> str:
     return name
 
 
-def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[Poly, ...]:
+def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """The reduced basis of <raw> cap ``ring``, for nonempty ``raw`` in a
-    ring with ``block`` more variables, first.  Moved into a ring under
-    _ElimOrder(block, ring.order), ``raw`` has a reduced basis whose part
-    free of them generates it (Cox, Little and O'Shea, IVA, section 3.1).
-    On that part the block order is ``ring``'s, so it is monic,
-    inter-reduced and, coming last, in descending order."""
+    ring with ``block`` more variables, first, and the whole reduced basis
+    it is cut from.  Moved into a ring under _ElimOrder(block, ring.order),
+    ``raw`` has a reduced basis whose part free of them generates it (Cox,
+    Little and O'Shea, IVA, section 3.1).  On that part the block order is
+    ``ring``'s, so it is monic, inter-reduced and, coming last, in
+    descending order."""
     elim = PolyRing(raw[0].ring.variables, _ElimOrder(block, ring.order))
     basis = reduced_groebner_basis([Poly.from_ints(elim, p.num, p.den, p.ints) for p in raw])
-    return tuple(
+    part = tuple(
         Poly.from_ints(ring, p.num, p.den, {m[block:]: c for m, c in p.ints.items()})
         for p in basis
         if not any(any(m[:block]) for m in p.ints)
     )
+    return part, basis
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -315,7 +317,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         return Poly.from_ints(ext, p.num, p.den, {(e,) + m: c for m, c in p.ints.items()})
 
     raw = [lift(f, 1) for f in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
-    result = Ideal(ring, eliminate(raw, 1, ring))
+    result = Ideal(ring, eliminate(raw, 1, ring)[0])
     result._gb = result.gens
     return result
 

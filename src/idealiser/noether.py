@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .action import (
+    DifferenceIdeal,
     GroupElement,
     Lattice,
     TranslationAction,
@@ -50,6 +51,7 @@ from .groebner import (
     ideal_sum,
     is_radical,
     krull_dimension,
+    normal_form,
     rational_point_of,
 )
 from .normalforms import box_bounds
@@ -63,8 +65,8 @@ class Analysis:
 
     Stabiliser K, complement H, effective rank, residue dimension, the two
     flags, rational point, orbit density, Krull dimension, repeated factor,
-    plane-curve class, least integer zero per box and difference ideal per
-    second ideal, each computed on first use; ``analysis`` keeps one per
+    plane-curve class, least integer zero per box and specialised sum test
+    per second ideal, each computed on first use; ``analysis`` keeps one per
     action on the ideal.
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
@@ -147,13 +149,14 @@ class Analysis:
             self._anchors[box] = next(box_walk([box] * self.I.ring.n, zero_test(self.I.gens)), None)
         return self._anchors[box]
 
-    def difference(self, J: Ideal) -> tuple[Poly, ...]:
-        """The difference ideal E of (I, J) under the action, keyed by the
-        reduced basis of J (monic, so its integer parts determine it), so
-        that every test against J shares one."""
+    def sum_test(self, J: Ideal):
+        """The test g -> False | True | None of whether I + J^g is proper,
+        specialised from the one elimination of (I, J) under the action
+        (``component_test``), keyed by the reduced basis of J (monic, so its
+        integer parts determine it), so that every test against J shares one."""
         key = tuple(frozenset(g.ints.items()) for g in J.groebner_basis())
         if key not in self._differences:
-            self._differences[key] = difference_ideal(self.I, J, self.act)
+            self._differences[key] = _sum_test(difference_ideal(self.I, J, self.act))
         return self._differences[key]
 
     def target(self, radius: int) -> Ideal:
@@ -429,13 +432,22 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
       J^g iff f^{-g} lies in J.
     - Left, J = (h) and I flagged prime: likewise iff h^g lies in I.
-    - Left otherwise, first: g lies on V(E), for the difference ideal
-      E = (I(x) + J(x + A s)) cap Q[s_1..s_d], one elimination per pair,
-      kept in the analysis of I.
-      A proper I + J^g has a zero x on V(I) with x + A g on V(J), so (x, g)
-      is a zero of I(x) + J(x + A s) and g lies on V(E); a g off V(E) has
-      a unit sum, so Tor_1 = 0 as below.  No converse: V(E) is only the
-      closure of those g, so every survivor still gets the sum test.
+    - Left otherwise, first: whether I + J^g is proper, from the reduced
+      basis G of D = I(x) + J(x + A s) under the block order with the x
+      block first, one elimination per pair, kept in the analysis of I.
+      Setting s = g maps D onto I + J^g.  The x-free part of G is the
+      difference ideal E = D cap Q[s_1..s_d].  A proper I + J^g has a zero
+      x on V(I) with x + A g on V(J), so g lies on V(E); off V(E) the sum
+      is <1> (False), so Tor_1 = 0 as below.  On V(E), let G' be the
+      elements whose leading coefficient in x, a polynomial in s, is
+      nonzero at g.  If every other element, set to g, reduces to 0 modulo
+      G' set to g, then G' set to g is a Groebner basis of I + J^g
+      (Kalkbrener, On the stability of Groebner bases under
+      specializations, J. Symbolic Comput. 24, 1997).  It holds no
+      constant, so the sum is proper (True).  Otherwise the test is None,
+      and the sum basis of J^g decides.  None is needed, as V(E) is only
+      the closure of the g with a proper sum: for <xy - 1, z> against
+      <x, z>, E = <s_3>, yet at g = (0, k, 0) the sum is <1>.
     - Left, dim C/I + dim C/J < n: Tor_1(C/I, C/J^g) != 0 iff I + J^g != C.
       If the sum is the unit ideal, I cap J^g = I*J^g and Tor_1 = 0.
       Otherwise localise at a maximal ideal m over I + J^g: C_m is regular
@@ -444,7 +456,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       Illinois J. Math. 10, 1966), and Auslander's depth formula would give
       depth C_m/I + depth C_m/J^g = n + depth(C_m/I tensor C_m/J^g) >= n,
       which the dimensions rule out.  Translations keep dimensions, so each
-      ideal's dimension is computed once, in its analysis.
+      ideal's dimension is computed once, in its analysis, and a True sum
+      test needs no translate.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
     - Right otherwise: containment (J prime) or the colon, by one ``Colon(J)``
@@ -473,13 +486,14 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
         by_dimension = a.dim + b.dim < I.ring.n
-        meets = zero_test(a.difference(J))
+        proper = a.sum_test(J)
 
         def tor_nonzero(g):
-            if not meets(g):
-                return False
+            known = proper(g)
+            if known is False or (known and by_dimension):
+                return known
             Jg = act_on_ideal(J, g, act)
-            if ideal_sum(I, Jg).is_unit_ideal():
+            if known is None and ideal_sum(I, Jg).is_unit_ideal():
                 return False
             return by_dimension or not tor1_is_zero(I, Jg)
 
@@ -488,6 +502,44 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
     colon = Colon(J)
     return lambda g: not ideal_equal(colon(act_on_ideal(I, g, act)), J)
+
+
+def _sum_test(E: DifferenceIdeal):
+    """The specialised sum test of ``component_test``, compiled from the
+    whole basis G of D that E was cut from: per element of G outside E, its
+    leading x-monomial and its terms as (x-monomial, int coefficient,
+    factors in s).  At g it evaluates in ints and builds Polys, in the ring
+    of G with s = 0, only when some element must be reduced."""
+    meets = zero_test(E)
+    ring = E.whole[0].ring
+    n = ring.order.block
+    pad = (0,) * (ring.n - n)
+    rows = [
+        (p.leading_monomial()[:n], [(m[:n], c, [(j, e) for j, e in enumerate(m[n:]) if e]) for m, c in p.ints.items()])
+        for p in E.whole
+        if any(p.leading_monomial()[:n])
+    ]
+
+    def proper(g: GroupElement) -> bool | None:
+        if not meets(g):
+            return False
+        kept, rest = [], []
+        for top, terms in rows:
+            at: dict = {}
+            for mono, v, factors in terms:
+                for j, e in factors:
+                    v *= g[j] ** e
+                at[mono] = at.get(mono, 0) + v
+            if at[top]:
+                kept.append(at)
+            elif any(at.values()):
+                rest.append(at)
+        if not rest:
+            return True
+        polys = [Poly.from_ints(ring, 1, 1, {m + pad: v for m, v in at.items()}) for at in kept + rest]
+        return all(normal_form(r, polys[: len(kept)]).is_zero for r in polys[len(kept) :]) or None
+
+    return proper
 
 
 # ------------------------------------------------------ decision ladders

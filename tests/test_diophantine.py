@@ -185,6 +185,20 @@ def test_zero_test_builds_no_fraction_per_point():
         assert tests == len(zeros)
 
 
+def test_zero_test_builds_each_image_from_ints(monkeypatch):
+    """A rank-one build of a Pell conic normalises each image once and the
+    composite once: the images come from the cleared ints P and M over D,
+    with no Poly arithmetic on the base and matrix entries."""
+    f = X**2 - 7 * Y**2 - 1
+    calls = []
+    normalise = Poly._normalise
+    monkeypatch.setattr(Poly, "_normalise", lambda self, *args: calls.append(args) or normalise(self, *args))
+    test = zero_test([f], (Fraction(8), Fraction(3)), [[Fraction(1)], [Fraction(0)]], 16)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert list(box_walk([16], test)) == [(-16,), (0,)]  # the points (-8, 3) and (8, 3)
+
+
 def _inverse(matrix):
     """The inverse of an invertible rational 2 x 2 matrix."""
     (p, q), (r, s) = matrix

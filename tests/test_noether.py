@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,9 @@ import pytest
 from idealiser import (
     Ideal,
     Lattice,
+    Poly,
     PolyRing,
+    ResourceLimitError,
     TranslationAction,
     act_on_ideal,
     complement,
@@ -34,7 +37,7 @@ from idealiser import (
     tor1_is_zero,
     unit_ideal,
 )
-from idealiser import noether
+from idealiser import groebner, noether
 from idealiser.action import box_walk, difference_ideal
 from idealiser.diophantine import zero_test
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
@@ -748,7 +751,8 @@ def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
     assert proper and all(meets(g) for g in proper)
     assert any(not meets(g) for g in box)  # the filter rejects something
     # every curve pair here has dim C/I + dim C/J < n, so the T-set is the
-    # proper sums; only the survivors of the filter are translated
+    # proper sums; only the survivors of the filter that the specialised sum
+    # test leaves open are translated
     assert analysis(I, act).dim + analysis(J, act).dim < I.ring.n
     moved = []
     monkeypatch.setattr(
@@ -759,7 +763,9 @@ def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
     survivors = [g for g in box if meets(g)]
     if J is I:  # a T-set of I against itself tests each pair {g, -g} at its first member
         survivors = [g for k, g in enumerate(survivors) if tuple(-x for x in g) not in survivors[:k]]
-    assert moved == survivors
+    # the specialised sum test settles every survivor but those it answers None on
+    specialised = analysis(I, act).sum_test(J)
+    assert moved == [g for g in survivors if specialised(g) is None]
 
 
 def test_difference_ideals_of_the_space_curves():
@@ -782,6 +788,65 @@ def test_difference_ideals_of_the_space_curves():
     # twisted cubic's V(E), yet no two points of the curve differ by it
     assert zero_test(difference_ideal(TWISTED3, TWISTED3, standard))((0, 0, 1))
     assert not _proper_sum(TWISTED3, TWISTED3, standard, (0, 0, 1))
+
+
+def _small_poly(rng, ring):
+    """A random linear or quadric polynomial with small integer coefficients."""
+    degree = rng.choice((1, 2))
+    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.n) if 0 < sum(m) <= degree]
+    terms = {m: rng.choice((-2, -1, 1, 1, 2)) for m in rng.sample(monos, rng.randint(1, 2))}
+    terms[(0,) * ring.n] = rng.randint(-2, 2)
+    return Poly(ring, terms)
+
+
+def test_specialised_sum_test_agrees_with_the_sum_basis():
+    """A True or False answer of the specialised test says whether I + J^g
+    is proper, for random pairs under the standard, a rank-deficient and a
+    rational diagonal action; None leaves the sum to its basis."""
+    R2 = PolyRing(("x", "y"))
+    actions = [
+        TranslationAction.standard(R2),
+        TranslationAction(R2, [["1/2", 0], [0, 1]]),
+        TranslationAction.standard(R3),
+        TranslationAction(R3, [[1, 0], [0, 1], [1, 1]]),
+        TranslationAction(R3, [["1/2", 0, 0], [0, 1, 0], [0, 0, "1/3"]]),
+    ]
+    rng = random.Random(2026)
+    answers = {False: 0, True: 0, None: 0}
+    token = groebner.PAIR_LIMIT.set(200)
+    try:
+        for k in range(100):
+            act = actions[k % len(actions)]
+            I, J = (Ideal(act.ring, [_small_poly(rng, act.ring) for _ in range(act.ring.n - 1)]) for _ in "IJ")
+            try:
+                proper = analysis(I, act).sum_test(J)
+                for g in Lattice.standard(act.d).points_in_box(1):
+                    answer = proper(g)
+                    answers[answer] += 1
+                    if answer is not None:
+                        assert answer == _proper_sum(I, J, act, g), (I, J, act, g)
+            except ResourceLimitError:
+                pass
+    finally:
+        groebner.PAIR_LIMIT.reset(token)
+    assert all(answers.values()), answers
+
+
+def test_specialised_sum_test_leaves_the_closure_open():
+    """V(E) is only the closure of the g with a proper sum, so on some of
+    its points the criterion fails: for <xy - 1, z> against <x, z>, E is
+    <s_3>, and at (0, k, 0) the sum is <1>; for a conic in the plane z = -1
+    against itself, the sum at (0, k, 0) with k != 0 is proper.  None
+    answers exactly there."""
+    standard = TranslationAction.standard(R3)
+    hyperbola = Ideal(R3, [X3 * Y3 - 1, Z3])
+    conic = Ideal(R3, [Z3 + 1, X3**2 - 6 * Y3**2 - 1])
+    for I, J, proper_there in [(hyperbola, Ideal(R3, [X3, Z3]), False), (conic, conic, True)]:
+        test = analysis(I, standard).sum_test(J)
+        for g in Lattice.standard(3).points_in_box(2):
+            open_there = g[0] == g[2] == 0 and (g[1] != 0 or not proper_there)
+            assert (test(g) is None) == open_there, g
+            assert _proper_sum(I, J, standard, g) == (proper_there if open_there else test(g)), g
 
 
 def test_analyze_eliminates_each_pair_once(tmp_path, capsys, monkeypatch):
