@@ -367,7 +367,9 @@ class Colon:
     Calls with the same ``key`` share the outcome of the two sum checks,
     kept in ``outside`` (True when they return J): the caller vouches that
     an automorphism of C maps the one sum J + L onto the other, so that
-    both are <1> or neither is, and both have the same dimension."""
+    both are <1> or neither is, and both have the same dimension.  A caller
+    that knows the dimension d of a sum may store ``settles(d)`` under its
+    key first."""
 
     def __init__(self, J: Ideal):
         self.J = J
@@ -384,10 +386,7 @@ class Colon:
         if key in self.outside:
             outside = self.outside[key]
         else:
-            total = Ideal(ring, J.groebner_basis() + L.gens)
-            outside = total.is_unit_ideal() or (
-                self.principal and krull_dimension(total) <= ring.n - 2
-            )
+            outside = self.settles(krull_dimension(Ideal(ring, J.groebner_basis() + L.gens)))
             if key is not None:
                 self.outside[key] = outside
         if outside:
@@ -398,6 +397,11 @@ class Colon:
             colon_f = Ideal(ring, [exact_divide(g, f) for g in meet.gens])
             result = colon_f if result is None else ideal_intersect(result, colon_f)
         return result
+
+    def settles(self, dim: int) -> bool:
+        """Whether the two sum checks return J for a sum J + L of dimension
+        ``dim``, -1 for <1>."""
+        return dim < 0 or (self.principal and dim <= self.J.ring.n - 2)
 
 
 def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
@@ -456,16 +460,17 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
 
 
 def krull_dimension(I: Ideal) -> int:
-    """dim C/I, read off the leading monomials of the cached basis: the
-    largest set of variables that contains the support of no leading
-    monomial, which is dim C/in(I) = dim C/I; -1 for the unit ideal."""
-    n = I.ring.n
-    supports = [{i for i, e in enumerate(g.leading_monomial()) if e} for g in I.groebner_basis()]
-    for k in range(n, -1, -1):
-        for free in itertools.combinations(range(n), k):
-            if not any(s.issubset(free) for s in supports):
-                return k
-    return -1
+    """dim C/I, read off the leading monomials of the cached basis."""
+    return initial_dimension([g.leading_monomial() for g in I.groebner_basis()], I.ring.n)
+
+
+def initial_dimension(leading: Iterable[tuple[int, ...]], n: int) -> int:
+    """dim C/I for an I with a Groebner basis of these ``leading`` monomials
+    in n variables: the size of the largest set of variables that contains
+    the support of no leading monomial, which is dim C/in(I) = dim C/I; -1
+    for the unit ideal.  Sets of variables are bit masks."""
+    supports = [sum(1 << i for i, e in enumerate(m) if e) for m in leading]
+    return max((free.bit_count() for free in range(1 << n) if all(s & ~free for s in supports)), default=-1)
 
 
 def has_repeated_factor(f: Poly) -> bool:

@@ -49,6 +49,7 @@ from .groebner import (
     ideal_intersect,
     ideal_product,
     ideal_sum,
+    initial_dimension,
     is_radical,
     krull_dimension,
     normal_form,
@@ -150,7 +151,7 @@ class Analysis:
         return self._anchors[box]
 
     def sum_test(self, J: Ideal):
-        """The test g -> False | True | None of whether I + J^g is proper,
+        """The test g -> None | dim C/(I + J^g), -1 for the unit ideal,
         specialised from the one elimination of (I, J) under the action
         (``component_test``), keyed by the reduced basis of J (monic, so its
         integer parts determine it), so that every test against J shares one."""
@@ -438,16 +439,17 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       Setting s = g maps D onto I + J^g.  The x-free part of G is the
       difference ideal E = D cap Q[s_1..s_d].  A proper I + J^g has a zero
       x on V(I) with x + A g on V(J), so g lies on V(E); off V(E) the sum
-      is <1> (False), so Tor_1 = 0 as below.  On V(E), let G' be the
-      elements whose leading coefficient in x, a polynomial in s, is
+      is <1> (dimension -1), so Tor_1 = 0 as below.  On V(E), let G' be
+      the elements whose leading coefficient in x, a polynomial in s, is
       nonzero at g.  If every other element, set to g, reduces to 0 modulo
       G' set to g, then G' set to g is a Groebner basis of I + J^g
       (Kalkbrener, On the stability of Groebner bases under
       specializations, J. Symbolic Comput. 24, 1997).  It holds no
-      constant, so the sum is proper (True).  Otherwise the test is None,
-      and the sum basis of J^g decides.  None is needed, as V(E) is only
-      the closure of the g with a proper sum: for <xy - 1, z> against
-      <x, z>, E = <s_3>, yet at g = (0, k, 0) the sum is <1>.
+      constant, so the sum is proper, and the leading x-monomials of G'
+      give its dimension.  Otherwise the test is None, and the sum basis
+      of J^g decides.  None is needed, as V(E) is only the closure of the
+      g with a proper sum: for <xy - 1, z> against <x, z>, E = <s_3>, yet
+      at g = (0, k, 0) the sum is <1>.
     - Left, dim C/I + dim C/J < n: Tor_1(C/I, C/J^g) != 0 iff I + J^g != C.
       If the sum is the unit ideal, I cap J^g = I*J^g and Tor_1 = 0.
       Otherwise localise at a maximal ideal m over I + J^g: C_m is regular
@@ -456,8 +458,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       Illinois J. Math. 10, 1966), and Auslander's depth formula would give
       depth C_m/I + depth C_m/J^g = n + depth(C_m/I tensor C_m/J^g) >= n,
       which the dimensions rule out.  Translations keep dimensions, so each
-      ideal's dimension is computed once, in its analysis, and a True sum
-      test needs no translate.
+      ideal's dimension is computed once, in its analysis, and a proper
+      specialised sum needs no translate.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
     - Right otherwise: containment (J prime) or the colon, by one ``Colon(J)``
@@ -489,11 +491,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         proper = a.sum_test(J)
 
         def tor_nonzero(g):
-            known = proper(g)
-            if known is False or (known and by_dimension):
-                return known
+            dim = proper(g)
+            if dim is not None and (dim < 0 or by_dimension):
+                return dim >= 0
             Jg = act_on_ideal(J, g, act)
-            if known is None and ideal_sum(I, Jg).is_unit_ideal():
+            if dim is None and ideal_sum(I, Jg).is_unit_ideal():
                 return False
             return by_dimension or not tor1_is_zero(I, Jg)
 
@@ -509,7 +511,9 @@ def _sum_test(E: DifferenceIdeal):
     whole basis G of D that E was cut from: per element of G outside E, its
     leading x-monomial and its terms as (x-monomial, int coefficient,
     factors in s).  At g it evaluates in ints and builds Polys, in the ring
-    of G with s = 0, only when some element must be reduced."""
+    of G with s = 0, only when some element must be reduced.  It returns
+    None or dim C/(I + J^g), -1 for the unit ideal; the dimension when
+    every element keeps its leading x-monomial is read once."""
     meets = zero_test(E)
     ring = E.whole[0].ring
     n = ring.order.block
@@ -519,11 +523,12 @@ def _sum_test(E: DifferenceIdeal):
         for p in E.whole
         if any(p.leading_monomial()[:n])
     ]
+    generic = initial_dimension([top for top, _ in rows], n)
 
-    def proper(g: GroupElement) -> bool | None:
+    def proper(g: GroupElement) -> int | None:
         if not meets(g):
-            return False
-        kept, rest = [], []
+            return -1
+        tops, kept, rest = [], [], []
         for top, terms in rows:
             at: dict = {}
             for mono, v, factors in terms:
@@ -531,13 +536,15 @@ def _sum_test(E: DifferenceIdeal):
                     v *= g[j] ** e
                 at[mono] = at.get(mono, 0) + v
             if at[top]:
+                tops.append(top)
                 kept.append(at)
             elif any(at.values()):
                 rest.append(at)
-        if not rest:
-            return True
-        polys = [Poly.from_ints(ring, 1, 1, {m + pad: v for m, v in at.items()}) for at in kept + rest]
-        return all(normal_form(r, polys[: len(kept)]).is_zero for r in polys[len(kept) :]) or None
+        if rest:
+            polys = [Poly.from_ints(ring, 1, 1, {m + pad: v for m, v in at.items()}) for at in kept + rest]
+            if not all(normal_form(r, polys[: len(kept)]).is_zero for r in polys[len(kept) :]):
+                return None
+        return generic if len(kept) == len(rows) else initial_dimension(tops, n)
 
     return proper
 

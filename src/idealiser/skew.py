@@ -173,8 +173,12 @@ def quotient_table(
       whole table, so no such g builds I^g.
     - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
       so the two sums are both <1> or neither is, and they have the same
-      dimension.  Each pair {g, -g} builds one sum basis, and when that
-      sum returns J, the second member of the pair is J with no I^g.
+      dimension.  So ``Colon``'s two sum checks settle a pair {g, -g} at
+      once, and the pair's sum is specialised from the one elimination of
+      (I, I) under the action (``Analysis.sum_test``) at its first member,
+      which gives its dimension with no I^g.  Only where that test answers
+      None does the pair build one sum basis; when the sum returns J, the
+      second member of the pair is J with no I^g.
     Only the other entries build I^g and go on through ``Colon``.  K comes
     from ``analysis``, which computes it; no input flag is read."""
     colon = Colon(J)
@@ -192,6 +196,10 @@ def quotient_table(
             table[g] = colon(act_on_ideal(I, g, act))
         else:
             pair = min(g, tuple(-x for x in g))
+            if pair not in colon.outside:
+                dim = analysis(I, act).sum_test(I)(g)
+                if dim is not None:
+                    colon.outside[pair] = colon.settles(dim)
             if colon.outside.get(pair):
                 table[g] = J
             else:

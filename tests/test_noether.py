@@ -30,6 +30,7 @@ from idealiser import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
+    krull_dimension,
     s_set_box,
     stabiliser,
     t_set_box,
@@ -739,6 +740,11 @@ def _proper_sum(I, J, act, g):
     return not ideal_sum(I, act_on_ideal(J, g, act)).is_unit_ideal()
 
 
+def _sum_dimension(I, J, act, g):
+    """dim C/(I + J^g) from the sum basis, -1 for the unit ideal."""
+    return krull_dimension(ideal_sum(I, act_on_ideal(J, g, act)))
+
+
 @pytest.mark.parametrize("label", [case[0] for case in _difference_cases()])
 def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
     import idealiser.noether as noether
@@ -800,9 +806,10 @@ def _small_poly(rng, ring):
 
 
 def test_specialised_sum_test_agrees_with_the_sum_basis():
-    """A True or False answer of the specialised test says whether I + J^g
-    is proper, for random pairs under the standard, a rank-deficient and a
-    rational diagonal action; None leaves the sum to its basis."""
+    """An answer of the specialised test other than None is the dimension
+    of I + J^g read off its basis, -1 for the unit ideal, for random pairs
+    under the standard, a rank-deficient and a rational diagonal action;
+    None leaves the sum to its basis."""
     R2 = PolyRing(("x", "y"))
     actions = [
         TranslationAction.standard(R2),
@@ -812,7 +819,7 @@ def test_specialised_sum_test_agrees_with_the_sum_basis():
         TranslationAction(R3, [["1/2", 0, 0], [0, 1, 0], [0, 0, "1/3"]]),
     ]
     rng = random.Random(2026)
-    answers = {False: 0, True: 0, None: 0}
+    answers = {"unit": 0, "proper": 0, None: 0}
     token = groebner.PAIR_LIMIT.set(200)
     try:
         for k in range(100):
@@ -822,9 +829,9 @@ def test_specialised_sum_test_agrees_with_the_sum_basis():
                 proper = analysis(I, act).sum_test(J)
                 for g in Lattice.standard(act.d).points_in_box(1):
                     answer = proper(g)
-                    answers[answer] += 1
+                    answers[answer if answer is None else "unit" if answer < 0 else "proper"] += 1
                     if answer is not None:
-                        assert answer == _proper_sum(I, J, act, g), (I, J, act, g)
+                        assert answer == _sum_dimension(I, J, act, g), (I, J, act, g)
             except ResourceLimitError:
                 pass
     finally:
@@ -837,7 +844,8 @@ def test_specialised_sum_test_leaves_the_closure_open():
     its points the criterion fails: for <xy - 1, z> against <x, z>, E is
     <s_3>, and at (0, k, 0) the sum is <1>; for a conic in the plane z = -1
     against itself, the sum at (0, k, 0) with k != 0 is proper.  None
-    answers exactly there."""
+    answers exactly there, and every other answer is the dimension of the
+    sum."""
     standard = TranslationAction.standard(R3)
     hyperbola = Ideal(R3, [X3 * Y3 - 1, Z3])
     conic = Ideal(R3, [Z3 + 1, X3**2 - 6 * Y3**2 - 1])
@@ -846,7 +854,10 @@ def test_specialised_sum_test_leaves_the_closure_open():
         for g in Lattice.standard(3).points_in_box(2):
             open_there = g[0] == g[2] == 0 and (g[1] != 0 or not proper_there)
             assert (test(g) is None) == open_there, g
-            assert _proper_sum(I, J, standard, g) == (proper_there if open_there else test(g)), g
+            if open_there:
+                assert _proper_sum(I, J, standard, g) == proper_there, g
+            else:
+                assert test(g) == _sum_dimension(I, J, standard, g), g
 
 
 def test_analyze_eliminates_each_pair_once(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -270,9 +271,11 @@ def _colon_branch(J, L, point):
 def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     """quotient_table equals ideal_quotient(J, I^g) entry by entry.  It
     builds no I^g for an entry that the stabiliser (J = I) or the zero test
-    at the point of J settles, one sum basis per pair {g, -g} when J = I,
-    and one per other entry that reaches the sum, and every entry of the
-    general route still eliminates."""
+    at the point of J settles.  When J = I it runs one difference
+    elimination, the first member of each pair {g, -g} asks the specialised
+    sum test, and a sum basis and I^g are built only where that test
+    answers None; otherwise one sum basis per entry that reaches the sum.
+    Every entry of the general route still eliminates."""
     translated = []  # the g of every I^g that the table builds
     bases = []  # (g of the last I^g built, gens) of every basis computed
     original_act, original_basis = skew.act_on_ideal, groebner.reduced_groebner_basis
@@ -287,6 +290,9 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
 
     def eliminates(gens):  # an elimination runs in a ring under the block order
         return bool(gens) and isinstance(gens[0].ring.order, _ElimOrder)
+
+    def difference(gens, ring):  # in the variables x and then s; an intersection puts its own first
+        return eliminates(gens) and gens[0].ring.variables[: ring.n] == ring.variables
 
     seen = set()
     for label, J, I, act, box, p in _table_cases(random.Random(20)):
@@ -310,21 +316,30 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
         if K is not None:
             assert all(branch[g] == "contained" for g in moved if K.contains(g)), label
             assert not [g for g in translated if K.contains(g)], label
-        # one sum basis per entry that reaches the sum; when J = I, one per
-        # pair {g, -g}, at its first member, and the second member builds
-        # no translate unless that sum sends both on to the general route
         first = {g: min(g, tuple(-x for x in g)) for g in moved}
         reach = [g for g in moved if branch[g] in ("comaximal", "principal", "general")]
+        differences = sum(difference(gens, J.ring) for _, gens in bases)
         sums = [g for g, gens in bases if gens[: len(gb)] == gb and not eliminates(gens)]
         if K is None:
+            assert not differences, label
             assert sums == reach, label
             assert translated == [g for g in moved if branch[g] != "point"], label
         else:
-            assert sums == sorted({first[g] for g in reach}), label
-            built = [g for g in reach if g == first[g] or branch[g] == "general"]
+            # one elimination for the table, then, at the first member of
+            # each pair, the dimension of the sum or None; a sum basis only
+            # where None, and I^g there and on the general route
+            assert differences == (1 if reach else 0), label
+            specialised = analysis(I, act).sum_test(I)
+            dims = {first[g]: specialised(first[g]) for g in reach}
+            for g, dim in dims.items():
+                if dim is not None:
+                    assert dim == krull_dimension(ideal_sum(J, moved[g])), (label, g)
+            assert sums == sorted(g for g, dim in dims.items() if dim is None), label
+            built = [g for g in reach if branch[g] == "general" or (g == first[g] and dims[g] is None)]
             assert translated == built, label
+            seen.update("specialised" for dim in dims.values() if dim is not None)
         # every entry of the general route eliminates, in its own translate
-        eliminated = {g for g, gens in bases if eliminates(gens)}
+        eliminated = {g for g, gens in bases if eliminates(gens) and not difference(gens, J.ring)}
         assert eliminated == {g for g in moved if branch[g] == "general"}, label
         seen.update(branch[g] for g in translated)
         if K is not None:
@@ -332,8 +347,57 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             seen.update("mirror" for g in reach if g != first[g])
         if p is not None and any(branch[g] == "point" for g in moved):
             seen.add("zero test")
-    kinds = {"stabiliser", "zero test", "mirror", "contained", "comaximal", "principal", "general"}
+    kinds = {"stabiliser", "zero test", "mirror", "specialised", "contained", "comaximal", "principal", "general"}
     assert kinds <= seen, seen
+
+
+def _fuzz_ideal(rng, ring):
+    """A seeded random ideal: a product of two parallel lines (planes in
+    three variables), whose translates can share a factor, so that a sum
+    I + I^g is proper of dimension n - 1; the square of a linear or
+    quadric form; or a product of two such forms."""
+    n = ring.n
+
+    def form(degree):
+        monos = [m for m in itertools.product(range(degree + 1), repeat=n) if 0 < sum(m) <= degree]
+        terms = {m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monos, rng.randint(1, 2))}
+        terms[(0,) * n] = rng.randint(-2, 2)
+        return Poly(ring, terms)
+
+    kind = rng.choice(("parallel", "square", "product"))
+    if kind == "parallel":
+        direction = {tuple(int(i == j) for j in range(n)): rng.choice((-2, -1, 1, 2)) for i in range(n)}
+        b, c = rng.sample(range(-2, 3), 2)
+        return Ideal(ring, [Poly(ring, {**direction, (0,) * n: b}) * Poly(ring, {**direction, (0,) * n: c})])
+    if kind == "square":
+        return Ideal(ring, [form(rng.choice((1, 2))) ** 2])
+    return Ideal(ring, [form(1) * form(rng.choice((1, 2)))])
+
+
+def test_quotient_table_against_the_colon_of_each_translate_on_random_ideals():
+    """quotient_table(I, I) equals ideal_quotient(I, I^g) entry by entry on
+    seeded random plane and 3-space ideals, under the standard action and a
+    rational one; some sums are proper of dimension n - 1, so the general
+    route runs."""
+    R3 = PolyRing(("x", "y", "z"))
+    actions = [
+        (ACT, 8),
+        (TranslationAction(RING, [["1/2", 0], [1, "1/3"]]), 8),
+        (TranslationAction.standard(R3), 3),
+        (TranslationAction(R3, [["1/2", 0, 0], [0, 1, 0], [0, 1, "1/3"]]), 3),
+    ]
+    rng = random.Random(27)
+    general = 0
+    for act, count in actions:
+        n = act.ring.n
+        for _ in range(count):
+            I = _fuzz_ideal(rng, act.ring)
+            table = quotient_table(I, I, act, 2)
+            for g, entry in table.items():
+                L = act_on_ideal(I, g, act)
+                assert entry.groebner_basis() == ideal_quotient(I, L).groebner_basis(), (I, act, g)
+                general += krull_dimension(ideal_sum(I, L)) == n - 1 and not ideal_contains(I, L)
+    assert general
 
 
 def test_idealiser_membership():
