@@ -65,12 +65,27 @@ class Analysis:
     """The facts about one (ideal, action) pair that both criteria read.
 
     Stabiliser K, complement H, effective rank, residue dimension, the two
-    flags, rational point, orbit density, Krull dimension, repeated factor,
-    plane-curve class, least integer zero per box and specialised sum test
-    per second ideal, each computed on first use; ``analysis`` keeps one per
-    action on the ideal.
+    flags, primality proved by class, rational point, orbit density, Krull
+    dimension, repeated factor, plane-curve class, least integer zero per
+    box and specialised sum test per second ideal, each computed on first
+    use; ``analysis`` keeps one per action on the ideal.
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
+
+    ``proved_prime`` never reads a flag.  It holds for a proper I in two
+    cases.  The first is a reduced basis all of degree 1: C/I is then a
+    polynomial ring, a domain.  The second is a principal plane curve
+    (f) with any ``classify_plane_curve`` tag but unknown, each of which
+    proves f irreducible over C (Fulton, Algebraic Curves, ch. 5):
+    - a rational line has degree 1;
+    - a Pell conic a*((u - c1)^2 - n*(w - c2)^2 - 1) has a 3x3 matrix of
+      determinant a^3*n != 0, so it is a nondegenerate conic;
+    - a graph curve a*x_i + r(x_j) has degree 1 in x_i with a constant
+      coefficient, so a factor free of x_i divides a;
+    - a smooth projective closure is irreducible, because two components
+      of a plane curve meet (Bezout), and a common point is singular.
+    An irreducible f is squarefree, so ``prime`` skips the repeated-factor
+    test for it.
     """
 
     def __init__(self, I: Ideal, act: TranslationAction):
@@ -110,13 +125,24 @@ class Analysis:
 
     @cached_property
     def prime(self) -> bool:
-        """The flag, refused on the unit ideal and on (f) with a repeated factor."""
+        """The flag, refused on the unit ideal and on (f) with a repeated
+        factor, which a proved prime does not have."""
         if self.I.claimed_prime:
             if self.I.is_unit_ideal():
                 raise ValueError("an ideal flagged prime must be proper, not the unit ideal")
-            if self.repeated_factor:
+            if not self.proved_prime and self.repeated_factor:
                 raise ValueError("a principal ideal with a repeated factor is not prime")
         return self.I.claimed_prime
+
+    @cached_property
+    def proved_prime(self) -> bool:
+        """I is prime by its class, a proper linear ideal or a classified
+        plane curve (see the class docstring); False says nothing."""
+        if self.I.is_unit_ideal():
+            return False
+        if all(g.degree() == 1 for g in self.I.groebner_basis()):
+            return True
+        return self.curve is not None and self.curve.tag != "unknown"
 
     @cached_property
     def point(self) -> tuple[Fraction, ...] | None:
@@ -176,9 +202,13 @@ def analysis(I: Ideal, act: TranslationAction) -> Analysis:
 
 
 def point_ideal(ring, p) -> Ideal:
-    """m_p, flagged prime and maximal."""
+    """m_p, flagged prime and maximal.  Its generators x_i - p_i are monic
+    and reduced in every order, so sorted by the order they are its reduced
+    basis, which the ideal is handed."""
     gens = [ring.var(i) - ring.const(p[i]) for i in range(ring.n)]
-    return Ideal(ring, gens, claimed_prime=True, claimed_maximal=True)
+    I = Ideal(ring, gens, claimed_prime=True, claimed_maximal=True)
+    I._gb = tuple(sorted(gens, key=lambda g: ring.order.key(g.leading_monomial()), reverse=True))
+    return I
 
 
 # ---------------------------------------------------------------- Tor_1

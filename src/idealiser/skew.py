@@ -166,7 +166,9 @@ def quotient_table(
       I^{-kg} = I^{-(k+1)g} for some k, and translating by (k+1)g gives
       I^g = I.  So an entry in
       K is <1> with no normal form, and no other entry is tested for
-      containment.
+      containment.  When I is moreover prime by its class
+      (``Analysis.proved_prime``), every entry outside K is J, with no
+      check at all: x*l in I for some l in I^g outside I forces x in I.
     - J primary to a rational point p: the entry is J when a generator f of
       I has f^g(p) = f(p + A g) nonzero (``Colon``'s point check).  One
       compiled ``zero_test`` of the generators of I at p + A g serves the
@@ -179,12 +181,16 @@ def quotient_table(
       which gives its dimension with no I^g.  Only where that test answers
       None does the pair build one sum basis; when the sum returns J, the
       second member of the pair is J with no I^g.
-    Only the other entries build I^g and go on through ``Colon``.  K comes
-    from ``analysis``, which computes it; no input flag is read."""
-    colon = Colon(J)
+    Only the other entries build I^g and go on through ``Colon``.  K and
+    the primality come from ``analysis``, which proves them; no input flag
+    is read."""
     K = None
     if not (I.is_zero_ideal() or I.is_unit_ideal()) and ideal_equal(I, J):
-        K = analysis(I, act).K
+        a = analysis(I, act)
+        K = a.K
+        if a.proved_prime:
+            return {g: unit_ideal(J.ring) if K.contains(g) else J for g in box_walk([box] * act.d)}
+    colon = Colon(J)
     vanishes = None if colon.point is None else zero_test(I.gens, colon.point, act.matrix)
     table = {}
     for g in box_walk([box] * act.d):

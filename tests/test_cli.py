@@ -407,11 +407,17 @@ def test_each_command_gets_its_own_pair_limit(capsys, tmp_path, monkeypatch):
 
 
 def test_pair_limit_reaches_the_colon_quotients(capsys, tmp_path):
-    # one generator: its own basis needs no pair, its intersections do
-    cfg = {**PELL_CFG, "options": {"pair_limit": 1}}
-    code, out, err = run(capsys, "quotient-table", "-c", _write(tmp_path, "cfg.json", cfg))
+    # two lines, one generator: its own basis needs no pair, the table's elimination does
+    two = {**LINE_CFG, "ideal": {"generators": ["(x - y)*(x + y - 3)"]}, "options": {"pair_limit": 1}}
+    code, out, err = run(capsys, "quotient-table", "-c", _write(tmp_path, "cfg.json", two))
     assert (code, out) == (1, "")
     assert err.startswith("error: pair budget exceeded")
+    # a Pell conic is prime by its class, so its table needs no pair at all
+    limited = {**PELL_CFG, "options": {"pair_limit": 1}}
+    code, out, _ = run(capsys, "quotient-table", "-c", _write(tmp_path, "limited.json", limited))
+    free = {**PELL_CFG, "options": {}}
+    assert (code, out) == run(capsys, "quotient-table", "-c", _write(tmp_path, "free.json", free))[:2]
+    assert code == 0 and out.count("<x^2 - 7*y^2 - 1>") == 24
 
 
 def test_box_over_the_walk_budget_exits_one(capsys, pell_config):

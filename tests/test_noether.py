@@ -13,6 +13,7 @@ import pytest
 from idealiser import (
     Ideal,
     Lattice,
+    MonomialOrder,
     Poly,
     PolyRing,
     ResourceLimitError,
@@ -31,6 +32,7 @@ from idealiser import (
     ideal_quotient,
     ideal_sum,
     krull_dimension,
+    quotient_table,
     s_set_box,
     stabiliser,
     t_set_box,
@@ -923,3 +925,120 @@ def test_benchmark_families_have_no_repeated_factor(monkeypatch):
         ring = PolyRing(tuple(case.config["ring"]["vars"]))
         I = Ideal(ring, [ring.parse(s) for s in case.config["ideal"]["generators"]])
         assert not analysis(I, TranslationAction.standard(ring)).repeated_factor, case.family
+
+
+def test_point_ideal_is_handed_its_reduced_basis():
+    """The seeded basis of m_p is the reduced basis of its generators, for
+    random rational points under grevlex, lex and a permuted lex."""
+    rng = random.Random(28)
+    for n in (1, 2, 3):
+        names = ("x", "y", "z")[:n]
+        perm = list(range(n))[::-1]
+        for order in (MonomialOrder.grevlex(n), MonomialOrder.lex(n), MonomialOrder.lex(n, perm)):
+            ring = PolyRing(names, order)
+            for _ in range(4):
+                p = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                I = noether.point_ideal(ring, p)
+                assert I.groebner_basis() == groebner.reduced_groebner_basis(I.gens), (order, p)
+                assert groebner.rational_point_of(I) == tuple(p)
+
+
+def _random_form(rng, degree):
+    """A seeded random plane polynomial of the given total degree."""
+    monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    terms = {m: rng.randint(-3, 3) for m in rng.sample(monos, min(len(monos), rng.randint(2, 4)))}
+    terms[rng.choice([(degree - i, i) for i in range(degree + 1)])] = rng.choice((-2, -1, 1, 2))
+    return Poly(RING, terms)
+
+
+def _pell_shaped(rng):
+    """scale*((u - c1)^2 - n*(w - c2)^2 - 1), u and w the two variables in
+    either order, for a random nonsquare n."""
+    n = rng.choice([m for m in range(2, 30) if math.isqrt(m) ** 2 != m])
+    u, w = (X, Y) if rng.randint(0, 1) else (Y, X)
+    c1, c2 = rng.randint(-4, 4), rng.randint(-4, 4)
+    return rng.randint(1, 3) * ((u - c1) ** 2 - n * (w - c2) ** 2 - 1)
+
+
+def _graph_shaped(rng):
+    """a*x_i + r(x_j) with deg r in {2, 3}."""
+    u, w = (X, Y) if rng.randint(0, 1) else (Y, X)
+    r = sum((rng.randint(-3, 3) * w**k for k in range(rng.randint(2, 3))), RING.zero())
+    return rng.choice((-2, -1, 1, 3)) * u + r + rng.choice((-1, 1, 2)) * w ** rng.randint(2, 3)
+
+
+def _smooth_cubic(rng):
+    """A Weierstrass cubic y^2 - x^3 - a*x - b with 4a^3 + 27b^2 != 0,
+    whose projective closure is smooth, in either variable order."""
+    while True:
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        if 4 * a**3 + 27 * b**2:
+            u, w = (X, Y) if rng.randint(0, 1) else (Y, X)
+            return w**2 - u**3 - a * u - b
+
+
+def test_proved_prime_never_proves_a_reducible_polynomial():
+    """Seeded products g*h and squares of random lines, conics (Pell-shaped
+    ones included), graph-shaped factors and cubics are never proved prime,
+    whatever their flag; nor is a non-radical ideal of two points."""
+    rng = random.Random(2801)
+    makers = [
+        lambda: _random_form(rng, 1),
+        lambda: _random_form(rng, 2),
+        lambda: _pell_shaped(rng),
+        lambda: _graph_shaped(rng),
+        lambda: _random_form(rng, 3),
+        lambda: _smooth_cubic(rng),
+    ]
+    products = 0
+    for _ in range(60):
+        f = rng.choice(makers)()
+        g = f if rng.randint(0, 3) == 0 else rng.choice(makers)()
+        if f.is_constant() or g.is_constant():
+            continue
+        for flag in (False, True):
+            assert not analysis(Ideal(RING, [f * g], claimed_prime=flag), ACT).proved_prime, (f, g)
+        products += 1
+    assert products > 40
+    assert not analysis(Ideal(RING, [(X - 1) * (X - 2), Y]), ACT).proved_prime
+    assert not analysis(Ideal(RING, [RING.one()], claimed_prime=True), ACT).proved_prime
+
+
+def _table_against_the_colons(I, act, box=2):
+    for g, entry in quotient_table(I, I, act, box).items():
+        expected = ideal_quotient(I, act_on_ideal(I, g, act))
+        assert entry.groebner_basis() == expected.groebner_basis(), (I, g)
+
+
+def test_a_false_prime_flag_on_a_product_gets_the_honest_table():
+    f = (X - Y**3) * (X + 1)
+    I = Ideal(RING, [f], claimed_prime=True)
+    assert not analysis(I, ACT).proved_prime
+    _table_against_the_colons(I, ACT)
+
+
+def test_proved_prime_tables_equal_the_colons_of_each_translate():
+    """Seeded lines, Pell conics (random n, centre and scale), graph curves
+    and smooth cubics are proved prime, and their quotient table equals
+    ideal_quotient(I, I^g) entry by entry, under the standard action and a
+    rational one, flagged prime or not."""
+    rng = random.Random(2802)
+    rational = TranslationAction(RING, [["1/2", 0], [1, "1/3"]])
+    makers = [
+        lambda: _random_form(rng, 1),
+        lambda: _pell_shaped(rng),
+        lambda: _graph_shaped(rng),
+        lambda: _smooth_cubic(rng),
+    ]
+    tags = set()
+    for make in makers:
+        for _ in range(3):
+            f = make()
+            for act in (ACT, rational):
+                for flag in (False, True):
+                    I = Ideal(RING, [f], claimed_prime=flag)
+                    a = analysis(I, act)
+                    assert a.proved_prime, f
+                    tags.add(a.curve.tag)
+                    _table_against_the_colons(I, act)
+    assert tags == {"rational_line", "pell_conic", "graph_curve", "smooth_high_degree"}

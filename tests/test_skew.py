@@ -271,11 +271,13 @@ def _colon_branch(J, L, point):
 def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     """quotient_table equals ideal_quotient(J, I^g) entry by entry.  It
     builds no I^g for an entry that the stabiliser (J = I) or the zero test
-    at the point of J settles.  When J = I it runs one difference
-    elimination, the first member of each pair {g, -g} asks the specialised
-    sum test, and a sum basis and I^g are built only where that test
-    answers None; otherwise one sum basis per entry that reaches the sum.
-    Every entry of the general route still eliminates."""
+    at the point of J settles.  When J = I is prime by its class it builds
+    nothing: no difference elimination, sum basis or translate.  Otherwise,
+    when J = I, it runs one difference elimination, the first member of
+    each pair {g, -g} asks the specialised sum test, and a sum basis and
+    I^g are built only where that test answers None; otherwise one sum
+    basis per entry that reaches the sum.  Every entry of the general route
+    still eliminates."""
     translated = []  # the g of every I^g that the table builds
     bases = []  # (g of the last I^g built, gens) of every basis computed
     original_act, original_basis = skew.act_on_ideal, groebner.reduced_groebner_basis
@@ -294,7 +296,7 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     def difference(gens, ring):  # in the variables x and then s; an intersection puts its own first
         return eliminates(gens) and gens[0].ring.variables[: ring.n] == ring.variables
 
-    seen = set()
+    seen, proved = set(), set()
     for label, J, I, act, box, p in _table_cases(random.Random(20)):
         moved = {g: act_on_ideal(I, g, act) for g in box_walk([box] * act.d)}
         expected = {g: ideal_quotient(J, L) for g, L in moved.items()}
@@ -324,6 +326,10 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             assert not differences, label
             assert sums == reach, label
             assert translated == [g for g in moved if branch[g] != "point"], label
+        elif analysis(I, act).proved_prime:
+            # every entry outside K is J, with no elimination, sum or translate
+            assert (differences, sums, translated) == (0, [], []), label
+            proved.add(label)
         else:
             # one elimination for the table, then, at the first member of
             # each pair, the dimension of the sum or None; a sum basis only
@@ -344,11 +350,13 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
         seen.update(branch[g] for g in translated)
         if K is not None:
             seen.update("stabiliser" for g in moved if K.contains(g) and any(g))
+        if K is not None and label not in proved:
             seen.update("mirror" for g in reach if g != first[g])
-        if p is not None and any(branch[g] == "point" for g in moved):
+        if p is not None and label not in proved and any(branch[g] == "point" for g in moved):
             seen.add("zero test")
     kinds = {"stabiliser", "zero test", "mirror", "specialised", "contained", "comaximal", "principal", "general"}
     assert kinds <= seen, seen
+    assert proved == {"line", "line, other generators", "point", "pell", "rational action, point"}
 
 
 def _fuzz_ideal(rng, ring):
