@@ -9,7 +9,7 @@ from idealiser import (
     Ideal,
     PolyRing,
     TranslationAction,
-    idealiser_component,
+    colon_components,
     idealiser_membership,
     parse_skew,
 )
@@ -30,8 +30,9 @@ def main():
 
     I = Ideal(ring, [2 * x - 3 * y - 1], claimed_prime=True)
     print("\nline ideal:", str(I.gens[0]))
+    component = colon_components(I, I, act)
     for g in [(3, 2), (1, 0), (-3, -2)]:
-        comp = idealiser_component(I, g, act)
+        comp = component(g)
         kind = "everything" if comp.is_unit_ideal() else "the line ideal itself"
         print(f"component at g={g}: {kind}")
 

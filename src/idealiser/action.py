@@ -91,20 +91,14 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
     )
 
 
-class DifferenceIdeal(tuple):
-    """The reduced basis of E, a tuple of Polys in s, which keeps in
-    ``whole`` the reduced basis it was cut from: that of D = I(x) +
-    J(x + A s), in the variables x and then s, under _ElimOrder with the x
-    block first."""
-
-    whole: tuple[Poly, ...]
-
-
-def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> DifferenceIdeal:
+def difference_ideal(
+    I: Ideal, J: Ideal, act: TranslationAction
+) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """The reduced basis of E = (I(x) + J(x + A s)) cap Q[s_1..s_d], in the
-    variables s under grevlex: one ``eliminate`` of the x block, which comes
-    first.  V(E) is the Zariski closure of the s in C^d with A s in
-    V(J) - V(I)."""
+    variables s under grevlex, and the reduced basis of D = I(x) +
+    J(x + A s) it is cut from, in the variables x and then s under
+    _ElimOrder with the x block first: one ``eliminate`` of the x block.
+    V(E) is the Zariski closure of the s in C^d with A s in V(J) - V(I)."""
     ring, n, d = I.ring, I.ring.n, act.d
     aux = _fresh_aux_name(ring)
     ext = PolyRing(ring.variables + tuple(f"{aux}{j}" for j in range(d)))
@@ -116,10 +110,7 @@ def difference_ideal(I: Ideal, J: Ideal, act: TranslationAction) -> DifferenceId
     ]
     raw = [Poly.from_ints(ext, f.num, f.den, {m + pad: c for m, c in f.ints.items()}) for f in I.gens]
     raw += [h.compose(moved) for h in J.gens]
-    part, whole = eliminate(raw, n, PolyRing(ext.variables[n:]))
-    E = DifferenceIdeal(part)
-    E.whole = whole
-    return E
+    return eliminate(raw, n, PolyRing(ext.variables[n:]))
 
 
 def box_walk(

@@ -404,12 +404,6 @@ class Colon:
         return dim < 0 or (self.principal and dim <= self.J.ring.n - 2)
 
 
-def ideal_quotient(J: Ideal, I: Ideal) -> Ideal:
-    """Colon quotient (J : I) = {c | c*I subset of J}, by the checks and the
-    general route of ``Colon``."""
-    return Colon(J)(I)
-
-
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     return I.groebner_basis() == J.groebner_basis()
 

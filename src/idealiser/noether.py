@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Sequence
 
 from .action import (
-    DifferenceIdeal,
     GroupElement,
     Lattice,
     TranslationAction,
@@ -54,6 +53,7 @@ from .groebner import (
     krull_dimension,
     normal_form,
     rational_point_of,
+    unit_ideal,
 )
 from .normalforms import box_bounds
 from .poly import Poly
@@ -183,7 +183,7 @@ class Analysis:
         integer parts determine it), so that every test against J shares one."""
         key = tuple(frozenset(g.ints.items()) for g in J.groebner_basis())
         if key not in self._differences:
-            self._differences[key] = _sum_test(difference_ideal(self.I, J, self.act))
+            self._differences[key] = _sum_test(*difference_ideal(self.I, J, self.act))
         return self._differences[key]
 
     def target(self, radius: int) -> Ideal:
@@ -335,8 +335,8 @@ def t_set_box(
     is isomorphic to Tor_1(C/I^h, C/I), which is Tor_1(C/I, C/I^h) by the
     symmetry of Tor.  The box of a lattice is symmetric, so each pair
     {h, -h} is tested once, at its first member in box order (the
-    argument for the colon table of J = I is the same, in
-    ``skew.quotient_table``)."""
+    argument for the colon components of J = I is the same, in
+    ``colon_components``)."""
     K = analysis(I, act).K
     nonzero = component_test(I, J, act, "left")
     mirrored = ideal_equal(I, J)
@@ -492,11 +492,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       specialised sum needs no translate.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
-    - Right otherwise: containment (J prime) or the colon, by one ``Colon(J)``
-      for every g, which returns J with no elimination when J is primary to
-      a rational point where I^g does not vanish, when J + I^g = C, and when
-      J is principal and J + I^g has height at least 2, as I^g then lies in
-      no associated prime of C/J."""
+    - Right otherwise: containment (J prime), or whether the colon
+      component (J : I^g) of ``colon_components`` is larger than J."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     a, b = analysis(I, act), analysis(J, act)
@@ -532,25 +529,81 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         return tor_nonzero
     if J_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
+    component = colon_components(J, I, act)
+    return lambda g: not ideal_equal(component(g), J)
+
+
+def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
+    """The map g -> (J : I^g), by one ``Colon(J)``, which reads the basis,
+    point and principality of J once.  Three exact facts settle components
+    before I^g is built, or spare it a check:
+    - J = I, proper and nonzero: I^g lies in I iff g lies in the stabiliser
+      K.  If I^g is in I, translating by -(k+1)g puts I^{-kg} in
+      I^{-(k+1)g} for every k >= 0; this chain of ideals stabilises,
+      I^{-kg} = I^{-(k+1)g} for some k, and translating by (k+1)g gives
+      I^g = I.  So a component in K is <1> with no normal form, and no
+      other is tested for containment.  When I is moreover prime by its class
+      (``Analysis.proved_prime``), every component outside K is J, with no
+      check at all: x*l in I for some l in I^g outside I forces x in I.
+    - J primary to a rational point p: the component is J when a generator
+      f of I has f^g(p) = f(p + A g) nonzero (``Colon``'s point check).  One
+      compiled ``zero_test`` of the generators of I at p + A g serves every
+      g, so no such g builds I^g.
+    - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
+      so the two sums are both <1> or neither is, and they have the same
+      dimension.  So ``Colon``'s two sum checks settle a pair {g, -g} at
+      once, and the pair's sum is specialised from the one elimination of
+      (I, I) under the action (``Analysis.sum_test``) at its first member,
+      which gives its dimension with no I^g.  Only where that test answers
+      None does the pair build one sum basis; when the sum returns J, the
+      second member of the pair is J with no I^g.
+    Only the other components build I^g and go on through ``Colon``.  K and
+    the primality come from ``analysis``, which proves them; no input flag
+    is read."""
+    K = None
+    if not (I.is_zero_ideal() or I.is_unit_ideal()) and ideal_equal(I, J):
+        a = analysis(I, act)
+        K = a.K
+        if a.proved_prime:
+            return lambda g: unit_ideal(J.ring) if K.contains(g) else J
     colon = Colon(J)
-    return lambda g: not ideal_equal(colon(act_on_ideal(I, g, act)), J)
+    vanishes = None if colon.point is None else zero_test(I.gens, colon.point, act.matrix)
+
+    def component(g: GroupElement) -> Ideal:
+        if K is not None and K.contains(g):
+            return unit_ideal(J.ring)
+        if vanishes is not None and not vanishes(g):
+            return J
+        if K is None:
+            return colon(act_on_ideal(I, g, act))
+        pair = min(g, tuple(-x for x in g))
+        if pair not in colon.outside:
+            dim = a.sum_test(I)(g)
+            if dim is not None:
+                colon.outside[pair] = colon.settles(dim)
+        if colon.outside.get(pair):
+            return J
+        return colon(act_on_ideal(I, g, act), contained=False, key=pair)
+
+    return component
 
 
-def _sum_test(E: DifferenceIdeal):
+def _sum_test(E: Sequence[Poly], G: Sequence[Poly]):
     """The specialised sum test of ``component_test``, compiled from the
-    whole basis G of D that E was cut from: per element of G outside E, its
+    basis E of the difference ideal and the whole basis G of D that E was
+    cut from (``difference_ideal``): per element of G outside E, its
     leading x-monomial and its terms as (x-monomial, int coefficient,
     factors in s).  At g it evaluates in ints and builds Polys, in the ring
     of G with s = 0, only when some element must be reduced.  It returns
     None or dim C/(I + J^g), -1 for the unit ideal; the dimension when
     every element keeps its leading x-monomial is read once."""
     meets = zero_test(E)
-    ring = E.whole[0].ring
+    ring = G[0].ring
     n = ring.order.block
     pad = (0,) * (ring.n - n)
     rows = [
         (p.leading_monomial()[:n], [(m[:n], c, [(j, e) for j, e in enumerate(m[n:]) if e]) for m, c in p.ints.items()])
-        for p in E.whole
+        for p in G
         if any(p.leading_monomial()[:n])
     ]
     generic = initial_dimension([top for top, _ in rows], n)

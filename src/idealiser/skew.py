@@ -16,25 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .action import (
-    GroupElement,
-    Lattice,
-    TranslationAction,
-    act_on_ideal,
-    apply_action,
-    box_walk,
-)
-from .diophantine import zero_test
-from .groebner import (
-    Colon,
-    DimensionProbe,
-    Ideal,
-    dimension_probe,
-    ideal_equal,
-    ideal_quotient,
-    unit_ideal,
-)
-from .noether import analysis, component_test
+from .action import GroupElement, Lattice, TranslationAction, apply_action, box_walk
+from .groebner import DimensionProbe, Ideal, dimension_probe
+from .noether import analysis, colon_components
 from .parser import ParseError, _Parser
 from .poly import Poly
 
@@ -146,80 +130,19 @@ def parse_skew(text: str, action: TranslationAction) -> SkewElement:
         sign = 1 if value == "+" else -1
 
 
-def idealiser_component(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
-    """(I : I^g): for prime I this is everything when g stabilises I, so
-    that I^g lies inside I, otherwise I itself; else a colon quotient."""
-    if analysis(I, act).prime:
-        return unit_ideal(I.ring) if component_test(I, I, act, "right")(g) else I
-    return ideal_quotient(I, act_on_ideal(I, g, act))
-
-
 def quotient_table(
     J: Ideal, I: Ideal, act: TranslationAction, box: int
 ) -> dict[GroupElement, Ideal]:
-    """(J : I^g) for all g in the sup-norm box, by one ``Colon(J)``, which
-    reads the basis, point and principality of J once.  Three exact facts
-    settle entries before I^g is built, or spare it a check:
-    - J = I, proper and nonzero: I^g lies in I iff g lies in the stabiliser
-      K.  If I^g is in I, translating by -(k+1)g puts I^{-kg} in
-      I^{-(k+1)g} for every k >= 0; this chain of ideals stabilises,
-      I^{-kg} = I^{-(k+1)g} for some k, and translating by (k+1)g gives
-      I^g = I.  So an entry in
-      K is <1> with no normal form, and no other entry is tested for
-      containment.  When I is moreover prime by its class
-      (``Analysis.proved_prime``), every entry outside K is J, with no
-      check at all: x*l in I for some l in I^g outside I forces x in I.
-    - J primary to a rational point p: the entry is J when a generator f of
-      I has f^g(p) = f(p + A g) nonzero (``Colon``'s point check).  One
-      compiled ``zero_test`` of the generators of I at p + A g serves the
-      whole table, so no such g builds I^g.
-    - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
-      so the two sums are both <1> or neither is, and they have the same
-      dimension.  So ``Colon``'s two sum checks settle a pair {g, -g} at
-      once, and the pair's sum is specialised from the one elimination of
-      (I, I) under the action (``Analysis.sum_test``) at its first member,
-      which gives its dimension with no I^g.  Only where that test answers
-      None does the pair build one sum basis; when the sum returns J, the
-      second member of the pair is J with no I^g.
-    Only the other entries build I^g and go on through ``Colon``.  K and
-    the primality come from ``analysis``, which proves them; no input flag
-    is read."""
-    K = None
-    if not (I.is_zero_ideal() or I.is_unit_ideal()) and ideal_equal(I, J):
-        a = analysis(I, act)
-        K = a.K
-        if a.proved_prime:
-            return {g: unit_ideal(J.ring) if K.contains(g) else J for g in box_walk([box] * act.d)}
-    colon = Colon(J)
-    vanishes = None if colon.point is None else zero_test(I.gens, colon.point, act.matrix)
-    table = {}
-    for g in box_walk([box] * act.d):
-        if K is not None and K.contains(g):
-            table[g] = unit_ideal(J.ring)
-        elif vanishes is not None and not vanishes(g):
-            table[g] = J
-        elif K is None:
-            table[g] = colon(act_on_ideal(I, g, act))
-        else:
-            pair = min(g, tuple(-x for x in g))
-            if pair not in colon.outside:
-                dim = analysis(I, act).sum_test(I)(g)
-                if dim is not None:
-                    colon.outside[pair] = colon.settles(dim)
-            if colon.outside.get(pair):
-                table[g] = J
-            else:
-                table[g] = colon(act_on_ideal(I, g, act), contained=False, key=pair)
-    return table
+    """(J : I^g) for all g in the sup-norm box, by ``colon_components``."""
+    component = colon_components(J, I, act)
+    return {g: component(g) for g in box_walk([box] * act.d)}
 
 
 def idealiser_membership(b: SkewElement, I: Ideal, act: TranslationAction) -> bool:
-    """b * IB inside IB, tested component by component against (I : I^g)."""
-    for g, coeff in b.components.items():
-        comp = idealiser_component(I, g, act)
-        if not comp.contains_poly(coeff):
-            return False
-    return True
+    """b * IB inside IB, tested component by component against (I : I^g),
+    all read from one ``colon_components``."""
+    component = colon_components(I, I, act)
+    return all(component(g).contains_poly(coeff) for g, coeff in b.components.items())
 
 
 @dataclass(frozen=True)

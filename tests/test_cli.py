@@ -239,6 +239,33 @@ def test_member_command(capsys, line_config):
     assert out2 == "member: no\n"
 
 
+def test_member_reads_no_prime_flag_and_agrees_with_the_table(capsys, tmp_path):
+    """``member`` and ``quotient-table`` share one rule for (I : I^g), and
+    neither reads the prime flag.  <x*y> flagged prime is not prime:
+    (x*y : (x + 1)*y) = <x>, so (x)*g[1,0] is a member, as the table says.
+    <x^2> flagged prime is refused by the ladder, yet (x^2 : I^g) is <1> on
+    the stabiliser, so (x)*g[0,1] is a member."""
+
+    def config(generator):
+        path = tmp_path / "flagged.json"
+        path.write_text(json.dumps({"ideal": {"generators": [generator], "claimed_prime": True}}))
+        return str(path)
+
+    product = config("x*y")
+    code, out, _ = run(capsys, "quotient-table", "-c", product, "--box", "1")
+    assert code == 0
+    assert "  g=(1,0): <x>\n" in out
+    code, out, _ = run(capsys, "member", "-c", product, "(x)*g[1,0]")
+    assert (code, out) == (0, "member: yes\n")
+    code, out, _ = run(capsys, "member", "-c", product, "(1)*g[1,0]")
+    assert (code, out) == (0, "member: no\n")
+    code, out, err = run(capsys, "member", "-c", config("x^2"), "(x)*g[0,1]")
+    assert (code, out, err) == (0, "member: yes\n", "")
+    code, _, err = run(capsys, "analyze", "-c", config("x^2"))
+    assert code == 1
+    assert err.startswith("error: a principal ideal with a repeated factor is not prime")
+
+
 def test_probe_command(capsys, pell_config):
     code, out, _ = run(
         capsys,

@@ -29,7 +29,6 @@ from idealiser import (
     ideal_equal,
     ideal_intersect,
     ideal_product,
-    ideal_quotient,
     ideal_sum,
     krull_dimension,
     quotient_table,
@@ -42,6 +41,7 @@ from idealiser import (
 )
 from idealiser import groebner, noether
 from idealiser.action import box_walk, difference_ideal
+from idealiser.groebner import Colon
 from idealiser.diophantine import zero_test
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 
@@ -629,7 +629,7 @@ def _component_by_definition(I, J, act, side, g):
     moved = act_on_ideal(I, g, act)
     if J.claimed_prime:
         return ideal_contains(J, moved)
-    return not ideal_equal(ideal_quotient(J, moved), J)
+    return not ideal_equal(Colon(J)(moved), J)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -752,7 +752,7 @@ def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
     import idealiser.noether as noether
 
     _, I, J, act = next(case for case in _difference_cases() if case[0] == label)
-    meets = zero_test(difference_ideal(I, J, act))
+    meets = zero_test(difference_ideal(I, J, act)[0])
     radius = 2 if act.d < 4 else 1
     box = Lattice.standard(act.d).points_in_box(radius)
     proper = [g for g in box if _proper_sum(I, J, act, g)]
@@ -790,11 +790,11 @@ def test_difference_ideals_of_the_space_curves():
     }
     for label, I, J, act in _difference_cases():
         if act == standard:
-            E = difference_ideal(I, J, act)
+            E = difference_ideal(I, J, act)[0]
             assert [p.terms for p in E] == [q.terms for q in expected[label]], label
     # V(E) is only the closure of the differences: (0, 0, 1) lies on the
     # twisted cubic's V(E), yet no two points of the curve differ by it
-    assert zero_test(difference_ideal(TWISTED3, TWISTED3, standard))((0, 0, 1))
+    assert zero_test(difference_ideal(TWISTED3, TWISTED3, standard)[0])((0, 0, 1))
     assert not _proper_sum(TWISTED3, TWISTED3, standard, (0, 0, 1))
 
 
@@ -1006,7 +1006,7 @@ def test_proved_prime_never_proves_a_reducible_polynomial():
 
 def _table_against_the_colons(I, act, box=2):
     for g, entry in quotient_table(I, I, act, box).items():
-        expected = ideal_quotient(I, act_on_ideal(I, g, act))
+        expected = Colon(I)(act_on_ideal(I, g, act))
         assert entry.groebner_basis() == expected.groebner_basis(), (I, g)
 
 
@@ -1020,7 +1020,7 @@ def test_a_false_prime_flag_on_a_product_gets_the_honest_table():
 def test_proved_prime_tables_equal_the_colons_of_each_translate():
     """Seeded lines, Pell conics (random n, centre and scale), graph curves
     and smooth cubics are proved prime, and their quotient table equals
-    ideal_quotient(I, I^g) entry by entry, under the standard action and a
+    Colon(I)(I^g) entry by entry, under the standard action and a
     rational one, flagged prime or not."""
     rng = random.Random(2802)
     rational = TranslationAction(RING, [["1/2", 0], [1, "1/3"]])

@@ -12,10 +12,9 @@ from idealiser import (
     PolyRing,
     SkewElement,
     TranslationAction,
-    idealiser_component,
+    colon_components,
     idealiser_membership,
     ideal_contains,
-    ideal_quotient,
     ideal_sum,
     krull_dimension,
     parse_skew,
@@ -23,8 +22,9 @@ from idealiser import (
     quotient_table,
     unit_ideal,
 )
-from idealiser import groebner, skew
+from idealiser import groebner, noether
 from idealiser.action import act_on_ideal, box_walk
+from idealiser.groebner import Colon
 from idealiser.noether import analysis
 from idealiser.poly import _ElimOrder
 from skew_oracle import right_ideal_truncation
@@ -170,25 +170,28 @@ def test_parse_skew_refuses(text):
 
 def test_idealiser_component_dichotomy_for_lines():
     I = Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True)
-    assert idealiser_component(I, (3, 2), ACT).is_unit_ideal()
-    comp = idealiser_component(I, (1, 0), ACT)
+    component = colon_components(I, I, ACT)
+    assert component((3, 2)).is_unit_ideal()
+    comp = component((1, 0))
     assert not comp.is_unit_ideal()
     assert comp.groebner_basis() == I.groebner_basis()
 
 
 def test_idealiser_component_general_quotient_route():
-    # no primality flag: the component falls back to an honest colon ideal
+    # no primality flag: the component is the honest colon ideal
     I = Ideal(RING, [2 * X - 3 * Y - 1])
-    assert idealiser_component(I, (3, 2), ACT).is_unit_ideal()
-    comp = idealiser_component(I, (0, 1), ACT)
-    assert comp.groebner_basis() == I.groebner_basis()
+    component = colon_components(I, I, ACT)
+    for g in [(3, 2), (0, 1)]:
+        assert component(g).groebner_basis() == Colon(I)(act_on_ideal(I, g, ACT)).groebner_basis()
+    assert component((3, 2)).is_unit_ideal()
+    assert component((0, 1)).groebner_basis() == I.groebner_basis()
 
 
 def test_quotient_table_matches_componentwise_fast_path():
     I = Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True)
     table = quotient_table(I, I, ACT, 3)
     for g, entry in table.items():
-        fast = idealiser_component(I, g, ACT)
+        fast = colon_components(I, I, ACT)(g)
         assert entry.groebner_basis() == fast.groebner_basis()
 
 
@@ -254,7 +257,7 @@ def _table_cases(rng):
 
 
 def _colon_branch(J, L, point):
-    """The step of ``ideal_quotient`` that settles (J : L), given the point p
+    """The step of ``Colon`` that settles (J : L), given the point p
     of an m_p-primary J, or None."""
     if ideal_contains(J, L):
         return "contained"
@@ -269,7 +272,7 @@ def _colon_branch(J, L, point):
 
 
 def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
-    """quotient_table equals ideal_quotient(J, I^g) entry by entry.  It
+    """quotient_table equals Colon(J)(I^g) entry by entry.  It
     builds no I^g for an entry that the stabiliser (J = I) or the zero test
     at the point of J settles.  When J = I is prime by its class it builds
     nothing: no difference elimination, sum basis or translate.  Otherwise,
@@ -280,7 +283,7 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     still eliminates."""
     translated = []  # the g of every I^g that the table builds
     bases = []  # (g of the last I^g built, gens) of every basis computed
-    original_act, original_basis = skew.act_on_ideal, groebner.reduced_groebner_basis
+    original_act, original_basis = noether.act_on_ideal, groebner.reduced_groebner_basis
 
     def recording_act(I, g, act):
         translated.append(g)
@@ -299,14 +302,14 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     seen, proved = set(), set()
     for label, J, I, act, box, p in _table_cases(random.Random(20)):
         moved = {g: act_on_ideal(I, g, act) for g in box_walk([box] * act.d)}
-        expected = {g: ideal_quotient(J, L) for g, L in moved.items()}
+        expected = {g: Colon(J)(L) for g, L in moved.items()}
         branch = {g: _colon_branch(J, L, p) for g, L in moved.items()}
         gb = J.groebner_basis()
         proper = not (I.is_zero_ideal() or I.is_unit_ideal())
         K = analysis(I, act).K if proper and gb == I.groebner_basis() else None
         translated.clear()
         bases.clear()
-        monkeypatch.setattr(skew, "act_on_ideal", recording_act)
+        monkeypatch.setattr(noether, "act_on_ideal", recording_act)
         monkeypatch.setattr(groebner, "reduced_groebner_basis", recording_basis)
         table = quotient_table(J, I, act, box)
         monkeypatch.undo()
@@ -383,7 +386,7 @@ def _fuzz_ideal(rng, ring):
 
 
 def test_quotient_table_against_the_colon_of_each_translate_on_random_ideals():
-    """quotient_table(I, I) equals ideal_quotient(I, I^g) entry by entry on
+    """quotient_table(I, I) equals Colon(I)(I^g) entry by entry on
     seeded random plane and 3-space ideals, under the standard action and a
     rational one; some sums are proper of dimension n - 1, so the general
     route runs."""
@@ -403,7 +406,7 @@ def test_quotient_table_against_the_colon_of_each_translate_on_random_ideals():
             table = quotient_table(I, I, act, 2)
             for g, entry in table.items():
                 L = act_on_ideal(I, g, act)
-                assert entry.groebner_basis() == ideal_quotient(I, L).groebner_basis(), (I, act, g)
+                assert entry.groebner_basis() == Colon(I)(L).groebner_basis(), (I, act, g)
                 general += krull_dimension(ideal_sum(I, L)) == n - 1 and not ideal_contains(I, L)
     assert general
 
@@ -414,6 +417,29 @@ def test_idealiser_membership():
     assert idealiser_membership(parse_skew("(1)*g[3,2]", ACT), I, ACT)
     assert not idealiser_membership(parse_skew("(1)*g[1,0]", ACT), I, ACT)
     assert idealiser_membership(parse_skew("(2*x - 3*y - 1)*g[1,0]", ACT), I, ACT)
+
+
+def test_idealiser_membership_builds_one_colon(monkeypatch):
+    """Two lines l1*l2, not flagged prime, with a trivial stabiliser: g = (2, 1)
+    moves l2 along l1, so (I : I^g) = <l2>, and g = (-1, 1) moves l1 along
+    l2, so (I : I^g) = <l1>.  Every component of an element is read from
+    one ``Colon(I)``, not one per g."""
+    l1, l2 = X - 2 * Y - 1, X + Y - 3
+    I = Ideal(RING, [l1 * l2])
+    built = []
+    original = groebner.Colon.__init__
+
+    def counting(self, J):
+        built.append(J)
+        original(self, J)
+
+    monkeypatch.setattr(groebner.Colon, "__init__", counting)
+    member = parse_skew(f"({l2})*g[2,1] + ({l1})*g[-1,1] + ({l1 * l2})*g[1,0]", ACT)
+    assert idealiser_membership(member, I, ACT)
+    assert len(built) == 1
+    monkeypatch.undo()
+    for outsider in (f"({l2})*g[-1,1]", f"({l1})*g[2,1]", f"({l1})*g[1,0]"):
+        assert not idealiser_membership(parse_skew(outsider, ACT), I, ACT), outsider
 
 
 def test_right_ideal_truncation_sits_inside_graded_ideal():
@@ -427,8 +453,9 @@ def test_presentation_of_line_idealiser():
     I = Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True)
     pres = presentation_R_mod_IB(I, ACT)
     assert pres.stabiliser.basis == ((3, 2),)
-    assert idealiser_component(I, (3, 2), ACT).is_unit_ideal()
-    assert idealiser_component(I, (6, 4), ACT).is_unit_ideal()
+    component = colon_components(I, I, ACT)
+    assert component((3, 2)).is_unit_ideal()
+    assert component((6, 4)).is_unit_ideal()
     assert not pres.stabiliser.contains((1, 0))
     assert pres.stabiliser.contains((3, 2))
     assert pres.stabiliser.contains((0, 0))
