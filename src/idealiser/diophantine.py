@@ -142,11 +142,7 @@ def zero_test(
 
     def roots(head: Sequence[int], last: range) -> Sequence[int]:
         for degree, terms in by_row:
-            coeffs = [0] * (degree + 1)  # of g_f(head, t) by powers of t
-            for v, factors, k in terms:
-                for i, e in factors:
-                    v *= head[i] ** e
-                coeffs[k] += v
+            coeffs = row_coefficients(terms, degree, head)  # of g_f(head, t)
             while coeffs and not coeffs[-1]:
                 coeffs.pop()
             if coeffs:
@@ -154,6 +150,19 @@ def zero_test(
         return last
 
     return ZeroTest(test, roots)
+
+
+def row_coefficients(terms, degree: int, point: Sequence[int]) -> list[int]:
+    """The coefficients, by powers of t, of the sum of c * t^k * the product
+    of point[j]^e_j over ``terms`` (c, [(j, e_j)], k): a polynomial of
+    degree at most ``degree`` restricted to the line through ``point`` along
+    the coordinate t, with every other coordinate fixed."""
+    coeffs = [0] * (degree + 1)
+    for v, factors, k in terms:
+        for j, e in factors:
+            v *= point[j] ** e
+        coeffs[k] += v
+    return coeffs
 
 
 def _integer_roots(coeffs: list[int], window: range) -> list[int]:
@@ -185,6 +194,41 @@ def _integer_roots(coeffs: list[int], window: range) -> list[int]:
         if not total:
             found.append(t)
     return found
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs with its trailing zeros dropped, divided by its content, with
+    a positive leading coefficient; [] for the zero polynomial."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    if not coeffs:
+        return []
+    c = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return [v // c for v in coeffs]
+
+
+def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of gcd(sum_k a[k] t^k, sum_k b[k] t^k) over Z, as a
+    dense list in increasing powers with a positive leading coefficient, []
+    when both are zero: the primitive polynomial remainder sequence (Geddes,
+    Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 7).  Each
+    pseudo-remainder of the higher by the lower degree is made primitive
+    before the next step, which keeps the integers small, and a nonzero
+    constant remainder ends the sequence with the gcd [1]."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        lead, top, body = b[-1], len(b) - 1, b[:-1]
+        while len(a) > top:  # lead * a less c * t^shift * b drops the degree of a
+            c = a.pop()
+            a = [v * lead for v in a]
+            for k, v in enumerate(body, len(a) - top):
+                a[k] -= c * v
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive(a)
+    return [1] if b else a
 
 
 @dataclass(frozen=True)

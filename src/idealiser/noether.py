@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 from typing import Sequence
 
 from .action import (
@@ -37,7 +38,14 @@ from .action import (
     effective_directions,
     stabiliser,
 )
-from .diophantine import CurveClass, classify_plane_curve, pell_enumerate, zero_test
+from .diophantine import (
+    CurveClass,
+    classify_plane_curve,
+    pell_enumerate,
+    primitive_gcd,
+    row_coefficients,
+    zero_test,
+)
 from .groebner import (
     Colon,
     Ideal,
@@ -56,7 +64,7 @@ from .groebner import (
     unit_ideal,
 )
 from .normalforms import box_bounds
-from .poly import Poly
+from .poly import Poly, taylor_shift
 
 # ------------------------------------------------------------- analysis
 
@@ -67,8 +75,9 @@ class Analysis:
     Stabiliser K, complement H, effective rank, residue dimension, the two
     flags, primality proved by class, rational point, orbit density, Krull
     dimension, repeated factor, plane-curve class, least integer zero per
-    box and specialised sum test per second ideal, each computed on first
-    use; ``analysis`` keeps one per action on the ideal.
+    box, specialised sum test per second ideal and, for a principal I, the
+    gcd test against its translates, each computed on first use;
+    ``analysis`` keeps one per action on the ideal.
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
 
@@ -185,6 +194,12 @@ class Analysis:
         if key not in self._differences:
             self._differences[key] = _sum_test(*difference_ideal(self.I, J, self.act))
         return self._differences[key]
+
+    @cached_property
+    def coprime(self):
+        """For I = (f): the test g -> "gcd(f, f^g) is constant", by univariate
+        gcds (``colon_components``); False says nothing."""
+        return _coprime_test(self.I.groebner_basis()[0], self.act)
 
     def target(self, radius: int) -> Ideal:
         """The growth probes' default target: the point ideal of the least
@@ -552,11 +567,24 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
     - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
       so the two sums are both <1> or neither is, and they have the same
       dimension.  So ``Colon``'s two sum checks settle a pair {g, -g} at
-      once, and the pair's sum is specialised from the one elimination of
-      (I, I) under the action (``Analysis.sum_test``) at its first member,
-      which gives its dimension with no I^g.  Only where that test answers
-      None does the pair build one sum basis; when the sum returns J, the
-      second member of the pair is J with no I^g.
+      once, at its first member.  When I is not principal, the pair's sum
+      is specialised from the one elimination of (I, I) under the action
+      (``Analysis.sum_test``), which gives its dimension with no I^g.  Only
+      where that test answers None does the pair build one sum basis; when
+      the sum returns J, the second member of the pair is J with no I^g.
+    - J = I = (f): C is a UFD, so (f : f^g) = (f / gcd(f, f^g)), which is J
+      exactly when f and f^g share no factor.  A pair is J with no I^g, sum
+      or elimination when univariate gcds certify that h = gcd(f, f^g) is
+      constant (``Analysis.coprime``).  For each variable x_i of f, fix the
+      other coordinates at an integer point a with lc_{x_i}(f)(a) != 0, and
+      write f|_a and f^g|_a for the polynomials in x_i left.  h divides f,
+      so lc_{x_i}(h) divides lc_{x_i}(f) and h|_a keeps its degree in x_i;
+      h|_a divides f|_a and f^g|_a.  So a constant primitive gcd of those
+      two makes h free of x_i, and h is constant when that holds for every
+      x_i.  A specialisation can share a root by accident (for two lines
+      l1*l2, when l1 and l2^g cross at the fixed coordinate), so up to three
+      fixed points per variable are tried.  The test never finds a common
+      factor: where it fails, the pair builds its sum basis in ``Colon``.
     Only the other components build I^g and go on through ``Colon``.  K and
     the primality come from ``analysis``, which proves them; no input flag
     is read."""
@@ -578,14 +606,56 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
             return colon(act_on_ideal(I, g, act))
         pair = min(g, tuple(-x for x in g))
         if pair not in colon.outside:
-            dim = a.sum_test(I)(g)
-            if dim is not None:
-                colon.outside[pair] = colon.settles(dim)
+            if colon.principal:
+                if a.coprime(g):
+                    colon.outside[pair] = True
+            else:
+                dim = a.sum_test(I)(g)
+                if dim is not None:
+                    colon.outside[pair] = colon.settles(dim)
         if colon.outside.get(pair):
             return J
         return colon(act_on_ideal(I, g, act), contained=False, key=pair)
 
     return component
+
+
+def _coprime_test(f: Poly, act: TranslationAction):
+    """The gcd test of ``colon_components`` for I = (f), compiled in ints
+    from F(X) = den^D * f(X / den), for den = act.den and D the degree of f,
+    whose value at X = den*x + act.ints*g is den^D * f^g(x).  Per variable
+    x_i of f it keeps f|_a, F at X = den*a as a polynomial in X_i, for each
+    of three fixed points a with lc_{x_i}(f)(a) != 0.  At g, f^g|_a is F at
+    X = den*a + act.ints*g off x_i, Taylor-shifted by the i-th entry of
+    act.ints*g.  Both are f|_a and f^g|_a with x_i scaled by den, which
+    keeps the degree of their gcd."""
+    n, den, D = f.ring.n, act.den, f.degree()
+    # den*a for a = (2, 4, 8, ...), (-3, -9, -27, ...) and (4, 16, 64, ...), entry i unused;
+    # in one variable there is nothing to fix, so one point
+    points = [[den * (-1) ** k * (k + 2) ** (j + 1) for j in range(n)] for k in range(3 if n > 1 else 1)]
+    checks = []
+    for i in range(n):
+        d = max(m[i] for m in f.ints)
+        if d:
+            terms = [
+                (c * den ** (D - sum(m)), [(j, e) for j, e in enumerate(m) if e and j != i], m[i])
+                for m, c in f.ints.items()
+            ]
+            specs = [(X, at) for X in points for at in [row_coefficients(terms, d, X)] if at[d]]
+            checks.append((i, d, terms, specs))
+
+    def coprime(g: GroupElement) -> bool:
+        u = [sum(map(mul, row, g)) for row in act.ints]
+        for i, d, terms, specs in checks:
+            for X, at in specs:  # the first point with a constant gcd certifies x_i
+                moved = row_coefficients(terms, d, list(map(add, X, u)))
+                if len(primitive_gcd(at, taylor_shift(moved, u[i]))) == 1:
+                    break
+            else:
+                return False
+        return True
+
+    return coprime
 
 
 def _sum_test(E: Sequence[Poly], G: Sequence[Poly]):

@@ -192,6 +192,16 @@ def _power(a: Mapping[Monomial, int], k: int, one: Mapping[Monomial, int]) -> Ma
     return result
 
 
+def taylor_shift(coeffs: list[int], a: int) -> list[int]:
+    """p(t + a) in place, for p = sum_k coeffs[k] * t^k and an integer a, by
+    d(d + 1)/2 integer steps in degree d."""
+    d = len(coeffs) - 1
+    for j in range(d):
+        for k in range(d - 1, j - 1, -1):
+            coeffs[k] += a * coeffs[k + 1]
+    return coeffs
+
+
 class Poly:
     """Immutable-by-convention sparse polynomial attached to a ring: the
     content num/den times the primitive integer polynomial ``ints``."""
@@ -404,9 +414,7 @@ class Poly:
                 rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c * pw[d - m[i]]
             terms = {}
             for rest, row in rows.items():
-                for j in range(d):
-                    for k in range(d - 1, j - 1, -1):
-                        row[k] += a * row[k + 1]
+                taylor_shift(row, a)
                 terms.update((rest[:i] + (e,) + rest[i:], c * pw[e]) for e, c in enumerate(row) if c)
             den *= pw[d]
         return Poly.from_ints(self.ring, self.num, den, terms)

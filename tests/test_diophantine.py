@@ -15,7 +15,7 @@ from idealiser import (
     pell_fundamental,
 )
 from idealiser.action import box_walk
-from idealiser.diophantine import zero_test
+from idealiser.diophantine import primitive_gcd, zero_test
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -349,6 +349,69 @@ def test_zero_test_of_an_integral_translation_agrees_with_exact_evaluation():
                     assert test(c) == expected, (f, base, c)
                     passed[rational] += expected
     assert passed[False] >= 20 and passed[True] >= 20
+
+
+# ------------------------------------------------------- univariate gcd
+
+
+def _euclid(a, b):
+    """The monic gcd over Q of two dense coefficient lists (increasing
+    powers), by the Euclidean algorithm on Fractions; [] when both are zero."""
+    def trim(p):
+        p = [Fraction(c) for c in p]
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = trim([c - q * (b[k - shift] if k >= shift else 0) for k, c in enumerate(a)])
+        a, b = b, a
+    return [c / a[-1] for c in a] if a else []
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def test_primitive_gcd_matches_euclid_on_products_of_random_factors():
+    """primitive_gcd agrees, up to content and sign, with the Euclidean
+    algorithm over Q on seeded products of random integer factors of
+    degree up to 8, a shared factor planted in about half of them; it is
+    primitive with a positive leading coefficient."""
+    rng = random.Random(30)
+
+    def factor():
+        return [rng.randint(-4, 4) for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+
+    def product(count):
+        p = [rng.choice((-6, -1, 1, 4))]
+        for _ in range(count):
+            p = _times(p, factor())
+        return p
+
+    shared = 0
+    for _ in range(150):
+        a, b = product(rng.randint(0, 3)), product(rng.randint(0, 3))
+        if rng.random() < 0.5:
+            common = product(1)
+            a, b = _times(a, common), _times(b, common)
+        got = primitive_gcd(a, b)
+        assert math.gcd(*got) == 1 and got[-1] > 0, (a, b)
+        assert [Fraction(c, got[-1]) for c in got] == _euclid(a, b), (a, b)
+        assert primitive_gcd(b, a) == got
+        shared += len(got) > 1
+    assert shared > 50
+    assert primitive_gcd([0, 0], [0]) == []
+    assert primitive_gcd([], [6, -4]) == [-3, 2]
+    assert primitive_gcd([5], [2, 3]) == [1]
+    assert primitive_gcd([0, 0, 7], [0, 14]) == [0, 1]
 
 
 # -------------------------------------------------------- classification

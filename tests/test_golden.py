@@ -98,6 +98,13 @@ CASES["skewmul-pell"] = ("pell", ["skewmul", *SKEW_PAIR])
 CASES["skewmul-pell-json"] = ("pell", ["skewmul", *SKEW_PAIR, "--json"])
 CASES["member-pell-yes"] = ("pell", ["member", "(x^2 - 7*y^2 - 1)*g[1,0] + (x)*e"])
 CASES["member-pell-no"] = ("pell", ["member", "(x)*g[1,0] - (y)*e", "--json"])
+# principal tables of degree above 2 that no class proves prime: a product of two conics,
+# which share no factor with any of their translates, and the singular cusp
+GALLERY["conic_product"] = (["(x^2 - 2*y^2 - 1)*(x^2 + y^2 - 5)"], {}, None, {"box": 2})
+for _name in ("conic_product", "cusp"):
+    CASES[f"quotient-table-{_name}"] = (_name, ["quotient-table", "--box", "2"])
+    CASES[f"quotient-table-{_name}-json"] = (_name, ["quotient-table", "--box", "2", "--json"])
+CASES["member-conic_product-no"] = ("conic_product", ["member", "(x)*g[1,0] + (y)*g[0,1] + (1)*g[1,1]"])
 
 
 def _config(name: str) -> dict:

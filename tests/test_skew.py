@@ -276,11 +276,14 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     builds no I^g for an entry that the stabiliser (J = I) or the zero test
     at the point of J settles.  When J = I is prime by its class it builds
     nothing: no difference elimination, sum basis or translate.  Otherwise,
-    when J = I, it runs one difference elimination, the first member of
-    each pair {g, -g} asks the specialised sum test, and a sum basis and
-    I^g are built only where that test answers None; otherwise one sum
-    basis per entry that reaches the sum.  Every entry of the general route
-    still eliminates."""
+    when J = I = (f), it runs no difference elimination: the first member of
+    each pair {g, -g} asks the gcd test, which never passes where f and f^g
+    share a factor, and a sum basis and I^g are built only at pairs that
+    test leaves open.  When J = I is not principal, it runs one difference
+    elimination, the first member of each pair asks the specialised sum
+    test, and a sum basis and I^g are built only where that test answers
+    None; otherwise one sum basis per entry that reaches the sum.  Every
+    entry of the general route still eliminates."""
     translated = []  # the g of every I^g that the table builds
     bases = []  # (g of the last I^g built, gens) of every basis computed
     original_act, original_basis = noether.act_on_ideal, groebner.reduced_groebner_basis
@@ -299,7 +302,7 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     def difference(gens, ring):  # in the variables x and then s; an intersection puts its own first
         return eliminates(gens) and gens[0].ring.variables[: ring.n] == ring.variables
 
-    seen, proved = set(), set()
+    seen, proved, principal = set(), set(), set()
     for label, J, I, act, box, p in _table_cases(random.Random(20)):
         moved = {g: act_on_ideal(I, g, act) for g in box_walk([box] * act.d)}
         expected = {g: Colon(J)(L) for g, L in moved.items()}
@@ -333,6 +336,20 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             # every entry outside K is J, with no elimination, sum or translate
             assert (differences, sums, translated) == (0, [], []), label
             proved.add(label)
+        elif J.is_principal():
+            # no elimination; at the first member of each pair the gcd test,
+            # and a sum basis and I^g only at pairs that it leaves open
+            assert not differences, label
+            coprime = analysis(I, act).coprime
+            left_open = {first[g] for g in reach if not coprime(first[g])}
+            for g in reach:
+                if first[g] not in left_open:
+                    assert krull_dimension(ideal_sum(J, moved[g])) < J.ring.n - 1, (label, g)
+            assert sums == sorted(left_open), label
+            built = [g for g in reach if branch[g] == "general" or (g == first[g] and g in left_open)]
+            assert translated == built, label
+            principal.add(label)
+            seen.update("coprime" for g in reach if first[g] not in left_open)
         else:
             # one elimination for the table, then, at the first member of
             # each pair, the dimension of the sum or None; a sum basis only
@@ -357,9 +374,10 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             seen.update("mirror" for g in reach if g != first[g])
         if p is not None and label not in proved and any(branch[g] == "point" for g in moved):
             seen.add("zero test")
-    kinds = {"stabiliser", "zero test", "mirror", "specialised", "contained", "comaximal", "principal", "general"}
+    kinds = {"stabiliser", "zero test", "mirror", "coprime", "specialised", "contained", "comaximal", "principal", "general"}
     assert kinds <= seen, seen
     assert proved == {"line", "line, other generators", "point", "pell", "rational action, point"}
+    assert principal == {"two lines", "two lines, one stabilised", "double line", "lex", "(x - 3)^2"}
 
 
 def _fuzz_ideal(rng, ring):
@@ -411,6 +429,80 @@ def test_quotient_table_against_the_colon_of_each_translate_on_random_ideals():
     assert general
 
 
+def _planted_principal(rng, act):
+    """A seeded principal ideal (f) that shares a factor with one of its
+    translates: f = p * p^h * r, for p a random linear or quadric form, h a
+    random group element of sup-norm at most 2 and r = 1 or a random linear
+    or (in fewer than three variables) quadric form, so that f^{-h} has the
+    factor p (l*(l + c)*q when p is linear); or f = p^2."""
+    ring, n = act.ring, act.ring.n
+
+    def form(degree):
+        monos = [m for m in itertools.product(range(degree + 1), repeat=n) if 0 < sum(m) <= degree]
+        terms = {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in rng.sample(monos, min(len(monos), rng.randint(1, 3)))}
+        terms[(0,) * n] = rng.randint(-3, 3)
+        return Poly(ring, terms)
+
+    p = form(rng.choice((1, 2)))
+    if rng.random() < 0.2:
+        return Ideal(ring, [p**2])
+    h = tuple(rng.randint(-2, 2) for _ in range(act.d))
+    r = rng.choice((ring.one(), form(1), form(2 if n < 3 else 1)))
+    return Ideal(ring, [p * p.translate(act.translation(h)) * r])
+
+
+def test_gcd_test_of_a_principal_table_never_passes_a_shared_factor():
+    """The gcd test of a principal table (``Analysis.coprime``) on seeded
+    (f) with a factor shared with a translate, in one, two and three
+    variables, under standard, rank-one and rational actions: it never
+    passes a g where f and f^g share a factor, which is where
+    dim C/(f + f^g) = n - 1, and it passes most other g.  On the same
+    ideals quotient_table(I, I) equals Colon(I)(I^g) entry by entry."""
+    R1, R3 = PolyRing(("x",)), PolyRing(("x", "y", "z"))
+    actions = [
+        (TranslationAction.standard(R1), 2, 5),
+        (TranslationAction(R1, [["1/2", 1]]), 2, 5),
+        (ACT, 2, 8),
+        (TranslationAction(RING, [[1, 2], [-1, -2]]), 2, 6),
+        (TranslationAction(RING, [["1/2", 0], [1, "1/3"]]), 2, 8),
+        (TranslationAction.standard(R3), 1, 4),
+        (TranslationAction(R3, [[1, 2], [0, 0], [-1, -2]]), 1, 3),
+        (TranslationAction(R3, [["1/2", 0, 0], [0, 1, 0], [0, 1, "1/3"]]), 1, 4),
+    ]
+    rng = random.Random(30)
+    passed = shared = free = 0
+    for act, box, count in actions:
+        n = act.ring.n
+        for _ in range(count):
+            I = _planted_principal(rng, act)
+            a = analysis(I, act)
+            table = quotient_table(I, I, act, box)
+            for g, entry in table.items():
+                L = act_on_ideal(I, g, act)
+                common = krull_dimension(ideal_sum(I, L)) == n - 1
+                assert not (common and a.coprime(g)), (I, act, g)
+                passed += a.coprime(g)
+                shared += common and not a.K.contains(g)
+                free += not common
+                assert entry.groebner_basis() == Colon(I)(L).groebner_basis(), (I, act, g)
+    assert shared > 50 and passed > 0.95 * free, (shared, passed, free)
+
+
+def test_gcd_test_skips_a_point_where_the_leading_coefficient_vanishes():
+    """h = L(x)*M(y) + 1, with L and M vanishing at every integer of
+    [-16, 16], so that both leading coefficients of h, M(y) in x and L(x) in
+    y, vanish at every small integer point, where h specialises to 1.  So
+    f = h * h^g, for g = (1, 1), and f^{-g} specialise to 1 at each such
+    point, and the test, which must skip them, may not pass the pair of g."""
+    L = M = RING.one()
+    for v in range(-16, 17):
+        L, M = L * (X - v), M * (Y - v)
+    h = L * M + 1
+    g = (1, 1)
+    I = Ideal(RING, [h * h.translate(ACT.translation(g))])
+    assert not analysis(I, ACT).coprime(g) and not analysis(I, ACT).coprime((-1, -1))
+
+
 def test_idealiser_membership():
     I = Ideal(RING, [2 * X - 3 * Y - 1], claimed_prime=True)
     assert idealiser_membership(parse_skew("(x)*e", ACT), I, ACT)
@@ -440,6 +532,25 @@ def test_idealiser_membership_builds_one_colon(monkeypatch):
     monkeypatch.undo()
     for outsider in (f"({l2})*g[-1,1]", f"({l1})*g[2,1]", f"({l1})*g[1,0]"):
         assert not idealiser_membership(parse_skew(outsider, ACT), I, ACT), outsider
+
+
+def test_idealiser_membership_of_a_principal_ideal_runs_no_elimination(monkeypatch):
+    """A product of two conics, not proved prime by its class, shares no
+    factor with any of its translates off 0: every component is read by the
+    gcd test, with no difference elimination of (I, I)."""
+    I = Ideal(RING, [(X**2 - 2 * Y**2 - 1) * (X**2 + Y**2 - 5)])
+    calls = []
+    original = noether.difference_ideal
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(noether, "difference_ideal", counting)
+    assert not idealiser_membership(parse_skew("(x)*g[1,0] + (y)*g[0,1] + (1)*g[1,1]", ACT), I, ACT)
+    f = I.gens[0]
+    assert idealiser_membership(parse_skew(f"({f})*g[1,0] + ({f})*g[0,1] + ({f})*g[1,1] + (x)*e", ACT), I, ACT)
+    assert calls == []
 
 
 def test_right_ideal_truncation_sits_inside_graded_ideal():
