@@ -210,9 +210,11 @@ class Lattice:
         return tuple(sum(c * b[i] for c, b in zip(coeffs, self.basis)) for i in range(self.ambient))
 
     def points_in_box(self, radius: int) -> list[GroupElement]:
-        """All lattice elements of sup-norm at most ``radius``, sorted."""
+        """All lattice elements of sup-norm at most ``radius``, sorted (of Z^d, the box walk)."""
         if radius < 0:
             return []
+        if self.rank == self.ambient and all(b[row] == 1 for b, (row, _) in zip(self.basis, self._pivots)):
+            return list(box_walk([radius] * self.ambient))
         columns = [[v[i] for v in self.basis] for i in range(self.ambient)]
         points = map(self.element, box_walk(box_bounds(columns, radius)))
         return sorted(v for v in points if all(abs(x) <= radius for x in v))

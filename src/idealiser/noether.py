@@ -75,8 +75,8 @@ class Analysis:
     Stabiliser K, complement H, effective rank, residue dimension, the two
     flags, primality proved by class, rational point, orbit density, Krull
     dimension, repeated factor, plane-curve class, least integer zero per
-    box, specialised sum test per second ideal and, for a principal I, the
-    gcd test against its translates, each computed on first use;
+    box, specialised sum test per second ideal, section test and, for a
+    principal I, the gcd test against its translates, each on first use;
     ``analysis`` keeps one per action on the ideal.
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
@@ -194,6 +194,15 @@ class Analysis:
         if key not in self._differences:
             self._differences[key] = _sum_test(*difference_ideal(self.I, J, self.act))
         return self._differences[key]
+
+    @cached_property
+    def section(self):
+        """For a reduced basis of affine-linear forms and at most one quadric,
+        the test g -> "I + I^g is proper" (``component_test``); else None."""
+        degrees = [f.degree() for f in self.I.groebner_basis()]
+        if any(e not in (1, 2) for e in degrees) or degrees.count(2) > 1:
+            return None
+        return _section_test(self.I.groebner_basis(), self.act)
 
     @cached_property
     def coprime(self):
@@ -478,6 +487,17 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
       J^g iff f^{-g} lies in J.
     - Left, J = (h) and I flagged prime: likewise iff h^g lies in I.
+    - Left, J = I with dim C/I + dim C/J < n (the Tor rule below), whose
+      reduced basis is affine-linear forms l_i and at most one quadric q:
+      I + I^g = <l_i, l_i^g, q, q - q^g> (``Analysis.section``).  Here
+      l_i^g - l_i = L_i(A g) is a constant, for L_i the linear part of l_i,
+      and q - q^g = -(grad q . A g + q_2(A g)) is affine-linear, for q_2
+      the quadratic part of q.  The basis is reduced, so q holds no leading
+      variable of an l_i, and C/<l_i> is a polynomial ring in the others.
+      So the sum is proper iff every L_i(A g) = 0 and q, restricted to the
+      hyperplane q - q^g = 0, is not a nonzero constant; where that linear
+      form is a constant, iff the constant is 0.  No elimination, translate
+      or sum basis is built.
     - Left otherwise, first: whether I + J^g is proper, from the reduced
       basis G of D = I(x) + J(x + A s) under the block order with the x
       block first, one elimination per pair, kept in the analysis of I.
@@ -530,6 +550,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
         by_dimension = a.dim + b.dim < I.ring.n
+        if by_dimension and a.section is not None and ideal_equal(I, J):
+            return a.section
         proper = a.sum_test(J)
 
         def tor_nonzero(g):
@@ -656,6 +678,42 @@ def _coprime_test(f: Poly, act: TranslationAction):
         return True
 
     return coprime
+
+
+def _section_test(basis: Sequence[Poly], act: TranslationAction):
+    """The section test of ``component_test``, in ints.  For U = act.ints*g
+    = den*A g, L_i(A g) = 0 iff L_i(U) = 0; for Q = q.ints, with Hessian H,
+    linear part b and constant e, den^2*(q^g - q) = a.x + c, for a = den*H U
+    and c = den*b.U + Q_2(U).  With a_j != 0, Q on a.x + c = 0 is Q at
+    x0 + sum t_k w_k, for x0 = -c/a_j e_j and w_k = a_j e_k - a_k e_j; it is
+    the constant Q(x0) iff a_j*grad Q(x0) = a_j*b - c*H e_j and H vanish on
+    every w_k.  Without q, H, b and e are 0, and so is c."""
+    n, den = act.ring.n, act.den
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    linear = [[f.ints.get(m, 0) for m in unit] for f in basis if f.degree() == 1]
+    Q = next((f.ints for f in basis if f.degree() == 2), {})
+    H = [[Q.get(tuple(map(add, unit[k], unit[l])), 0) * (1 + (k == l)) for l in range(n)] for k in range(n)]
+    b, e = [Q.get(m, 0) for m in unit], Q.get((0,) * n, 0)
+
+    def proper(g: GroupElement) -> bool:
+        U = [sum(map(mul, row, g)) for row in act.ints]
+        if any(sum(map(mul, L, U)) for L in linear):
+            return False
+        HU = [sum(map(mul, row, U)) for row in H]
+        a, c = [den * x for x in HU], den * sum(map(mul, b, U)) + sum(map(mul, U, HU)) // 2
+        j = next((k for k in range(n) if a[k]), None)
+        if j is None:
+            return c == 0
+        aj, grad = a[j], [a[j] * b[k] - c * H[k][j] for k in range(n)]
+        constant = all(
+            aj * grad[k] == a[k] * grad[j]
+            and aj * aj * H[k][l] - aj * (a[l] * H[k][j] + a[k] * H[j][l]) + a[k] * a[l] * H[j][j] == 0
+            for k in range(n)
+            for l in range(n)
+        )
+        return not constant or H[j][j] * c * c - 2 * b[j] * c * aj + 2 * e * aj * aj == 0  # 2*a_j^2*Q(x0)
+
+    return proper
 
 
 def _sum_test(E: Sequence[Poly], G: Sequence[Poly]):

@@ -375,6 +375,17 @@ def test_points_in_box_are_the_lattice_points_of_the_box(L):
         assert L.points_in_box(radius) == [v for v in box(L.ambient, radius) if L.contains(v)]
 
 
+@pytest.mark.parametrize(
+    "L",
+    [Lattice.standard(d) for d in (1, 2, 3)]
+    + [Lattice(2, [(2, 1), (1, 1)]), Lattice(3, [(1, 2, 0), (0, 1, 0), (0, 0, -1)])],
+    ids=repr,
+)
+def test_points_in_box_of_the_whole_group_is_the_sorted_box(L):
+    for radius in (0, 1, 3):
+        assert L.points_in_box(radius) == box(L.ambient, radius)
+
+
 # ---------------------------------------------------------- stabilisers
 
 

@@ -47,6 +47,20 @@ GALLERY = {
     "twisted_cubic": (["y - x^2", "z - x^3"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}),
     # the default box 8: a T-set with hundreds of K-cosets
     "space_conic": (["z - 1", "(x-1)^2 - 2*(y+1)^2 - 1"], PRIME, None, {}),
+    # a line, a parabola, and conic3 under a rational action: T-sets of plane sections of
+    # quadrics, the last with den = 2
+    "space_line": (
+        ["x - 1 - 2*(z - 1)", "y + 1 - (z - 1)"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}
+    ),
+    "space_parabola": (
+        ["z - 1 + (x + 1)^2", "y - 1"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}
+    ),
+    "space_conic_rational": (
+        ["z - 1", "(x - 1)^2 - 7*(y + 1)^2 - 1"],
+        PRIME,
+        [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        {"box": 2, "probe_radii": [1, 2]},
+    ),
     # residue field Q(sqrt(2)): maximal, radical, no rational point
     "sqrt2_point": (
         ["x^2 - 2", "y"], {"claimed_maximal": True}, None, {"box": 2, "probe_radii": [1, 2]}
@@ -63,6 +77,7 @@ GALLERY = {
 XYZ = ["x", "y", "z"]
 VARS = {
     "point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ, "sqrt2_one_var": ["x"],
+    "space_line": XYZ, "space_parabola": XYZ, "space_conic_rational": XYZ,
     "one_var_point": ["x"],
 }
 

@@ -771,9 +771,15 @@ def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
     survivors = [g for g in box if meets(g)]
     if J is I:  # a T-set of I against itself tests each pair {g, -g} at its first member
         survivors = [g for k, g in enumerate(survivors) if tuple(-x for x in g) not in survivors[:k]]
-    # the specialised sum test settles every survivor but those it answers None on
     specialised = analysis(I, act).sum_test(J)
-    assert moved == [g for g in survivors if specialised(g) is None]
+    if J is I and analysis(I, act).section is not None:
+        # a line or a plane section of a quadric: the section test settles the
+        # T-set with no translate; the specialised sum test, called directly,
+        # still answers each survivor with the sum's dimension or None
+        assert moved == []
+        assert all(specialised(g) in (None, _sum_dimension(I, J, act, g)) for g in survivors)
+    else:  # it settles every survivor but those it answers None on
+        assert moved == [g for g in survivors if specialised(g) is None]
 
 
 def test_difference_ideals_of_the_space_curves():
@@ -862,9 +868,78 @@ def test_specialised_sum_test_leaves_the_closure_open():
                 assert test(g) == _sum_dimension(I, J, standard, g), g
 
 
+def _section_ideal(rng, ring):
+    """Up to n - 1 random affine-linear forms, and one of: no quadric, a
+    random quadric whose few monomials often leave its Hessian singular, or
+    a pair of parallel hyperplanes (v.x - r)(v.x - s), whose translates meet
+    it only at some lengths of a move, so that its T-set is no cone."""
+    n = ring.n
+
+    def form(coefficients):
+        support = rng.sample(range(n), rng.randint(1, n))
+        return sum((rng.choice(coefficients) * ring.var(i) for i in support), ring.const(0))
+
+    quadrics = [m for m in itertools.product(range(3), repeat=n) if sum(m) == 2]
+    gens = [form((-2, -1, 1, 2)) + rng.randint(-2, 2) for _ in range(rng.randint(0, n - 1))]
+    kind = rng.randrange(3)
+    if kind == 1:
+        terms = {m: rng.choice((-3, -1, 1, 2)) for m in rng.sample(quadrics, rng.randint(1, 2))}
+        for i in rng.sample(range(n), rng.randint(0, 2)):
+            terms[tuple(int(i == j) for j in range(n))] = rng.choice((-1, 1, 2))
+        terms[(0,) * n] = rng.randint(-2, 2)
+        gens.append(Poly(ring, terms))
+    elif kind == 2:
+        v = form((-1, 1))
+        gens.append((v - rng.randint(-2, 2)) * (v - rng.randint(-2, 2)))
+    return Ideal(ring, gens or [ring.var(0) - 1])
+
+
+def test_section_test_agrees_with_the_sum_basis():
+    """``Analysis.section`` against brute force, not ideal_sum(I, I^g).is_unit_ideal(),
+    on random ideals of affine-linear forms and at most one quadric in 2 to 4
+    variables, under grevlex and lex, and the standard, a rank-deficient and a
+    rational action; ideals whose reduced basis is outside that class get None."""
+    rng = random.Random(2026)
+    seen = {"proper": 0, "unit": 0, "proper off 0": 0, "outside": 0}
+    for n in (2, 3, 4):
+        for order in (MonomialOrder.grevlex(n), MonomialOrder.lex(n)):
+            ring = PolyRing(("x", "y", "z", "w")[:n], order)
+            x = ring.var
+            column = [rng.choice((0, 1, -1, 2)) for _ in range(n)]
+            actions = [
+                TranslationAction.standard(ring),
+                TranslationAction(ring, [[c, 2 * c] for c in column]),  # rank at most 1
+                TranslationAction(ring, [[rng.choice((0, 1, "1/2", "-1/2")) for _ in range(n)] for _ in range(n)]),
+            ]
+            outside = [
+                Ideal(ring, [x(0) * x(1) - 1, x(0) ** 2 - x(1)]),  # two quadrics in its basis
+                Ideal(ring, [x(1) - x(0) ** 3]),
+                Ideal(ring, [x(0), x(0) - 1]),  # the unit ideal
+            ]
+            for act in actions:
+                for I in outside:
+                    assert analysis(I, act).section is None
+                    seen["outside"] += 1
+                for _ in range(8):
+                    I = _section_ideal(rng, ring)
+                    degrees = sorted(f.degree() for f in I.groebner_basis())
+                    section = analysis(I, act).section
+                    if not set(degrees) <= {1, 2} or degrees.count(2) > 1:
+                        assert section is None, I.groebner_basis()
+                        seen["outside"] += 1
+                        continue
+                    for g in Lattice.standard(act.d).points_in_box(2 if n == 2 else 1):
+                        expected = _proper_sum(I, I, act, g)
+                        assert section(g) == expected, (I.groebner_basis(), act.matrix, g)
+                        seen["proper" if expected else "unit"] += 1
+                        seen["proper off 0"] += expected and any(act.translation(g))
+    assert sum(seen.values()) > 2000 and all(seen.values()), seen
+
+
 def test_analyze_eliminates_each_pair_once(tmp_path, capsys, monkeypatch):
-    """A space conic with no integer zero is its own left probe target, so
-    the T-set and the left growth probe test the same pair (I, I)."""
+    """A space curve with no integer zero is its own left probe target, so
+    the T-set and the left growth probe test the same pair (I, I).  Its
+    reduced basis is three quadrics, so no section test settles the pair."""
     import idealiser.noether as noether
     from idealiser.cli import main
 
@@ -874,9 +949,9 @@ def test_analyze_eliminates_each_pair_once(tmp_path, capsys, monkeypatch):
     )
     cfg = {
         "ring": {"vars": ["x", "y", "z"]},
-        "ideal": {"generators": ["2*z - 1", "x^2 - 2*y^2 - 1"], "claimed_prime": True},
+        "ideal": {"generators": ["2*y - 2*x^2 - 1", "z - x^3"], "claimed_prime": True},
     }
-    path = tmp_path / "conic.json"
+    path = tmp_path / "curve.json"
     path.write_text(json.dumps(cfg))
     assert main(["analyze", "--box", "2", "-c", str(path)]) == 2  # a side is undecided
     assert "left noetherian: unknown" in capsys.readouterr().out
