@@ -23,13 +23,7 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .diophantine import ZeroTest
-from .groebner import (
-    Ideal,
-    ResourceLimitError,
-    _fresh_aux_name,
-    eliminate,
-    ideal_equal,
-)
+from .groebner import Ideal, ResourceLimitError, ideal_equal
 from .normalforms import box_bounds, column_hermite, kernel_basis, smith_normal_form
 from .poly import Poly, PolyRing
 
@@ -89,28 +83,6 @@ def act_on_ideal(I: Ideal, g: GroupElement, act: TranslationAction) -> Ideal:
         claimed_prime=I.claimed_prime,
         claimed_maximal=I.claimed_maximal,
     )
-
-
-def difference_ideal(
-    I: Ideal, J: Ideal, act: TranslationAction
-) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """The reduced basis of E = (I(x) + J(x + A s)) cap Q[s_1..s_d], in the
-    variables s under grevlex, and the reduced basis of D = I(x) +
-    J(x + A s) it is cut from, in the variables x and then s under
-    _ElimOrder with the x block first: one ``eliminate`` of the x block.
-    V(E) is the Zariski closure of the s in C^d with A s in V(J) - V(I)."""
-    ring, n, d = I.ring, I.ring.n, act.d
-    aux = _fresh_aux_name(ring)
-    ext = PolyRing(ring.variables + tuple(f"{aux}{j}" for j in range(d)))
-    pad = (0,) * d
-    unit = [tuple(int(i == j) for j in range(n + d)) for i in range(n + d)]
-    moved = [
-        Poly.from_ints(ext, 1, act.den, {unit[i]: act.den, **{unit[n + j]: a for j, a in enumerate(row)}})
-        for i, row in enumerate(act.ints)
-    ]
-    raw = [Poly.from_ints(ext, f.num, f.den, {m + pad: c for m, c in f.ints.items()}) for f in I.gens]
-    raw += [h.compose(moved) for h in J.gens]
-    return eliminate(raw, n, PolyRing(ext.variables[n:]))
 
 
 def box_walk(

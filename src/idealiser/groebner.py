@@ -287,22 +287,20 @@ def _fresh_aux_name(ring: PolyRing) -> str:
     return name
 
 
-def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+def eliminate(raw: Sequence[Poly], block: int, ring: PolyRing) -> tuple[Poly, ...]:
     """The reduced basis of <raw> cap ``ring``, for nonempty ``raw`` in a
-    ring with ``block`` more variables, first, and the whole reduced basis
-    it is cut from.  Moved into a ring under _ElimOrder(block, ring.order),
-    ``raw`` has a reduced basis whose part free of them generates it (Cox,
-    Little and O'Shea, IVA, section 3.1).  On that part the block order is
-    ``ring``'s, so it is monic, inter-reduced and, coming last, in
-    descending order."""
+    ring with ``block`` more variables, first.  Moved into a ring under
+    _ElimOrder(block, ring.order), ``raw`` has a reduced basis whose part
+    free of them generates it (Cox, Little and O'Shea, IVA, section 3.1).
+    On that part the block order is ``ring``'s, so it is monic,
+    inter-reduced and, coming last, in descending order."""
     elim = PolyRing(raw[0].ring.variables, _ElimOrder(block, ring.order))
     basis = reduced_groebner_basis([Poly.from_ints(elim, p.num, p.den, p.ints) for p in raw])
-    part = tuple(
+    return tuple(
         Poly.from_ints(ring, p.num, p.den, {m[block:]: c for m, c in p.ints.items()})
         for p in basis
         if not any(any(m[:block]) for m in p.ints)
     )
-    return part, basis
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -317,7 +315,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         return Poly.from_ints(ext, p.num, p.den, {(e,) + m: c for m, c in p.ints.items()})
 
     raw = [lift(f, 1) for f in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
-    result = Ideal(ring, eliminate(raw, 1, ring)[0])
+    result = Ideal(ring, eliminate(raw, 1, ring))
     result._gb = result.gens
     return result
 
@@ -368,8 +366,7 @@ class Colon:
     kept in ``outside`` (True when they return J): the caller vouches that
     an automorphism of C maps the one sum J + L onto the other, so that
     both are <1> or neither is, and both have the same dimension.  A caller
-    that knows the dimension d of a sum may store ``settles(d)`` under its
-    key first."""
+    that knows the sums return J may store True under its key first."""
 
     def __init__(self, J: Ideal):
         self.J = J
@@ -386,7 +383,8 @@ class Colon:
         if key in self.outside:
             outside = self.outside[key]
         else:
-            outside = self.settles(krull_dimension(Ideal(ring, J.groebner_basis() + L.gens)))
+            dim = krull_dimension(Ideal(ring, J.groebner_basis() + L.gens))
+            outside = dim < 0 or (self.principal and dim <= ring.n - 2)
             if key is not None:
                 self.outside[key] = outside
         if outside:
@@ -397,11 +395,6 @@ class Colon:
             colon_f = Ideal(ring, [exact_divide(g, f) for g in meet.gens])
             result = colon_f if result is None else ideal_intersect(result, colon_f)
         return result
-
-    def settles(self, dim: int) -> bool:
-        """Whether the two sum checks return J for a sum J + L of dimension
-        ``dim``, -1 for <1>."""
-        return dim < 0 or (self.principal and dim <= self.J.ring.n - 2)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
@@ -454,16 +447,12 @@ def dimension_probe(I: Ideal, bound: int = 8) -> DimensionProbe:
 
 
 def krull_dimension(I: Ideal) -> int:
-    """dim C/I, read off the leading monomials of the cached basis."""
-    return initial_dimension([g.leading_monomial() for g in I.groebner_basis()], I.ring.n)
-
-
-def initial_dimension(leading: Iterable[tuple[int, ...]], n: int) -> int:
-    """dim C/I for an I with a Groebner basis of these ``leading`` monomials
-    in n variables: the size of the largest set of variables that contains
-    the support of no leading monomial, which is dim C/in(I) = dim C/I; -1
-    for the unit ideal.  Sets of variables are bit masks."""
-    supports = [sum(1 << i for i, e in enumerate(m) if e) for m in leading]
+    """dim C/I, read off the leading monomials of the cached basis: the size
+    of the largest set of variables that contains the support of no leading
+    monomial, which is dim C/in(I) = dim C/I; -1 for the unit ideal.  Sets
+    of variables are bit masks."""
+    n = I.ring.n
+    supports = [sum(1 << i for i, e in enumerate(g.leading_monomial()) if e) for g in I.groebner_basis()]
     return max((free.bit_count() for free in range(1 << n) if all(s & ~free for s in supports)), default=-1)
 
 

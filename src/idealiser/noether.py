@@ -34,7 +34,6 @@ from .action import (
     apply_action,
     box_walk,
     complement,
-    difference_ideal,
     effective_directions,
     stabiliser,
 )
@@ -56,10 +55,8 @@ from .groebner import (
     ideal_intersect,
     ideal_product,
     ideal_sum,
-    initial_dimension,
     is_radical,
     krull_dimension,
-    normal_form,
     rational_point_of,
     unit_ideal,
 )
@@ -75,8 +72,8 @@ class Analysis:
     Stabiliser K, complement H, effective rank, residue dimension, the two
     flags, primality proved by class, rational point, orbit density, Krull
     dimension, repeated factor, plane-curve class, least integer zero per
-    box, specialised sum test per second ideal, section test and, for a
-    principal I, the gcd test against its translates, each on first use;
+    box, section test and, for a principal I, the gcd test against its
+    translates, each on first use;
     ``analysis`` keeps one per action on the ideal.
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
@@ -101,7 +98,6 @@ class Analysis:
         self.I = I
         self.act = act
         self._anchors: dict[int, tuple[int, ...] | None] = {}
-        self._differences: dict = {}
 
     @cached_property
     def K(self) -> Lattice:
@@ -184,16 +180,6 @@ class Analysis:
         if box not in self._anchors:
             self._anchors[box] = next(box_walk([box] * self.I.ring.n, zero_test(self.I.gens)), None)
         return self._anchors[box]
-
-    def sum_test(self, J: Ideal):
-        """The test g -> None | dim C/(I + J^g), -1 for the unit ideal,
-        specialised from the one elimination of (I, J) under the action
-        (``component_test``), keyed by the reduced basis of J (monic, so its
-        integer parts determine it), so that every test against J shares one."""
-        key = tuple(frozenset(g.ints.items()) for g in J.groebner_basis())
-        if key not in self._differences:
-            self._differences[key] = _sum_test(*difference_ideal(self.I, J, self.act))
-        return self._differences[key]
 
     @cached_property
     def section(self):
@@ -498,23 +484,6 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       hyperplane q - q^g = 0, is not a nonzero constant; where that linear
       form is a constant, iff the constant is 0.  No elimination, translate
       or sum basis is built.
-    - Left otherwise, first: whether I + J^g is proper, from the reduced
-      basis G of D = I(x) + J(x + A s) under the block order with the x
-      block first, one elimination per pair, kept in the analysis of I.
-      Setting s = g maps D onto I + J^g.  The x-free part of G is the
-      difference ideal E = D cap Q[s_1..s_d].  A proper I + J^g has a zero
-      x on V(I) with x + A g on V(J), so g lies on V(E); off V(E) the sum
-      is <1> (dimension -1), so Tor_1 = 0 as below.  On V(E), let G' be
-      the elements whose leading coefficient in x, a polynomial in s, is
-      nonzero at g.  If every other element, set to g, reduces to 0 modulo
-      G' set to g, then G' set to g is a Groebner basis of I + J^g
-      (Kalkbrener, On the stability of Groebner bases under
-      specializations, J. Symbolic Comput. 24, 1997).  It holds no
-      constant, so the sum is proper, and the leading x-monomials of G'
-      give its dimension.  Otherwise the test is None, and the sum basis
-      of J^g decides.  None is needed, as V(E) is only the closure of the
-      g with a proper sum: for <xy - 1, z> against <x, z>, E = <s_3>, yet
-      at g = (0, k, 0) the sum is <1>.
     - Left, dim C/I + dim C/J < n: Tor_1(C/I, C/J^g) != 0 iff I + J^g != C.
       If the sum is the unit ideal, I cap J^g = I*J^g and Tor_1 = 0.
       Otherwise localise at a maximal ideal m over I + J^g: C_m is regular
@@ -523,8 +492,7 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       Illinois J. Math. 10, 1966), and Auslander's depth formula would give
       depth C_m/I + depth C_m/J^g = n + depth(C_m/I tensor C_m/J^g) >= n,
       which the dimensions rule out.  Translations keep dimensions, so each
-      ideal's dimension is computed once, in its analysis, and a proper
-      specialised sum needs no translate.
+      ideal's dimension is computed once, in its analysis.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
     - Right otherwise: containment (J prime), or whether the colon
@@ -552,14 +520,10 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         by_dimension = a.dim + b.dim < I.ring.n
         if by_dimension and a.section is not None and ideal_equal(I, J):
             return a.section
-        proper = a.sum_test(J)
 
         def tor_nonzero(g):
-            dim = proper(g)
-            if dim is not None and (dim < 0 or by_dimension):
-                return dim >= 0
             Jg = act_on_ideal(J, g, act)
-            if dim is None and ideal_sum(I, Jg).is_unit_ideal():
+            if ideal_sum(I, Jg).is_unit_ideal():
                 return False
             return by_dimension or not tor1_is_zero(I, Jg)
 
@@ -589,11 +553,8 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
     - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
       so the two sums are both <1> or neither is, and they have the same
       dimension.  So ``Colon``'s two sum checks settle a pair {g, -g} at
-      once, at its first member.  When I is not principal, the pair's sum
-      is specialised from the one elimination of (I, I) under the action
-      (``Analysis.sum_test``), which gives its dimension with no I^g.  Only
-      where that test answers None does the pair build one sum basis; when
-      the sum returns J, the second member of the pair is J with no I^g.
+      once, at its first member, from one sum basis; when the sum returns
+      J, the second member of the pair is J with no I^g.
     - J = I = (f): C is a UFD, so (f : f^g) = (f / gcd(f, f^g)), which is J
       exactly when f and f^g share no factor.  A pair is J with no I^g, sum
       or elimination when univariate gcds certify that h = gcd(f, f^g) is
@@ -627,14 +588,8 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
         if K is None:
             return colon(act_on_ideal(I, g, act))
         pair = min(g, tuple(-x for x in g))
-        if pair not in colon.outside:
-            if colon.principal:
-                if a.coprime(g):
-                    colon.outside[pair] = True
-            else:
-                dim = a.sum_test(I)(g)
-                if dim is not None:
-                    colon.outside[pair] = colon.settles(dim)
+        if pair not in colon.outside and colon.principal and a.coprime(g):
+            colon.outside[pair] = True
         if colon.outside.get(pair):
             return J
         return colon(act_on_ideal(I, g, act), contained=False, key=pair)
@@ -712,50 +667,6 @@ def _section_test(basis: Sequence[Poly], act: TranslationAction):
             for l in range(n)
         )
         return not constant or H[j][j] * c * c - 2 * b[j] * c * aj + 2 * e * aj * aj == 0  # 2*a_j^2*Q(x0)
-
-    return proper
-
-
-def _sum_test(E: Sequence[Poly], G: Sequence[Poly]):
-    """The specialised sum test of ``component_test``, compiled from the
-    basis E of the difference ideal and the whole basis G of D that E was
-    cut from (``difference_ideal``): per element of G outside E, its
-    leading x-monomial and its terms as (x-monomial, int coefficient,
-    factors in s).  At g it evaluates in ints and builds Polys, in the ring
-    of G with s = 0, only when some element must be reduced.  It returns
-    None or dim C/(I + J^g), -1 for the unit ideal; the dimension when
-    every element keeps its leading x-monomial is read once."""
-    meets = zero_test(E)
-    ring = G[0].ring
-    n = ring.order.block
-    pad = (0,) * (ring.n - n)
-    rows = [
-        (p.leading_monomial()[:n], [(m[:n], c, [(j, e) for j, e in enumerate(m[n:]) if e]) for m, c in p.ints.items()])
-        for p in G
-        if any(p.leading_monomial()[:n])
-    ]
-    generic = initial_dimension([top for top, _ in rows], n)
-
-    def proper(g: GroupElement) -> int | None:
-        if not meets(g):
-            return -1
-        tops, kept, rest = [], [], []
-        for top, terms in rows:
-            at: dict = {}
-            for mono, v, factors in terms:
-                for j, e in factors:
-                    v *= g[j] ** e
-                at[mono] = at.get(mono, 0) + v
-            if at[top]:
-                tops.append(top)
-                kept.append(at)
-            elif any(at.values()):
-                rest.append(at)
-        if rest:
-            polys = [Poly.from_ints(ring, 1, 1, {m + pad: v for m, v in at.items()}) for at in kept + rest]
-            if not all(normal_form(r, polys[: len(kept)]).is_zero for r in polys[len(kept) :]):
-                return None
-        return generic if len(kept) == len(rows) else initial_dimension(tops, n)
 
     return proper
 

@@ -120,6 +120,13 @@ for _name in ("conic_product", "cusp"):
     CASES[f"quotient-table-{_name}"] = (_name, ["quotient-table", "--box", "2"])
     CASES[f"quotient-table-{_name}-json"] = (_name, ["quotient-table", "--box", "2", "--json"])
 CASES["member-conic_product-no"] = ("conic_product", ["member", "(x)*g[1,0] + (y)*g[0,1] + (1)*g[1,1]"])
+# non-principal tables that are not point-primary: each pair {g, -g} off K builds one sum basis
+GALLERY["space_quadrics"] = (["x*y - z^2 + 1", "x^2 + y*z - 2"], {}, None, {"box": 1})
+VARS["space_quadrics"] = XYZ
+for _name in ("twisted_cubic", "space_quadrics"):
+    CASES[f"quotient-table-{_name}"] = (_name, ["quotient-table", "--box", "1"])
+    CASES[f"quotient-table-{_name}-json"] = (_name, ["quotient-table", "--box", "1", "--json"])
+CASES["member-space_quadrics-no"] = ("space_quadrics", ["member", "(x)*g[1,0,0] + (y)*g[0,1,0]"])
 
 
 def _config(name: str) -> dict:

@@ -1,6 +1,5 @@
 import importlib.util
 import itertools
-import json
 import math
 import random
 import sys
@@ -16,7 +15,6 @@ from idealiser import (
     MonomialOrder,
     Poly,
     PolyRing,
-    ResourceLimitError,
     TranslationAction,
     act_on_ideal,
     complement,
@@ -30,7 +28,6 @@ from idealiser import (
     ideal_intersect,
     ideal_product,
     ideal_sum,
-    krull_dimension,
     quotient_table,
     s_set_box,
     stabiliser,
@@ -40,10 +37,11 @@ from idealiser import (
     unit_ideal,
 )
 from idealiser import groebner, noether
-from idealiser.action import box_walk, difference_ideal
+from idealiser.action import box_walk
 from idealiser.groebner import Colon
 from idealiser.diophantine import zero_test
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
+from idealiser.poly import _ElimOrder
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -709,7 +707,7 @@ def test_conic3_t_set_needs_no_intersection(monkeypatch):
     assert report.members and calls == []
 
 
-# ---------------------------------------------------- difference variety
+# ---------------------------------------------------- space curves
 
 LINE3 = Ideal(R3, [X3 - 1 - 2 * (Z3 - 1), Y3 + 1 - (Z3 - 1)], claimed_prime=True)
 CONIC3 = Ideal(R3, [Z3 - 1, (X3 - 1) ** 2 - 2 * (Y3 + 1) ** 2 - 1], claimed_prime=True)
@@ -717,7 +715,7 @@ PARABOLA3 = Ideal(R3, [Z3 + 1 - (X3 - 1) ** 2, Y3 - 1], claimed_prime=True)
 TWISTED3 = Ideal(R3, [Y3 - X3**2, Z3 - X3**3], claimed_prime=True)
 
 
-def _difference_cases():
+def _curve_pairs():
     """(label, I, J, act): the four space curves against themselves under
     the standard action, a pair under a rational A, and pairs with d != n;
     none reaches the point or principal rules of ``component_test``."""
@@ -727,7 +725,7 @@ def _difference_cases():
     ]:
         yield label, C, C, standard
     # the x-axis meets a translate of the twisted cubic at t = 0, and at
-    # t = +-1 when g_2 = -2, as the y-move is halved: E = <y^3 + 8*z^2>
+    # t = +-1 when g_2 = -2, as the y-move is halved
     x_axis = Ideal(R3, [Y3, Z3], claimed_prime=True)
     rational = TranslationAction(R3, [[1, 0, 0], [0, "1/2", 0], [0, 0, 1]])
     yield "rational", TWISTED3, x_axis, rational
@@ -742,25 +740,20 @@ def _proper_sum(I, J, act, g):
     return not ideal_sum(I, act_on_ideal(J, g, act)).is_unit_ideal()
 
 
-def _sum_dimension(I, J, act, g):
-    """dim C/(I + J^g) from the sum basis, -1 for the unit ideal."""
-    return krull_dimension(ideal_sum(I, act_on_ideal(J, g, act)))
-
-
-@pytest.mark.parametrize("label", [case[0] for case in _difference_cases()])
+@pytest.mark.parametrize("label", [case[0] for case in _curve_pairs()])
 def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
+    """The T-set is the g with a proper sum I + J^g, by brute force.  A
+    section settles it with no translate; any other pair builds J^g once per
+    g, and a T-set of I against itself once per pair {g, -g}, at its first
+    member in box order."""
     import idealiser.noether as noether
 
-    _, I, J, act = next(case for case in _difference_cases() if case[0] == label)
-    meets = zero_test(difference_ideal(I, J, act)[0])
+    _, I, J, act = next(case for case in _curve_pairs() if case[0] == label)
     radius = 2 if act.d < 4 else 1
     box = Lattice.standard(act.d).points_in_box(radius)
     proper = [g for g in box if _proper_sum(I, J, act, g)]
-    assert proper and all(meets(g) for g in proper)
-    assert any(not meets(g) for g in box)  # the filter rejects something
-    # every curve pair here has dim C/I + dim C/J < n, so the T-set is the
-    # proper sums; only the survivors of the filter that the specialised sum
-    # test leaves open are translated
+    assert proper and len(proper) < len(box)
+    # every curve pair here has dim C/I + dim C/J < n, so the T-set is the proper sums
     assert analysis(I, act).dim + analysis(J, act).dim < I.ring.n
     moved = []
     monkeypatch.setattr(
@@ -768,104 +761,34 @@ def test_difference_filter_keeps_every_proper_sum(label, monkeypatch):
     )
     report = t_set_box(I, J, Lattice.standard(act.d), radius, act)
     assert list(report.members) == proper
-    survivors = [g for g in box if meets(g)]
-    if J is I:  # a T-set of I against itself tests each pair {g, -g} at its first member
-        survivors = [g for k, g in enumerate(survivors) if tuple(-x for x in g) not in survivors[:k]]
-    specialised = analysis(I, act).sum_test(J)
-    if J is I and analysis(I, act).section is not None:
-        # a line or a plane section of a quadric: the section test settles the
-        # T-set with no translate; the specialised sum test, called directly,
-        # still answers each survivor with the sum's dimension or None
+    if J is I and analysis(I, act).section is not None:  # a line or a plane section of a quadric
         assert moved == []
-        assert all(specialised(g) in (None, _sum_dimension(I, J, act, g)) for g in survivors)
-    else:  # it settles every survivor but those it answers None on
-        assert moved == [g for g in survivors if specialised(g) is None]
+    elif J is I:
+        assert moved == [g for k, g in enumerate(box) if tuple(-x for x in g) not in box[:k]]
+    else:
+        assert moved == box
 
 
-def test_difference_ideals_of_the_space_curves():
-    """E for each space curve against itself, in the ring's own variables
-    (s_1, s_2, s_3 written x, y, z): the line's direction (2, 1, 1), the
-    directions of the conic's plane z = 1 and of the parabola's plane y = 1,
-    and the twisted cubic's differences (u - t, u^2 - t^2, u^3 - t^3)."""
-    standard = TranslationAction.standard(R3)
-    expected = {
-        "line": [X3 - 2 * Z3, Y3 - Z3],
-        "conic": [Z3],
-        "parabola": [Y3],
-        "twisted": [X3**4 + 3 * Y3**2 - 4 * X3 * Z3],
-    }
-    for label, I, J, act in _difference_cases():
-        if act == standard:
-            E = difference_ideal(I, J, act)[0]
-            assert [p.terms for p in E] == [q.terms for q in expected[label]], label
-    # V(E) is only the closure of the differences: (0, 0, 1) lies on the
-    # twisted cubic's V(E), yet no two points of the curve differ by it
-    assert zero_test(difference_ideal(TWISTED3, TWISTED3, standard)[0])((0, 0, 1))
-    assert not _proper_sum(TWISTED3, TWISTED3, standard, (0, 0, 1))
+def test_left_route_of_a_quadric_pair_runs_no_elimination(monkeypatch):
+    """Two ideals of quadrics with dim C/I + dim C/J = 2 < 3, whose
+    elimination of I(x) + J(x + A s) runs past a minute although the pair
+    budget is set: the T-set reads each sum I + J^g from its own basis, so
+    it is the proper sums of the box, found with no elimination at all."""
+    original = groebner.reduced_groebner_basis
 
+    def refusing(gens):  # an elimination runs in a ring under the block order
+        assert not (gens and isinstance(gens[0].ring.order, _ElimOrder)), "an elimination ran"
+        return original(gens)
 
-def _small_poly(rng, ring):
-    """A random linear or quadric polynomial with small integer coefficients."""
-    degree = rng.choice((1, 2))
-    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.n) if 0 < sum(m) <= degree]
-    terms = {m: rng.choice((-2, -1, 1, 1, 2)) for m in rng.sample(monos, rng.randint(1, 2))}
-    terms[(0,) * ring.n] = rng.randint(-2, 2)
-    return Poly(ring, terms)
-
-
-def test_specialised_sum_test_agrees_with_the_sum_basis():
-    """An answer of the specialised test other than None is the dimension
-    of I + J^g read off its basis, -1 for the unit ideal, for random pairs
-    under the standard, a rank-deficient and a rational diagonal action;
-    None leaves the sum to its basis."""
-    R2 = PolyRing(("x", "y"))
-    actions = [
-        TranslationAction.standard(R2),
-        TranslationAction(R2, [["1/2", 0], [0, 1]]),
-        TranslationAction.standard(R3),
-        TranslationAction(R3, [[1, 0], [0, 1], [1, 1]]),
-        TranslationAction(R3, [["1/2", 0, 0], [0, 1, 0], [0, 0, "1/3"]]),
-    ]
-    rng = random.Random(2026)
-    answers = {"unit": 0, "proper": 0, None: 0}
-    token = groebner.PAIR_LIMIT.set(200)
-    try:
-        for k in range(100):
-            act = actions[k % len(actions)]
-            I, J = (Ideal(act.ring, [_small_poly(rng, act.ring) for _ in range(act.ring.n - 1)]) for _ in "IJ")
-            try:
-                proper = analysis(I, act).sum_test(J)
-                for g in Lattice.standard(act.d).points_in_box(1):
-                    answer = proper(g)
-                    answers[answer if answer is None else "unit" if answer < 0 else "proper"] += 1
-                    if answer is not None:
-                        assert answer == _sum_dimension(I, J, act, g), (I, J, act, g)
-            except ResourceLimitError:
-                pass
-    finally:
-        groebner.PAIR_LIMIT.reset(token)
-    assert all(answers.values()), answers
-
-
-def test_specialised_sum_test_leaves_the_closure_open():
-    """V(E) is only the closure of the g with a proper sum, so on some of
-    its points the criterion fails: for <xy - 1, z> against <x, z>, E is
-    <s_3>, and at (0, k, 0) the sum is <1>; for a conic in the plane z = -1
-    against itself, the sum at (0, k, 0) with k != 0 is proper.  None
-    answers exactly there, and every other answer is the dimension of the
-    sum."""
-    standard = TranslationAction.standard(R3)
-    hyperbola = Ideal(R3, [X3 * Y3 - 1, Z3])
-    conic = Ideal(R3, [Z3 + 1, X3**2 - 6 * Y3**2 - 1])
-    for I, J, proper_there in [(hyperbola, Ideal(R3, [X3, Z3]), False), (conic, conic, True)]:
-        test = analysis(I, standard).sum_test(J)
-        for g in Lattice.standard(3).points_in_box(2):
-            open_there = g[0] == g[2] == 0 and (g[1] != 0 or not proper_there)
-            assert (test(g) is None) == open_there, g
-            if open_there:
-                assert _proper_sum(I, J, standard, g) == proper_there, g
-            else:
-                assert test(g) == _sum_dimension(I, J, standard, g), g
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", refusing)
+    I = Ideal(R3, [-2 * X3 * Y3 - 2 * X3 * Z3 + 2, 2 * X3 * Y3 + Z3**2 + 1])
+    J = Ideal(R3, [-(X3**2) - Y3 - 1, Y3**2])
+    act = TranslationAction.standard(R3)
+    assert analysis(I, act).dim + analysis(J, act).dim < R3.n
+    box = Lattice.standard(3).points_in_box(1)
+    report = t_set_box(I, J, Lattice.standard(3), 1, act)
+    assert list(report.members) == [g for g in box if _proper_sum(I, J, act, g)]
+    assert report.members == ((0, 0, -1), (0, 0, 0), (0, 0, 1))
 
 
 def _section_ideal(rng, ring):
@@ -934,28 +857,6 @@ def test_section_test_agrees_with_the_sum_basis():
                         seen["proper" if expected else "unit"] += 1
                         seen["proper off 0"] += expected and any(act.translation(g))
     assert sum(seen.values()) > 2000 and all(seen.values()), seen
-
-
-def test_analyze_eliminates_each_pair_once(tmp_path, capsys, monkeypatch):
-    """A space curve with no integer zero is its own left probe target, so
-    the T-set and the left growth probe test the same pair (I, I).  Its
-    reduced basis is three quadrics, so no section test settles the pair."""
-    import idealiser.noether as noether
-    from idealiser.cli import main
-
-    calls = []
-    monkeypatch.setattr(
-        noether, "difference_ideal", lambda I, J, act: calls.append(J) or difference_ideal(I, J, act)
-    )
-    cfg = {
-        "ring": {"vars": ["x", "y", "z"]},
-        "ideal": {"generators": ["2*y - 2*x^2 - 1", "z - x^3"], "claimed_prime": True},
-    }
-    path = tmp_path / "curve.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["analyze", "--box", "2", "-c", str(path)]) == 2  # a side is undecided
-    assert "left noetherian: unknown" in capsys.readouterr().out
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -279,11 +279,10 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     when J = I = (f), it runs no difference elimination: the first member of
     each pair {g, -g} asks the gcd test, which never passes where f and f^g
     share a factor, and a sum basis and I^g are built only at pairs that
-    test leaves open.  When J = I is not principal, it runs one difference
-    elimination, the first member of each pair asks the specialised sum
-    test, and a sum basis and I^g are built only where that test answers
-    None; otherwise one sum basis per entry that reaches the sum.  Every
-    entry of the general route still eliminates."""
+    test leaves open.  When J = I is not principal, it runs no difference
+    elimination either, and the first member of each pair builds I^g and
+    the pair's one sum basis; otherwise one sum basis per entry that reaches
+    the sum.  Every entry of the general route still eliminates."""
     translated = []  # the g of every I^g that the table builds
     bases = []  # (g of the last I^g built, gens) of every basis computed
     original_act, original_basis = noether.act_on_ideal, groebner.reduced_groebner_basis
@@ -302,7 +301,7 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     def difference(gens, ring):  # in the variables x and then s; an intersection puts its own first
         return eliminates(gens) and gens[0].ring.variables[: ring.n] == ring.variables
 
-    seen, proved, principal = set(), set(), set()
+    seen, proved, principal, nonprincipal = set(), set(), set(), set()
     for label, J, I, act, box, p in _table_cases(random.Random(20)):
         moved = {g: act_on_ideal(I, g, act) for g in box_walk([box] * act.d)}
         expected = {g: Colon(J)(L) for g, L in moved.items()}
@@ -351,19 +350,12 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             principal.add(label)
             seen.update("coprime" for g in reach if first[g] not in left_open)
         else:
-            # one elimination for the table, then, at the first member of
-            # each pair, the dimension of the sum or None; a sum basis only
-            # where None, and I^g there and on the general route
-            assert differences == (1 if reach else 0), label
-            specialised = analysis(I, act).sum_test(I)
-            dims = {first[g]: specialised(first[g]) for g in reach}
-            for g, dim in dims.items():
-                if dim is not None:
-                    assert dim == krull_dimension(ideal_sum(J, moved[g])), (label, g)
-            assert sums == sorted(g for g, dim in dims.items() if dim is None), label
-            built = [g for g in reach if branch[g] == "general" or (g == first[g] and dims[g] is None)]
-            assert translated == built, label
-            seen.update("specialised" for dim in dims.values() if dim is not None)
+            # no elimination; I^g and one sum basis at the first member of
+            # each pair, and I^g on the general route
+            assert not differences, label
+            assert sums == [g for g in reach if g == first[g]], label
+            assert translated == [g for g in reach if branch[g] == "general" or g == first[g]], label
+            nonprincipal.add(label)
         # every entry of the general route eliminates, in its own translate
         eliminated = {g for g, gens in bases if eliminates(gens) and not difference(gens, J.ring)}
         assert eliminated == {g for g in moved if branch[g] == "general"}, label
@@ -374,10 +366,11 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             seen.update("mirror" for g in reach if g != first[g])
         if p is not None and label not in proved and any(branch[g] == "point" for g in moved):
             seen.add("zero test")
-    kinds = {"stabiliser", "zero test", "mirror", "coprime", "specialised", "contained", "comaximal", "principal", "general"}
+    kinds = {"stabiliser", "zero test", "mirror", "coprime", "contained", "comaximal", "principal", "general"}
     assert kinds <= seen, seen
     assert proved == {"line", "line, other generators", "point", "pell", "rational action, point"}
     assert principal == {"two lines", "two lines, one stabilised", "double line", "lex", "(x - 3)^2"}
+    assert nonprincipal == {"fat point", "lex point", "three variables"}
 
 
 def _fuzz_ideal(rng, ring):
@@ -537,20 +530,39 @@ def test_idealiser_membership_builds_one_colon(monkeypatch):
 def test_idealiser_membership_of_a_principal_ideal_runs_no_elimination(monkeypatch):
     """A product of two conics, not proved prime by its class, shares no
     factor with any of its translates off 0: every component is read by the
-    gcd test, with no difference elimination of (I, I)."""
-    I = Ideal(RING, [(X**2 - 2 * Y**2 - 1) * (X**2 + Y**2 - 5)])
-    calls = []
-    original = noether.difference_ideal
+    gcd test, with no elimination and no translate.  Two space quadrics,
+    neither principal nor prime by their class, meet their translates by
+    (1, 0, 0) and (0, 1, 1) in the unit ideal: each component tested off K
+    builds its translate and one sum basis, and no elimination."""
+    R3 = PolyRing(("x", "y", "z"))
+    act3 = TranslationAction.standard(R3)
+    quadrics = Ideal(R3, [R3.parse("x*y - z^2 + 1"), R3.parse("x^2 + y*z - 2")])
+    f = (X**2 - 2 * Y**2 - 1) * (X**2 + Y**2 - 5)
+    cases = [
+        (Ideal(RING, [f]), ACT, "(x)*g[1,0] + (y)*g[0,1] + (1)*g[1,1]", False, 0),
+        (Ideal(RING, [f]), ACT, f"({f})*g[1,0] + ({f})*g[0,1] + ({f})*g[1,1] + (x)*e", True, 0),
+        # the first component is outside (I : I^g) = I, so the test stops there
+        (quadrics, act3, "(x)*g[1,0,0] + (y)*g[0,1,0]", False, 1),
+        (quadrics, act3, "(x*y - z^2 + 1)*g[1,0,0] + (x^2 + y*z - 2)*g[0,1,1] + (x)*e", True, 2),
+    ]
+    translated, eliminations = [], []
+    original_act, original_basis = noether.act_on_ideal, groebner.reduced_groebner_basis
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording_act(I, g, act):
+        translated.append(g)
+        return original_act(I, g, act)
 
-    monkeypatch.setattr(noether, "difference_ideal", counting)
-    assert not idealiser_membership(parse_skew("(x)*g[1,0] + (y)*g[0,1] + (1)*g[1,1]", ACT), I, ACT)
-    f = I.gens[0]
-    assert idealiser_membership(parse_skew(f"({f})*g[1,0] + ({f})*g[0,1] + ({f})*g[1,1] + (x)*e", ACT), I, ACT)
-    assert calls == []
+    def recording_basis(gens):  # an elimination runs in a ring under the block order
+        if gens and isinstance(gens[0].ring.order, _ElimOrder):
+            eliminations.append(gens)
+        return original_basis(gens)
+
+    monkeypatch.setattr(noether, "act_on_ideal", recording_act)
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording_basis)
+    for I, act, element, member, translates in cases:
+        translated.clear()
+        assert idealiser_membership(parse_skew(element, act), I, act) == member, element
+        assert (eliminations, len(translated)) == ([], translates), element
 
 
 def test_right_ideal_truncation_sits_inside_graded_ideal():
