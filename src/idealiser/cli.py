@@ -227,12 +227,12 @@ def _json(payload) -> str:
 
 def _emit(as_json: bool, payload, lines) -> None:
     """Print ``payload()`` as JSON, or the strings of ``lines()``: only the one
-    asked for is built."""
+    asked for is built, and all of it before the first byte is printed, so a
+    failure prints nothing."""
     if as_json:
         print(_json({**payload(), "version": SCHEMA_VERSION}))
     else:
-        for line in lines():
-            print(line)
+        print("".join(f"{line}\n" for line in lines()), end="")
 
 
 def _print_report_lines(rep: LatticeSubsetReport):

@@ -17,8 +17,18 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .groebner import _fresh_aux_name, pure_powers, reduced_groebner_basis
+from .groebner import ResourceLimitError, _fresh_aux_name, pure_powers, reduced_groebner_basis
 from .poly import Poly, PolyRing, mono_degree
+
+# the most decimal digits of a Pell solution: those str(int) prints by default since Python 3.11
+PELL_DIGITS = 4300
+_PELL_BOUND = 10**PELL_DIGITS
+
+
+def _pell_budget(x: int) -> None:
+    """Refuse an x of more than PELL_DIGITS digits, before any is printed."""
+    if x >= _PELL_BOUND:
+        raise ResourceLimitError(f"Pell solution exceeds the budget of {PELL_DIGITS} digits")
 
 
 @dataclass(frozen=True)
@@ -33,7 +43,8 @@ class PellSolution:
 
 
 def pell_fundamental(n: int) -> PellSolution:
-    """Least positive solution of x^2 - n y^2 = 1 for nonsquare n >= 2."""
+    """Least positive solution of x^2 - n y^2 = 1 for nonsquare n >= 2; the
+    convergents grow, so one past the digit budget ends the search."""
     if n < 2:
         raise ValueError("n must be at least 2")
     a0 = math.isqrt(n)
@@ -49,6 +60,7 @@ def pell_fundamental(n: int) -> PellSolution:
         a = (a0 + m) // d
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
+        _pell_budget(h)
     return PellSolution(n, h, k)
 
 
@@ -64,6 +76,7 @@ def pell_enumerate(n: int, count: int) -> list[PellSolution]:
     out.append(fund)
     while len(out) < count:
         x, y = fund.x * x + n * fund.y * y, fund.x * y + fund.y * x
+        _pell_budget(x)
         out.append(PellSolution(n, x, y))
     return out
 

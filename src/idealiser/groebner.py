@@ -10,8 +10,8 @@ eliminations fail loudly instead of hanging.  The budget is the context
 variable ``PAIR_LIMIT``, ``DEFAULT_PAIR_LIMIT`` unless set.
 
 Ideal-level operations (sum, product, intersection via an elimination block
-order, colon quotient, equality, containment, dimension probes, Krull
-dimension) all reduce to the same basis machinery.
+order, colon quotient by its definition, equality, containment, dimension
+probes, Krull dimension) all reduce to the same basis machinery.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
+def primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
     """The point p when the reduced basis of J holds a power (x_i - p_i)^k
     for every i, else None.  A monic g of degree k in x_i alone is such a
     power exactly when g(x_i + p_i), with p_i = -(coefficient of
@@ -339,62 +339,17 @@ def _primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
     return None if None in point else tuple(point)
 
 
-class Colon:
-    """Colon quotients (J : L) for one J and any number of L.
-
-    The facts about J alone, its reduced basis, its point when it is
-    primary to one (``_primary_point``) and whether it is principal, are
-    read once.  Checks that return J without an elimination rest on one
-    fact: (J : L) is J exactly when L lies in no associated prime of C/J
-    (Eisenbud, Commutative Algebra, Thm 3.1 and Lemma 3.3).  In order:
-    - L in J: the quotient is <1>.
-    - J proper with (x_i - p_i)^k in its basis for every i: V(J) = {p}, so
-      J is m_p-primary and m_p is its only associated prime.  A generator
-      of L that is nonzero at p puts L outside m_p, and the quotient is J.
-    - L + J = <1>: it is J, as c*L in J gives c = c*1 in c*L + c*J, in J.
-    - J = (f) principal and dim C/(L + J) <= n - 2: C is a UFD, so the
-      associated primes of C/(f) are the (p) for the irreducible factors p
-      of f, each of height 1.  L in (p) would put L + J in (p), of
-      dimension n - 1; so L lies in none, and the quotient is J.  The
-      dimension is read off the sum basis of the previous check.
-    Any other pair goes on to (J : f) = (J cap (f))/f per generator f of L,
-    and to the intersection of those (Cox, Little and O'Shea, IVA, section
-    4.4).
-
-    A caller that already knows whether L lies in J passes ``contained``.
-    Calls with the same ``key`` share the outcome of the two sum checks,
-    kept in ``outside`` (True when they return J): the caller vouches that
-    an automorphism of C maps the one sum J + L onto the other, so that
-    both are <1> or neither is, and both have the same dimension.  A caller
-    that knows the sums return J may store True under its key first."""
-
-    def __init__(self, J: Ideal):
-        self.J = J
-        self.point = _primary_point(J)
-        self.principal = J.is_principal()
-        self.outside: dict = {}
-
-    def __call__(self, L: Ideal, contained: bool | None = None, key=None) -> Ideal:
-        J, ring = self.J, self.J.ring
-        if ideal_contains(J, L) if contained is None else contained:
-            return unit_ideal(ring)
-        if self.point is not None and any(f.eval_at(self.point) for f in L.gens):
-            return J
-        if key in self.outside:
-            outside = self.outside[key]
-        else:
-            dim = krull_dimension(Ideal(ring, J.groebner_basis() + L.gens))
-            outside = dim < 0 or (self.principal and dim <= ring.n - 2)
-            if key is not None:
-                self.outside[key] = outside
-        if outside:
-            return J
-        result: Ideal | None = None
-        for f in L.gens:
-            meet = ideal_intersect(Ideal(ring, [f]), J)
-            colon_f = Ideal(ring, [exact_divide(g, f) for g in meet.gens])
-            result = colon_f if result is None else ideal_intersect(result, colon_f)
-        return result
+def ideal_quotient(J: Ideal, L: Ideal) -> Ideal:
+    """(J : L) by the definition: (J : f) = (J cap (f))/f per generator f of
+    L, and the intersection of those (Cox, Little and O'Shea, IVA, section
+    4.4); <1> for L = 0.  ``noether.colon_components`` settles most colons
+    of a table without it."""
+    ring = J.ring
+    result = None
+    for f in L.gens:
+        colon_f = Ideal(ring, [exact_divide(g, f) for g in ideal_intersect(Ideal(ring, [f]), J).gens])
+        result = colon_f if result is None else ideal_intersect(result, colon_f)
+    return unit_ideal(ring) if result is None else result
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
@@ -480,7 +435,7 @@ def is_radical(I: Ideal) -> bool:
 def rational_point_of(I: Ideal) -> tuple[Fraction, ...] | None:
     """The rational point p with I = m_p, else None.  The reduced basis of
     m_p is {x_i - p_i} in every order, so I = m_p exactly when every basis
-    element has degree 1 and _primary_point reads a point off the basis."""
+    element has degree 1 and primary_point reads a point off the basis."""
     if any(g.degree() != 1 for g in I.groebner_basis()):
         return None
-    return _primary_point(I)
+    return primary_point(I)

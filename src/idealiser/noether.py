@@ -46,7 +46,6 @@ from .diophantine import (
     zero_test,
 )
 from .groebner import (
-    Colon,
     Ideal,
     dimension_probe,
     has_repeated_factor,
@@ -54,9 +53,11 @@ from .groebner import (
     ideal_equal,
     ideal_intersect,
     ideal_product,
+    ideal_quotient,
     ideal_sum,
     is_radical,
     krull_dimension,
+    primary_point,
     rational_point_of,
     unit_ideal,
 )
@@ -338,23 +339,11 @@ def t_set_box(
     box: int,
     act: TranslationAction,
 ) -> LatticeSubsetReport:
-    """Members h of ``sub`` in the box with Tor_1(C/I, C/J^h) nonzero.
-
-    When J = I, h and -h are members together: the automorphism f -> f^h
-    of C maps the pair (I, I^{-h}) onto (I^h, I), so Tor_1(C/I, C/I^{-h})
-    is isomorphic to Tor_1(C/I^h, C/I), which is Tor_1(C/I, C/I^h) by the
-    symmetry of Tor.  The box of a lattice is symmetric, so each pair
-    {h, -h} is tested once, at its first member in box order (the
-    argument for the colon components of J = I is the same, in
-    ``colon_components``)."""
+    """Members h of ``sub`` in the box with Tor_1(C/I, C/J^h) nonzero, by
+    the left ``component_test``."""
     K = analysis(I, act).K
     nonzero = component_test(I, J, act, "left")
-    mirrored = ideal_equal(I, J)
-    found: dict[GroupElement, bool] = {}
-    for h in sub.points_in_box(box):
-        minus = tuple(-x for x in h)
-        found[h] = found[minus] if mirrored and minus in found else nonzero(h)
-    members = [h for h, hit in found.items() if hit]
+    members = [h for h in sub.points_in_box(box) if nonzero(h)]
     return _report("T", f"T-set of {_label(I)} against {_label(J)}", box, sub, K, members)
 
 
@@ -496,7 +485,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
     - Right otherwise: containment (J prime), or whether the colon
-      component (J : I^g) of ``colon_components`` is larger than J."""
+      component (J : I^g) of ``colon_components`` is larger than J.
+    For J = I the last two left rules answer each pair {g, -g} once, for
+    T-sets and growth probes alike: f -> f^g maps (I, I^{-g}) onto
+    (I^g, I), so Tor_1(C/I, C/I^{-g}) is Tor_1(C/I^g, C/I), which is
+    Tor_1(C/I, C/I^g) by the symmetry of Tor."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     a, b = analysis(I, act), analysis(J, act)
@@ -518,8 +511,6 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
             h = J.groebner_basis()[0]
             return lambda g: I.contains_poly(apply_action(h, g, act))
         by_dimension = a.dim + b.dim < I.ring.n
-        if by_dimension and a.section is not None and ideal_equal(I, J):
-            return a.section
 
         def tor_nonzero(g):
             Jg = act_on_ideal(J, g, act)
@@ -527,17 +518,33 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
                 return False
             return by_dimension or not tor1_is_zero(I, Jg)
 
-        return tor_nonzero
+        mirrored = ideal_equal(I, J)
+        nonzero = (by_dimension and mirrored and a.section) or tor_nonzero
+        return _once_per_pair(nonzero) if mirrored else nonzero
     if J_prime:
         return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
     component = colon_components(J, I, act)
     return lambda g: not ideal_equal(component(g), J)
 
 
+def _once_per_pair(test):
+    """``test`` asked once per pair {g, -g}, at its first member."""
+    answers: dict[GroupElement, bool] = {}
+
+    def once(g: GroupElement) -> bool:
+        if g not in answers:
+            answers[g] = answers[tuple(-x for x in g)] = test(g)
+        return answers[g]
+
+    return once
+
+
 def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
-    """The map g -> (J : I^g), by one ``Colon(J)``, which reads the basis,
-    point and principality of J once.  Three exact facts settle components
-    before I^g is built, or spare it a check:
+    """The map g -> (J : I^g): the one rule for colon components, which
+    reads the basis, point (``primary_point``) and principality of J once.
+    A component is <1> when I^g lies in J, and otherwise J exactly when I^g
+    lies in no associated prime of C/J (Eisenbud, Commutative Algebra, Thm
+    3.1 and Lemma 3.3).  These checks settle components, in order:
     - J = I, proper and nonzero: I^g lies in I iff g lies in the stabiliser
       K.  If I^g is in I, translating by -(k+1)g puts I^{-kg} in
       I^{-(k+1)g} for every k >= 0; this chain of ideals stabilises,
@@ -546,15 +553,10 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
       other is tested for containment.  When I is moreover prime by its class
       (``Analysis.proved_prime``), every component outside K is J, with no
       check at all: x*l in I for some l in I^g outside I forces x in I.
-    - J primary to a rational point p: the component is J when a generator
-      f of I has f^g(p) = f(p + A g) nonzero (``Colon``'s point check).  One
-      compiled ``zero_test`` of the generators of I at p + A g serves every
-      g, so no such g builds I^g.
-    - J = I: the automorphism f -> f^g of C maps I + I^{-g} onto I^g + I,
-      so the two sums are both <1> or neither is, and they have the same
-      dimension.  So ``Colon``'s two sum checks settle a pair {g, -g} at
-      once, at its first member, from one sum basis; when the sum returns
-      J, the second member of the pair is J with no I^g.
+    - J proper with (x_i - p_i)^k in its basis for every i: V(J) = {p}, and
+      m_p is the only associated prime.  The component is J when a
+      generator f of I has f^g(p) = f(p + A g) nonzero: one compiled
+      ``zero_test`` serves every g, and builds no I^g.
     - J = I = (f): C is a UFD, so (f : f^g) = (f / gcd(f, f^g)), which is J
       exactly when f and f^g share no factor.  A pair is J with no I^g, sum
       or elimination when univariate gcds certify that h = gcd(f, f^g) is
@@ -566,33 +568,45 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
       two makes h free of x_i, and h is constant when that holds for every
       x_i.  A specialisation can share a root by accident (for two lines
       l1*l2, when l1 and l2^g cross at the fixed coordinate), so up to three
-      fixed points per variable are tried.  The test never finds a common
-      factor: where it fails, the pair builds its sum basis in ``Colon``.
-    Only the other components build I^g and go on through ``Colon``.  K and
-    the primality come from ``analysis``, which proves them; no input flag
-    is read."""
+      fixed points per variable are tried; the test never finds a factor.
+    - J + I^g = <1>: c*I^g in J gives c = c*1 in c*I^g + c*J, in J.
+    - J = (f) and dim C/(J + I^g) <= n - 2: the associated primes of C/(f)
+      are the (p) for the irreducible factors p of f, of height 1 (C is a
+      UFD), and I^g in (p) would give J + I^g dimension n - 1.
+    The last two read one sum basis.  For J = I, f -> f^g maps I + I^{-g}
+    onto I^g + I, so the last three settle a pair {g, -g} at its first
+    member; the second is J with no I^g when they return J.  The other
+    components build I^g and go on to ``ideal_quotient``.  K and the
+    primality come from ``analysis``, which proves them; no flag is read."""
+    ring = J.ring
     K = None
     if not (I.is_zero_ideal() or I.is_unit_ideal()) and ideal_equal(I, J):
         a = analysis(I, act)
         K = a.K
         if a.proved_prime:
-            return lambda g: unit_ideal(J.ring) if K.contains(g) else J
-    colon = Colon(J)
-    vanishes = None if colon.point is None else zero_test(I.gens, colon.point, act.matrix)
+            return lambda g: unit_ideal(ring) if K.contains(g) else J
+    point = primary_point(J)
+    vanishes = None if point is None else zero_test(I.gens, point, act.matrix)
+    principal = J.is_principal()
+    outside: dict[GroupElement, bool] = {}  # per key: do the checks return J
 
     def component(g: GroupElement) -> Ideal:
         if K is not None and K.contains(g):
-            return unit_ideal(J.ring)
+            return unit_ideal(ring)
         if vanishes is not None and not vanishes(g):
             return J
-        if K is None:
-            return colon(act_on_ideal(I, g, act))
-        pair = min(g, tuple(-x for x in g))
-        if pair not in colon.outside and colon.principal and a.coprime(g):
-            colon.outside[pair] = True
-        if colon.outside.get(pair):
+        key = g if K is None else min(g, tuple(-x for x in g))
+        if key not in outside and K is not None and principal and a.coprime(g):
+            outside[key] = True
+        if outside.get(key):
             return J
-        return colon(act_on_ideal(I, g, act), contained=False, key=pair)
+        Ig = act_on_ideal(I, g, act)
+        if K is None and ideal_contains(J, Ig):
+            return unit_ideal(ring)
+        if key not in outside:
+            dim = krull_dimension(Ideal(ring, J.groebner_basis() + Ig.gens))
+            outside[key] = dim < 0 or (principal and dim <= ring.n - 2)
+        return J if outside[key] else ideal_quotient(J, Ig)
 
     return component
 

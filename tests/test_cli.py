@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from idealiser import cli
 from idealiser.cli import _json, main
 from idealiser.groebner import DEFAULT_PAIR_LIMIT
 
@@ -68,6 +69,42 @@ def test_pell_count_zero_is_an_error(capsys):
     code, out, err = run(capsys, "pell", "7", "--count", "0")
     assert (code, out) == (1, "")
     assert err.startswith("error: count must be at least 1")
+
+
+def test_pell_past_the_digit_budget_exits_one(capsys):
+    """The fundamental solution for 1000000007 has more than PELL_DIGITS digits:
+    the continued fraction stops at the budget, which the message names."""
+    code, out, err = run(capsys, "pell", "1000000007")
+    assert code == 1
+    assert out == ""
+    assert "Pell solution exceeds the budget of 4300 digits" in err
+
+
+def test_emit_prints_nothing_when_a_line_fails(capsys):
+    def lines():
+        yield "first"
+        raise ValueError("late")
+
+    with pytest.raises(ValueError, match="late"):
+        cli._emit(False, None, lines)
+    assert capsys.readouterr().out == ""
+
+
+def test_analyze_that_fails_prints_no_partial_report(capsys, tmp_path):
+    """A Pell conic whose fundamental solution is past the budget fails with
+    exit 1 and an empty stdout, in text mode as in JSON mode."""
+    cfg = {
+        "ring": {"vars": ["x", "y"]},
+        "ideal": {"generators": ["x^2 - 100000007*y^2 - 1"], "claimed_prime": True},
+        "options": {"box": 2, "probe_radii": [1, 2]},
+    }
+    path = tmp_path / "big_pell.json"
+    path.write_text(json.dumps(cfg))
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "analyze", "-c", str(path), *extra)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
 
 def test_skewmul_output_is_frozen(capsys):
@@ -368,10 +405,14 @@ def test_rational_action_matrix_config(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "idealiser.cli", "pell", "7", "--count", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "(8,3) (127,48)\n"

@@ -10,12 +10,13 @@ import pytest
 from idealiser import (
     Poly,
     PolyRing,
+    ResourceLimitError,
     classify_plane_curve,
     pell_enumerate,
     pell_fundamental,
 )
 from idealiser.action import box_walk
-from idealiser.diophantine import primitive_gcd, zero_test
+from idealiser.diophantine import PELL_DIGITS, primitive_gcd, zero_test
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -56,6 +57,18 @@ def test_pell_hard_instance_is_fast():
     s = pell_fundamental(61)
     assert (s.x, s.y) == (1766319049, 226153980)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_pell_digit_budget():
+    """A fundamental solution of more than PELL_DIGITS digits ends the
+    continued fraction, and an enumeration ends at the first solution past
+    the budget; every solution within it is returned."""
+    with pytest.raises(ResourceLimitError, match=f"budget of {PELL_DIGITS} digits"):
+        pell_fundamental(1000000007)
+    sols = pell_enumerate(61, 450)
+    assert len(str(sols[-1].x)) <= PELL_DIGITS < len(str(sols[-1].x)) + 10  # x grows ~9.2 digits a step
+    with pytest.raises(ResourceLimitError, match=f"budget of {PELL_DIGITS} digits"):
+        pell_enumerate(61, 451)
 
 
 def test_pell_rejects_bad_n():

@@ -73,12 +73,15 @@ GALLERY = {
     # a point on the line: its orbit is dense, so no witness line traps it, and the left
     # probe runs against the point itself
     "one_var_point": (["x - 3"], PRIME, None, {"box": 4, "probe_radii": [1, 2, 4]}),
+    # a space cubic with no integer zero (2*y - 2*x^2 is even): both growth probes run
+    # against I itself, and the left one tests each pair {g, -g} once
+    "odd_cubic": (["2*y - 2*x^2 - 1", "z - x^3"], PRIME, None, {"box": 2, "probe_radii": [1, 2]}),
 }
 XYZ = ["x", "y", "z"]
 VARS = {
     "point3": XYZ, "conic3": XYZ, "twisted_cubic": XYZ, "space_conic": XYZ, "sqrt2_one_var": ["x"],
     "space_line": XYZ, "space_parabola": XYZ, "space_conic_rational": XYZ,
-    "one_var_point": ["x"],
+    "one_var_point": ["x"], "odd_cubic": XYZ,
 }
 
 CASES = {}

@@ -31,8 +31,8 @@ from idealiser import (
     s_polynomial,
     unit_ideal,
 )
-from idealiser.groebner import Colon
-from idealiser.noether import analysis
+from idealiser.groebner import ideal_quotient
+from idealiser.noether import analysis, colon_components
 from idealiser.poly import _ElimOrder
 from reference_groebner import chain_reduced_basis, in_order
 
@@ -131,17 +131,18 @@ def test_exact_divide_recovers_random_quotients():
 
 def test_colon_quotient_oracle():
     I = Ideal(RING, [X**2, X * Y])
-    Q = Colon(I)(Ideal(RING, [X]))
+    Q = ideal_quotient(I, Ideal(RING, [X]))
     assert [str(g) for g in Q.groebner_basis()] == ["x", "y"]
+    assert ideal_quotient(I, Ideal(RING, [])).is_unit_ideal()
 
 
 def test_quotient_when_divisor_inside():
     # (J : I) = <1> exactly when I lies inside J
     J = Ideal(RING, [X - 1, Y - 2])
     I = Ideal(RING, [(X - 1) * (Y + 1), (Y - 2) * X])
-    Q = Colon(J)(I)
+    Q = ideal_quotient(J, I)
     assert Q.is_unit_ideal()
-    Q2 = Colon(J)(Ideal(RING, [X]))
+    Q2 = ideal_quotient(J, Ideal(RING, [X]))
     assert ideal_equal(Q2, J)
 
 
@@ -353,7 +354,7 @@ def test_three_variables():
     x, y, z = (R3.var(i) for i in range(3))
     I = Ideal(R3, [x - y, y - z])
     assert I.contains_poly(x - z)
-    Q = Colon(Ideal(R3, [x * z, y * z]))(Ideal(R3, [z]))
+    Q = ideal_quotient(Ideal(R3, [x * z, y * z]), Ideal(R3, [z]))
     assert ideal_equal(Q, Ideal(R3, [x, y]))
 
 
@@ -584,8 +585,9 @@ POINTS = {"point": (1, 2), "fat_point": (1, -2), "(x - 3)^2": (3,)}
 
 
 def _colon_tables():
-    """(label, J, L) over the box-2 tables (I : I^g) of six plane ideals, a
-    3-variable pair in the box of radius 1, and guard pairs that no check
+    """(label, J, I, act, gs): the colon tables (J : I^g) for g in gs, over
+    the box-2 tables (I : I^g) of six plane ideals, two 3-variable tables in
+    the box of radius 1, and guard pairs (J : L) at g = 0 that no check
     settles: a height-2 sum with J not principal, an L inside m_p but not in
     an m_p-primary J, J with univariate elements that are not powers of a
     linear form, and a double point on the line."""
@@ -603,19 +605,18 @@ def _colon_tables():
     act = TranslationAction.standard(RING)
     for label, gens in plane.items():
         I = Ideal(RING, gens)
-        for g in itertools.product(range(-2, 3), repeat=2):
-            yield label, I, act_on_ideal(I, g, act)
+        yield label, I, I, act, list(itertools.product(range(-2, 3), repeat=2))
     J = Ideal(R3, [x - y, z**2 - 1])
     act3 = TranslationAction.standard(R3)
-    for g in itertools.product(range(-1, 2), repeat=3):
-        yield "space", J, act_on_ideal(Ideal(R3, [x * z - 1, y - z]), g, act3)
-        yield "space", J, act_on_ideal(J, g, act3)
-    yield "guard", Ideal(R3, [x * z, y * z]), Ideal(R3, [x, y])
-    yield "guard", Ideal(RING, [X**2, Y**2]), Ideal(RING, [X])
-    yield "guard", Ideal(RING, [X**2 - 2, Y**2]), Ideal(RING, [X**2 + Y - 2])
-    yield "guard", Ideal(RING, [X**2 - 1, Y**2 - 1]), Ideal(RING, [X - 1])
+    box3 = list(itertools.product(range(-1, 2), repeat=3))
+    yield "space", J, Ideal(R3, [x * z - 1, y - z]), act3, box3
+    yield "space", J, J, act3, box3
+    yield "guard", Ideal(R3, [x * z, y * z]), Ideal(R3, [x, y]), act3, [(0, 0, 0)]
+    yield "guard", Ideal(RING, [X**2, Y**2]), Ideal(RING, [X]), act, [(0, 0)]
+    yield "guard", Ideal(RING, [X**2 - 2, Y**2]), Ideal(RING, [X**2 + Y - 2]), act, [(0, 0)]
+    yield "guard", Ideal(RING, [X**2 - 1, Y**2 - 1]), Ideal(RING, [X - 1]), act, [(0, 0)]
     t = R1.var(0)
-    yield "(x - 3)^2", Ideal(R1, [(t - 3) ** 2]), Ideal(R1, [t - 3])
+    yield "(x - 3)^2", Ideal(R1, [(t - 3) ** 2]), Ideal(R1, [t - 3]), TranslationAction.standard(R1), [(0,)]
 
 
 def _branch(J, L, point):
@@ -634,9 +635,10 @@ def _branch(J, L, point):
 
 
 def test_colon_quotient_matches_the_general_route(monkeypatch):
-    """Only the general pairs and the guards run an elimination, and a
-    point-primary J settles its pairs with no basis beyond its own; every
-    quotient's reduced basis equals the general route's."""
+    """In ``colon_components``, only the general pairs and the guards run an
+    elimination, and a point-primary J settles its pairs with no basis
+    beyond its own; every component's reduced basis equals the general
+    route's."""
     calls = []  # the generators of every reduced basis computed
     original = groebner.reduced_groebner_basis
 
@@ -644,23 +646,26 @@ def test_colon_quotient_matches_the_general_route(monkeypatch):
         calls.append(gens)
         return original(gens)
 
-    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
     branches = dict.fromkeys(["contained", "point", "comaximal", "principal", "general"], 0)
-    for label, J, L in _colon_tables():
-        branch = _branch(J, L, POINTS.get(label))
-        branches[branch] += 1
-        if label in ("guard", "(x - 3)^2"):
-            assert branch == "general", (label, J, L)
-        J.groebner_basis()
-        calls.clear()
-        got = Colon(J)(L)
-        if branch == "point":
-            assert calls == [], (label, L)
-        if branch != "general":
-            assert not any(map(_is_elimination, calls)), (label, L)
-        else:
-            assert any(map(_is_elimination, calls)), (label, L)
-        assert got.groebner_basis() == _reference_quotient(J, L).groebner_basis(), (label, L)
+    for label, J, I, act, gs in _colon_tables():
+        component = colon_components(J, I, act)
+        for g in gs:
+            L = act_on_ideal(I, g, act)
+            branch = _branch(J, L, POINTS.get(label))
+            branches[branch] += 1
+            if label in ("guard", "(x - 3)^2"):
+                assert branch == "general", (label, J, L)
+            calls.clear()
+            monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+            got = component(g)
+            monkeypatch.undo()
+            if branch == "point":
+                assert calls == [], (label, L)
+            if branch != "general":
+                assert not any(map(_is_elimination, calls)), (label, L)
+            else:
+                assert any(map(_is_elimination, calls)), (label, L)
+            assert got.groebner_basis() == _reference_quotient(J, L).groebner_basis(), (label, L)
     assert all(branches.values()), branches
 
 
@@ -703,6 +708,7 @@ def test_colon_quotient_fuzz_against_the_general_route():
     for _ in range(100):
         J, L, point = _random_colon_pair(rng)
         branches[_branch(J, L, point)] += 1
-        got = Colon(J)(L)
+        got = colon_components(J, L, TranslationAction.standard(J.ring))((0,) * J.ring.n)
         assert got.groebner_basis() == _reference_quotient(J, L).groebner_basis(), (J, L)
+        assert ideal_quotient(J, L).groebner_basis() == got.groebner_basis(), (J, L)
     assert all(branches.values()), branches

@@ -38,8 +38,8 @@ from idealiser import (
 )
 from idealiser import groebner, noether
 from idealiser.action import box_walk
-from idealiser.groebner import Colon
 from idealiser.diophantine import zero_test
+from idealiser.groebner import ideal_quotient
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 from idealiser.poly import _ElimOrder
 
@@ -176,7 +176,7 @@ def test_s_set_against_ideal_target_windows_the_group_element(monkeypatch):
     assert rep.members == ((-6, -4), (-3, -2), (0, 0), (3, 2), (6, 4))
     assert len(rep.cosets) == 1  # all in one stabiliser coset
     # a target not flagged prime still gets the containment test, not a colon
-    monkeypatch.setattr(noether, "Colon", None)
+    monkeypatch.setattr(noether, "colon_components", None)
     unflagged = s_set_box(LINE, Ideal(RING, LINE.gens), Lattice.standard(2), 7, ACT)
     assert unflagged.members == rep.members
 
@@ -454,20 +454,20 @@ def test_growth_probe_cubic_stabilises():
 
 def test_right_colon_probe_builds_one_colon(monkeypatch):
     """Against a J not flagged prime, the right component test runs every g
-    through one ``Colon(J)``: J's basis facts are read once, not per g."""
-    from idealiser import groebner
+    through one ``colon_components(J, I)``: J's facts are read once, not per
+    g."""
+    read = []
+    original = noether.primary_point
 
-    built = []
-    original = groebner.Colon.__init__
+    def counting(J):
+        read.append(J)
+        return original(J)
 
-    def counting(self, J):
-        built.append(J)
-        original(self, J)
-
-    monkeypatch.setattr(groebner.Colon, "__init__", counting)
-    probe = growth_probe(Ideal(RING, [X]), Ideal(RING, [X * Y]), ACT, "right", [1, 2])
+    monkeypatch.setattr(noether, "primary_point", counting)
+    J = Ideal(RING, [X * Y])
+    probe = growth_probe(Ideal(RING, [X]), J, ACT, "right", [1, 2])
     assert probe.counts == (1, 1)
-    assert len(built) == 1
+    assert read == [J]
 
 
 def test_growth_probe_line_collapses_to_one_class():
@@ -483,6 +483,35 @@ def test_growth_probe_general_route_against_fast_route():
     fast = growth_probe(PELL, J, ACT, "right", [2, 3])
     general = growth_probe(PELL, unflagged, ACT, "right", [2, 3])
     assert fast.counts == general.counts
+
+
+def test_left_probe_against_itself_translates_each_pair_once(monkeypatch):
+    """<2y - 2x^2 - 1, z - x^3> has no integer zero (2y - 2x^2 is even), so
+    ``analyze`` probes it against I itself.  The left probe and the T-set
+    test each pair {g, -g} once: 63 translates in the box of radius 2, not
+    125, with the counts of a test of every g."""
+    R3 = PolyRing(("x", "y", "z"))
+    I = Ideal(R3, [R3.parse("2*y - 2*x^2 - 1"), R3.parse("z - x^3")], claimed_prime=True)
+    act = TranslationAction.standard(R3)
+    box = set(box_walk([2] * 3))
+    expected = {g for g in box if not tor1(I, act_on_ideal(I, g, act)).is_zero}
+    original = noether.act_on_ideal
+    translated = []
+
+    def recording(J, g, act):
+        translated.append(g)
+        return original(J, g, act)
+
+    monkeypatch.setattr(noether, "act_on_ideal", recording)
+    probe = growth_probe(I, I, act, "left", [1, 2])
+    pairs = {min(g, tuple(-x for x in g)) for g in box}
+    assert len(translated) == len(pairs) == 63
+    assert {min(g, tuple(-x for x in g)) for g in translated} == pairs
+    assert probe.counts == (sum(max(map(abs, g)) <= 1 for g in expected), len(expected)) == (5, 7)
+    translated.clear()
+    report = t_set_box(I, I, Lattice.standard(3), 2, act)
+    assert len(translated) == 63
+    assert set(report.members) == expected
 
 
 def _probe_configs(monkeypatch):
@@ -627,7 +656,7 @@ def _component_by_definition(I, J, act, side, g):
     moved = act_on_ideal(I, g, act)
     if J.claimed_prime:
         return ideal_contains(J, moved)
-    return not ideal_equal(Colon(J)(moved), J)
+    return not ideal_equal(ideal_quotient(J, moved), J)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -982,7 +1011,7 @@ def test_proved_prime_never_proves_a_reducible_polynomial():
 
 def _table_against_the_colons(I, act, box=2):
     for g, entry in quotient_table(I, I, act, box).items():
-        expected = Colon(I)(act_on_ideal(I, g, act))
+        expected = ideal_quotient(I, act_on_ideal(I, g, act))
         assert entry.groebner_basis() == expected.groebner_basis(), (I, g)
 
 
@@ -996,7 +1025,7 @@ def test_a_false_prime_flag_on_a_product_gets_the_honest_table():
 def test_proved_prime_tables_equal_the_colons_of_each_translate():
     """Seeded lines, Pell conics (random n, centre and scale), graph curves
     and smooth cubics are proved prime, and their quotient table equals
-    Colon(I)(I^g) entry by entry, under the standard action and a
+    (I : I^g) by its definition entry by entry, under the standard action and a
     rational one, flagged prime or not."""
     rng = random.Random(2802)
     rational = TranslationAction(RING, [["1/2", 0], [1, "1/3"]])
