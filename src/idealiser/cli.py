@@ -33,6 +33,7 @@ from .noether import (
     t_set_box,
     tor1,
 )
+from .parser import InputError
 from .poly import MonomialOrder, PolyRing
 from .skew import idealiser_membership, parse_skew, quotient_table
 
@@ -48,10 +49,6 @@ CONFIG_KEYS = {
 
 
 # ------------------------------------------------------------- config
-
-
-class InputError(ValueError):
-    pass
 
 
 def _natural(value, what: str, least: int = 0) -> int:

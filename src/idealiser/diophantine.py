@@ -5,7 +5,8 @@ integer arithmetic (convergents are tested against the equation directly, no
 floating point).  The curve classifier is syntactic: it recognises rational
 lines, Pell conics up to variable swap / overall scale / integer translation
 of the centre, graph curves a*x + r(y), and smooth projective plane curves of
-degree >= 3 via the Jacobian criterion; everything else is left unclassified
+degree >= 3 via the Jacobian criterion, once a univariate discriminant has
+not already shown a singular point; everything else is left unclassified
 rather than guessed.
 """
 
@@ -18,7 +19,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .groebner import ResourceLimitError, _fresh_aux_name, pure_powers, reduced_groebner_basis
-from .poly import Poly, PolyRing, mono_degree
+from .poly import Poly, PolyRing, is_squarefree, mono_degree, row_coefficients
 
 # the most decimal digits of a Pell solution: those str(int) prints by default since Python 3.11
 PELL_DIGITS = 4300
@@ -64,8 +65,10 @@ def pell_fundamental(n: int) -> PellSolution:
     return PellSolution(n, h, k)
 
 
-def pell_enumerate(n: int, count: int) -> list[PellSolution]:
-    """First ``count`` positive solutions in increasing x, each verified."""
+def pell_enumerate(n: int, count: int, fitting: bool = False) -> list[PellSolution]:
+    """First ``count`` positive solutions in increasing x, each verified.
+    One past the digit budget raises ResourceLimitError, or with
+    ``fitting`` ends the list, which still needs the fundamental to fit."""
     if count < 0:
         raise ValueError("count must be non-negative")
     out: list[PellSolution] = []
@@ -76,6 +79,8 @@ def pell_enumerate(n: int, count: int) -> list[PellSolution]:
     out.append(fund)
     while len(out) < count:
         x, y = fund.x * x + n * fund.y * y, fund.x * y + fund.y * x
+        if fitting and x >= _PELL_BOUND:
+            break
         _pell_budget(x)
         out.append(PellSolution(n, x, y))
     return out
@@ -165,19 +170,6 @@ def zero_test(
     return ZeroTest(test, roots)
 
 
-def row_coefficients(terms, degree: int, point: Sequence[int]) -> list[int]:
-    """The coefficients, by powers of t, of the sum of c * t^k * the product
-    of point[j]^e_j over ``terms`` (c, [(j, e_j)], k): a polynomial of
-    degree at most ``degree`` restricted to the line through ``point`` along
-    the coordinate t, with every other coordinate fixed."""
-    coeffs = [0] * (degree + 1)
-    for v, factors, k in terms:
-        for j, e in factors:
-            v *= point[j] ** e
-        coeffs[k] += v
-    return coeffs
-
-
 def _integer_roots(coeffs: list[int], window: range) -> list[int]:
     """The t in ``window`` with sum_k coeffs[k] * t^k = 0, in increasing
     order, for a nonzero leading coefficient coeffs[-1]: one exact division
@@ -207,41 +199,6 @@ def _integer_roots(coeffs: list[int], window: range) -> list[int]:
         if not total:
             found.append(t)
     return found
-
-
-def _primitive(coeffs: list[int]) -> list[int]:
-    """coeffs with its trailing zeros dropped, divided by its content, with
-    a positive leading coefficient; [] for the zero polynomial."""
-    while coeffs and not coeffs[-1]:
-        coeffs = coeffs[:-1]
-    if not coeffs:
-        return []
-    c = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
-    return [v // c for v in coeffs]
-
-
-def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive part of gcd(sum_k a[k] t^k, sum_k b[k] t^k) over Z, as a
-    dense list in increasing powers with a positive leading coefficient, []
-    when both are zero: the primitive polynomial remainder sequence (Geddes,
-    Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 7).  Each
-    pseudo-remainder of the higher by the lower degree is made primitive
-    before the next step, which keeps the integers small, and a nonzero
-    constant remainder ends the sequence with the gcd [1]."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        lead, top, body = b[-1], len(b) - 1, b[:-1]
-        while len(a) > top:  # lead * a less c * t^shift * b drops the degree of a
-            c = a.pop()
-            a = [v * lead for v in a]
-            for k, v in enumerate(body, len(a) - top):
-                a[k] -= c * v
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, _primitive(a)
-    return [1] if b else a
 
 
 @dataclass(frozen=True)
@@ -356,12 +313,38 @@ def _projective_smoothness(f: Poly) -> tuple[int, ...] | None:
     return powers if all(powers) else None
 
 
+def _singular_by_discriminant(f: Poly) -> bool:
+    """True when f = c*y^2 + b(x)*y + a(x), for c a nonzero constant and y
+    either variable, has a singular affine point; False says nothing.  With
+    D = b^2 - 4*c*a, f = c*(y + b/2c)^2 - D/4c, so on f_y = 2*c*y + b = 0
+    f is -D/4c and f_x is -D'/4c.  A singular point is therefore a common
+    root of D and D', which exists over C exactly when D is zero or
+    gcd(D, D') is nonconstant: when D is not squarefree."""
+    for y in (0, 1):
+        x = 1 - y
+        if f.degree_in(y) != 2 or any(m[y] == 2 and m[x] for m in f.ints):
+            continue
+        d = f.degree_in(x)
+        a, b, top = ([0] * (d + 1) for _ in range(3))
+        for m, v in f.ints.items():
+            (a, b, top)[m[y]][m[x]] = v
+        c = top[0]
+        D = [-4 * c * v for v in a] + [0] * d
+        for j, u in enumerate(b):
+            for k, v in enumerate(b):
+                D[j + k] += u * v
+        return not is_squarefree(D)
+    return False
+
+
 def classify_plane_curve(f: Poly) -> CurveClass:
     """Classify an (assumed irreducible) plane curve generator.
 
     Dispatch order matters: lines first, then Pell conics, then graph curves
     (a smooth graph like x - y^3 must land here, its closure is singular at
-    infinity anyway), then the smooth high-degree branch.
+    infinity anyway), then the smooth high-degree branch.  A curve of
+    degree >= 3 whose discriminant shows a singular affine point has a
+    singular closure, and is unknown without the Jacobian basis.
     """
     if f.ring.n != 2:
         raise ValueError("classifier works on two-variable polynomials")
@@ -376,7 +359,7 @@ def classify_plane_curve(f: Poly) -> CurveClass:
     graph = _try_graph(f)
     if graph is not None:
         return graph
-    if degree >= 3:
+    if degree >= 3 and not _singular_by_discriminant(f):
         powers = _projective_smoothness(f)
         if powers is not None:
             genus = (degree - 1) * (degree - 2) // 2

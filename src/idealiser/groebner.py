@@ -29,11 +29,14 @@ from .poly import (
     Poly,
     PolyRing,
     _ElimOrder,
+    fixed_points,
+    is_squarefree,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    row_coefficients,
 )
 
 DEFAULT_PAIR_LIMIT = 100_000
@@ -411,10 +414,36 @@ def krull_dimension(I: Ideal) -> int:
     return max((free.bit_count() for free in range(1 << n) if all(s & ~free for s in supports)), default=-1)
 
 
+def _repeated_by_gcds(f: Poly) -> bool | None:
+    """Univariate gcds on f's lines: False when they prove f squarefree,
+    True when they prove a repeated factor, None when they do neither.  For
+    each variable x_i of f, fix the other coordinates at an integer point a
+    with lc_{x_i}(f)(a) != 0 (``poly.fixed_points``), and write f|_a for the
+    polynomial in x_i left.  A factor h of f has lc_{x_i}(h) dividing
+    lc_{x_i}(f), so h|_a keeps its degree in x_i, and h^2 | f gives
+    h|_a^2 | f|_a.  So a squarefree f|_a at one point frees every repeated
+    factor of x_i, and f is squarefree when that holds for every x_i.  When
+    f has one variable, f|_a is f and the test is exact both ways."""
+    n = f.ring.n
+    involved = [i for i in range(n) if any(m[i] for m in f.ints)]
+    points = fixed_points(n)[: 3 if len(involved) > 1 else 1]
+    for i in involved:
+        d = max(m[i] for m in f.ints)
+        terms = [(c, [(j, e) for j, e in enumerate(m) if e and j != i], m[i]) for m, c in f.ints.items()]
+        if not any(at[d] and is_squarefree(at) for at in (row_coefficients(terms, d, a) for a in points)):
+            return True if len(involved) == 1 else None
+    return False
+
+
 def has_repeated_factor(f: Poly) -> bool:
-    """Nonconstant f has a repeated factor: in characteristic 0, exactly when
-    f and all its partials share a nonconstant factor, and then
-    V(f, df/dx_1, ..., df/dx_n) has a component of dimension n - 1."""
+    """Nonconstant f has a repeated factor: decided by univariate gcds where
+    they can (``_repeated_by_gcds``), else by the fact that in
+    characteristic 0 this holds exactly when f and all its partials share a
+    nonconstant factor, and then V(f, df/dx_1, ..., df/dx_n) has a
+    component of dimension n - 1."""
+    found = _repeated_by_gcds(f)
+    if found is not None:
+        return found
     n = f.ring.n
     return krull_dimension(Ideal(f.ring, [f] + [f.partial(i) for i in range(n)])) == n - 1
 
@@ -422,7 +451,8 @@ def has_repeated_factor(f: Poly) -> bool:
 def is_radical(I: Ideal) -> bool:
     """Whether a zero-dimensional I is radical: by Seidenberg's lemma, exactly
     when, for every i, the generator of I cap Q[x_i] (the last element of a
-    reduced lex basis with x_i least) has no repeated factor."""
+    reduced lex basis with x_i least) has no repeated factor, which is
+    gcd(g, g') = 1 in one variable (``_repeated_by_gcds``)."""
     n = I.ring.n
     for i in range(n):
         lex = PolyRing(I.ring.variables, MonomialOrder.lex(n, [j for j in range(n) if j != i] + [i]))

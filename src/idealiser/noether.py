@@ -37,17 +37,11 @@ from .action import (
     effective_directions,
     stabiliser,
 )
-from .diophantine import (
-    CurveClass,
-    classify_plane_curve,
-    pell_enumerate,
-    primitive_gcd,
-    row_coefficients,
-    zero_test,
-)
+from .diophantine import CurveClass, classify_plane_curve, pell_enumerate, zero_test
 from .groebner import (
     Ideal,
     dimension_probe,
+    exact_divide,
     has_repeated_factor,
     ideal_contains,
     ideal_equal,
@@ -62,7 +56,7 @@ from .groebner import (
     unit_ideal,
 )
 from .normalforms import box_bounds
-from .poly import Poly, taylor_shift
+from .poly import Poly, fixed_points, primitive_gcd, row_coefficients, taylor_shift
 
 # ------------------------------------------------------------- analysis
 
@@ -573,11 +567,15 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
     - J = (f) and dim C/(J + I^g) <= n - 2: the associated primes of C/(f)
       are the (p) for the irreducible factors p of f, of height 1 (C is a
       UFD), and I^g in (p) would give J + I^g dimension n - 1.
-    The last two read one sum basis.  For J = I, f -> f^g maps I + I^{-g}
-    onto I^g + I, so the last three settle a pair {g, -g} at its first
-    member; the second is J with no I^g when they return J.  The other
-    components build I^g and go on to ``ideal_quotient``.  K and the
-    primality come from ``analysis``, which proves them; no flag is read."""
+    - J = I = (f) and a principal sum (f, f^g) = (h): h = gcd(f, f^g), so
+      the component is (f / h).
+    The last three read one sum basis.  For J = I, f -> f^g maps I + I^{-g}
+    onto I^g + I, so the last four settle a pair {g, -g} at its first
+    member: the second is J with no I^g when they return J, and (f / h^g)
+    with no I^g when the first had the gcd h = gcd(f, f^{-g}), as
+    gcd(f, f^g) = gcd(f^{-g}, f)^g.  The other components build I^g and go
+    on to ``ideal_quotient``.  K and the primality come from ``analysis``,
+    which proves them; no flag is read."""
     ring = J.ring
     K = None
     if not (I.is_zero_ideal() or I.is_unit_ideal()) and ideal_equal(I, J):
@@ -588,7 +586,8 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
     point = primary_point(J)
     vanishes = None if point is None else zero_test(I.gens, point, act.matrix)
     principal = J.is_principal()
-    outside: dict[GroupElement, bool] = {}  # per key: do the checks return J
+    # per key: True when the checks return J, (g, gcd(f, f^g)) for a principal sum, else False
+    settled: dict[GroupElement, bool | tuple[GroupElement, Poly]] = {}
 
     def component(g: GroupElement) -> Ideal:
         if K is not None and K.contains(g):
@@ -596,17 +595,29 @@ def colon_components(J: Ideal, I: Ideal, act: TranslationAction):
         if vanishes is not None and not vanishes(g):
             return J
         key = g if K is None else min(g, tuple(-x for x in g))
-        if key not in outside and K is not None and principal and a.coprime(g):
-            outside[key] = True
-        if outside.get(key):
+        if key not in settled and K is not None and principal and a.coprime(g):
+            settled[key] = True
+        Ig = None
+        if key not in settled:
+            Ig = act_on_ideal(I, g, act)
+            if K is None and ideal_contains(J, Ig):
+                return unit_ideal(ring)
+            total = Ideal(ring, J.groebner_basis() + Ig.gens)
+            dim = krull_dimension(total)
+            if dim < 0 or (principal and dim <= ring.n - 2):
+                settled[key] = True
+            elif K is not None and principal and total.is_principal():
+                settled[key] = (g, total.groebner_basis()[0])
+            else:
+                settled[key] = False
+        found = settled[key]
+        if found is True:
             return J
-        Ig = act_on_ideal(I, g, act)
-        if K is None and ideal_contains(J, Ig):
-            return unit_ideal(ring)
-        if key not in outside:
-            dim = krull_dimension(Ideal(ring, J.groebner_basis() + Ig.gens))
-            outside[key] = dim < 0 or (principal and dim <= ring.n - 2)
-        return J if outside[key] else ideal_quotient(J, Ig)
+        if found:
+            first, h = found  # h = gcd(f, f^first), and g is first or -first
+            h = h if g == first else apply_action(h, g, act)
+            return Ideal(ring, [exact_divide(J.groebner_basis()[0], h)])
+        return ideal_quotient(J, act_on_ideal(I, g, act) if Ig is None else Ig)
 
     return component
 
@@ -616,14 +627,12 @@ def _coprime_test(f: Poly, act: TranslationAction):
     from F(X) = den^D * f(X / den), for den = act.den and D the degree of f,
     whose value at X = den*x + act.ints*g is den^D * f^g(x).  Per variable
     x_i of f it keeps f|_a, F at X = den*a as a polynomial in X_i, for each
-    of three fixed points a with lc_{x_i}(f)(a) != 0.  At g, f^g|_a is F at
-    X = den*a + act.ints*g off x_i, Taylor-shifted by the i-th entry of
-    act.ints*g.  Both are f|_a and f^g|_a with x_i scaled by den, which
-    keeps the degree of their gcd."""
+    point a of ``poly.fixed_points`` with lc_{x_i}(f)(a) != 0.  At g,
+    f^g|_a is F at X = den*a + act.ints*g off x_i, Taylor-shifted by the
+    i-th entry of act.ints*g.  Both are f|_a and f^g|_a with x_i scaled by
+    den, which keeps the degree of their gcd."""
     n, den, D = f.ring.n, act.den, f.degree()
-    # den*a for a = (2, 4, 8, ...), (-3, -9, -27, ...) and (4, 16, 64, ...), entry i unused;
-    # in one variable there is nothing to fix, so one point
-    points = [[den * (-1) ** k * (k + 2) ** (j + 1) for j in range(n)] for k in range(3 if n > 1 else 1)]
+    points = [[den * v for v in a] for a in fixed_points(n)]  # den*a, entry i unused
     checks = []
     for i in range(n):
         d = max(m[i] for m in f.ints)
@@ -756,7 +765,7 @@ def pell_conic(a: Analysis) -> tuple[str, Certificate] | None:
     cls = a.curve
     if cls is None or cls.tag != "pell_conic" or a.effective_rank != 2:
         return None
-    sols = pell_enumerate(cls.pell_n, 3)
+    sols = pell_enumerate(cls.pell_n, 3, fitting=True)  # at least the fundamental
     payload = {
         "n": cls.pell_n,
         "centre": list(cls.pell_centre),

@@ -5,12 +5,17 @@ minus; integer and a/b rational literals; identifiers must be declared ring
 variables.  Exponents are non-negative integer literals.  Whitespace is
 insignificant.  Errors carry the offending position.  Parentheses and unary
 minus nest at most MAX_DEPTH levels deep, so deep input is a ParseError
-rather than an exhausted interpreter stack.  ``[``, ``]`` and ``,`` are
-tokens of the skew-element syntax, which ``skew.parse_skew`` reads with it.
+rather than an exhausted interpreter stack.  A product or power is refused
+before it is expanded when its total degree passes MAX_DEGREE, or a bound
+on its number of terms passes MAX_TERMS; so is an exponent above
+MAX_DEGREE, which would otherwise blow up a constant.  ``[``, ``]`` and
+``,`` are tokens of the skew-element syntax, which ``skew.parse_skew``
+reads with it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -18,9 +23,15 @@ from .poly import Poly, PolyRing, _power, _product
 
 
 MAX_DEPTH = 100
+MAX_DEGREE = 1000
+MAX_TERMS = 10_000
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Input the program refuses; the command line exits 1 with its message."""
+
+
+class ParseError(InputError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
@@ -100,6 +111,18 @@ class _Parser:
         self.depth -= 1
         return result
 
+    def bounded(self, degree: int, terms: int, pos: int) -> None:
+        """Refuse an expansion of this total degree and at most ``terms``
+        terms when either passes its limit; no more terms than monomials of
+        degree at most ``degree`` can appear."""
+        if degree > MAX_DEGREE:
+            raise ParseError(f"total degree {degree} exceeds the degree limit of {MAX_DEGREE}", pos)
+        if terms > MAX_TERMS:
+            terms = min(terms, math.comb(self.ring.n + degree, degree))
+        if terms > MAX_TERMS:
+            message = f"an expansion of up to {terms} terms exceeds the term limit of {MAX_TERMS}"
+            raise ParseError(message, pos)
+
     def parse(self) -> Poly:
         result = self.expr()
         kind, value, pos, _ = self.peek()
@@ -116,19 +139,24 @@ class _Parser:
     def sum(self) -> dict:
         result = self.term()
         while True:
-            kind, value, _, _ = self.peek()
+            kind, value, pos, _ = self.peek()
             if kind != "op" or value not in "+-":
                 return result
             self.advance()
             sign = 1 if value == "+" else -1
             for m, c in self.term().items():
                 result[m] = result.get(m, 0) + sign * c
+            if len(result) > MAX_TERMS:
+                raise ParseError(f"a sum of more than {MAX_TERMS} terms exceeds the term limit", pos)
 
     def term(self) -> dict:
         result = self.factor()
         while self.peek()[:2] == ("op", "*"):
-            self.advance()
-            result = _product(result, self.factor())
+            pos = self.advance()[2]
+            other = self.factor()
+            (d, t), (e, u) = _size(result), _size(other)
+            self.bounded(d + e, t * u, pos)
+            result = _product(result, other)
         return result
 
     def factor(self) -> dict:
@@ -143,6 +171,10 @@ class _Parser:
         kind, k, pos, is_int = self.advance()
         if kind != "num" or not is_int:
             raise ParseError("exponent must be a non-negative integer literal", pos)
+        if k > MAX_DEGREE:
+            raise ParseError(f"exponent {k} exceeds the degree limit of {MAX_DEGREE}", pos)
+        d, t = _size(base)
+        self.bounded(k * d, math.comb(max(t, 1) + k - 1, k), pos)  # the products of k of the t terms
         return _power(base, k, {self.one: 1})
 
     def atom(self) -> dict:
@@ -159,6 +191,12 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
+
+
+def _size(terms: dict) -> tuple[int, int]:
+    """The total degree and the number of terms of a parsed dict, counting
+    the zero coefficients that cancellation leaves, as expansion reads them."""
+    return max(map(sum, terms), default=0), len(terms)
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:

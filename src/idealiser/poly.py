@@ -11,7 +11,10 @@ printing and equality are deterministic.  Arithmetic, derivatives, Taylor
 shifts and printing run on ints, and ``fractions.Fraction`` appears only at
 the boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
 ``coefficient`` and ``eval_at``.  ``_product`` and ``_power`` are the one
-product kernel of ``*``, ``**``, ``compose`` and the parser.
+product kernel of ``*``, ``**``, ``compose`` and the parser.  Dense lists of
+ints are the one univariate layer over Z: ``taylor_shift``,
+``row_coefficients`` (a restriction to a line), ``primitive_gcd`` and
+``is_squarefree``.
 """
 
 from __future__ import annotations
@@ -200,6 +203,68 @@ def taylor_shift(coeffs: list[int], a: int) -> list[int]:
         for k in range(d - 1, j - 1, -1):
             coeffs[k] += a * coeffs[k + 1]
     return coeffs
+
+
+def row_coefficients(terms, degree: int, point: Sequence[int]) -> list[int]:
+    """The coefficients, by powers of t, of the sum of c * t^k * the product
+    of point[j]^e_j over ``terms`` (c, [(j, e_j)], k): a polynomial of
+    degree at most ``degree`` restricted to the line through ``point`` along
+    the coordinate t, with every other coordinate fixed."""
+    coeffs = [0] * (degree + 1)
+    for v, factors, k in terms:
+        for j, e in factors:
+            v *= point[j] ** e
+        coeffs[k] += v
+    return coeffs
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs with its trailing zeros dropped, divided by its content, with
+    a positive leading coefficient; [] for the zero polynomial."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    if not coeffs:
+        return []
+    c = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return [v // c for v in coeffs]
+
+
+def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of gcd(sum_k a[k] t^k, sum_k b[k] t^k) over Z, as a
+    dense list in increasing powers with a positive leading coefficient, []
+    when both are zero: the primitive polynomial remainder sequence (Geddes,
+    Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 7).  Each
+    pseudo-remainder of the higher by the lower degree is made primitive
+    before the next step, which keeps the integers small, and a nonzero
+    constant remainder ends the sequence with the gcd [1]."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        lead, top, body = b[-1], len(b) - 1, b[:-1]
+        while len(a) > top:  # lead * a less c * t^shift * b drops the degree of a
+            c = a.pop()
+            a = [v * lead for v in a]
+            for k, v in enumerate(body, len(a) - top):
+                a[k] -= c * v
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive(a)
+    return [1] if b else a
+
+
+def is_squarefree(coeffs: list[int]) -> bool:
+    """Whether sum_k coeffs[k] t^k has no repeated root over C: exactly when
+    its gcd with its derivative is constant (Yun, 1976).  A nonzero
+    constant is squarefree, the zero polynomial is not."""
+    return len(primitive_gcd(coeffs, [k * v for k, v in enumerate(coeffs)][1:])) == 1
+
+
+def fixed_points(n: int) -> list[list[int]]:
+    """The integer points at which the univariate gcd certificates fix every
+    coordinate but the one they keep: (2, 4, 8, ...), (-3, -9, -27, ...)
+    and (4, 16, 64, ...); in one variable there is nothing to fix, so one."""
+    return [[(-1) ** k * (k + 2) ** (j + 1) for j in range(n)] for k in range(3 if n > 1 else 1)]
 
 
 class Poly:

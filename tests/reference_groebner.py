@@ -3,13 +3,22 @@ the product criterion and the chain criterion checked against the set of
 pairs already resolved.  It is the engine ``idealiser.groebner`` had before
 the Gebauer-Moeller pair update, kept as the oracle that the reduced bases
 of the current engine are compared against.  Like the engine, it computes
-in the order of the generators' ring.
+in the order of the generators' ring.  ``repeated_by_basis`` is the
+repeated-factor test by a basis alone, the oracle of the univariate gcd
+certificates.
 """
 
 import heapq
 
-from idealiser.groebner import normal_form, s_polynomial
+from idealiser.groebner import Ideal, krull_dimension, normal_form, s_polynomial
 from idealiser.poly import Poly, PolyRing, mono_degree, mono_divides, mono_lcm, mono_mul
+
+
+def repeated_by_basis(f):
+    """f has a repeated factor, by the basis alone: f and its partials share
+    a nonconstant factor, so V(f, df/dx_1, ...) has dimension n - 1."""
+    n = f.ring.n
+    return krull_dimension(Ideal(f.ring, [f] + [f.partial(i) for i in range(n)])) == n - 1
 
 
 def in_order(polys, order):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -95,7 +96,7 @@ def test_analyze_that_fails_prints_no_partial_report(capsys, tmp_path):
     exit 1 and an empty stdout, in text mode as in JSON mode."""
     cfg = {
         "ring": {"vars": ["x", "y"]},
-        "ideal": {"generators": ["x^2 - 100000007*y^2 - 1"], "claimed_prime": True},
+        "ideal": {"generators": ["x^2 - 1000000007*y^2 - 1"], "claimed_prime": True},
         "options": {"box": 2, "probe_radii": [1, 2]},
     }
     path = tmp_path / "big_pell.json"
@@ -589,6 +590,65 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "stab", "-c", cfg)
     assert (code, out) == (1, "")
     assert err == "error: zero denominator in '1/0' (at position 4)\n"
+
+
+@pytest.mark.parametrize(
+    "command, generator, message",
+    [
+        ("stab", "(x + y + 1)^400", "an expansion of up to 80601 terms exceeds the term limit of 10000"),
+        ("analyze", "x^1000000000000 - y", "exponent 1000000000000 exceeds the degree limit of 1000"),
+        ("stab", "x^600*y^600", "total degree 1200 exceeds the degree limit of 1000"),
+    ],
+)
+def test_oversized_input_exits_one_before_it_expands(capsys, tmp_path, command, generator, message):
+    """A power or product past the degree or term limit is refused by the
+    parser, in well under a second, with a message that names the limit."""
+    cfg = _write(tmp_path, "big.json", {"ideal": {"generators": [generator], "claimed_prime": True}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "-c", cfg)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message} (at position")
+
+
+def test_pell_conic_past_the_budget_after_its_fundamental_is_decided(capsys, tmp_path):
+    """x^2 - 30000001*y^2 - 1 has a fundamental solution of 2,776 digits,
+    and its next one is past the digit budget: the certificate keeps the
+    fundamental alone, and both sides read no."""
+    cfg = {
+        "ring": {"vars": ["x", "y"]},
+        "ideal": {"generators": ["x^2 - 30000001*y^2 - 1"], "claimed_prime": True},
+        "options": {"box": 2, "probe_radii": [1, 2]},
+    }
+    code, out, _ = run(capsys, "analyze", "-c", _write(tmp_path, "pell.json", cfg), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"]["right"], payload["verdict"]["left"]) == ("no", "no")
+    (cert,) = [c for c in payload["verdict"]["certificates"] if c["rule"] == "PellConic"]
+    x, y = cert["payload"]["fundamental"]
+    assert cert["payload"]["solutions"] == [[x, y]] and len(str(x)) == 2776
+
+
+def test_analyze_of_a_cusp_builds_no_jacobian_basis(capsys, tmp_path, monkeypatch):
+    """The cusp's singular point shows in its discriminant, and univariate
+    gcds prove it squarefree: the only basis its analysis builds is that of
+    its one generator, none in the homogenised ring."""
+    import idealiser.diophantine as diophantine
+    import idealiser.groebner as groebner
+
+    bases = []
+    original = groebner.reduced_groebner_basis
+
+    def recording(gens):
+        bases.append((gens[0].ring.n, len(gens)))
+        return original(gens)
+
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+    monkeypatch.setattr(diophantine, "reduced_groebner_basis", recording)
+    cfg = {**PELL_CFG, "ideal": {"generators": ["(y - 3)^2 - (x + 2)^3"], "claimed_prime": True}}
+    code, _, _ = run(capsys, "analyze", "-c", _write(tmp_path, "cusp.json", cfg))
+    assert code == 2
+    assert bases == [(2, 1)]
 
 
 def _count_calls(monkeypatch, modules, names) -> dict:

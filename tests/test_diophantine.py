@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from idealiser import (
+    Ideal,
     Poly,
     PolyRing,
     ResourceLimitError,
@@ -16,7 +17,9 @@ from idealiser import (
     pell_fundamental,
 )
 from idealiser.action import box_walk
-from idealiser.diophantine import PELL_DIGITS, primitive_gcd, zero_test
+from idealiser import diophantine
+from idealiser.diophantine import PELL_DIGITS, _projective_smoothness, _singular_by_discriminant, zero_test
+from idealiser.poly import primitive_gcd
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -69,6 +72,18 @@ def test_pell_digit_budget():
     assert len(str(sols[-1].x)) <= PELL_DIGITS < len(str(sols[-1].x)) + 10  # x grows ~9.2 digits a step
     with pytest.raises(ResourceLimitError, match=f"budget of {PELL_DIGITS} digits"):
         pell_enumerate(61, 451)
+
+
+def test_pell_enumeration_that_fits_keeps_the_fundamental():
+    """With ``fitting``, an enumeration stops before the first solution past
+    the budget instead of raising."""
+    sols = pell_enumerate(61, 451, fitting=True)
+    assert sols == pell_enumerate(61, 450)
+    assert [(s.x, s.y) for s in pell_enumerate(7, 3, fitting=True)] == [(8, 3), (127, 48), (2024, 765)]
+    (fund,) = pell_enumerate(30000001, 3, fitting=True)
+    assert fund == pell_fundamental(30000001) and len(str(fund.x)) == 2776
+    with pytest.raises(ResourceLimitError, match=f"budget of {PELL_DIGITS} digits"):
+        pell_enumerate(30000001, 2)
 
 
 def test_pell_rejects_bad_n():
@@ -513,3 +528,95 @@ def test_classify_rejects_degenerate_input():
     R3 = PolyRing(("x", "y", "z"))
     with pytest.raises(ValueError):
         classify_plane_curve(R3.var(0))
+
+
+def _affine_singular(f):
+    """f has a singular affine point: f, f_x and f_y have a common zero."""
+    return not Ideal(f.ring, [f, f.partial(0), f.partial(1)]).is_unit_ideal()
+
+
+def _quadratic_in_one_variable(rng):
+    """(f, whether c is constant, kind) for f = c*y^2 + b(x)*y + a(x),
+    with x and y swapped in about half: c a nonzero constant, or in about a
+    quarter c(x) of degree 1.  b and a are random (kind "random"), or
+    planted so that f is singular at an integer point, every term of f of
+    order at least 2 there ("singular"), or so that f is c*(y + e(x))^2 and
+    D is zero ("square")."""
+    u, w = (X, Y) if rng.random() < 0.5 else (Y, X)
+
+    def poly(degree):
+        return sum((rng.randint(-3, 3) * u**k for k in range(degree + 1)), RING.zero())
+
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    constant = rng.random() < 0.75
+    if not constant:
+        c = c * u + rng.randint(-2, 2)
+    kind = rng.choice(["random", "random", "singular", "square"])
+    if kind == "square":
+        e = poly(rng.randint(2, 3))
+        return c * (w + e) ** 2, constant, kind
+    if kind == "singular":
+        x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+        f = c * (w - y0) ** 2 + (w - y0) * (u - x0) * poly(1) + (u - x0) ** 2 * poly(rng.randint(1, 2))
+        return f, constant, kind
+    return c * w**2 + poly(rng.randint(0, 3)) * w + poly(rng.randint(3, 5)), constant, kind
+
+
+def test_discriminant_test_agrees_with_the_jacobian():
+    """Over seeded c*y^2 + b(x)*y + a(x) of degree >= 3: with c constant,
+    the discriminant test fires exactly where f has a singular affine
+    point (by the basis of (f, f_x, f_y)), D = 0 included; with c
+    depending on x it never fires; it never fires where the projective
+    smoothness basis gives pure powers; and the class is the one that basis
+    alone gives."""
+    rng = random.Random(34)
+    seen = dict.fromkeys(["singular", "smooth affine", "smooth closure", "D = 0", "c(x)"], 0)
+    for _ in range(300):
+        f, constant, kind = _quadratic_in_one_variable(rng)
+        if f.is_zero or f.degree() < 3:
+            continue
+        singular = _singular_by_discriminant(f)
+        if constant:
+            assert singular == _affine_singular(f), f
+            seen["singular" if singular else "smooth affine"] += 1
+        else:
+            assert not singular, f
+            seen["c(x)"] += 1
+        powers = _projective_smoothness(f)
+        assert not (singular and powers), f
+        seen["smooth closure"] += powers is not None
+        seen["D = 0"] += constant and kind == "square"
+        expected = "smooth_high_degree" if powers else "unknown"
+        assert classify_plane_curve(f).tag == expected, f
+    assert all(seen.values()), seen
+
+
+def test_discriminant_test_on_named_curves():
+    """The cusp, the nodal cubic, a double curve (D = 0) and the swapped
+    cusp are singular; a smooth Weierstrass cubic says nothing, and so does
+    x*y^2 - x^3 - 1, whose y^2 coefficient is x and whose closure is
+    smooth."""
+    for f in (Y**2 - X**3, Y**2 - X**2 * (X + 1), (Y - X**2) ** 2, X**2 - Y**3, (Y - 3) ** 2 - (X + 2) ** 3):
+        assert _singular_by_discriminant(f), f
+        assert classify_plane_curve(f).tag == "unknown"
+    for f in (Y**2 - X**3 - X - 1, X * Y**2 - X**3 - 1):
+        assert not _singular_by_discriminant(f), f
+        assert classify_plane_curve(f).tag == "smooth_high_degree"
+
+
+def test_singular_curve_builds_no_jacobian_basis(monkeypatch):
+    """A curve that the discriminant test finds singular is classified
+    without a basis in the homogenised ring; a smooth one still builds it,
+    as its pure powers are the certificate."""
+    rings = []
+    original = diophantine.reduced_groebner_basis
+
+    def recording(gens):
+        rings.append(gens[0].ring.n)
+        return original(gens)
+
+    monkeypatch.setattr(diophantine, "reduced_groebner_basis", recording)
+    assert classify_plane_curve((Y + 1) ** 2 - (X - 2) ** 3 - (X - 2) ** 2).tag == "unknown"
+    assert rings == []
+    assert classify_plane_curve(Y**2 - X**3 - X - 1).tag == "smooth_high_degree"
+    assert rings == [3]

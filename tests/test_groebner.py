@@ -31,10 +31,10 @@ from idealiser import (
     s_polynomial,
     unit_ideal,
 )
-from idealiser.groebner import ideal_quotient
+from idealiser.groebner import _repeated_by_gcds, has_repeated_factor, ideal_quotient
 from idealiser.noether import analysis, colon_components
-from idealiser.poly import _ElimOrder
-from reference_groebner import chain_reduced_basis, in_order
+from idealiser.poly import _ElimOrder, fixed_points
+from reference_groebner import chain_reduced_basis, in_order, repeated_by_basis
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -317,6 +317,75 @@ def test_maximality_flag_on_a_non_radical_ideal_is_refused(gens):
     assert not is_radical(Ideal(RING, gens))
     with pytest.raises(ValueError, match="ideal flagged maximal is not radical"):
         maximal(Ideal(RING, gens, claimed_maximal=True))
+
+
+def _blind_factor(ring):
+    """(x_1 - a_1)(x_2 - b_2) + 1 for a and b the first two points of
+    ``fixed_points``: its leading coefficient in x_2 vanishes where x_1 is
+    fixed at a_1 for the first try at x_2, and likewise in x_1 at b_2, so
+    it restricts to the constant 1 at both."""
+    a, b = fixed_points(ring.n)[:2]
+    return (ring.var(0) - a[0]) * (ring.var(1) - b[1]) + 1
+
+
+def test_gcd_certificate_never_passes_a_repeated_factor():
+    """Over seeded products of random factors, some squared, in 1, 2 and 3
+    variables, and of factors whose leading coefficients vanish at the
+    fixed points: where the univariate gcds give a verdict it is the
+    basis's, always in one variable, and has_repeated_factor is the
+    basis's verdict."""
+    rng = random.Random(34)
+    seen = dict.fromkeys(["squarefree", "repeated, one variable", "open", "blind"], 0)
+    for _ in range(400):
+        ring = PolyRing(("x", "y", "z")[: rng.randint(1, 3)])
+        factors = [random_poly(rng, ring) ** rng.choice([1, 1, 2]) for _ in range(rng.randint(1, 3))]
+        if ring.n > 1 and rng.random() < 0.2:
+            factors.append(_blind_factor(ring) ** 2)
+            seen["blind"] += 1
+        f = prod(factors)
+        if f.is_constant() or f.degree() > 12:  # the basis of a larger f takes seconds
+            continue
+        expected, got = repeated_by_basis(f), _repeated_by_gcds(f)
+        if sum(1 for i in range(ring.n) if f.degree_in(i) > 0) == 1:
+            assert got == expected, f
+        elif got is not None:
+            assert got is False and not expected, f
+        assert has_repeated_factor(f) == expected, f
+        seen["open" if got is None else "squarefree" if not got else "repeated, one variable"] += 1
+    assert all(seen.values()), seen
+
+
+def test_gcd_certificate_skips_points_where_the_leading_coefficient_vanishes():
+    """The square of a factor that restricts to a constant at the first
+    fixed points: the certificate must not read those points."""
+    for ring in (PolyRing(("x", "y")), PolyRing(("x", "y", "z"))):
+        f = _blind_factor(ring) ** 2
+        assert _repeated_by_gcds(f) is None and has_repeated_factor(f)
+        assert _repeated_by_gcds(_blind_factor(ring) * (ring.var(0) + 1)) is False
+
+
+def test_is_radical_builds_no_basis_of_a_generator_and_its_derivative(monkeypatch):
+    """is_radical reads each lex generator g of I cap Q[x_i] by gcd(g, g'):
+    the only bases it builds are the lex bases, one per variable at most."""
+    calls = []
+    original = groebner.reduced_groebner_basis
+
+    def recording(gens):
+        calls.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", recording)
+    R3 = PolyRing(("x", "y", "z"))
+    X3, Y3, Z3 = R3.var(0), R3.var(1), R3.var(2)
+    for gens, radical in (
+        ([X**2 - 1, Y], True),
+        ([X**2 - 2, (Y - 1) ** 2], False),
+        ([X3**2 - 2, Y3**2 - 3, Z3 - X3 * Y3], True),
+        ([X3**2 - 2, Y3**2 - 3, (Z3 - X3 * Y3) ** 2], False),
+    ):
+        calls.clear()
+        assert is_radical(Ideal(gens[0].ring, gens)) == radical
+        assert 1 <= len(calls) <= gens[0].ring.n and all(len(c) == len(gens) for c in calls), gens
 
 
 def test_maximality_flag_refused_by_the_last_elimination_ideal():
@@ -619,9 +688,9 @@ def _colon_tables():
     yield "(x - 3)^2", Ideal(R1, [(t - 3) ** 2]), Ideal(R1, [t - 3]), TranslationAction.standard(R1), [(0,)]
 
 
-def _branch(J, L, point):
+def _branch(J, L, point, same=False):
     """The check that should settle (J : L), given the point p of an
-    m_p-primary J, or None."""
+    m_p-primary J, or None; ``same`` says that L is a translate of J."""
     if ideal_contains(J, L):
         return "contained"
     if point is not None and any(f.eval_at(point) for f in L.gens):
@@ -631,13 +700,16 @@ def _branch(J, L, point):
         return "comaximal"
     if J.is_principal() and krull_dimension(total) <= J.ring.n - 2:
         return "principal"
+    if same and J.is_principal() and total.is_principal():
+        return "gcd"
     return "general"
 
 
 def test_colon_quotient_matches_the_general_route(monkeypatch):
     """In ``colon_components``, only the general pairs and the guards run an
-    elimination, and a point-primary J settles its pairs with no basis
-    beyond its own; every component's reduced basis equals the general
+    elimination, a point-primary J settles its pairs with no basis beyond
+    its own, and a principal J = I whose sum with I^g is principal, (h),
+    divides by h; every component's reduced basis equals the general
     route's."""
     calls = []  # the generators of every reduced basis computed
     original = groebner.reduced_groebner_basis
@@ -646,12 +718,12 @@ def test_colon_quotient_matches_the_general_route(monkeypatch):
         calls.append(gens)
         return original(gens)
 
-    branches = dict.fromkeys(["contained", "point", "comaximal", "principal", "general"], 0)
+    branches = dict.fromkeys(["contained", "point", "comaximal", "principal", "gcd", "general"], 0)
     for label, J, I, act, gs in _colon_tables():
         component = colon_components(J, I, act)
         for g in gs:
             L = act_on_ideal(I, g, act)
-            branch = _branch(J, L, POINTS.get(label))
+            branch = _branch(J, L, POINTS.get(label), ideal_equal(J, I))
             branches[branch] += 1
             if label in ("guard", "(x - 3)^2"):
                 assert branch == "general", (label, J, L)

@@ -38,10 +38,11 @@ from idealiser import (
 )
 from idealiser import groebner, noether
 from idealiser.action import box_walk
-from idealiser.diophantine import zero_test
-from idealiser.groebner import ideal_quotient
+from idealiser.diophantine import _projective_smoothness, _singular_by_discriminant, zero_test
+from idealiser.groebner import _repeated_by_gcds, ideal_quotient
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 from idealiser.poly import _ElimOrder
+from reference_groebner import repeated_by_basis
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -932,6 +933,28 @@ def test_benchmark_families_have_no_repeated_factor(monkeypatch):
         assert not analysis(I, TranslationAction.standard(ring)).repeated_factor, case.family
 
 
+def test_gcd_certificates_on_every_plane2_curve(monkeypatch):
+    """On every plane2 pool curve at seeds 1 and 7: the discriminant test
+    never fires where the projective smoothness basis gives pure powers,
+    and the squarefree certificate passes no curve that the basis finds
+    repeated (none is)."""
+    fired = passed = 0
+    for seed in (1, 7):
+        for case in _benchmark_cases(monkeypatch, ("plane2",), seed, 100):
+            generators = case.config["ideal"]["generators"]
+            if len(generators) != 1:
+                continue
+            f = RING.parse(generators[0])
+            if f.degree() >= 3:
+                singular = _singular_by_discriminant(f)
+                assert not (singular and _projective_smoothness(f)), f
+                fired += singular
+            squarefree = _repeated_by_gcds(f) is False
+            assert not (squarefree and repeated_by_basis(f)), f
+            passed += squarefree
+    assert fired == 400 and passed == 2200  # every cusp and nodal cubic; every curve
+
+
 def test_point_ideal_is_handed_its_reduced_basis():
     """The seeded basis of m_p is the reduced basis of its generators, for
     random rational points under grevlex, lex and a permuted lex."""
@@ -1013,6 +1036,42 @@ def _table_against_the_colons(I, act, box=2):
     for g, entry in quotient_table(I, I, act, box).items():
         expected = ideal_quotient(I, act_on_ideal(I, g, act))
         assert entry.groebner_basis() == expected.groebner_basis(), (I, g)
+
+
+def test_two_lines_table_builds_no_general_colon(monkeypatch):
+    """Each pair of a table of two lines (x - 2y - 1)(x + y - 3) that
+    shares a factor, g along one of the lines, has the principal sum
+    (f, f^g) = (l): the entry is (f / l), with no ideal_quotient; the table
+    still equals the definition."""
+    I = Ideal(RING, [(X - 2 * Y - 1) * (X + Y - 3)])
+    monkeypatch.setattr(noether, "ideal_quotient", None)
+    table = quotient_table(I, I, ACT, 2)
+    monkeypatch.undo()
+    for g in ((2, 1), (-2, -1), (1, -1), (-2, 2)):
+        assert table[g].groebner_basis() != I.groebner_basis(), g
+    for g, entry in table.items():
+        assert entry.groebner_basis() == ideal_quotient(I, act_on_ideal(I, g, ACT)).groebner_basis(), g
+
+
+def test_principal_sum_entries_match_the_definition_at_both_members():
+    """(f : f^g) = (f / h) for the principal sum (f, f^g) = (h), and at -g
+    the entry divides by h^-g: for a line times a circle translated along
+    the line, and for x*(x - 1), whose gcd at (1, 0) is x and at (-1, 0)
+    is x - 1.  Each pair is asked from either member first."""
+    cases = [
+        ((X - 2 * Y - 1) * (X**2 + Y**2 - 5), [(2, 1), (4, 2)]),
+        (X * (X - 1), [(1, 0), (1, 1)]),
+    ]
+    for f, gs in cases:
+        I = Ideal(RING, [f])
+        for sign in (1, -1):
+            component = noether.colon_components(I, I, ACT)
+            for g in gs:
+                for h in (tuple(sign * x for x in g), tuple(-sign * x for x in g)):
+                    expected = ideal_quotient(I, act_on_ideal(I, h, ACT))
+                    assert component(h).groebner_basis() == expected.groebner_basis(), (f, h)
+    shifted = noether.colon_components(Ideal(RING, [X * (X - 1)]), Ideal(RING, [X * (X - 1)]), ACT)
+    assert [str(shifted(g).groebner_basis()[0]) for g in ((1, 0), (-1, 0))] == ["x - 1", "x"]
 
 
 def test_a_false_prime_flag_on_a_product_gets_the_honest_table():

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from idealiser import MonomialOrder, Poly, PolyRing, ParseError
+from idealiser.parser import MAX_DEGREE, MAX_TERMS, InputError
 from idealiser.poly import _ElimOrder
 
 
@@ -289,6 +291,27 @@ def test_nesting_depth_is_bounded():
     assert ring.parse("-" * 100 + "x") == ring.var(0)
     with pytest.raises(ParseError, match="nested deeper than 100 levels"):
         ring.parse("(" * 101 + "x" + ")" * 101)
+
+
+def test_size_limits_are_checked_before_expansion():
+    """Products, powers and sums past MAX_DEGREE or MAX_TERMS are input
+    errors at the operator that crosses the limit; an exponent above
+    MAX_DEGREE is refused even on a constant; inputs at the limits parse."""
+    assert issubclass(ParseError, InputError) and issubclass(InputError, ValueError)
+    assert RING.parse(f"x^{MAX_DEGREE} - y") == X**MAX_DEGREE - Y
+    assert RING.parse("x^500*y^500 + 2^1000") == X**500 * Y**500 + 2**1000
+    assert RING.parse("(x - x)^3*(x + y)^2 + (x - 1)^0") == RING.one()
+    for text, message in (
+        (f"x^{MAX_DEGREE + 1}", f"exponent {MAX_DEGREE + 1} exceeds the degree limit of {MAX_DEGREE} (at position 2)"),
+        ("3^1001", f"exponent 1001 exceeds the degree limit of {MAX_DEGREE} (at position 2)"),
+        ("x^600 * y^401", f"total degree 1001 exceeds the degree limit of {MAX_DEGREE} (at position 6)"),
+        ("(x + y + 1)^140", f"an expansion of up to 10011 terms exceeds the term limit of {MAX_TERMS} (at position 12)"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            RING.parse(text)
+    many = " + ".join(f"x^{i}*y^{j}" for i in range(101) for j in range(100))
+    with pytest.raises(ParseError, match=f"a sum of more than {MAX_TERMS} terms exceeds the term limit"):
+        RING.parse(many)
 
 
 # a Fraction-dict reference: a polynomial is {exponent tuple: nonzero Fraction}

@@ -256,9 +256,10 @@ def _table_cases(rng):
     yield "m_p against the zero ideal", m_p, zero, ACT, 1, p
 
 
-def _colon_branch(J, L, point):
+def _colon_branch(J, L, point, same):
     """The check of ``colon_components`` that settles (J : L), given the
-    point p of an m_p-primary J, or None."""
+    point p of an m_p-primary J, or None; ``same`` says that L is a
+    translate of J."""
     if ideal_contains(J, L):
         return "contained"
     if point is not None and any(f.eval_at(point) for f in L.gens):
@@ -268,6 +269,8 @@ def _colon_branch(J, L, point):
         return "comaximal"
     if J.is_principal() and krull_dimension(total) <= J.ring.n - 2:
         return "principal"
+    if same and J.is_principal() and total.is_principal():
+        return "gcd"
     return "general"
 
 
@@ -279,7 +282,8 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     when J = I = (f), it runs no difference elimination: the first member of
     each pair {g, -g} asks the gcd test, which never passes where f and f^g
     share a factor, and a sum basis and I^g are built only at pairs that
-    test leaves open.  When J = I is not principal, it runs no difference
+    test leaves open; the second member of a pair whose sum is principal
+    builds neither.  When J = I is not principal, it runs no difference
     elimination either, and the first member of each pair builds I^g and
     the pair's one sum basis; otherwise one sum basis per entry that reaches
     the sum.  Every entry of the general route still eliminates."""
@@ -305,10 +309,10 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
     for label, J, I, act, box, p in _table_cases(random.Random(20)):
         moved = {g: act_on_ideal(I, g, act) for g in box_walk([box] * act.d)}
         expected = {g: ideal_quotient(J, L) for g, L in moved.items()}
-        branch = {g: _colon_branch(J, L, p) for g, L in moved.items()}
         gb = J.groebner_basis()
         proper = not (I.is_zero_ideal() or I.is_unit_ideal())
         K = analysis(I, act).K if proper and gb == I.groebner_basis() else None
+        branch = {g: _colon_branch(J, L, p, K is not None) for g, L in moved.items()}
         translated.clear()
         bases.clear()
         monkeypatch.setattr(noether, "act_on_ideal", recording_act)
@@ -324,7 +328,7 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             assert all(branch[g] == "contained" for g in moved if K.contains(g)), label
             assert not [g for g in translated if K.contains(g)], label
         first = {g: min(g, tuple(-x for x in g)) for g in moved}
-        reach = [g for g in moved if branch[g] in ("comaximal", "principal", "general")]
+        reach = [g for g in moved if branch[g] in ("comaximal", "principal", "gcd", "general")]
         differences = sum(difference(gens, J.ring) for _, gens in bases)
         sums = [g for g, gens in bases if gens[: len(gb)] == gb and not eliminates(gens)]
         if K is None:
@@ -366,7 +370,7 @@ def test_quotient_table_matches_the_colon_of_each_translate(monkeypatch):
             seen.update("mirror" for g in reach if g != first[g])
         if p is not None and label not in proved and any(branch[g] == "point" for g in moved):
             seen.add("zero test")
-    kinds = {"stabiliser", "zero test", "mirror", "coprime", "contained", "comaximal", "principal", "general"}
+    kinds = {"stabiliser", "zero test", "mirror", "coprime", "contained", "comaximal", "principal", "gcd", "general"}
     assert kinds <= seen, seen
     assert proved == {"line", "line, other generators", "point", "pell", "rational action, point"}
     assert principal == {"two lines", "two lines, one stabilised", "double line", "lex", "(x - 3)^2"}
