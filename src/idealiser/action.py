@@ -57,8 +57,13 @@ class TranslationAction:
 
     @classmethod
     def standard(cls, ring: PolyRing) -> "TranslationAction":
-        n = ring.n
-        return cls(ring, [[int(i == j) for j in range(n)] for i in range(n)])
+        """The identity matrix, each variable translated by its own generator,
+        set in its final form: int entries over the denominator 1."""
+        identity = tuple(tuple(int(i == j) for j in range(ring.n)) for i in range(ring.n))
+        act = object.__new__(cls)
+        for name, value in (("ring", ring), ("ints", identity), ("den", 1), ("matrix", identity)):
+            object.__setattr__(act, name, value)
+        return act
 
     @property
     def d(self) -> int:
@@ -136,7 +141,12 @@ class Lattice:
 
     @classmethod
     def standard(cls, d: int) -> "Lattice":
-        return cls(d, [[int(i == j) for j in range(d)] for i in range(d)])
+        """Z^d: the unit vectors are its column-Hermite basis, pivot j on row j."""
+        L = object.__new__(cls)
+        L.ambient = d
+        L.basis = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+        L._pivots = tuple((j, j) for j in range(d))
+        return L
 
     @property
     def rank(self) -> int:

@@ -185,7 +185,9 @@ def _report_json(rep: LatticeSubsetReport) -> dict:
 def _json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, written as one list
     of parts.  Strings go through the C string encoder, a list of plain ints
-    is one join, and any other type is handed to ``json.dumps``."""
+    is one join, and ``true``, ``false``, ``null``, ``[]`` and ``{}`` are
+    written here; any other type (a float, a dict with a key that is not a
+    string) is handed to ``json.dumps``."""
     parts: list[str] = []
     put = parts.append
 
@@ -196,7 +198,13 @@ def _json(payload) -> str:
             put(encode_basestring_ascii(value))
         elif kind is int:
             put(str(value))
-        elif (kind is list or kind is tuple) and value:
+        elif kind is bool:
+            put("true" if value else "false")
+        elif value is None:
+            put("null")
+        elif (kind is list or kind is tuple or kind is dict) and not value:
+            put("{}" if kind is dict else "[]")
+        elif kind is list or kind is tuple:
             inner = indent + "  "
             if set(map(type, value)) == {int}:
                 put("[" + inner + ("," + inner).join(map(str, value)) + indent + "]")
@@ -207,7 +215,7 @@ def _json(payload) -> str:
                     encode(x, inner)
                     put(",")
                 parts[-1] = indent + "]"  # in place of the last item's comma
-        elif kind is dict and value and set(map(type, value)) == {str}:
+        elif kind is dict and set(map(type, value)) == {str}:
             inner = indent + "  "
             put("{")
             for k in sorted(value):
@@ -486,9 +494,10 @@ def _cmd_probe(args) -> int:
 
 
 @functools.cache
-def _argparser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and kept for the process.
-    It holds no per-command data: every parse returns a fresh namespace."""
+def _argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and its sub-parser per command name, built on
+    first use and kept for the process.  They hold no per-command data:
+    every parse returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="idealiser",
         description="Idealiser subrings of polynomial skew group rings: "
@@ -548,12 +557,23 @@ def _argparser() -> argparse.ArgumentParser:
     target.add_argument("--point", help="target point, comma separated")
     p.add_argument("--prime", action="store_true", help="target is known prime")
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
+    """Run one command.  An argv that starts with a command name goes straight
+    to that command's sub-parser, one argparse level; any other argv (help,
+    a typo, no command) goes to the top-level parser, which answers it."""
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = _argparser()
     try:
-        args = _argparser().parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = top.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:  # worded by the top level, as its own parse would
+                top.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         if exc.code:  # a usage error: exit 1, as for any bad input; 2 means undecided
             return 1

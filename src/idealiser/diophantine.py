@@ -234,37 +234,31 @@ class CurveClass:
     jacobian_pure_powers: tuple[int, ...] | None = None  # per-variable exponents
 
 
+# per axis, the monomials u^2, w^2, u and w of a Pell conic in u = x_axis
+_PELL_MONOMIALS = (((2, 0), (0, 2), (1, 0), (0, 1)), ((0, 2), (2, 0), (0, 1), (1, 0)))
+_CONIC_MONOMIALS = frozenset(_PELL_MONOMIALS[0] + ((0, 0),))
+
+
 def _try_pell(f: Poly) -> CurveClass | None:
     """Detect a*((u - c1)^2 - n*(w - c2)^2 - 1) with integer centre, n
-    a positive nonsquare integer, up to swapping the two variables.  The
-    square and linear terms fix a, n and the centre, and one equality with
-    the rebuilt conic checks the cross and constant terms."""
-    if f.ring.n != 2 or f.degree() != 2:
+    a positive nonsquare integer, up to swapping the two variables.  It
+    reads the integer coefficients of f, whose content does not change the
+    shape: A*u^2 + B*w^2 + U*u + W*w + C with no other term, n = -B/A,
+    c1 = -U/2A and c2 = W/2An integers, and C = A*(c1^2 - n*c2^2 - 1)."""
+    if f.ring.n != 2 or not f.ints.keys() <= _CONIC_MONOMIALS:
         return None
-    for axis in (0, 1):
-        lin = tuple(int(i == axis) for i in range(2))  # u; lin[::-1] is w
-        sq = tuple(2 * e for e in lin)
-        alpha = f.coefficient(sq)
-        if alpha == 0:
+    get = f.ints.get
+    for axis, (uu, ww, u, w) in enumerate(_PELL_MONOMIALS):
+        a = get(uu)
+        if a is None:
             continue
-        ratio = -f.coefficient(sq[::-1]) / alpha
-        if ratio.denominator != 1 or ratio <= 0 or math.isqrt(int(ratio)) ** 2 == ratio:
+        n, r = divmod(-get(ww, 0), a)
+        if r or n <= 0 or math.isqrt(n) ** 2 == n:
             continue
-        n = int(ratio)
-        c1 = -f.coefficient(lin) / (2 * alpha)
-        c2 = f.coefficient(lin[::-1]) / (2 * alpha * n)
-        if c1.denominator != 1 or c2.denominator != 1:
+        (c1, r1), (c2, r2) = divmod(-get(u, 0), 2 * a), divmod(get(w, 0), 2 * a * n)
+        if r1 or r2 or get((0, 0), 0) != a * (c1 * c1 - n * c2 * c2 - 1):
             continue
-        u, w = f.ring.var(axis), f.ring.var(1 - axis)
-        if f != alpha * ((u - c1) ** 2 - n * (w - c2) ** 2 - 1):
-            continue
-        return CurveClass(
-            tag="pell_conic",
-            degree=2,
-            pell_n=n,
-            pell_centre=(int(c1), int(c2)),
-            pell_axis=axis,
-        )
+        return CurveClass(tag="pell_conic", degree=2, pell_n=n, pell_centre=(c1, c2), pell_axis=axis)
     return None
 
 

@@ -207,10 +207,15 @@ def analysis(I: Ideal, act: TranslationAction) -> Analysis:
 
 
 def point_ideal(ring, p) -> Ideal:
-    """m_p, flagged prime and maximal.  Its generators x_i - p_i are monic
-    and reduced in every order, so sorted by the order they are its reduced
-    basis, which the ideal is handed."""
-    gens = [ring.var(i) - ring.const(p[i]) for i in range(ring.n)]
+    """m_p, flagged prime and maximal.  Its generators x_i - p_i are built
+    from ints, as (b*x_i - a)/b for p_i = a/b.  They are monic and reduced
+    in every order, so sorted by the order they are its reduced basis, which
+    the ideal is handed."""
+    one = (0,) * ring.n
+    gens = []
+    for i in range(ring.n):
+        a, b = p[i].numerator, p[i].denominator
+        gens.append(Poly.from_ints(ring, 1, b, {one[:i] + (1,) + one[i + 1 :]: b, one: -a}))
     I = Ideal(ring, gens, claimed_prime=True, claimed_maximal=True)
     I._gb = tuple(sorted(gens, key=lambda g: ring.order.key(g.leading_monomial()), reverse=True))
     return I

@@ -7,10 +7,12 @@ insignificant.  Errors carry the offending position.  Parentheses and unary
 minus nest at most MAX_DEPTH levels deep, so deep input is a ParseError
 rather than an exhausted interpreter stack.  A product or power is refused
 before it is expanded when its total degree passes MAX_DEGREE, or a bound
-on its number of terms passes MAX_TERMS; so is an exponent above
-MAX_DEGREE, which would otherwise blow up a constant.  ``[``, ``]`` and
-``,`` are tokens of the skew-element syntax, which ``skew.parse_skew``
-reads with it.
+on its number of terms passes MAX_TERMS, or a bound on its coefficients
+passes the bits of MAX_DIGITS decimal digits; so is an exponent above
+MAX_DEGREE.  A literal, or a coefficient of the whole expression, whose
+numerator or denominator has more than MAX_DIGITS digits is refused too.
+``[``, ``]`` and ``,`` are tokens of the skew-element syntax, which
+``skew.parse_skew`` reads with it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .poly import Poly, PolyRing, _power, _product
 MAX_DEPTH = 100
 MAX_DEGREE = 1000
 MAX_TERMS = 10_000
+# the most decimal digits of a numerator or denominator: those str(int)
+# prints by default since Python 3.11, the budget of diophantine.PELL_DIGITS
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+# every number of at most MAX_DIGITS digits is at most 2 to this power
+_MAX_LOG2 = _DIGITS_BOUND.bit_length()
 
 
 class InputError(ValueError):
@@ -56,6 +64,9 @@ def _tokenize(text: str):
         token, start = m[kind], m.start(kind)
         if kind == "num":
             num, _, den = token.partition("/")
+            digits = max(len(num), len(den))
+            if digits > MAX_DIGITS:
+                raise ParseError(f"a literal of {digits} digits exceeds the coefficient limit of {MAX_DIGITS} digits", start)
             if den and not int(den):
                 raise ParseError(f"zero denominator in {token!r}", start)
             tokens.append((kind, Fraction(int(num), int(den)) if den else int(num), start, not den))
@@ -111,16 +122,20 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def bounded(self, degree: int, terms: int, pos: int) -> None:
-        """Refuse an expansion of this total degree and at most ``terms``
-        terms when either passes its limit; no more terms than monomials of
-        degree at most ``degree`` can appear."""
+    def bounded(self, degree: int, terms: int, log2: int, pos: int) -> None:
+        """Refuse an expansion of this total degree, at most ``terms`` terms
+        and coefficients of at most 2^``log2`` (``_size``) when any of them
+        passes its limit; no more terms than monomials of degree at most
+        ``degree`` can appear."""
         if degree > MAX_DEGREE:
             raise ParseError(f"total degree {degree} exceeds the degree limit of {MAX_DEGREE}", pos)
         if terms > MAX_TERMS:
             terms = min(terms, math.comb(self.ring.n + degree, degree))
         if terms > MAX_TERMS:
             message = f"an expansion of up to {terms} terms exceeds the term limit of {MAX_TERMS}"
+            raise ParseError(message, pos)
+        if log2 > _MAX_LOG2:
+            message = f"coefficients of up to 2^{log2} exceed the coefficient limit of {MAX_DIGITS} digits"
             raise ParseError(message, pos)
 
     def parse(self) -> Poly:
@@ -132,9 +147,14 @@ class _Parser:
 
     def expr(self) -> Poly:
         terms = self.sum()
-        if all(type(c) is int for c in terms.values()):
-            return Poly.from_ints(self.ring, 1, 1, terms)
-        return Poly(self.ring, terms)
+        values = terms.values()
+        integral = all(type(c) is int for c in values)
+        # the bounds let a coefficient pass the limit by a few bits, and a sum adds a few more
+        parts = values if integral else [x for c in values for x in (c.numerator, c.denominator)]
+        if max(map(abs, parts), default=0) >= _DIGITS_BOUND:
+            message = f"a coefficient of more than {MAX_DIGITS} digits exceeds the coefficient limit"
+            raise ParseError(message, self.peek()[2])
+        return Poly.from_ints(self.ring, 1, 1, terms) if integral else Poly(self.ring, terms)
 
     def sum(self) -> dict:
         result = self.term()
@@ -154,8 +174,9 @@ class _Parser:
         while self.peek()[:2] == ("op", "*"):
             pos = self.advance()[2]
             other = self.factor()
-            (d, t), (e, u) = _size(result), _size(other)
-            self.bounded(d + e, t * u, pos)
+            (d, t, h), (e, u, k) = _size(result), _size(other)
+            # a coefficient of the product sums at most min(t, u) products of two
+            self.bounded(d + e, t * u, h + k + _log2(min(t, u)), pos)
             result = _product(result, other)
         return result
 
@@ -173,8 +194,10 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer literal", pos)
         if k > MAX_DEGREE:
             raise ParseError(f"exponent {k} exceeds the degree limit of {MAX_DEGREE}", pos)
-        d, t = _size(base)
-        self.bounded(k * d, math.comb(max(t, 1) + k - 1, k), pos)  # the products of k of the t terms
+        d, t, h = _size(base)
+        t = max(t, 1)
+        # the products of k of the t terms, each coefficient at most (t * the largest)^k
+        self.bounded(k * d, math.comb(t + k - 1, k), k * (h + _log2(t)), pos)
         return _power(base, k, {self.one: 1})
 
     def atom(self) -> dict:
@@ -193,10 +216,23 @@ class _Parser:
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 
 
-def _size(terms: dict) -> tuple[int, int]:
+def _size(terms: dict) -> tuple[int, int, int]:
     """The total degree and the number of terms of a parsed dict, counting
-    the zero coefficients that cancellation leaves, as expansion reads them."""
-    return max(map(sum, terms), default=0), len(terms)
+    the zero coefficients that cancellation leaves, as expansion reads them,
+    and a bound 2^h on every numerator and denominator of the dict over
+    one denominator L: h is ``_log2`` of L and of the largest |c * L|."""
+    values = terms.values()
+    try:
+        top = max(map(int.__abs__, values), default=0)
+    except TypeError:  # a Fraction among them
+        lcm = math.lcm(*(c.denominator for c in values))
+        top = max(lcm, *(abs(c.numerator) * (lcm // c.denominator) for c in values))
+    return max(map(sum, terms), default=0), len(terms), _log2(top)
+
+
+def _log2(n: int) -> int:
+    """The least h >= 0 with n <= 2^h."""
+    return (n - 1).bit_length() if n > 1 else 0
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:

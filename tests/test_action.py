@@ -466,6 +466,34 @@ def test_complement_edge_cases():
     assert complement(Lattice.standard(2)).rank == 0
 
 
+def test_standard_lattice_is_the_general_constructor_of_the_identity():
+    """``Lattice.standard`` sets its basis and pivots with no Hermite run;
+    they are what the column-Hermite form of the identity gives."""
+    for d in range(5):
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
+        built, general = Lattice.standard(d), Lattice(d, identity)
+        assert built == general
+        assert (built.ambient, built.basis, built._pivots) == (general.ambient, general.basis, general._pivots)
+        assert built.points_in_box(1) == general.points_in_box(1)
+        assert complement(built).rank == 0
+
+
+def test_standard_action_is_the_general_constructor_of_the_identity():
+    """``TranslationAction.standard`` sets its fields with no coercion:
+    equal, of equal hash, and with the same int entries and denominator."""
+    for names in (("x",), ("x", "y"), ("x", "y", "z")):
+        ring = PolyRing(names)
+        n = len(names)
+        built = TranslationAction.standard(ring)
+        general = TranslationAction(ring, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert built == general and hash(built) == hash(general) and repr(built) == repr(general)
+        assert (built.ring, built.ints, built.den, built.matrix, built.d) == (
+            general.ring, general.ints, general.den, general.matrix, general.d,
+        )
+        assert {type(a) for row in built.matrix for a in row} == {int}
+        assert built.translation((1,) * n) == general.translation((1,) * n)
+
+
 def test_complement_random_sublattices():
     rng = random.Random(19)
     for _ in range(15):

@@ -10,6 +10,7 @@ import pytest
 from idealiser import cli
 from idealiser.cli import _json, main
 from idealiser.groebner import DEFAULT_PAIR_LIMIT
+from pool_inputs import benchmark_cases
 
 
 PELL_CFG = {
@@ -598,11 +599,14 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path):
         ("stab", "(x + y + 1)^400", "an expansion of up to 80601 terms exceeds the term limit of 10000"),
         ("analyze", "x^1000000000000 - y", "exponent 1000000000000 exceeds the degree limit of 1000"),
         ("stab", "x^600*y^600", "total degree 1200 exceeds the degree limit of 1000"),
+        ("stab", "((2^1000)^1000)^1000*x - y", "coefficients of up to 2^1000000 exceed the coefficient limit of 4300 digits"),
+        ("stab", "((2^1000)^1000)*x - y", "coefficients of up to 2^1000000 exceed the coefficient limit of 4300 digits"),
     ],
 )
 def test_oversized_input_exits_one_before_it_expands(capsys, tmp_path, command, generator, message):
-    """A power or product past the degree or term limit is refused by the
-    parser, in well under a second, with a message that names the limit."""
+    """A power or product past the degree, term or coefficient limit is
+    refused by the parser, in well under a second, with a message that
+    names the limit."""
     cfg = _write(tmp_path, "big.json", {"ideal": {"generators": [generator], "claimed_prime": True}})
     start = time.perf_counter()
     code, out, err = run(capsys, command, "-c", cfg)
@@ -863,3 +867,75 @@ def test_json_writer_matches_json_dumps():
         if i % 50 == 0:  # empty containers and keys the writer hands on
             payload["edge"] = [[], {}, (), [[]], {"k": {}}, {2: "b", 1: [True, 1, 0, False]}, -2.5e-7]
         assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+COMMANDS = ("analyze", "stab", "complement", "quotient-table", "tor", "sset", "tset", "pell", "skewmul", "member", "probe")
+
+
+def test_help_lists_every_command_and_exits_zero(capsys, monkeypatch):
+    """``idealiser --help`` from ``sys.argv``: the top-level parser answers."""
+    monkeypatch.setattr(sys, "argv", ["idealiser", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = out[out.index("{") + 1 : out.index("}")].split(",")
+    assert listed == list(COMMANDS)
+    assert all(f"    {name}" in out for name in COMMANDS)
+
+
+def test_unknown_command_and_unknown_option_exit_one(capsys, pell_config):
+    code, out, err = run(capsys, "analyse", "-c", pell_config)
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'analyse'" in err and err.startswith("usage: idealiser [-h]")
+    code, out, err = run(capsys, "analyze", "-c", pell_config, "--bogus")
+    assert (code, out) == (1, "")
+    # worded by the top-level parser, as a two-level parse words it
+    assert err.endswith("idealiser: error: unrecognized arguments: --bogus\n")
+    assert err.startswith("usage: idealiser [-h]")
+
+
+def test_each_command_runs_one_argparse_level(capsys, tmp_path, monkeypatch):
+    """A command's argv goes straight to its sub-parser: one
+    ``parse_known_args`` call per command, where a parse through the
+    top-level parser makes two."""
+    import argparse
+
+    pell = _write(tmp_path, "pell.json", {**PELL_CFG, "options": {"box": 1, "probe_radii": [1]}})
+    argvs = {
+        "analyze": ["-c", pell],
+        "stab": ["-c", pell],
+        "complement": ["-c", pell],
+        "quotient-table": ["-c", pell, "--box", "1"],
+        "tor": ["-c", pell, "x"],
+        "sset": ["-c", pell, "--point", "1,0"],
+        "tset": ["-c", pell, "x^2 - 7*y^2 - 1"],
+        "pell": ["7", "--count", "1"],
+        "skewmul": ["(x)*g[1,0]", "(y)*g[0,1]"],
+        "member": ["-c", pell, "(x)*g[1,0]", "--json"],
+        "probe": ["-c", pell, "--point", "1,0"],
+    }
+    assert tuple(argvs) == COMMANDS
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for name, rest in argvs.items():
+        assert run(capsys, name, *rest)[0] in (0, 2), name
+        assert calls == [f"idealiser {name}"]
+        calls.clear()
+
+
+def test_json_writer_hands_no_pool_payload_to_json_dumps(capsys, tmp_path, monkeypatch):
+    """On two cycles of each seed-1 benchmark pool (every family twice),
+    ``_json`` writes every value itself."""
+    cases = list(benchmark_cases(monkeypatch, ("plane2", "space3", "colon2"), 1, 2))
+    paths = [_write(tmp_path, f"{i}.json", case.config) for i, case in enumerate(cases)]
+    calls = _count_calls(monkeypatch, [json], ["dumps"])
+    for case, path in zip(cases, paths):
+        assert run(capsys, case.command, "-c", path, "--json")[0] in (0, 2), case.family
+    assert calls == {"dumps": 0}

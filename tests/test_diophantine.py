@@ -20,6 +20,8 @@ from idealiser.action import box_walk
 from idealiser import diophantine
 from idealiser.diophantine import PELL_DIGITS, _projective_smoothness, _singular_by_discriminant, zero_test
 from idealiser.poly import primitive_gcd
+from pool_inputs import benchmark_cases
+from reference_pell import fraction_try_pell
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -490,6 +492,69 @@ def test_classify_pell_needs_its_cross_and_constant_terms():
         assert classify_plane_curve(f).tag == "unknown", f
     cls = classify_plane_curve(Fraction(-2, 3) * ((Y + 3) ** 2 - 5 * (X - 1) ** 2 - 1))
     assert (cls.tag, cls.pell_n, cls.pell_centre, cls.pell_axis) == ("pell_conic", 5, (-3, 1), 1)
+
+
+def _random_conic(rng):
+    """A seeded plane conic of one of seven kinds, each near a Pell conic:
+    Pell, shifted, scaled, with a cross term, two lines, a non-integer
+    centre, or a linear term added; n runs over squares, nonsquares, zero
+    and negatives."""
+    n = rng.randint(-3, 30)
+    u, w = (X, Y) if rng.randint(0, 1) else (Y, X)
+    c1, c2 = rng.randint(-5, 5), rng.randint(-5, 5)
+    kind = rng.choice(("pell", "shifted", "scaled", "cross", "lines", "centre", "linear"))
+    if kind == "pell":
+        return kind, u**2 - n * w**2 - 1
+    if kind == "shifted":
+        return kind, (u - c1) ** 2 - n * (w - c2) ** 2 - rng.choice((1, 1, 2, -1))
+    if kind == "scaled":
+        scale = rng.choice((2, -3, Fraction(1, 2), Fraction(-5, 7), Fraction(4, 9)))
+        return kind, scale * ((u - c1) ** 2 - n * (w - c2) ** 2 - 1)
+    if kind == "cross":
+        return kind, (u - c1) ** 2 + rng.choice((-2, -1, 1, 3)) * u * w - n * (w - c2) ** 2 - 1
+    if kind == "linear":  # a linear term off by less than the step that moves the centre
+        return kind, (u - c1) ** 2 - n * (w - c2) ** 2 - 1 + rng.choice((-2, -1, 1, 2)) * rng.choice((u, w))
+    if kind == "lines":
+        k = rng.randint(1, 5)
+        return kind, rng.choice((1, -2, 3)) * (u - k * w - c1) * (u + k * w - c2)
+    centre = RING.const(Fraction(rng.choice((1, -1, 5)), rng.choice((2, 3, 4))))
+    shifts = (c1 + centre, c2) if rng.randint(0, 1) else (c1, c2 + centre)
+    return kind, rng.choice((1, 4, 36)) * ((u - shifts[0]) ** 2 - n * (w - shifts[1]) ** 2 - 1)
+
+
+def test_integer_pell_recogniser_matches_the_fraction_reference():
+    """``_try_pell`` reads the integer coefficients; on seeded random conics
+    of every kind it gives the reference recogniser's answer, and both
+    answers occur."""
+    rng = random.Random(35)
+    outcomes = {}
+    for _ in range(600):
+        kind, f = _random_conic(rng)
+        expected = fraction_try_pell(f)
+        assert diophantine._try_pell(f) == expected, (kind, f)
+        outcomes.setdefault(kind, set()).add(expected is not None)
+    assert outcomes["pell"] == outcomes["shifted"] == outcomes["scaled"] == {True, False}
+    assert outcomes["cross"] == outcomes["lines"] == outcomes["centre"] == outcomes["linear"] == {False}
+
+
+def test_pell_recogniser_on_every_pool_and_golden_curve(monkeypatch):
+    """Every principal plane curve of the plane2 and colon2 pools at seeds 1
+    and 7, and of the golden gallery, gets the reference recogniser's
+    answer."""
+    from test_golden import GALLERY
+
+    generators = [gens for gens, *_ in GALLERY.values()]
+    for seed in (1, 7):
+        cases = benchmark_cases(monkeypatch, ("plane2", "colon2"), seed, 100)
+        generators += [case.config["ideal"]["generators"] for case in cases]
+    found = 0
+    for gens in generators:
+        if len(gens) == 1:
+            f = RING.parse(gens[0])
+            expected = fraction_try_pell(f)
+            assert diophantine._try_pell(f) == expected, f
+            found += expected is not None
+    assert found > 0
 
 
 def test_classify_graph_curve():

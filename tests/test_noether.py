@@ -1,8 +1,6 @@
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +40,7 @@ from idealiser.diophantine import _projective_smoothness, _singular_by_discrimin
 from idealiser.groebner import _repeated_by_gcds, ideal_quotient
 from idealiser.noether import LEFT_RULES, RIGHT_RULES, analysis, component_test
 from idealiser.poly import _ElimOrder
+from pool_inputs import benchmark_cases
 from reference_groebner import repeated_by_basis
 
 RING = PolyRing(("x", "y"))
@@ -526,7 +525,7 @@ def _probe_configs(monkeypatch):
             act = TranslationAction(ring, matrix) if matrix else TranslationAction.standard(ring)
             I = Ideal(ring, [ring.parse(g) for g in gens], **flags)
             yield name, I, act, opts.get("box", 8), opts.get("probe_radii", [2, 4, 8])
-    for case in _benchmark_cases(monkeypatch, ("plane2",), seed=3, cycles=1):
+    for case in benchmark_cases(monkeypatch, ("plane2",), seed=3, cycles=1):
         cfg = case.config
         ring = PolyRing(tuple(cfg["ring"]["vars"]))
         matrix = cfg.get("action", {}).get("matrix")
@@ -915,19 +914,8 @@ def test_squarefree_principal_primes_are_accepted(generator):
     decide(I, ACT, box=2)
 
 
-def _benchmark_cases(monkeypatch, workloads=("plane2", "space3"), seed=1, cycles=2):
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up by name while it executes
-    monkeypatch.setitem(sys.modules, spec.name, inputs)
-    spec.loader.exec_module(inputs)
-    for workload in workloads:
-        yield from inputs.generate(workload, seed, cycles)
-
-
 def test_benchmark_families_have_no_repeated_factor(monkeypatch):
-    for case in _benchmark_cases(monkeypatch):
+    for case in benchmark_cases(monkeypatch):
         ring = PolyRing(tuple(case.config["ring"]["vars"]))
         I = Ideal(ring, [ring.parse(s) for s in case.config["ideal"]["generators"]])
         assert not analysis(I, TranslationAction.standard(ring)).repeated_factor, case.family
@@ -940,7 +928,7 @@ def test_gcd_certificates_on_every_plane2_curve(monkeypatch):
     repeated (none is)."""
     fired = passed = 0
     for seed in (1, 7):
-        for case in _benchmark_cases(monkeypatch, ("plane2",), seed, 100):
+        for case in benchmark_cases(monkeypatch, ("plane2",), seed, 100):
             generators = case.config["ideal"]["generators"]
             if len(generators) != 1:
                 continue
@@ -969,6 +957,20 @@ def test_point_ideal_is_handed_its_reduced_basis():
                 I = noether.point_ideal(ring, p)
                 assert I.groebner_basis() == groebner.reduced_groebner_basis(I.gens), (order, p)
                 assert groebner.rational_point_of(I) == tuple(p)
+
+
+def test_point_ideal_is_the_difference_of_a_variable_and_a_constant():
+    """The generators built from ints are ``var(i) - const(p_i)``, on random
+    rational and integer points, and the ideal carries both flags."""
+    rng = random.Random(35)
+    for n in (1, 2, 3):
+        ring = PolyRing(("x", "y", "z")[:n])
+        for _ in range(10):
+            p = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))) for _ in range(n)]
+            I = noether.point_ideal(ring, p)
+            assert list(I.gens) == [ring.var(i) - ring.const(p[i]) for i in range(n)], p
+            assert (I.claimed_prime, I.claimed_maximal) == (True, True)
+            assert sorted(map(str, I.groebner_basis())) == sorted(map(str, I.gens))
 
 
 def _random_form(rng, degree):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from idealiser import MonomialOrder, Poly, PolyRing, ParseError
-from idealiser.parser import MAX_DEGREE, MAX_TERMS, InputError
+from idealiser.parser import MAX_DEGREE, MAX_DIGITS, MAX_TERMS, InputError
 from idealiser.poly import _ElimOrder
 
 
@@ -312,6 +312,32 @@ def test_size_limits_are_checked_before_expansion():
     many = " + ".join(f"x^{i}*y^{j}" for i in range(101) for j in range(100))
     with pytest.raises(ParseError, match=f"a sum of more than {MAX_TERMS} terms exceeds the term limit"):
         RING.parse(many)
+
+
+def test_coefficient_limit_is_checked_before_expansion():
+    """A product or power whose coefficients may pass 2^k, for 2^k the
+    least power of two above every number of MAX_DIGITS digits, is refused
+    at its operator; a literal of more than MAX_DIGITS digits at its start,
+    and a coefficient of the whole expression past MAX_DIGITS digits at its
+    end.  Inputs at the limit parse."""
+    widest = "9" * MAX_DIGITS  # the largest literal of MAX_DIGITS digits
+    big = int(widest)
+    assert RING.parse(f"{widest}*x - 1/{widest}") == big * X - Fraction(1, big)
+    assert RING.parse(f"x*{widest}*y") == big * X * Y
+    assert RING.parse("(2^1000)^14*x") == 2**14000 * X
+    assert RING.parse("(2*x + 2*y)^14") == 2**14 * (X + Y) ** 14
+    limit = f"exceed the coefficient limit of {MAX_DIGITS} digits"
+    for text, message in (
+        ("((2^1000)^1000)^1000*x - y", f"coefficients of up to 2^1000000 {limit} (at position 10)"),
+        ("(2^1000)^15", f"coefficients of up to 2^15000 {limit} (at position 9)"),
+        (f"x - {widest}*{widest}", f"coefficients of up to 2^28570 {limit} (at position {MAX_DIGITS + 4})"),
+        (f"(1/3*x + 1/{widest})^2", f"coefficients of up to 2^28572 {limit} (at position {MAX_DIGITS + 13})"),
+        (f"x + 1{'0' * MAX_DIGITS}", f"a literal of {MAX_DIGITS + 1} digits exceeds the coefficient limit of {MAX_DIGITS} digits (at position 4)"),
+        (f"x + 1/1{'0' * MAX_DIGITS}", f"a literal of {MAX_DIGITS + 1} digits exceeds the coefficient limit of {MAX_DIGITS} digits (at position 4)"),
+        (f"{widest} + 1", f"a coefficient of more than {MAX_DIGITS} digits exceeds the coefficient limit (at position {MAX_DIGITS + 4})"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            RING.parse(text)
 
 
 # a Fraction-dict reference: a polynomial is {exponent tuple: nonzero Fraction}
