@@ -7,7 +7,7 @@ lines, Pell conics up to variable swap / overall scale / integer translation
 of the centre, graph curves a*x + r(y), and smooth projective plane curves of
 degree >= 3 via the Jacobian criterion, once a univariate discriminant has
 not already shown a singular point; everything else is left unclassified
-rather than guessed.
+rather than guessed.  The shape tests read f through one reader, ``_rows``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .groebner import ResourceLimitError, _fresh_aux_name, pure_powers, reduced_groebner_basis
+from .poly import _DIGITS_BOUND as _PELL_BOUND
+from .poly import MAX_DIGITS as PELL_DIGITS  # the most decimal digits of a Pell solution
 from .poly import Poly, PolyRing, is_squarefree, mono_degree, row_coefficients
-
-# the most decimal digits of a Pell solution: those str(int) prints by default since Python 3.11
-PELL_DIGITS = 4300
-_PELL_BOUND = 10**PELL_DIGITS
 
 
 def _pell_budget(x: int) -> None:
@@ -234,58 +232,50 @@ class CurveClass:
     jacobian_pure_powers: tuple[int, ...] | None = None  # per-variable exponents
 
 
-# per axis, the monomials u^2, w^2, u and w of a Pell conic in u = x_axis
-_PELL_MONOMIALS = (((2, 0), (0, 2), (1, 0), (0, 1)), ((0, 2), (2, 0), (0, 1), (1, 0)))
-_CONIC_MONOMIALS = frozenset(_PELL_MONOMIALS[0] + ((0, 0),))
+def _rows(f: Poly, y: int) -> list[list[int]]:
+    """f's integer coefficients as sum_k rows[k](x) * y^k, for y the variable of
+    that index and x the other: each row a dense int list of length deg_x f + 1.
+    The content of f, which is no part of a shape, is left out."""
+    exps = tuple(zip(*f.ints))  # the exponents of each variable, term by term
+    rows = [[0] * (max(exps[1 - y]) + 1) for _ in range(max(exps[y]) + 1)]
+    for k, j, v in zip(exps[y], exps[1 - y], f.ints.values()):
+        rows[k][j] = v
+    return rows
 
 
 def _try_pell(f: Poly) -> CurveClass | None:
-    """Detect a*((u - c1)^2 - n*(w - c2)^2 - 1) with integer centre, n
-    a positive nonsquare integer, up to swapping the two variables.  It
-    reads the integer coefficients of f, whose content does not change the
-    shape: A*u^2 + B*w^2 + U*u + W*w + C with no other term, n = -B/A,
-    c1 = -U/2A and c2 = W/2An integers, and C = A*(c1^2 - n*c2^2 - 1)."""
-    if f.ring.n != 2 or not f.ints.keys() <= _CONIC_MONOMIALS:
+    """Detect a*((u - c1)^2 - n*(w - c2)^2 - 1), n a positive nonsquare, for
+    (u, w) = (x, y) or (y, x): rows c + cx*x + cxx*x^2, cy and cyy in y, with
+    A, B, U, W those of u^2, w^2, u, w, and integers n = -B/A, c1 = -U/2A and
+    c2 = W/2An with c = A*(c1^2 - n*c2^2 - 1)."""
+    rows = _rows(f, 1)
+    if len(rows) != 3 or len(rows[0]) != 3:
         return None
-    get = f.ints.get
-    for axis, (uu, ww, u, w) in enumerate(_PELL_MONOMIALS):
-        a = get(uu)
-        if a is None:
-            continue
-        n, r = divmod(-get(ww, 0), a)
+    (c, cx, cxx), (cy, *mixed), (cyy, *top) = rows
+    if any(mixed) or any(top):
+        return None
+    for axis, (a, b, u, w) in enumerate(((cxx, cyy, cx, cy), (cyy, cxx, cy, cx))):
+        n, r = divmod(-b, a)
         if r or n <= 0 or math.isqrt(n) ** 2 == n:
             continue
-        (c1, r1), (c2, r2) = divmod(-get(u, 0), 2 * a), divmod(get(w, 0), 2 * a * n)
-        if r1 or r2 or get((0, 0), 0) != a * (c1 * c1 - n * c2 * c2 - 1):
+        (c1, r1), (c2, r2) = divmod(-u, 2 * a), divmod(w, 2 * a * n)
+        if r1 or r2 or c != a * (c1 * c1 - n * c2 * c2 - 1):
             continue
         return CurveClass(tag="pell_conic", degree=2, pell_n=n, pell_centre=(c1, c2), pell_axis=axis)
     return None
 
 
 def _try_graph(f: Poly) -> CurveClass | None:
-    """Detect a*x_i + r(x_j) with deg r >= 2."""
-    if f.ring.n != 2:
-        return None
+    """Detect a*x_i + r(x_j) with deg r >= 2: rows r and a constant a in x_i."""
     for axis in (0, 1):
-        other = 1 - axis
-        a = None
-        rest: dict = {}
-        ok = True
-        for mono, c in f.terms.items():
-            if mono[axis] == 1 and mono[other] == 0:
-                a = c
-            elif mono[axis] == 0:
-                rest[mono] = c
-            else:
-                ok = False
-                break
-        if not ok or a is None:
+        rows = _rows(f, axis)
+        if len(rows) != 2:
             continue
-        r = Poly(f.ring, rest)
-        if r.degree_in(other) < 2:
+        r, (a, *rest) = rows
+        if any(rest) or len(r) < 3:
             continue
-        graph = r * (Fraction(-1) / a)
-        return CurveClass(tag="graph_curve", degree=int(f.degree()), graph_axis=axis, graph_poly=graph)
+        q = Poly.from_ints(f.ring, -1, a, {(0, k) if axis == 0 else (k, 0): v for k, v in enumerate(r)})
+        return CurveClass(tag="graph_curve", degree=len(r) - 1, graph_axis=axis, graph_poly=q)
     return None
 
 
@@ -308,22 +298,18 @@ def _projective_smoothness(f: Poly) -> tuple[int, ...] | None:
 
 
 def _singular_by_discriminant(f: Poly) -> bool:
-    """True when f = c*y^2 + b(x)*y + a(x), for c a nonzero constant and y
-    either variable, has a singular affine point; False says nothing.  With
-    D = b^2 - 4*c*a, f = c*(y + b/2c)^2 - D/4c, so on f_y = 2*c*y + b = 0
-    f is -D/4c and f_x is -D'/4c.  A singular point is therefore a common
-    root of D and D', which exists over C exactly when D is zero or
-    gcd(D, D') is nonconstant: when D is not squarefree."""
+    """True when f = c*y^2 + b(x)*y + a(x), its rows a, b and a constant c
+    in y for y either variable, has a singular affine point; False says
+    nothing.  With D = b^2 - 4*c*a, f = c*(y + b/2c)^2 - D/4c, so on
+    f_y = 2*c*y + b = 0 f is -D/4c and f_x is -D'/4c.  A singular point is
+    therefore a common root of D and D', which exists over C exactly when D
+    is zero or gcd(D, D') is nonconstant: when D is not squarefree."""
     for y in (0, 1):
-        x = 1 - y
-        if f.degree_in(y) != 2 or any(m[y] == 2 and m[x] for m in f.ints):
+        rows = _rows(f, y)
+        if len(rows) != 3 or any(rows[2][1:]):
             continue
-        d = f.degree_in(x)
-        a, b, top = ([0] * (d + 1) for _ in range(3))
-        for m, v in f.ints.items():
-            (a, b, top)[m[y]][m[x]] = v
-        c = top[0]
-        D = [-4 * c * v for v in a] + [0] * d
+        a, b, (c, *_) = rows
+        D = [-4 * c * v for v in a] + [0] * (len(a) - 1)
         for j, u in enumerate(b):
             for k, v in enumerate(b):
                 D[j + k] += u * v

@@ -28,6 +28,7 @@ from .poly import (
     MonomialOrder,
     Poly,
     PolyRing,
+    ResourceLimitError,
     _ElimOrder,
     fixed_points,
     is_squarefree,
@@ -41,10 +42,6 @@ from .poly import (
 
 DEFAULT_PAIR_LIMIT = 100_000
 PAIR_LIMIT = contextvars.ContextVar("pair_limit", default=DEFAULT_PAIR_LIMIT)
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a basis computation exceeds its pair budget."""
 
 
 def _prepare(basis: Sequence[Poly]) -> list[tuple[tuple[int, ...], int, dict]]:

@@ -21,18 +21,12 @@ import math
 import re
 from fractions import Fraction
 
-from .poly import Poly, PolyRing, _power, _product
+from .poly import _DIGITS_BOUND, _MAX_LOG2, MAX_DIGITS, Poly, PolyRing, _power, _product
 
 
 MAX_DEPTH = 100
 MAX_DEGREE = 1000
 MAX_TERMS = 10_000
-# the most decimal digits of a numerator or denominator: those str(int)
-# prints by default since Python 3.11, the budget of diophantine.PELL_DIGITS
-MAX_DIGITS = 4300
-_DIGITS_BOUND = 10**MAX_DIGITS
-# every number of at most MAX_DIGITS digits is at most 2 to this power
-_MAX_LOG2 = _DIGITS_BOUND.bit_length()
 
 
 class InputError(ValueError):

@@ -14,7 +14,9 @@ the boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
 product kernel of ``*``, ``**``, ``compose`` and the parser.  Dense lists of
 ints are the one univariate layer over Z: ``taylor_shift``,
 ``row_coefficients`` (a restriction to a line), ``primitive_gcd`` and
-``is_squarefree``.
+``is_squarefree``.  ``translate`` and ``compose`` refuse, before they expand,
+a result whose coefficients may pass MAX_DIGITS digits, the program's one
+digit budget.
 """
 
 from __future__ import annotations
@@ -31,6 +33,30 @@ from typing import Callable, Mapping, Sequence
 Monomial = tuple[int, ...]
 
 NEG_INFINITY = float("-inf")
+
+# the most decimal digits of a number the program builds by substitution, parses
+# or prints as a Pell solution: those str(int) prints by default since Python 3.11
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+# every number of at most MAX_DIGITS digits is at most 2 to this power
+_MAX_LOG2 = _DIGITS_BOUND.bit_length()
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation past one of its budgets; the command line exits 1 with its message."""
+
+
+def _norm_log2(ints: Mapping[Monomial, int]) -> int:
+    """An h with the sum of |c| over ``ints`` below 2^h."""
+    return max(map(abs, ints.values()), default=0).bit_length() + len(ints).bit_length()
+
+
+def _substitution_bounded(log2: int) -> None:
+    """Refuse a substitution whose coefficients are bounded by 2^``log2`` only
+    when that bound passes every number of MAX_DIGITS digits."""
+    if log2 > _MAX_LOG2:
+        message = f"a substitution with coefficients of up to 2^{log2} exceeds the coefficient limit of {MAX_DIGITS} digits"
+        raise ResourceLimitError(message)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -442,12 +468,21 @@ class Poly:
         """Substitute x_i -> images[i]; the images share one ring, and the
         result lives in it.  For image i = num_i/den_i * ints_i and d_i the
         degree of f in x_i, a term c*x^e adds c * prod num_i^e_i * den_i^(d_i
-        - e_i) * ints_i^e_i in ints, over the content num/(den * prod den_i^d_i)."""
+        - e_i) * ints_i^e_i in ints, over the content num/(den * prod den_i^d_i).
+        A substitution whose coefficients may pass MAX_DIGITS digits, by
+        that sum's bound from bit lengths, raises ResourceLimitError before
+        anything expands."""
         if len(images) != self.ring.n:
             raise ValueError("one image per variable is needed")
         ring = images[0].ring
         one = (0,) * ring.n
         degrees = [max((m[i] for m in self.ints), default=0) for i in range(self.ring.n)]
+        # the sum of |c| over f's terms, times prod max(|num_i|, den_i)^d_i * (sum of |c| over ints_i)^d_i
+        log2 = _norm_log2(self.ints)
+        for p, d in zip(images, degrees):
+            if d:
+                log2 += d * (max(abs(p.num), p.den).bit_length() + _norm_log2(p.ints))
+        _substitution_bounded(log2)
         scales = [[p.num**e * p.den ** (d - e) for e in range(d + 1)] for p, d in zip(images, degrees)]
         powers = [list(accumulate(repeat(p.ints, d), _product, initial={one: 1})) for p, d in zip(images, degrees)]
         out: dict[Monomial, int] = {}
@@ -462,17 +497,23 @@ class Poly:
         time (von zur Gathen and Gerhard, 1997), in ints.  For shift_i = a/b
         and degree d in x_i, f(x_i + a/b) = b^-d * g(b*x_i + a), where g's
         coefficient of x_i^k is b^(d-k) times f's: so g is shifted by the
-        integer a, and its coefficient of x_i^k scaled by b^k."""
+        integer a, and its coefficient of x_i^k scaled by b^k.  Each such
+        coefficient is at most (d + 1) * (|a| + b)^d times the sum of f's |c|,
+        and a shift whose coefficients may pass MAX_DIGITS digits by that
+        bound raises ResourceLimitError before it expands."""
         if len(shift) != self.ring.n:
             raise ValueError("shift dimension mismatch")
         if not any(shift):
             return self
         terms, den = self.ints, self.den
+        log2 = _norm_log2(terms)
         for i, s in enumerate(shift):
             if not s:
                 continue
             a, b = s.numerator, s.denominator
             d = max((m[i] for m in terms), default=0)
+            log2 += (d + 1).bit_length() + d * (abs(a) + b).bit_length()
+            _substitution_bounded(log2)
             pw = [b**k for k in range(d + 1)]
             rows: dict = {}  # g's coefficients of x_i^0, ..., x_i^d per monomial in the rest
             for m, c in terms.items():

@@ -1,13 +1,16 @@
-"""Reference Pell-conic recogniser for the classifier tests.  It is the
-recogniser ``idealiser.diophantine`` had before it read the Pell shape from
-the integer coefficients: Fraction arithmetic on the coefficients, and one
-equality with the rebuilt conic.  It is kept as the oracle that the current
-recogniser is compared against.
+"""Reference shape recognisers for the classifier tests.  They are the
+Pell-conic and graph-curve recognisers ``idealiser.diophantine`` had before
+it read each shape from the integer rows of f: Fraction arithmetic on the
+coefficients, one equality with the rebuilt conic, and the graph function
+built from the Fraction view.  They are kept as the oracles that the
+current recognisers are compared against.
 """
 
 import math
+from fractions import Fraction
 
 from idealiser.diophantine import CurveClass
+from idealiser.poly import Poly
 
 
 def fraction_try_pell(f):
@@ -41,4 +44,31 @@ def fraction_try_pell(f):
             pell_centre=(int(c1), int(c2)),
             pell_axis=axis,
         )
+    return None
+
+
+def fraction_try_graph(f):
+    """Detect a*x_i + r(x_j) with deg r >= 2."""
+    if f.ring.n != 2:
+        return None
+    for axis in (0, 1):
+        other = 1 - axis
+        a = None
+        rest = {}
+        ok = True
+        for mono, c in f.terms.items():
+            if mono[axis] == 1 and mono[other] == 0:
+                a = c
+            elif mono[axis] == 0:
+                rest[mono] = c
+            else:
+                ok = False
+                break
+        if not ok or a is None:
+            continue
+        r = Poly(f.ring, rest)
+        if r.degree_in(other) < 2:
+            continue
+        graph = r * (Fraction(-1) / a)
+        return CurveClass(tag="graph_curve", degree=int(f.degree()), graph_axis=axis, graph_poly=graph)
     return None

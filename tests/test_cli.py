@@ -615,6 +615,33 @@ def test_oversized_input_exits_one_before_it_expands(capsys, tmp_path, command, 
     assert err.startswith(f"error: {message} (at position")
 
 
+BIG = "1" + "0" * 300  # a coordinate of 301 digits
+
+
+@pytest.mark.parametrize(
+    "argv, action",
+    [
+        (("skewmul", f"(1)*g[{BIG},0]", "(x^400)*e"), None),
+        (("probe", "--point", f"{BIG},0", "--radii", "1,2"), {}),
+        (("probe", "--point", f"{BIG},0", "--radii", "1,2"), {"action": {"matrix": [[1], [0]]}}),
+    ],
+    ids=["skewmul-translate", "probe-translate", "probe-compose"],
+)
+def test_substitution_past_the_digit_budget_exits_one_before_it_expands(capsys, tmp_path, argv, action):
+    """x^400 translated by a 301-digit coordinate, or composed with an
+    affine map through one, is refused before its Taylor shift or product
+    expands, in well under a second, with a message that names the limit."""
+    if action is not None:
+        cfg = {"ideal": {"generators": ["x^400 - y"], "claimed_prime": True}, **action}
+        argv = (*argv, "-c", _write(tmp_path, "big.json", cfg))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a substitution with coefficients of up to 2^")
+    assert err.endswith(" exceeds the coefficient limit of 4300 digits\n")
+
+
 def test_pell_conic_past_the_budget_after_its_fundamental_is_decided(capsys, tmp_path):
     """x^2 - 30000001*y^2 - 1 has a fundamental solution of 2,776 digits,
     and its next one is past the digit budget: the certificate keeps the

@@ -21,7 +21,7 @@ from idealiser import diophantine
 from idealiser.diophantine import PELL_DIGITS, _projective_smoothness, _singular_by_discriminant, zero_test
 from idealiser.poly import primitive_gcd
 from pool_inputs import benchmark_cases
-from reference_pell import fraction_try_pell
+from reference_shapes import fraction_try_graph, fraction_try_pell
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.var(0), RING.var(1)
@@ -495,14 +495,17 @@ def test_classify_pell_needs_its_cross_and_constant_terms():
 
 
 def _random_conic(rng):
-    """A seeded plane conic of one of seven kinds, each near a Pell conic:
+    """A seeded plane curve of one of eight kinds, each near a Pell conic:
     Pell, shifted, scaled, with a cross term, two lines, a non-integer
-    centre, or a linear term added; n runs over squares, nonsquares, zero
-    and negatives."""
+    centre, a linear term added, or a term u*w^2, u^2*w or u^2*w^2 added,
+    which makes it no conic; n runs over squares, nonsquares, zero and
+    negatives."""
     n = rng.randint(-3, 30)
     u, w = (X, Y) if rng.randint(0, 1) else (Y, X)
     c1, c2 = rng.randint(-5, 5), rng.randint(-5, 5)
-    kind = rng.choice(("pell", "shifted", "scaled", "cross", "lines", "centre", "linear"))
+    kind = rng.choice(("pell", "shifted", "scaled", "cross", "lines", "centre", "linear", "higher"))
+    if kind == "higher":
+        return kind, (u - c1) ** 2 - n * (w - c2) ** 2 - 1 + rng.choice((-1, 2)) * rng.choice((u * w**2, u**2 * w, u**2 * w**2))
     if kind == "pell":
         return kind, u**2 - n * w**2 - 1
     if kind == "shifted":
@@ -535,25 +538,75 @@ def test_integer_pell_recogniser_matches_the_fraction_reference():
         outcomes.setdefault(kind, set()).add(expected is not None)
     assert outcomes["pell"] == outcomes["shifted"] == outcomes["scaled"] == {True, False}
     assert outcomes["cross"] == outcomes["lines"] == outcomes["centre"] == outcomes["linear"] == {False}
+    assert outcomes["higher"] == {False}
 
 
-def test_pell_recogniser_on_every_pool_and_golden_curve(monkeypatch):
+def _pool_and_golden_curves(monkeypatch):
     """Every principal plane curve of the plane2 and colon2 pools at seeds 1
-    and 7, and of the golden gallery, gets the reference recogniser's
-    answer."""
+    and 7, and of the golden gallery."""
     from test_golden import GALLERY
 
     generators = [gens for gens, *_ in GALLERY.values()]
     for seed in (1, 7):
         cases = benchmark_cases(monkeypatch, ("plane2", "colon2"), seed, 100)
         generators += [case.config["ideal"]["generators"] for case in cases]
+    return [RING.parse(gens[0]) for gens in generators if len(gens) == 1]
+
+
+def test_pell_recogniser_on_every_pool_and_golden_curve(monkeypatch):
+    """Every pool and golden curve gets the reference recogniser's answer."""
     found = 0
-    for gens in generators:
-        if len(gens) == 1:
-            f = RING.parse(gens[0])
-            expected = fraction_try_pell(f)
-            assert diophantine._try_pell(f) == expected, f
-            found += expected is not None
+    for f in _pool_and_golden_curves(monkeypatch):
+        expected = fraction_try_pell(f)
+        assert diophantine._try_pell(f) == expected, f
+        found += expected is not None
+    assert found > 0
+
+
+def _random_graph(rng):
+    """A seeded plane curve of one of five kinds, each near a graph curve
+    a*u + r(w) with u either variable and any content: the graph itself,
+    whose r may have degree below 2, or a near miss with a term u^2*w^k,
+    a term u^2, a coefficient of u that depends on w, or deg r = 1."""
+    u, w = (X, Y) if rng.randint(0, 1) else (Y, X)
+    a = rng.choice((1, -1, 2, -3, 5))
+    r = sum((rng.randint(-4, 4) * w**k for k in range(rng.randint(2, 5))), RING.zero())
+    c, k = rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)
+    kind = rng.choice(("graph", "cross", "square", "coefficient", "linear"))
+    near = {
+        "graph": RING.zero(),
+        "cross": c * u**2 * w**k,
+        "square": c * u**2,
+        "coefficient": c * w**k * u,
+        "linear": -r + rng.randint(-3, 3) + rng.choice((-2, 1, 4)) * w,
+    }[kind]
+    return kind, rng.choice((1, -1, 6, Fraction(1, 2), Fraction(-5, 7))) * (a * u + r + near)
+
+
+def test_integer_graph_recogniser_matches_the_fraction_reference():
+    """``_try_graph`` reads the integer rows of f; on seeded curves of every
+    kind it gives the reference recogniser's answer, graph function
+    included.  Graphs meet both axes and no answer, each other near miss
+    no answer, and deg r = 1 only that."""
+    rng = random.Random(36)
+    outcomes = {}
+    for _ in range(600):
+        kind, f = _random_graph(rng)
+        expected = fraction_try_graph(f)
+        assert diophantine._try_graph(f) == expected, (kind, f)
+        outcomes.setdefault(kind, set()).add(None if expected is None else expected.graph_axis)
+    assert outcomes["graph"] == {0, 1, None}
+    assert all(None in outcomes[kind] for kind in ("cross", "square", "coefficient"))
+    assert outcomes["linear"] == {None}
+
+
+def test_graph_recogniser_on_every_pool_and_golden_curve(monkeypatch):
+    """Every pool and golden curve gets the reference recogniser's answer."""
+    found = 0
+    for f in _pool_and_golden_curves(monkeypatch):
+        expected = fraction_try_graph(f)
+        assert diophantine._try_graph(f) == expected, f
+        found += expected is not None
     assert found > 0
 
 

@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from idealiser import MonomialOrder, Poly, PolyRing, ParseError
+from idealiser import MonomialOrder, Poly, PolyRing, ParseError, ResourceLimitError, diophantine, poly
 from idealiser.parser import MAX_DEGREE, MAX_DIGITS, MAX_TERMS, InputError
 from idealiser.poly import _ElimOrder
 
@@ -338,6 +339,28 @@ def test_coefficient_limit_is_checked_before_expansion():
     ):
         with pytest.raises(ParseError, match=re.escape(message)):
             RING.parse(text)
+
+
+def test_substitution_limit_is_checked_before_expansion():
+    """x^400 shifted by 10^300 would have coefficients of about 120,000
+    digits: translate refuses it from bit lengths, (400 + 1) * (10^300 + 1)^400
+    bounding each, and compose from the image's bit lengths, both at once
+    and naming the limit, which is the parser's limit and the Pell budget.
+    In degree 10 the same shift fits, and both run."""
+    assert MAX_DIGITS is poly.MAX_DIGITS is diophantine.PELL_DIGITS
+    big = 10**300
+    f = X**400 - Y
+    limit = f"exceeds the coefficient limit of {MAX_DIGITS} digits"
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"^a substitution with coefficients of up to 2\\^398812 {limit}$"):
+        f.translate((big, 0))
+    with pytest.raises(ResourceLimitError, match=f"^a substitution with coefficients of up to 2\\^400006 {limit}$"):
+        f.compose([X + big, Y])
+    with pytest.raises(ResourceLimitError, match=limit):
+        f.translate((Fraction(1, big), 0))
+    assert time.perf_counter() - start < 0.1
+    g = X**10 - Y
+    assert g.translate((big, Fraction(1, big))) == g.compose([X + big, Y + Fraction(1, big)]) == (X + big) ** 10 - Y - Fraction(1, big)
 
 
 # a Fraction-dict reference: a polynomial is {exponent tuple: nonzero Fraction}
