@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from .groebner import ResourceLimitError, _fresh_aux_name, pure_powers, reduced_groebner_basis
 from .poly import _DIGITS_BOUND as _PELL_BOUND
 from .poly import MAX_DIGITS as PELL_DIGITS  # the most decimal digits of a Pell solution
-from .poly import Poly, PolyRing, is_squarefree, mono_degree, row_coefficients
+from .poly import Poly, PolyRing, is_squarefree, mono_degree, row_coefficients, translate_ints
 
 
 def _pell_budget(x: int) -> None:
@@ -96,11 +96,13 @@ def zero_test(
 
     The exact work is done once, when the test is built.  Each generator f
     is composed with the affine map into g_f(c) = f(base + matrix * c) and
-    read as its primitive integer part; its zeros on Z^d are the c whose
-    point is a zero of f.  For the identity matrix, g_f is f translated by
-    the base (``Poly.translate``, an integer Taylor shift).  A g_f that
-    vanishes identically is dropped, so no generators pass every c, and a
-    nonzero constant g_f rejects every c, so it is then the only one kept.
+    read as integer terms, a nonzero multiple of g_f; their zeros on Z^d
+    are the c whose point is a zero of f.  For the identity matrix, the
+    terms are those of f translated by the base (``poly.translate_ints``, an
+    integer Taylor shift), read as the shift leaves them, with no Poly
+    built.  A g_f that vanishes identically is dropped, so no generators
+    pass every c, and a nonzero constant g_f rejects every c, so it is then
+    the only one kept.
     With D the common denominator of the int and Fraction entries of base
     and matrix, the point is (P + M c) / D with integral P and M: each
     image (P_i + M_i c) / D is built from those ints at once, and the box
@@ -124,7 +126,7 @@ def zero_test(
             inside = lambda c: all(abs(p + sum(map(mul, row, c))) <= bound for p, row in rows)
         identity = [[int(i == j) for j in range(len(base))] for i in range(len(base))]
         if [list(row) for row in matrix] == identity:
-            composites = [f.translate(base).ints for f in gens]
+            composites = [translate_ints(f.ints, base)[1] for f in gens]
         else:
             # a ring needs a variable even for an empty sublattice, where c = ()
             coords = PolyRing(tuple(f"c{j}" for j in range(max(len(matrix[0]), 1))))
@@ -305,8 +307,10 @@ def _singular_by_discriminant(f: Poly) -> bool:
     therefore a common root of D and D', which exists over C exactly when D
     is zero or gcd(D, D') is nonconstant: when D is not squarefree."""
     for y in (0, 1):
+        if f.degree_in(y) != 2:
+            continue
         rows = _rows(f, y)
-        if len(rows) != 3 or any(rows[2][1:]):
+        if any(rows[2][1:]):
             continue
         a, b, (c, *_) = rows
         D = [-4 * c * v for v in a] + [0] * (len(a) - 1)

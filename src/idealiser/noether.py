@@ -373,14 +373,17 @@ def critical_density_decide(
         return CriticalDensityReport(dense=True, orbit_rank=len(dirs))
     v = dirs[-1]
     i0 = next(i for i, vi in enumerate(v) if vi)
-    gens = []
-    for j in range(ring.n):
-        if j == i0:
-            continue
-        gens.append(
-            (ring.var(j) - ring.const(p[j])) * v[i0]
-            - (ring.var(i0) - ring.const(p[i0])) * v[j]
-        )
+    # (x_j - p_j) * v_i0 - (x_i0 - p_i0) * v_j for j != i0, built from ints
+    # over den, with P = den * p integral
+    den = math.lcm(*(c.denominator for c in p))
+    P = [c.numerator * (den // c.denominator) for c in p]
+    one = (0,) * ring.n
+    unit = [one[:i] + (1,) + one[i + 1 :] for i in range(ring.n)]
+    gens = [
+        Poly.from_ints(ring, 1, den, {unit[j]: v[i0] * den, unit[i0]: -v[j] * den, one: v[j] * P[i0] - v[i0] * P[j]})
+        for j in range(ring.n)
+        if j != i0
+    ]
     witness = Ideal(ring, gens, claimed_prime=True)
     return CriticalDensityReport(
         dense=False, orbit_rank=len(dirs), direction=v, witness=witness
@@ -418,10 +421,12 @@ def growth_probe(
     the left probe is the right one with ``side="left"``, and ``analyze``
     builds it without a second walk.
 
-    When the member test is membership in K (J = I flagged prime), the
-    members in a box are K itself cut to the box: one class, which holds 0,
-    so its least norm is 0 and it counts once at every radius.  The probe
-    then reads counts of 1 without a walk."""
+    When the member test is membership in K (J = I flagged prime, also
+    when J is the point ideal of I's own point, the default target of a
+    maximal I with an integer point in the box), the members in a box are K
+    itself cut to the box: one class, which holds 0, so its least norm is 0
+    and it counts once at every radius.  The probe then reads counts of 1
+    with no zero test and no walk."""
     nonzero = component_test(I, J, act, side)
     radii = tuple(sorted(set(int(r) for r in radii)))
     if not radii:
@@ -452,10 +457,12 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     read through their analyses, which refuse false ones first.  Rules, in
     order:
     - J = 0: (0 : I^g) = 0 unless I = 0, and Tor_1(C/I, C) = 0.
+    - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
+      on the left for I = (f) too, as f lies in the prime I^g iff g in K,
+      and for I = m_p, by the next rule, as m_p^g = m_p iff A g = 0.  So a
+      probe against the ideal's own point compiles no zero test.
     - J = m_p: I^g lies in m_p iff I vanishes at p + A g; m_p^g = m_{p - A g},
       and for I nonzero Tor_1(C/I, C/m) != 0 iff I lies in m (Nakayama).
-    - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
-      on the left for I = (f) too, as f lies in the prime I^g iff g in K.
     - Left, I = m_q: J^g lies in m_q iff J vanishes at q + A g.
     - Left, I = (f) and J flagged prime: Tor_1(C/(f), C/P) != 0 iff f lies
       in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
@@ -495,11 +502,11 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     I_prime, J_prime = a.prime, b.prime  # refuse a false flag before any rule
     if J.is_zero_ideal():
         return lambda g: side == "right" and I.is_zero_ideal()
+    if J_prime and (side == "right" or I.is_principal() or b.point is not None) and ideal_equal(I, J):
+        return a.K.contains
     if b.point is not None:
         sign = 1 if side == "right" else -1
         return zero_test(I.gens, b.point, [[sign * x for x in row] for row in act.matrix])
-    if J_prime and (side == "right" or I.is_principal()) and ideal_equal(I, J):
-        return a.K.contains
     if side == "left":
         if a.point is not None:
             return zero_test(J.gens, a.point, act.matrix)

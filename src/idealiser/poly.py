@@ -14,9 +14,11 @@ the boundary: the ``Poly(ring, terms)`` constructor, the ``terms`` view,
 product kernel of ``*``, ``**``, ``compose`` and the parser.  Dense lists of
 ints are the one univariate layer over Z: ``taylor_shift``,
 ``row_coefficients`` (a restriction to a line), ``primitive_gcd`` and
-``is_squarefree``.  ``translate`` and ``compose`` refuse, before they expand,
-a result whose coefficients may pass MAX_DIGITS digits, the program's one
-digit budget.
+``is_squarefree``.  ``translate_ints`` is the Taylor shift of an integer
+polynomial, left unnormalised for a caller that reads only its terms, and
+``Poly.translate`` normalises it.  ``translate_ints`` and ``compose`` refuse,
+before they expand, a result whose coefficients may pass MAX_DIGITS digits,
+the program's one digit budget.
 """
 
 from __future__ import annotations
@@ -229,6 +231,36 @@ def taylor_shift(coeffs: list[int], a: int) -> list[int]:
         for k in range(d - 1, j - 1, -1):
             coeffs[k] += a * coeffs[k + 1]
     return coeffs
+
+
+def translate_ints(ints: Mapping[Monomial, int], shift: Sequence[Fraction]) -> tuple[int, dict[Monomial, int]]:
+    """(den, out) with ints(x + shift) = out / den, out neither divided by its
+    content nor sorted: a Taylor shift in one variable at a time (von zur
+    Gathen and Gerhard, 1997).  For shift_i = a/b and degree d in x_i,
+    f(x_i + a/b) = b^-d * g(b*x_i + a), where g's coefficient of x_i^k is
+    b^(d-k) times f's: so g is shifted by the integer a, and its coefficient
+    of x_i^k scaled by b^k.  Each such coefficient is at most (d + 1) *
+    (|a| + b)^d times the sum of f's |c|, and a shift whose coefficients may
+    pass MAX_DIGITS digits by that bound raises ResourceLimitError before it
+    expands.  ``out`` holds no zero, and is ``ints`` itself for a zero shift."""
+    den, log2 = 1, _norm_log2(ints)
+    for i, s in enumerate(shift):
+        if not s:
+            continue
+        a, b = s.numerator, s.denominator
+        d = max((m[i] for m in ints), default=0)
+        log2 += (d + 1).bit_length() + d * (abs(a) + b).bit_length()
+        _substitution_bounded(log2)
+        pw = [b**k for k in range(d + 1)]
+        rows: dict = {}  # g's coefficients of x_i^0, ..., x_i^d per monomial in the rest
+        for m, c in ints.items():
+            rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c * pw[d - m[i]]
+        ints = {}
+        for rest, row in rows.items():
+            taylor_shift(row, a)
+            ints.update((rest[:i] + (e,) + rest[i:], c * pw[e]) for e, c in enumerate(row) if c)
+        den *= pw[d]
+    return den, ints
 
 
 def row_coefficients(terms, degree: int, point: Sequence[int]) -> list[int]:
@@ -493,37 +525,13 @@ class Poly:
         return Poly.from_ints(ring, self.num, self.den * math.prod(row[0] for row in scales), out)
 
     def translate(self, shift: Sequence[Fraction]) -> "Poly":
-        """Substitute x_i -> x_i + shift_i: a Taylor shift in one variable at a
-        time (von zur Gathen and Gerhard, 1997), in ints.  For shift_i = a/b
-        and degree d in x_i, f(x_i + a/b) = b^-d * g(b*x_i + a), where g's
-        coefficient of x_i^k is b^(d-k) times f's: so g is shifted by the
-        integer a, and its coefficient of x_i^k scaled by b^k.  Each such
-        coefficient is at most (d + 1) * (|a| + b)^d times the sum of f's |c|,
-        and a shift whose coefficients may pass MAX_DIGITS digits by that
-        bound raises ResourceLimitError before it expands."""
+        """Substitute x_i -> x_i + shift_i (``translate_ints``), normalised."""
         if len(shift) != self.ring.n:
             raise ValueError("shift dimension mismatch")
         if not any(shift):
             return self
-        terms, den = self.ints, self.den
-        log2 = _norm_log2(terms)
-        for i, s in enumerate(shift):
-            if not s:
-                continue
-            a, b = s.numerator, s.denominator
-            d = max((m[i] for m in terms), default=0)
-            log2 += (d + 1).bit_length() + d * (abs(a) + b).bit_length()
-            _substitution_bounded(log2)
-            pw = [b**k for k in range(d + 1)]
-            rows: dict = {}  # g's coefficients of x_i^0, ..., x_i^d per monomial in the rest
-            for m, c in terms.items():
-                rows.setdefault(m[:i] + m[i + 1 :], [0] * (d + 1))[m[i]] = c * pw[d - m[i]]
-            terms = {}
-            for rest, row in rows.items():
-                taylor_shift(row, a)
-                terms.update((rest[:i] + (e,) + rest[i:], c * pw[e]) for e, c in enumerate(row) if c)
-            den *= pw[d]
-        return Poly.from_ints(self.ring, self.num, den, terms)
+        den, ints = translate_ints(self.ints, shift)
+        return Poly.from_ints(self.ring, self.num, self.den * den, ints)
 
     # -- printing ---------------------------------------------------------
 

@@ -229,6 +229,77 @@ def test_zero_test_builds_each_image_from_ints(monkeypatch):
     assert list(box_walk([16], test)) == [(-16,), (0,)]  # the points (-8, 3) and (8, 3)
 
 
+def _proportional(a, b) -> bool:
+    """Two int coefficient dicts with no zero entries, equal up to a nonzero rational factor."""
+    if a.keys() != b.keys():
+        return False
+    m0 = next(iter(a))
+    return all(c * b[m0] == b[m] * a[m0] for m, c in a.items())
+
+
+def test_identity_zero_test_reads_the_shift_unnormalised(monkeypatch):
+    """Seeded polynomials in two and three variables, translated by integer,
+    rational and partly zero bases: each composite an identity build of
+    ``zero_test`` reads is f.translate(base).ints up to a nonzero rational
+    factor, translate_ints over its den is f.translate(base) exactly, and
+    that is f composed with x_i + base_i, by the separate product route.
+    No identity build normalises a Poly, and the test passes exactly the c
+    in a box at which every f vanishes at base + c."""
+    rng = random.Random(37)
+    built = []
+    shift = diophantine.translate_ints
+    monkeypatch.setattr(diophantine, "translate_ints", lambda ints, base: built.append(shift(ints, base)) or built[-1])
+    rational = found = 0
+    for trial in range(120):
+        n = 2 + trial % 2
+        ring = PolyRing(("x", "y", "z")[:n])
+        kind = trial % 3  # integer, rational, or partly zero
+        base = [Fraction(rng.randint(-5, 5), 1 if kind == 0 else rng.randint(1, 4)) for _ in range(n)]
+        if kind == 2:
+            base[rng.randrange(n)] = Fraction(0)
+        rational += any(b.denominator > 1 for b in base)
+        root = [b + rng.randint(-2, 2) for b in base]
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                m = tuple(rng.randint(0, 3) for _ in range(n))
+                terms[m] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+            f = Poly(ring, terms)
+            f = f - f.eval_at(root)  # vanish at base + c for one c in the box, so some c pass
+            gens.append(f if not f.is_zero else ring.var(0) - root[0])
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        built.clear()
+        calls = []
+        normalise = Poly._normalise
+        monkeypatch.setattr(Poly, "_normalise", lambda self, *args: calls.append(args) or normalise(self, *args))
+        test = zero_test(gens, base, identity)
+        monkeypatch.setattr(Poly, "_normalise", normalise)
+        assert calls == [], (gens, base)
+        assert len(built) == len(gens)
+        for f, (den, ints) in zip(gens, built):
+            moved = f.translate(base)
+            assert 0 not in ints.values()
+            assert _proportional(ints, moved.ints), (f, base)
+            assert Poly.from_ints(ring, f.num, f.den * den, ints) == moved
+            assert moved == f.compose([ring.var(i) + base[i] for i in range(n)])
+        box = itertools.product(range(-2, 3), repeat=n)
+        zeros = [c for c in box if all(f.eval_at([b + x for b, x in zip(base, c)]) == 0 for f in gens)]
+        assert list(box_walk([2] * n, test)) == zeros, (gens, base)
+        found += len(zeros)
+    assert rational >= 50 and found >= 120
+
+
+def test_identity_zero_test_refuses_an_over_budget_shift_before_it_expands():
+    """x^400 - y moved by a 301-digit coordinate is refused by the digit
+    budget, on the path that reads the shift unnormalised."""
+    base = (Fraction(10**300), Fraction(0))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="exceeds the coefficient limit of 4300 digits"):
+        zero_test([X**400 - Y], base, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    assert time.perf_counter() - start < 1
+
+
 def _inverse(matrix):
     """The inverse of an invertible rational 2 x 2 matrix."""
     (p, q), (r, s) = matrix

@@ -590,6 +590,64 @@ def test_growth_probe_against_I_reads_K_without_a_walk(monkeypatch):
             assert (probe.counts, probe.flag) == (counts, "stabilising")
 
 
+def _point_counts_by_brute_force(p, act, radii):
+    """The probe counts of the K-classes of {g in the box : p + A g = p},
+    from a plain loop over the box in Fractions."""
+    K = analysis(Ideal(act.ring, [X - RING.const(p[0]), Y - RING.const(p[1])]), act).K
+    least = {}
+    for g in itertools.product(range(-max(radii), max(radii) + 1), repeat=act.d):
+        if all(sum(a * x for a, x in zip(row, g)) == 0 for row in act.matrix):
+            key, norm = K.reduce(g)[1], max(map(abs, g))
+            least[key] = min(norm, least.get(key, norm))
+    return tuple(sum(norm <= r for norm in least.values()) for r in radii)
+
+
+def test_growth_probe_against_the_ideal_own_point_reads_K(monkeypatch):
+    """m_p flagged maximal, probed against the point ideal of its own point
+    (the default target of ``analyze``), under the standard action, a rank-one
+    action with a kernel and a rational action: on both sides the member test
+    is g in K, so the probe compiles no zero test and walks no box, and its
+    counts are those of the K-classes of {g : p + A g = p} in each box."""
+    cases = [
+        ((1, 2), ACT),
+        ((-3, 0), TranslationAction(RING, [[1, 2], [0, 0]])),  # K is spanned by (2, -1)
+        ((Fraction(1, 2), 3), TranslationAction(RING, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])),
+    ]
+    radii = (0, 1, 3)
+    expected = [_point_counts_by_brute_force(p, act, radii) for p, act in cases]
+    assert expected == [(1, 1, 1)] * 3
+    assert len(list(box_walk([3, 3], analysis(POINT, cases[1][1]).K.contains))) == 3
+
+    def refuse(*args):
+        raise AssertionError("the probe compiled a zero test or walked a box")
+
+    monkeypatch.setattr(noether, "zero_test", refuse)
+    monkeypatch.setattr(noether, "box_walk", refuse)
+    for (p, act), counts in zip(cases, expected):
+        I = Ideal(RING, [X - RING.const(p[0]), Y - RING.const(p[1])], claimed_maximal=True)
+        for side in ("right", "left"):
+            J = noether.point_ideal(RING, [Fraction(c) for c in p])
+            assert component_test(I, J, act, side) == analysis(I, act).K.contains
+            probe = growth_probe(I, J, act, side, radii)
+            assert (probe.counts, probe.flag) == (counts, "stabilising"), (p, side)
+
+
+def test_growth_probe_of_a_curve_against_its_anchor_still_walks(monkeypatch):
+    """A Pell conic against the point ideal of its least integer zero in the
+    box, where J != I, compiles one zero test and finds the other integer
+    points of the conic: (-8, 3), (-1, 0), (1, 0), (8, -3) and (8, 3) from
+    (-8, -3), at sup-norms 6, 7, 9, 16 and 16."""
+    compiled = []
+    build = noether.zero_test
+    monkeypatch.setattr(noether, "zero_test", lambda *args: compiled.append(args) or build(*args))
+    target = analysis(PELL, ACT).target(8)  # the anchor's search compiles its own test
+    assert analysis(target, ACT).point == (-8, -3)
+    compiled.clear()
+    probe = growth_probe(PELL, target, ACT, "right", (2, 6, 8, 16))
+    assert len(compiled) == 1
+    assert (probe.counts, probe.flag) == ((1, 2, 3, 6), "growing")
+
+
 def test_integer_zeros_in_box():
     zeros = list(box_walk([8, 8], zero_test(PELL.gens)))
     assert zeros == [(-8, -3), (-8, 3), (-1, 0), (1, 0), (8, -3), (8, 3)]
