@@ -209,10 +209,8 @@ def stabiliser(I: Ideal, act: TranslationAction) -> Lattice:
     columns = list(zip(*act.ints))
     rows: list[list[int]] = []
     for f in I.groebner_basis():
-        # v stabilises iff sum_j (A v)_j * NF(df/dx_j) = 0: a row per monomial, over one denominator;
-        # a constant partial is its own normal form, as I is proper
-        partials = [f.partial(j) for j in range(I.ring.n)]
-        residues = [r if r.is_constant() else I.normal_form(r) for r in partials]
+        # v stabilises iff sum_j (A v)_j * NF(df/dx_j) = 0: a row per monomial, over one denominator
+        residues = [I.normal_form(f.partial(j)) for j in range(I.ring.n)]
         den = math.lcm(*(r.den for r in residues))
         scales = [r.num * (den // r.den) for r in residues]
         for mono in sorted({m for r in residues for m in r.ints}):

@@ -31,7 +31,7 @@ from pathlib import Path
 WORKLOADS = ("plane2", "space3", "colon2")
 
 
-def digests(workloads, seeds, cycles=None) -> tuple[int, dict[str, str]]:
+def digests(seeds, cycles=None) -> tuple[int, dict[str, str]]:
     """The number of calls and the digest per workload; ``src`` and
     ``perfbench`` of the checkout must be on sys.path."""
     import inputs
@@ -39,7 +39,7 @@ def digests(workloads, seeds, cycles=None) -> tuple[int, dict[str, str]]:
     from idealiser import cli
 
     calls, out = 0, {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         digest = hashlib.sha256()
         for seed in seeds:
             cases = inputs.generate(workload, seed, run.POOL_CYCLES[workload])
@@ -70,12 +70,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--cycles", type=int, default=None)
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    calls, found = digests(args.workloads, args.seeds, args.cycles)
+    calls, found = digests(args.seeds, args.cycles)
     print(f"calls {calls}")
     for workload, digest in found.items():
         print(f"{workload} {digest}")
