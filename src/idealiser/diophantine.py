@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from .groebner import ResourceLimitError, _fresh_aux_name, pure_powers, reduced_groebner_basis
 from .poly import _DIGITS_BOUND as _PELL_BOUND
 from .poly import MAX_DIGITS as PELL_DIGITS  # the most decimal digits of a Pell solution
-from .poly import Poly, PolyRing, is_squarefree, mono_degree, row_coefficients, translate_ints
+from .poly import Poly, PolyRing, is_squarefree, mono_degree, row_coefficients, row_terms, translate_ints
 
 
 def _pell_budget(x: int) -> None:
@@ -138,12 +138,8 @@ def zero_test(
     if constants:  # a nonzero constant rejects every c
         composites = constants[:1]
     compiled = [[(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in terms.items()] for terms in composites]
-    # the same terms along a row of c: per composite its degree in the last coordinate t,
-    # and per term the coefficient, the factors in the other coordinates and the power of t
-    by_row = [
-        (max(m[-1] for m in terms), [(c, [(i, e) for i, e in enumerate(m[:-1]) if e], m[-1]) for m, c in terms.items()])
-        for terms in composites
-    ]
+    # the same terms along a row of c, the last coordinate t (``poly.row_terms``)
+    by_row = [row_terms(terms, len(next(iter(terms))) - 1) for terms in composites]
 
     def test(c: Sequence[int]) -> bool:
         if inside is not None and not inside(c):

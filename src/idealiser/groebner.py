@@ -38,6 +38,8 @@ from .poly import (
     mono_lcm,
     mono_mul,
     row_coefficients,
+    row_terms,
+    translate_ints,
 )
 
 DEFAULT_PAIR_LIMIT = 100_000
@@ -334,7 +336,7 @@ def primary_point(J: Ideal) -> tuple[Fraction, ...] | None:
             k = g.degree_in(i)
             shift = [0] * n
             shift[i] = -g.coefficient(tuple(k - 1 if j == i else 0 for j in range(n))) / k
-            if k == 1 or len(g.translate(shift).ints) == 1:
+            if k == 1 or len(translate_ints(g.ints, shift)[1]) == 1:
                 point[i] = shift[i]
     return None if None in point else tuple(point)
 
@@ -425,8 +427,7 @@ def _repeated_by_gcds(f: Poly) -> bool | None:
     involved = [i for i in range(n) if any(m[i] for m in f.ints)]
     points = fixed_points(n)[: 3 if len(involved) > 1 else 1]
     for i in involved:
-        d = max(m[i] for m in f.ints)
-        terms = [(c, [(j, e) for j, e in enumerate(m) if e and j != i], m[i]) for m, c in f.ints.items()]
+        d, terms = row_terms(f.ints, i)
         if not any(at[d] and is_squarefree(at) for at in (row_coefficients(terms, d, a) for a in points)):
             return True if len(involved) == 1 else None
     return False

@@ -56,7 +56,7 @@ from .groebner import (
     unit_ideal,
 )
 from .normalforms import box_bounds
-from .poly import Poly, fixed_points, primitive_gcd, row_coefficients, taylor_shift
+from .poly import Poly, fixed_points, primitive_gcd, row_coefficients, row_terms, taylor_shift
 
 # ------------------------------------------------------------- analysis
 
@@ -308,11 +308,8 @@ def s_set_box(
     """
     K = analysis(I, act).K
     if isinstance(target, Ideal):
-        # I^g in J: for J flagged prime the right component test reads exactly that
-        if target.claimed_prime:
-            contained = component_test(I, target, act, "right")
-        else:
-            contained = lambda g: ideal_contains(target, act_on_ideal(I, g, act))
+        analysis(I, act).prime, analysis(target, act).prime  # each refuses a false flag
+        contained = _contained(I, target, act, 1)
         members = [g for g in sub.points_in_box(box) if contained(g)]
         desc = f"S-set of {_label(I)} against an ideal target"
     else:
@@ -421,12 +418,10 @@ def growth_probe(
     the left probe is the right one with ``side="left"``, and ``analyze``
     builds it without a second walk.
 
-    When the member test is membership in K (J = I flagged prime, also
-    when J is the point ideal of I's own point, the default target of a
-    maximal I with an integer point in the box), the members in a box are K
-    itself cut to the box: one class, which holds 0, so its least norm is 0
-    and it counts once at every radius.  The probe then reads counts of 1
-    with no zero test and no walk."""
+    When the member test is g in K (``_contained`` for J = I, as for a
+    maximal I against its own point, its default target), the members in a
+    box are K cut to the box: one class, which holds 0 and so counts once
+    at every radius, with no zero test and no walk."""
     nonzero = component_test(I, J, act, side)
     radii = tuple(sorted(set(int(r) for r in radii)))
     if not radii:
@@ -452,22 +447,18 @@ def growth_probe(
 
 def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     """The test g -> "the g-component is nonzero": of (J : I^g)/J on the
-    right, which for J flagged prime says I^g lies in J, and of
-    Tor_1(C/I, C/J^g) on the left.  The primality flags of I and J are
-    read through their analyses, which refuse false ones first.  Rules, in
-    order:
+    right, and of Tor_1(C/I, C/J^g) on the left.  The primality flags of I
+    and J are read through their analyses, which refuse false ones first.
+    Rules, in order:
     - J = 0: (0 : I^g) = 0 unless I = 0, and Tor_1(C/I, C) = 0.
-    - J = I flagged prime: I^g in I forces I^g = I, so the test is g in K;
-      on the left for I = (f) too, as f lies in the prime I^g iff g in K,
-      and for I = m_p, by the next rule, as m_p^g = m_p iff A g = 0.  So a
-      probe against the ideal's own point compiles no zero test.
-    - J = m_p: I^g lies in m_p iff I vanishes at p + A g; m_p^g = m_{p - A g},
-      and for I nonzero Tor_1(C/I, C/m) != 0 iff I lies in m (Nakayama).
-    - Left, I = m_q: J^g lies in m_q iff J vanishes at q + A g.
-    - Left, I = (f) and J flagged prime: Tor_1(C/(f), C/P) != 0 iff f lies
-      in the prime P (f is a nonzerodivisor mod P otherwise), and f lies in
-      J^g iff f^{-g} lies in J.
-    - Left, J = (h) and I flagged prime: likewise iff h^g lies in I.
+    - A containment, which ``_contained`` tests.  Right, J flagged prime or
+      J = m_p: (J : I^g) is <1> when I^g lies in J, and J otherwise, as I^g
+      then lies in no associated prime of C/J.  Left, J = m_p or I = m_q:
+      for L nonzero, Tor_1(C/L, C/m) != 0 iff L lies in m (Nakayama), so
+      iff I^{-g} lies in m_p, or J^g in m_q.  Left, I = (f) and J flagged
+      prime, or J = (h) and I flagged prime: Tor_1(C/(f), C/P) != 0 iff f
+      lies in the prime P, as f is a nonzerodivisor mod P otherwise; so iff
+      f^{-g} lies in J, or h^g in I.
     - Left, J = I with dim C/I + dim C/J < n (the Tor rule below), whose
       reduced basis is affine-linear forms l_i and at most one quadric q:
       I + I^g = <l_i, l_i^g, q, q - q^g> (``Analysis.section``).  Here
@@ -490,8 +481,8 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
       ideal's dimension is computed once, in its analysis.
     - Left otherwise: a unit sum I + J^g gives Tor_1 = 0 as above; only a
       proper sum goes on to ``tor1_is_zero``.
-    - Right otherwise: containment (J prime), or whether the colon
-      component (J : I^g) of ``colon_components`` is larger than J.
+    - Right otherwise: whether (J : I^g) of ``colon_components`` is larger
+      than J.
     For J = I the last two left rules answer each pair {g, -g} once, for
     T-sets and growth probes alike: f -> f^g maps (I, I^{-g}) onto
     (I^g, I), so Tor_1(C/I, C/I^{-g}) is Tor_1(C/I^g, C/I), which is
@@ -502,35 +493,41 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     I_prime, J_prime = a.prime, b.prime  # refuse a false flag before any rule
     if J.is_zero_ideal():
         return lambda g: side == "right" and I.is_zero_ideal()
-    if J_prime and (side == "right" or I.is_principal() or b.point is not None) and ideal_equal(I, J):
-        return a.K.contains
-    if b.point is not None:
-        sign = 1 if side == "right" else -1
-        return zero_test(I.gens, b.point, [[sign * x for x in row] for row in act.matrix])
-    if side == "left":
-        if a.point is not None:
-            return zero_test(J.gens, a.point, act.matrix)
-        if J_prime and I.is_principal():
-            f = I.groebner_basis()[0]
-            return lambda g: J.contains_poly(apply_action(f, tuple(-x for x in g), act))
-        if I_prime and J.is_principal():
-            h = J.groebner_basis()[0]
-            return lambda g: I.contains_poly(apply_action(h, g, act))
-        by_dimension = a.dim + b.dim < I.ring.n
+    if side == "right":
+        if J_prime or b.point is not None:
+            return _contained(I, J, act, 1)
+        component = colon_components(J, I, act)
+        return lambda g: not ideal_equal(component(g), J)
+    if b.point is not None or (J_prime and I.is_principal()):
+        return _contained(I, J, act, -1)
+    if a.point is not None or (I_prime and J.is_principal()):
+        return _contained(J, I, act, 1)
+    by_dimension = a.dim + b.dim < I.ring.n
 
-        def tor_nonzero(g):
-            Jg = act_on_ideal(J, g, act)
-            if ideal_sum(I, Jg).is_unit_ideal():
-                return False
-            return by_dimension or not tor1_is_zero(I, Jg)
+    def tor_nonzero(g):
+        Jg = act_on_ideal(J, g, act)
+        if ideal_sum(I, Jg).is_unit_ideal():
+            return False
+        return by_dimension or not tor1_is_zero(I, Jg)
 
-        mirrored = ideal_equal(I, J)
-        nonzero = (by_dimension and mirrored and a.section) or tor_nonzero
-        return _once_per_pair(nonzero) if mirrored else nonzero
-    if J_prime:
-        return lambda g: ideal_contains(J, act_on_ideal(I, g, act))
-    component = colon_components(J, I, act)
-    return lambda g: not ideal_equal(component(g), J)
+    mirrored = ideal_equal(I, J)
+    nonzero = (by_dimension and mirrored and a.section) or tor_nonzero
+    return _once_per_pair(nonzero) if mirrored else nonzero
+
+
+def _contained(X: Ideal, P: Ideal, act: TranslationAction, sign: int):
+    """The test g -> "X^(sign*g) lies in P".  For X = P it is g in K, as X^g
+    in X forces X^g = X (``colon_components``), and a growth probe reads it
+    with no walk; for P = m_p, one compiled ``zero_test`` of X at
+    p + sign*A g; otherwise the normal forms of the moved basis of X
+    modulo P, to the first that is not zero."""
+    if ideal_equal(X, P):
+        return analysis(X, act).K.contains
+    p = analysis(P, act).point
+    if p is not None:
+        return zero_test(X.gens, p, [[sign * x for x in row] for row in act.matrix])
+    basis = X.groebner_basis()
+    return lambda g: all(P.contains_poly(f.translate(act.translation([sign * x for x in g]))) for f in basis)
 
 
 def _once_per_pair(test):
@@ -645,14 +642,11 @@ def _coprime_test(f: Poly, act: TranslationAction):
     den, which keeps the degree of their gcd."""
     n, den, D = f.ring.n, act.den, f.degree()
     points = [[den * v for v in a] for a in fixed_points(n)]  # den*a, entry i unused
+    scaled = {m: c * den ** (D - sum(m)) for m, c in f.ints.items()}
     checks = []
     for i in range(n):
-        d = max(m[i] for m in f.ints)
+        d, terms = row_terms(scaled, i)
         if d:
-            terms = [
-                (c * den ** (D - sum(m)), [(j, e) for j, e in enumerate(m) if e and j != i], m[i])
-                for m, c in f.ints.items()
-            ]
             specs = [(X, at) for X in points for at in [row_coefficients(terms, d, X)] if at[d]]
             checks.append((i, d, terms, specs))
 

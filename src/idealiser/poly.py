@@ -263,11 +263,19 @@ def translate_ints(ints: Mapping[Monomial, int], shift: Sequence[Fraction]) -> t
     return den, ints
 
 
+def row_terms(ints: Mapping[Monomial, int], i: int) -> tuple[int, list]:
+    """(d, terms): the degree d in x_i of sum c * x^m over ``ints``, and
+    its terms (c, [(j, m_j) for j != i with m_j != 0], m_i) in the order of
+    ``ints``, as ``row_coefficients`` reads them."""
+    terms = [(c, [(j, e) for j, e in enumerate(m) if e and j != i], m[i]) for m, c in ints.items()]
+    return max(k for _, _, k in terms), terms
+
+
 def row_coefficients(terms, degree: int, point: Sequence[int]) -> list[int]:
     """The coefficients, by powers of t, of the sum of c * t^k * the product
-    of point[j]^e_j over ``terms`` (c, [(j, e_j)], k): a polynomial of
-    degree at most ``degree`` restricted to the line through ``point`` along
-    the coordinate t, with every other coordinate fixed."""
+    of point[j]^e_j over ``terms`` (c, [(j, e_j)], k) of ``row_terms``: a
+    polynomial of degree at most ``degree`` restricted to the line through
+    ``point`` along the coordinate t, with every other coordinate fixed."""
     coeffs = [0] * (degree + 1)
     for v, factors, k in terms:
         for j, e in factors:

@@ -111,6 +111,21 @@ CASES["sset-line-target"] = ("line", ["sset", "--target", "x - 1", "y - 1"])
 TSET_POINT = ["tset", "x - 1", "y - 1", "--prime", "--box", "6"]
 CASES["tset-line-point"] = ("line", TSET_POINT)
 CASES["tset-line-point-full"] = ("line", [*TSET_POINT, "--full"])
+# containment against a parallel line flagged prime: I^g in J on the right, J^g in I on
+# the left (a principal prime against a principal target); the same against an unflagged
+# point, and against a line that meets the rank-one conic in two points (counts 0)
+PARALLEL = ["--target", "2*x - 3*y + 2"]
+CASES["probe-line-prime-line"] = ("line", ["probe", "--radii", "1,2,4", *PARALLEL, "--prime"])
+CASES["probe-line-point"] = ("line", ["probe", "--radii", "1,2,4", "--target", "x - 1", "y - 1"])
+CASES["tset-line-prime-line"] = ("line", ["tset", "2*x - 3*y + 2", "--prime", "--box", "4"])
+CASES["sset-line-line-target"] = ("line", ["sset", *PARALLEL, "--box", "4"])
+CASES["probe-rank_one-prime-line"] = (
+    "rank_one", ["probe", "--radii", "1,2,4", "--target", "x - y - 1", "--prime"]
+)
+# a translate of the rank-one conic, which holds I^g for the class g_1 + g_2 = -1
+CASES["probe-rank_one-prime-translate"] = (
+    "rank_one", ["probe", "--radii", "1,2,4", "--target", "(x - 1)^2 - 2*y^2 - 1", "--prime"]
+)
 SKEW_PAIR = ["(x)*g[1,0] + (3)*e", "(y - 1)*g[0,-1] - (x^2 - 1/2)*e"]
 CASES["skewmul-pell"] = ("pell", ["skewmul", *SKEW_PAIR])
 CASES["skewmul-pell-json"] = ("pell", ["skewmul", *SKEW_PAIR, "--json"])

@@ -226,6 +226,69 @@ def test_s_set_rejects_collapsing_window():
         s_set_box(PELL, (1, 0), Lattice.standard(2), 4, act)
 
 
+S_SET_ACTIONS = {
+    "standard": ACT,
+    "rank one": TranslationAction(RING, [[1, 1], [0, 0]]),
+    "rational": TranslationAction(RING, [[Fraction(1, 2), 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(S_SET_ACTIONS))
+def test_s_set_against_an_ideal_target_is_the_containment(name):
+    """Every ideal target, flagged prime or not, reads one containment test:
+    the members are the g in the box with I^g in the target, by translates
+    and normal forms.  The targets are I itself, a translate of I, a line,
+    points on and off V(I), and ideals that are not prime; <x^2 - 2, y> is
+    flagged maximal only, and against itself reads K."""
+    act = S_SET_ACTIONS[name]
+    sources = [
+        Ideal(RING, [X**2 - 2 * Y**2 - 1], claimed_prime=True),
+        LINE,
+        Ideal(RING, [X - 1, Y], claimed_maximal=True),
+        Ideal(RING, [X**2 - 2, Y], claimed_maximal=True),
+    ]
+    shapes = [
+        [X**2 - 2 * Y**2 - 1],
+        [(X - 1) ** 2 - 2 * Y**2 - 1],
+        [2 * X - 3 * Y + 2],
+        [X - 1, Y],
+        [X - 3, Y - 2],
+        [X - 2 * Y - 1],
+        [X * (X - 1)],
+        [X**2 - 2, Y],
+        [(X - 1) ** 2, Y],
+    ]
+    seen = {"members": 0, "empty": 0}
+    for I in sources:
+        targets = [I] + [Ideal(RING, gens, claimed_prime=flag) for gens in shapes[:6] for flag in (True, False)]
+        targets += [Ideal(RING, gens) for gens in shapes[6:]]
+        for target in targets:
+            rep = s_set_box(I, target, Lattice.standard(2), 3, act)
+            expected = tuple(
+                g for g in sorted(Lattice.standard(2).points_in_box(3))
+                if ideal_contains(target, act_on_ideal(I, g, act))
+            )
+            assert rep.members == expected, (I, target, name)
+            seen["members" if expected else "empty"] += 1
+    assert all(seen.values()), seen
+    # the maximal ideal with no rational point, against itself: g in K
+    sqrt2 = sources[3]
+    assert noether._contained(sqrt2, sqrt2, act, 1) == analysis(sqrt2, act).K.contains
+
+
+def test_s_set_keeps_the_flag_refusals():
+    """An ideal target still reads the flags of the source and the target
+    through their analyses: a source flagged prime with a repeated factor
+    and a unit target flagged prime are refused with their messages."""
+    sub = Lattice.standard(2)
+    square = Ideal(RING, [(X - Y) ** 2], claimed_prime=True)
+    with pytest.raises(ValueError, match="^a principal ideal with a repeated factor is not prime$"):
+        s_set_box(square, LINE, sub, 2, ACT)
+    unit = Ideal(RING, [RING.one()], claimed_prime=True)
+    with pytest.raises(ValueError, match="^an ideal flagged prime must be proper, not the unit ideal$"):
+        s_set_box(LINE, unit, sub, 2, ACT)
+
+
 # --------------------------------------------------------------- T sets
 
 
@@ -630,6 +693,30 @@ def test_growth_probe_against_the_ideal_own_point_reads_K(monkeypatch):
             assert component_test(I, J, act, side) == analysis(I, act).K.contains
             probe = growth_probe(I, J, act, side, radii)
             assert (probe.counts, probe.flag) == (counts, "stabilising"), (p, side)
+
+
+def test_principal_prime_against_itself_reads_K_on_both_sides(monkeypatch):
+    """J = I a principal prime, the same ideal or an equal one flagged
+    prime: on both sides the component test is the stabiliser's
+    ``contains``, so the probe compiles no zero test and walks no box."""
+
+    def refuse(*args):
+        raise AssertionError("the probe compiled a zero test or walked a box")
+
+    monkeypatch.setattr(noether, "zero_test", refuse)
+    monkeypatch.setattr(noether, "box_walk", refuse)
+    for I, act in (
+        (PELL, ACT),
+        (LINE, ACT),
+        (Ideal(RING, [X**2 - 2 * Y**2 - 1], claimed_prime=True), TranslationAction(RING, [[1, 1], [0, 0]])),
+        (Ideal(RING, [Y**2 - X**3], claimed_prime=True), TranslationAction(RING, [[Fraction(1, 2), 0], [0, 1]])),
+    ):
+        K = analysis(I, act).K
+        for J in (I, Ideal(RING, I.gens, claimed_prime=True)):
+            for side in ("right", "left"):
+                assert component_test(I, J, act, side) == K.contains
+                probe = growth_probe(I, J, act, side, (1, 3))
+                assert (probe.counts, probe.flag) == ((1, 1), "stabilising"), (I, side)
 
 
 def test_growth_probe_of_a_curve_against_its_anchor_still_walks(monkeypatch):
