@@ -203,12 +203,20 @@ class Lattice:
 
 
 def stabiliser(I: Ideal, act: TranslationAction) -> Lattice:
-    """Lattice of group elements g with I^g = I."""
+    """Lattice of group elements g with I^g = I.  A basis element f of
+    degree 1 gives the one row L_f * act.ints, for L_f its integer linear
+    part: its partials are constants, each its own normal form modulo the
+    proper I, so the general rows of f are that row up to scale."""
     if I.is_zero_ideal() or I.is_unit_ideal():
         raise ValueError("stabiliser requires a proper nonzero ideal")
     columns = list(zip(*act.ints))
+    unit = [tuple(int(i == j) for j in range(I.ring.n)) for i in range(I.ring.n)]
     rows: list[list[int]] = []
     for f in I.groebner_basis():
+        if f.degree() == 1:
+            L = [f.ints.get(m, 0) for m in unit]
+            rows.append([sum(map(mul, L, col)) for col in columns])
+            continue
         # v stabilises iff sum_j (A v)_j * NF(df/dx_j) = 0: a row per monomial, over one denominator
         residues = [I.normal_form(f.partial(j)) for j in range(I.ring.n)]
         den = math.lcm(*(r.den for r in residues))

@@ -462,8 +462,14 @@ def is_radical(I: Ideal) -> bool:
 
 def rational_point_of(I: Ideal) -> tuple[Fraction, ...] | None:
     """The rational point p with I = m_p, else None.  The reduced basis of
-    m_p is {x_i - p_i} in every order, so I = m_p exactly when every basis
-    element has degree 1 and primary_point reads a point off the basis."""
-    if any(g.degree() != 1 for g in I.groebner_basis()):
+    m_p is {x_i - p_i} in every order, so I = m_p exactly when the basis has
+    n elements, all of degree 1: their n leading variables are distinct and,
+    the basis being reduced, each element is a monic x_i + c, so p_i = -c."""
+    basis = I.groebner_basis()
+    n = I.ring.n
+    if len(basis) != n or any(g.degree() != 1 for g in basis):
         return None
-    return primary_point(I)
+    point: list = [None] * n
+    for g in basis:
+        point[g.leading_monomial().index(1)] = Fraction(-g.num * g.ints.get((0,) * n, 0), g.den)
+    return tuple(point)

@@ -73,6 +73,11 @@ class Analysis:
     ``maximal`` and ``prime`` are the only code that refuses a flag, when it
     is cheap to refute.
 
+    A point reads its facts off its affine-linear reduced basis, its own
+    echelon form (Cox, Little and O'Shea, IVA, ch. 2): the stabiliser's
+    rows, the point, residue dimension 1 and the anchor, with no normal
+    form, dimension probe, zero test or walk.
+
     ``proved_prime`` never reads a flag.  It holds for a proper I in two
     cases.  The first is a reduced basis all of degree 1: C/I is then a
     polynomial ring, a domain.  The second is a principal plane curve
@@ -108,7 +113,10 @@ class Analysis:
 
     @cached_property
     def residue_dimension(self) -> int | None:
-        """dim_Q C/I, None when it is infinite."""
+        """dim_Q C/I, None when it is infinite; 1 at a rational point, as
+        C/m_p is Q."""
+        if self.point is not None:
+            return 1
         return dimension_probe(self.I, bound=1).total_dimension
 
     @cached_property
@@ -171,9 +179,18 @@ class Analysis:
         return None
 
     def anchor(self, box: int) -> tuple[int, ...] | None:
-        """The least integer zero of I in the sup-norm box, or None."""
+        """The least integer zero of I in the sup-norm box, or None.  At a
+        rational point V(I) = {p}, so it is p when p is integral and in the
+        box, with no zero test and no walk; a box too large to walk is still
+        refused (``box_walk``'s budget check, before any vector is made)."""
         if box not in self._anchors:
-            self._anchors[box] = next(box_walk([box] * self.I.ring.n, zero_test(self.I.gens)), None)
+            bounds, p = [box] * self.I.ring.n, self.point
+            if p is None:
+                self._anchors[box] = next(box_walk(bounds, zero_test(self.I.gens)), None)
+            else:
+                box_walk(bounds)  # the budget check alone: the walk is never iterated
+                integral = all(c.denominator == 1 and abs(c) <= box for c in p)
+                self._anchors[box] = tuple(map(int, p)) if integral else None
         return self._anchors[box]
 
     @cached_property
@@ -306,10 +323,11 @@ def s_set_box(
     the variety points reachable from p inside the window.  Ideal target J:
     g is a member when I^g is contained in J; the box then windows g.
     """
-    K = analysis(I, act).K
+    a = analysis(I, act)
+    K = a.K
     if isinstance(target, Ideal):
-        analysis(I, act).prime, analysis(target, act).prime  # each refuses a false flag
-        contained = _contained(I, target, act, 1)
+        a.prime, analysis(target, act).prime  # each refuses a false flag
+        contained = _contained(I, target, a, 1)
         members = [g for g in sub.points_in_box(box) if contained(g)]
         desc = f"S-set of {_label(I)} against an ideal target"
     else:
@@ -359,8 +377,12 @@ def critical_density_decide(
 ) -> CriticalDensityReport:
     """Is the orbit of p critically dense (finite meet with every proper
     subvariety)?  In one variable an infinite orbit always is; in two or
-    more, the line through p along any lattice direction traps infinitely
-    many orbit points and witnesses failure."""
+    more, the line through p along any lattice direction v traps infinitely
+    many orbit points and witnesses failure.  The witness is handed its
+    reduced basis, built from ints: for x_k the least variable in the order
+    with v_k != 0, the monic x_j - (v_j/v_k)*x_k + (v_j*p_k - v_k*p_j)/v_k
+    for each j != k, sorted by the order.  Its leading variables are the
+    x_j, and x_k is in no other element, so the basis is reduced."""
     dirs = effective_directions(act)
     if not dirs:
         raise ValueError("critical density needs an infinite orbit")
@@ -369,19 +391,25 @@ def critical_density_decide(
     if ring.n == 1:
         return CriticalDensityReport(dense=True, orbit_rank=len(dirs))
     v = dirs[-1]
-    i0 = next(i for i, vi in enumerate(v) if vi)
-    # (x_j - p_j) * v_i0 - (x_i0 - p_i0) * v_j for j != i0, built from ints
-    # over den, with P = den * p integral
+    # P = den * p is integral; forms(k, scale) are (x_j - p_j) * v_k - (x_k - p_k) * v_j
+    # for j != k, times den/scale, built from ints
     den = math.lcm(*(c.denominator for c in p))
     P = [c.numerator * (den // c.denominator) for c in p]
     one = (0,) * ring.n
     unit = [one[:i] + (1,) + one[i + 1 :] for i in range(ring.n)]
-    gens = [
-        Poly.from_ints(ring, 1, den, {unit[j]: v[i0] * den, unit[i0]: -v[j] * den, one: v[j] * P[i0] - v[i0] * P[j]})
-        for j in range(ring.n)
-        if j != i0
-    ]
-    witness = Ideal(ring, gens, claimed_prime=True)
+
+    def forms(k, scale):
+        return [
+            Poly.from_ints(ring, 1, scale, {unit[j]: v[k] * den, unit[k]: -v[j] * den, one: v[j] * P[k] - v[k] * P[j]})
+            for j in range(ring.n)
+            if j != k
+        ]
+
+    key = ring.order.key
+    # the printed generators take the first index with v_k != 0, the basis the least variable
+    witness = Ideal(ring, forms(next(i for i, vi in enumerate(v) if vi), den), claimed_prime=True)
+    k = min((i for i in range(ring.n) if v[i]), key=lambda i: key(unit[i]))
+    witness._gb = tuple(sorted(forms(k, v[k] * den), key=lambda g: key(g.leading_monomial()), reverse=True))
     return CriticalDensityReport(
         dense=False, orbit_rank=len(dirs), direction=v, witness=witness
     )
@@ -495,13 +523,13 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
         return lambda g: side == "right" and I.is_zero_ideal()
     if side == "right":
         if J_prime or b.point is not None:
-            return _contained(I, J, act, 1)
+            return _contained(I, J, a, 1)
         component = colon_components(J, I, act)
         return lambda g: not ideal_equal(component(g), J)
     if b.point is not None or (J_prime and I.is_principal()):
-        return _contained(I, J, act, -1)
+        return _contained(I, J, a, -1)
     if a.point is not None or (I_prime and J.is_principal()):
-        return _contained(J, I, act, 1)
+        return _contained(J, I, a, 1)
     by_dimension = a.dim + b.dim < I.ring.n
 
     def tor_nonzero(g):
@@ -515,14 +543,17 @@ def component_test(I: Ideal, J: Ideal, act: TranslationAction, side: str):
     return _once_per_pair(nonzero) if mirrored else nonzero
 
 
-def _contained(X: Ideal, P: Ideal, act: TranslationAction, sign: int):
-    """The test g -> "X^(sign*g) lies in P".  For X = P it is g in K, as X^g
-    in X forces X^g = X (``colon_components``), and a growth probe reads it
-    with no walk; for P = m_p, one compiled ``zero_test`` of X at
+def _contained(X: Ideal, P: Ideal, a: Analysis, sign: int):
+    """The test g -> "X^(sign*g) lies in P", for ``a`` the analysis of the
+    source, which is X or P.  For X = P it is g in K, as X^g in X forces
+    X^g = X (``colon_components``); K is read from ``a``, the one a growth
+    probe compares against, so it reads the test with no walk and no second
+    stabiliser.  For P = m_p, one compiled ``zero_test`` of X at
     p + sign*A g; otherwise the normal forms of the moved basis of X
     modulo P, to the first that is not zero."""
+    act = a.act
     if ideal_equal(X, P):
-        return analysis(X, act).K.contains
+        return a.K.contains
     p = analysis(P, act).point
     if p is not None:
         return zero_test(X.gens, p, [[sign * x for x in row] for row in act.matrix])

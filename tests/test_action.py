@@ -442,6 +442,89 @@ def test_stabiliser_random_lines():
         assert stabiliser(I, STD) == Lattice(2, [(n, m)])
 
 
+def _stabiliser_by_partials(I, act):
+    """The stabiliser from the rows of every basis element f, of degree 1
+    or not: v stabilises iff sum_j (A v)_j * NF(df/dx_j) = 0, one row per
+    monomial of the normal forms, in Fractions and cleared row by row."""
+    rows = []
+    for f in I.groebner_basis():
+        residues = [I.normal_form(f.partial(j)) for j in range(I.ring.n)]
+        for mono in {m for r in residues for m in r.ints}:
+            row = [sum(r.coefficient(mono) * a for r, a in zip(residues, col)) for col in zip(*act.matrix)]
+            scale = math.lcm(*(c.denominator for c in row))
+            rows.append([int(c * scale) for c in row])
+    return Lattice(act.d, kernel_basis(rows, cols=act.d))
+
+
+def test_stabiliser_matches_the_rows_of_every_partial():
+    """Seeded: the stabiliser, which reads a degree-1 basis element's one
+    row off its linear part, equals the lattice from the partials and normal
+    forms of every element.  Linear ideals (lines, planes, points), a linear
+    form with a quadric (as space3's conics) and curves (plane curves, space
+    parabolas, the twisted cubic), under the standard action, a rank-one
+    action and rational actions of every rank."""
+    rng = random.Random(20261022)
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(i) for i in range(3))
+
+    def linear(ring):
+        form = ring.const(rng.randint(-4, 4))
+        for i in range(ring.n):
+            form = form + Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) * ring.var(i) * rng.randint(0, 1)
+        return form if form.degree() == 1 else ring.var(rng.randrange(ring.n)) - 1
+
+    def quadric(ring):
+        q = random_poly(rng, ring, 2)
+        return q if q.degree() == 2 else ring.var(0) ** 2 - q
+
+    def ideals(ring, kind):
+        if kind == "linear":
+            return [linear(ring) for _ in range(rng.randint(1, ring.n))]
+        if kind == "mixed":
+            return [linear(ring), quadric(ring)]
+        if ring.n == 2:
+            return [random_poly(rng, ring)]
+        c = rng.randint(-2, 2)
+        return rng.choice(([y - x**2, z - c], [y - x**2, z - x**3], [z - 1, (x - 1) ** 2 - 2 * (y + 1) ** 2 - 1]))
+
+    def actions(ring):
+        n = ring.n
+        yield "standard", TranslationAction.standard(ring)
+        column = [rng.randint(-2, 2) for _ in range(n)] if rng.random() < 0.5 else [0] * n
+        column[rng.randrange(n)] = 1
+        yield "rank one", TranslationAction(ring, [[c] for c in column])
+        d = rng.randint(1, n)
+        yield "rational", TranslationAction(
+            ring, [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(d)] for _ in range(n)]
+        )
+
+    def cases():
+        for trial in range(90):
+            ring = (RING, R3)[trial % 2]
+            kind = ("linear", "mixed", "curve")[trial % 3]
+            I = Ideal(ring, ideals(ring, kind))
+            if not I.is_unit_ideal():
+                for name, act in actions(ring):
+                    yield kind, name, I, act
+        # pairs of parallel lines, in space and in the plane, moved along them
+        along_y = TranslationAction(R3, [[0], [1], [0]])
+        halves = TranslationAction(R3, [[Fraction(1, 2), 0], [0, 1], [Fraction(1, 2), 0]])
+        yield "mixed", "rank one", Ideal(R3, [z - 1, x**2 - 2]), along_y
+        yield "mixed", "rational", Ideal(R3, [x - z, y**2 - 3]), halves
+        yield "curve", "rank one", Ideal(RING, [(Y - 1) * (Y + 2)]), TranslationAction(RING, [[1], [0]])
+        yield "curve", "rational", Ideal(R3, [(y - 1) * (y + 2), x - z]), halves
+
+    seen: dict = {}
+    for kind, name, I, act in cases():
+        K = stabiliser(I, act)
+        assert K == _stabiliser_by_partials(I, act), (I, act.matrix)
+        seen[kind, name, K.rank > 0] = seen.get((kind, name, K.rank > 0), 0) + 1
+    # every kind under every action, with trivial and nontrivial stabilisers
+    for kind in ("linear", "mixed", "curve"):
+        for name in ("standard", "rank one", "rational"):
+            assert seen.get((kind, name, False), 0) >= 5 and seen.get((kind, name, True)), (kind, name, seen)
+
+
 # ---------------------------------------------------------- complements
 
 

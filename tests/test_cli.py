@@ -719,12 +719,40 @@ def test_analyze_computes_each_fact_once(capsys, tmp_path, monkeypatch, generato
     cfg = {"ring": {"vars": variables}, "ideal": ideal, "options": PELL_CFG["options"]}
     code, _, _ = run(capsys, "analyze", "-c", _write(tmp_path, "cfg.json", cfg))
     assert code in (0, 2)
-    # dimension_probe runs once: the residue dimension that maximality and MaximalRight read
-    assert calls == dict.fromkeys(names, 1)
+    # dimension_probe runs once for a curve: the residue dimension that maximality and
+    # MaximalRight read; a point reads it (1) off its rational point and runs none
+    point = len(generators) > 1
+    assert calls == {**dict.fromkeys(names, 1), "dimension_probe": int(not point)}
     # points are classified by their rational point, curves once
     assert curves == {"classify_plane_curve": int(len(generators) == 1)}
     # the density witness is handed on as an ideal, never printed and parsed back
     assert parses == {"parse": len(generators)}
+
+
+def test_analyze_of_a_point_still_refuses_a_box_too_large_to_walk(capsys, tmp_path):
+    """The anchor of a point reads the point and walks nothing, but a box
+    whose walk would exceed the budget is refused as before."""
+    ideal = {"generators": ["x - 1", "y - 2", "z + 1"], "claimed_prime": True}
+    cfg = _write(tmp_path, "cfg.json", {"ring": {"vars": ["x", "y", "z"]}, "ideal": ideal})
+    code, out, err = run(capsys, "analyze", "-c", cfg, "--box", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: box walk of 8120601 points exceeds the budget of 1000000\n"
+    code, out, _ = run(capsys, "analyze", "-c", cfg, "--box", "49")  # 99^3 points fit the budget
+    assert code == 0 and "right noetherian: yes" in out
+
+
+def test_probe_against_the_source_own_generator_computes_one_stabiliser(capsys, tmp_path, monkeypatch):
+    import idealiser.noether as noether
+
+    calls = _count_calls(monkeypatch, [noether], ["stabiliser"])
+    code, out, _ = run(
+        capsys, "probe", "-c", _write(tmp_path, "cfg.json", PELL_CFG), "--target", "x^2 - 7*y^2 - 1", "--radii", "2,8,30"
+    )
+    assert code == 0 and calls == {"stabiliser": 1}
+    assert out == (
+        "probe right vs <x^2 - 7*y^2 - 1>: radii 2,8,30 counts 1,1,1 [stabilising]\n"
+        "probe left vs <x^2 - 7*y^2 - 1>: radii 2,8,30 counts 1,1,1 [stabilising]\n"
+    )
 
 
 def test_config_sections_must_be_objects(capsys, tmp_path):

@@ -273,7 +273,7 @@ def test_s_set_against_an_ideal_target_is_the_containment(name):
     assert all(seen.values()), seen
     # the maximal ideal with no rational point, against itself: g in K
     sqrt2 = sources[3]
-    assert noether._contained(sqrt2, sqrt2, act, 1) == analysis(sqrt2, act).K.contains
+    assert noether._contained(sqrt2, sqrt2, analysis(sqrt2, act), 1) == analysis(sqrt2, act).K.contains
 
 
 def test_s_set_keeps_the_flag_refusals():
@@ -351,6 +351,60 @@ def test_critical_density_needs_motion():
     act = TranslationAction(RING, [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         critical_density_decide((Fraction(0), Fraction(0)), act)
+
+
+def test_witness_line_is_handed_its_reduced_basis():
+    """Seeded: the basis that critical_density_decide hands the witness line
+    is the reduced basis Buchberger computes from its generators, for
+    random rational points and rational actions of rank 1 to 3 in 2 to 4
+    variables, under permuted lex and grevlex orders."""
+    rng = random.Random(20261022)
+    seen = set()
+    for trial in range(240):
+        n = 2 + trial % 3
+        perm = rng.sample(range(n), n)
+        order = (MonomialOrder.lex, MonomialOrder.grevlex)[trial % 2](n, perm)
+        ring = PolyRing(tuple("xyzw"[:n]), order)
+        d = rng.randint(1, min(3, n))
+        entries = (0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+        act = TranslationAction(ring, [[rng.choice(entries) for _ in range(d)] for _ in range(n)])
+        rank = len(noether.effective_directions(act))
+        if not rank:
+            continue
+        p = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7))) for _ in range(n)]
+        witness = critical_density_decide(p, act).witness
+        assert witness._gb is not None  # handed on, not computed
+        assert witness.groebner_basis() == groebner.reduced_groebner_basis(witness.gens), (p, act.matrix, perm)
+        seen.add((n, rank, trial % 2))
+    assert {(n, r, o) for n in (2, 3, 4) for r in (1, 2, 3) if r <= n for o in (0, 1)} <= seen, seen
+
+
+def test_anchor_of_a_point_reads_the_point(monkeypatch):
+    """Analysis.anchor of m_p is the least integer zero that the box walk
+    finds: p for an integral p in the box, None for an integral p outside
+    it and for a p that is not integral; it compiles no zero test."""
+    R3 = PolyRing(("x", "y", "z"))
+    cases = [
+        (RING, (1, -2), 2),
+        (RING, (3, 0), 2),
+        (RING, (Fraction(1, 2), 1), 4),
+        (R3, (0, 2, -2), 2),
+        (R3, (0, 2, -3), 2),
+        (R3, (Fraction(-7, 3), 1, 0), 3),
+    ]
+    expected = []
+    for ring, p, box in cases:
+        I = Ideal(ring, [ring.var(i) - ring.const(c) for i, c in enumerate(p)], claimed_prime=True)
+        expected.append(next(box_walk([box] * ring.n, zero_test(I.gens)), None))
+    assert expected == [(1, -2), None, None, (0, 2, -2), None, None]
+
+    def refuse(*args):
+        raise AssertionError("the anchor compiled a zero test")
+
+    monkeypatch.setattr(noether, "zero_test", refuse)
+    for (ring, p, box), zero in zip(cases, expected):
+        I = Ideal(ring, [ring.var(i) - ring.const(c) for i, c in enumerate(p)], claimed_prime=True)
+        assert analysis(I, TranslationAction.standard(ring)).anchor(box) == zero, p
 
 
 # ------------------------------------------------------------- verdicts
@@ -717,6 +771,31 @@ def test_principal_prime_against_itself_reads_K_on_both_sides(monkeypatch):
                 assert component_test(I, J, act, side) == K.contains
                 probe = growth_probe(I, J, act, side, (1, 3))
                 assert (probe.counts, probe.flag) == ((1, 1), "stabilising"), (I, side)
+
+
+def test_left_probe_against_an_unflagged_copy_reads_the_source_K(monkeypatch):
+    """I a principal prime, J an equal ideal not flagged prime: the left rule
+    'I flagged prime, J = (h)' asks whether J^g lies in I, which is g in K.
+    K is the source's, the one the probe compares against, so one
+    stabiliser is computed in all and the left probe walks no box; the
+    right probe reads the colon rule and walks, with the same counts."""
+    computed, walks = [], []
+    build, walk = noether.stabiliser, noether.box_walk
+    monkeypatch.setattr(noether, "stabiliser", lambda I, act: computed.append(I) or build(I, act))
+    monkeypatch.setattr(noether, "box_walk", lambda *args: walks.append(args) or walk(*args))
+    for I, act in (
+        (Ideal(RING, PELL.gens, claimed_prime=True), ACT),
+        (Ideal(RING, LINE.gens, claimed_prime=True), TranslationAction(RING, [[Fraction(1, 2), 0], [0, 1]])),
+    ):
+        computed.clear()
+        J = Ideal(RING, I.gens)
+        assert component_test(I, J, act, "left") == analysis(I, act).K.contains
+        left = growth_probe(I, J, act, "left", (2, 8, 30))
+        assert (walks, computed) == ([], [I])
+        right = growth_probe(I, J, act, "right", (2, 8, 30))
+        assert left.counts == right.counts == (1, 1, 1)
+        assert computed == [I]
+        walks.clear()
 
 
 def test_growth_probe_of_a_curve_against_its_anchor_still_walks(monkeypatch):
